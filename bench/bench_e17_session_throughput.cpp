@@ -184,8 +184,7 @@ int main() {
   const mode_out batch_mode = measure([&] {
     session_batch batch;
     for (std::uint64_t seed = 1; seed <= cells; ++seed) {
-      batch.emplace(prob, protocol_spec{"rlnc-direct", {}},
-                    adversary_spec{"permuted-path", {}}, seed);
+      batch.add(make_cell(prob, seed));
     }
     batch.run_all();
     for (std::size_t i = 0; i < cells; ++i) {

@@ -2,7 +2,6 @@
 
 #include <deque>
 
-#include "coding/matrix.hpp"
 #include "core/contracts.hpp"
 
 namespace ncdn {
@@ -108,27 +107,6 @@ class buffered_backend final : public coding_backend {
 };
 
 }  // namespace
-
-std::unique_ptr<coding_backend> make_dense_backend() {
-  return make_matrix_backend(matrix_spec{});
-}
-
-std::unique_ptr<coding_backend> make_sparse_backend(double rho) {
-  matrix_spec spec;
-  spec.sched = "sparse";
-  spec.rho = rho;
-  return make_matrix_backend(spec);
-}
-
-std::unique_ptr<coding_backend> make_generation_backend(
-    std::size_t gen_size, std::size_t band_overlap) {
-  NCDN_EXPECTS(gen_size >= 1);
-  matrix_spec spec;
-  spec.dec = "banded";
-  spec.gen_size = gen_size;
-  spec.band_overlap = band_overlap;
-  return make_matrix_backend(spec);
-}
 
 std::unique_ptr<coding_backend> make_buffered_backend(
     std::unique_ptr<coding_backend> inner, std::size_t capacity,

@@ -7,14 +7,8 @@
 // The concrete strategies live in the (encoder schedule × decoder
 // strategy) matrix of coding/matrix.hpp: what a node sends (dense coin,
 // sparse-rho, systematic first pass, feedback-steered generation pick) is
-// composed with how arrivals are eliminated (generic rref, banded-pivot).
-// The historical factories below are bit-identical shims over the default
-// matrix cells — same RNG draws in the same order, same wire bytes, same
-// XOR-word accounting:
-//   make_dense_backend       == matrix cell sched=dense,  dec=rref
-//   make_sparse_backend      == matrix cell sched=sparse, dec=rref
-//   make_generation_backend  == matrix cell sched=dense,  dec=banded
-//                               (generation layout)
+// composed with how arrivals are eliminated (generic rref, banded-pivot);
+// `make_matrix_backend(matrix_spec{})` is the paper's dense GF(2) code.
 //
 // The wire format is shared: every backend emits full-width rows
 // [k coefficients | payload], so message sizing, the network budget, and
@@ -91,22 +85,6 @@ class coding_backend {
   virtual std::unique_ptr<node_coder> make_node_coder(
       std::size_t items, std::size_t item_bits) const = 0;
 };
-
-/// The paper's dense GF(2) RLNC (the default; draw-for-draw identical to
-/// the pre-backend rlnc_session).  Shim for the matrix cell
-/// sched=dense, dec=rref over the full-span layout (coding/matrix.hpp).
-std::unique_ptr<coding_backend> make_dense_backend();
-
-/// Sparse RLNC with Bernoulli inclusion density rho in (0, 1].  Shim for
-/// the matrix cell sched=sparse, dec=rref.
-std::unique_ptr<coding_backend> make_sparse_backend(double rho);
-
-/// Generation/band coding: generations of `gen_size` tokens, consecutive
-/// generations sharing a `band_overlap`-token band (band_overlap <=
-/// gen_size; 0 = disjoint generations).  Shim for the matrix cell
-/// sched=dense, dec=banded over the generation layout.
-std::unique_ptr<coding_backend> make_generation_backend(
-    std::size_t gen_size, std::size_t band_overlap);
 
 /// Recoding-buffer node mode (the `buf=B` axis under lossy links): wraps
 /// `inner` so each node's outgoing combination is a coin-XOR over a

@@ -485,7 +485,7 @@ class matrix_backend final : public coding_backend {
 
   std::string name() const override {
     const bool grouped = spec_.gen_size >= 1;
-    // Default cells keep the historical backend names the shims promised.
+    // The registry's default cells keep their historical backend names.
     if (!grouped && spec_.sched == "dense" && spec_.dec == "rref") {
       return "dense";
     }

@@ -33,10 +33,8 @@
 //                 instead of k+d (PR 3's generation coder, now one cell of
 //                 the matrix).
 //
-// A matrix_spec names one cell; make_matrix_backend builds it.  The
-// historical factories (make_dense_backend & co in backend.hpp) are
-// bit-identical shims over the default cells: same RNG draws in the same
-// order, same wire bytes, same XOR-word accounting.
+// A matrix_spec names one cell; make_matrix_backend builds it.  The default
+// spec is the paper's dense GF(2) code (sched=dense, dec=rref, full span).
 #pragma once
 
 #include <memory>
@@ -51,7 +49,7 @@ namespace ncdn {
 /// One cell of the coding matrix plus its token layout.  gen_size == 0 is
 /// the full-span layout (one window covering all tokens); gen_size >= 1
 /// partitions tokens into generations of gen_size with a band_overlap-token
-/// shared band, exactly as make_generation_backend did.
+/// shared band (band_overlap <= gen_size; 0 = disjoint generations).
 struct matrix_spec {
   std::string sched = "dense";  // dense | sparse | systematic | feedback
   std::string dec = "rref";     // rref | banded

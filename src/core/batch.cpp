@@ -10,27 +10,6 @@ std::size_t session_batch::add(std::unique_ptr<session> s) {
   return index;
 }
 
-std::size_t session_batch::emplace(const problem& prob, protocol_spec proto,
-                                   adversary_spec adv, std::uint64_t seed) {
-  return add(std::make_unique<session>(prob, std::move(proto), std::move(adv),
-                                       seed));
-}
-
-std::size_t session_batch::emplace(const problem& prob, protocol_spec proto,
-                                   adversary_spec adv, link_spec link,
-                                   std::uint64_t seed) {
-  return add(std::make_unique<session>(prob, std::move(proto), std::move(adv),
-                                       std::move(link), seed));
-}
-
-std::size_t session_batch::emplace(const problem& prob, protocol_spec proto,
-                                   adversary_spec adv, link_spec link,
-                                   content_spec content, std::uint64_t seed) {
-  return add(std::make_unique<session>(prob, std::move(proto), std::move(adv),
-                                       std::move(link), std::move(content),
-                                       seed));
-}
-
 session& session_batch::at(std::size_t index) {
   NCDN_EXPECTS(index < sessions_.size());
   return *sessions_[index];

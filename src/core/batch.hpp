@@ -7,7 +7,9 @@
 //
 //   ncdn::session_batch batch;
 //   for (std::uint64_t seed = 1; seed <= 256; ++seed) {
-//     batch.emplace(prob, {"rlnc-direct"}, {"permuted-path"}, seed);
+//     batch.add(std::make_unique<ncdn::session>(
+//         prob, ncdn::protocol_spec{"rlnc-direct", {}},
+//         ncdn::adversary_spec{"permuted-path", {}}, seed));
 //   }
 //   batch.run_all();                       // or step_all() in a loop
 //   const ncdn::run_report& rep = batch.at(7).report();
@@ -35,18 +37,6 @@ class session_batch {
 
   /// Adopts a constructed session; returns its index.
   std::size_t add(std::unique_ptr<session> s);
-
-  /// Builds a session from specs and adds it; returns its index.  Throws
-  /// std::invalid_argument exactly like the session constructor.
-  std::size_t emplace(const problem& prob, protocol_spec proto,
-                      adversary_spec adv, std::uint64_t seed);
-  /// Same, with a per-edge channel (empty link = reliable default).
-  std::size_t emplace(const problem& prob, protocol_spec proto,
-                      adversary_spec adv, link_spec link, std::uint64_t seed);
-  /// Same, plus a versioned-content workload (empty content = one-shot).
-  std::size_t emplace(const problem& prob, protocol_spec proto,
-                      adversary_spec adv, link_spec link, content_spec content,
-                      std::uint64_t seed);
 
   std::size_t size() const noexcept { return sessions_.size(); }
   bool all_finished() const noexcept { return live_.empty(); }

@@ -1,12 +1,10 @@
-// Deprecated enum facade, kept as a thin shim over the registries and the
-// steppable session.  The old hand-maintained to_string tables and the
-// monolithic dispatch switch are gone: names come from the registry entry
-// (one source of truth), and a run is session(...).run_to_completion().
+// Enum-tag names, looked up in the registries: the registry entry is the
+// one source of truth for every name.
 #include "core/dissemination.hpp"
 
 #include <map>
 
-#include "core/session.hpp"
+#include "core/registry.hpp"
 
 namespace ncdn {
 
@@ -37,18 +35,6 @@ const char* to_string(topology_kind t) {
   }();
   const auto it = names.find(t);
   return it == names.end() ? "?" : it->second.c_str();
-}
-
-std::unique_ptr<adversary> make_adversary(topology_kind topo,
-                                          const problem& prob,
-                                          std::uint64_t seed) {
-  return build_adversary(prob, adversary_spec{to_string(topo), {}}, seed);
-}
-
-run_report run_dissemination(const problem& prob, const run_options& opts) {
-  session s(prob, protocol_spec{to_string(opts.alg), {}},
-            adversary_spec{to_string(opts.topo), {}}, opts.seed);
-  return s.run_to_completion();
 }
 
 }  // namespace ncdn

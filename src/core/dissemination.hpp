@@ -1,32 +1,25 @@
-// Public API facade: one call to set up a dynamic-network instance, pick an
-// algorithm and an adversary, and run k-token dissemination to completion.
+// The problem instance and run record shared by every entry point, plus
+// the `algorithm` / `topology_kind` enums that tag the built-in registry
+// entries (core/registry.hpp).  A run is a `session` (core/session.hpp):
 //
 //   ncdn::problem prob{.n = 64, .k = 64, .d = 16, .b = 64};
-//   auto report = ncdn::run_dissemination(
-//       prob, {.alg = ncdn::algorithm::greedy_forward,
-//              .topo = ncdn::topology_kind::permuted_path,
-//              .seed = 1});
+//   ncdn::session s(prob, {"greedy-forward", {}}, {"permuted-path", {}},
+//                   /*seed=*/1);
+//   const ncdn::run_report& report = s.run_to_completion();
 //
-// DEPRECATED ENUM FACADE: the enums below remain as thin shims over the
-// string-keyed registries (core/registry.hpp) and the steppable session
-// (core/session.hpp), which are the extensible entry points — new protocols
-// and adversaries register by name and need no enum.  `run_dissemination`
-// is `session(...).run_to_completion()`; `to_string` is a registry lookup.
-// Everything the facade does can also be composed manually from the
-// protocol headers (see examples/).
+// New protocols and adversaries register by name and need no enum.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "core/metrics.hpp"
-#include "dynnet/adversary.hpp"
 #include "protocols/common.hpp"
 
 namespace ncdn {
 
-/// Deprecated: prefer the registry name (see `list_protocol_names()`);
-/// every enumerator is registered under the name `to_string` returns.
+/// Tag of a built-in protocol entry (protocol_entry::legacy); prefer the
+/// registry name (see `list_protocol_names()`).  Every enumerator is
+/// registered under the name `to_string` returns.
 enum class algorithm {
   token_forwarding,            // Thm 2.1 baseline (batched min-flood)
   token_forwarding_pipelined,  // streaming variant for T-stable baselines
@@ -43,7 +36,8 @@ enum class algorithm {
                                // (global indexing granted; b >= (k+d)/2)
 };
 
-/// Deprecated: prefer the registry name (see `list_adversary_names()`).
+/// Tag of a built-in adversary entry (adversary_entry::legacy); prefer the
+/// registry name (see `list_adversary_names()`).
 enum class topology_kind {
   static_path,
   static_star,
@@ -68,12 +62,6 @@ struct problem {
   double slack = 2.0;  // constant hidden in the O(b) message budget (§7)
 };
 
-struct run_options {
-  algorithm alg = algorithm::greedy_forward;
-  topology_kind topo = topology_kind::permuted_path;
-  std::uint64_t seed = 1;
-};
-
 /// The session's run record: the protocol_result the protocol reported,
 /// the instance it ran on, the registry names that selected it, and the
 /// session-observed per-round aggregates.
@@ -84,14 +72,5 @@ struct run_report : protocol_result {
   std::uint64_t seed = 0;
   session_metrics metrics;
 };
-
-/// Builds the adversary for a topology kind (T-stability applied on top
-/// when prob.t_stability > 1).  Deprecated shim over the adversary
-/// registry.
-std::unique_ptr<adversary> make_adversary(topology_kind topo,
-                                          const problem& prob,
-                                          std::uint64_t seed);
-
-run_report run_dissemination(const problem& prob, const run_options& opts);
 
 }  // namespace ncdn

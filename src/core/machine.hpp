@@ -308,55 +308,14 @@ class task_machine final : public protocol_machine {
   bool started_ = false;
 };
 
-/// Deprecated-compatibility machine over a blocking `session_env& ->
-/// protocol_result` loop: the whole protocol runs inside the first
-/// advance() call (observers still fire per round via the network hook,
-/// but stepping granularity is the full run).
-template <class Fn>
-class blocking_machine final : public protocol_machine {
- public:
-  explicit blocking_machine(Fn fn) : fn_(std::move(fn)) {}
-
-  void begin(session_env&) override { NCDN_EXPECTS(!done_); }
-
-  round_plan advance(session_env& env) override {
-    NCDN_EXPECTS(!done_);
-    result_ = fn_(env);
-    done_ = true;
-    return round_plan::done;
-  }
-
-  protocol_result finish() override {
-    NCDN_EXPECTS(done_);
-    return std::move(result_);
-  }
-
- private:
-  Fn fn_;
-  protocol_result result_;
-  bool done_ = false;
-};
-
 }  // namespace detail
 
 /// Wraps a coroutine factory `session_env& -> round_task<R>` as a
-/// round-steppable protocol_machine.  This is the blessed registration
-/// path — see the registry header for a worked example.
+/// round-steppable protocol_machine — the registration path; see the
+/// registry header for a worked example.
 template <class Fn>
 std::unique_ptr<protocol_machine> make_protocol_machine(Fn fn) {
   return std::make_unique<detail::task_machine<Fn>>(std::move(fn));
-}
-
-/// DEPRECATED compatibility shim for pre-machine registrations: wraps a
-/// free-running `session_env& -> protocol_result` loop as a machine whose
-/// single advance() runs the whole protocol.  Such protocols cannot be
-/// stepped round-by-round (session::step() completes them in one call);
-/// port the loop to a round_task coroutine to regain per-round stepping.
-template <class Fn>
-  requires std::is_convertible_v<std::invoke_result_t<Fn&, session_env&>,
-                                 protocol_result>
-std::unique_ptr<protocol_machine> make_protocol_driver(Fn fn) {
-  return std::make_unique<detail::blocking_machine<Fn>>(std::move(fn));
 }
 
 }  // namespace ncdn

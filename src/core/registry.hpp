@@ -3,11 +3,9 @@
 //
 // A protocol or adversary registers under a stable name with a factory
 // taking the `problem` and a `param_map` of key=value overrides
-// ("t_stability=4", "radius=0.4", "epoch_cap=8", ...).  Everything the old
-// enum facade dispatched on is registered here as a built-in entry; the
-// enums survive only as lookups into these tables, so a new entry cannot
-// ship without its string and external code can add entries without
-// touching this file.
+// ("t_stability=4", "radius=0.4", "epoch_cap=8", ...).  Every built-in
+// protocol and adversary is an entry here, so external code can add entries
+// without touching this file.
 //
 // Protocol factories return a round-driven `protocol_machine`
 // (core/machine.hpp): write the algorithm as a `round_task` coroutine with
@@ -35,10 +33,6 @@
 //                return run_my_protocol(env, cfg);
 //              });
 //        }});
-//
-// (The deprecated loop-style `make_protocol_driver` still wraps a blocking
-// `session_env& -> protocol_result` callable, at the cost of per-round
-// stepping — see core/machine.hpp.)
 //
 // User-input errors (unknown name, unknown or malformed parameter) throw
 // std::invalid_argument; contract macros stay reserved for programmer
@@ -111,8 +105,8 @@ class param_reader {
   std::vector<std::string> queried_;
 };
 
-// session_env, protocol_machine, make_protocol_machine, and the deprecated
-// loop-style make_protocol_driver shim live in core/machine.hpp.
+// session_env, protocol_machine and make_protocol_machine live in
+// core/machine.hpp.
 
 class coding_backend;  // coding/backend.hpp
 
@@ -129,7 +123,7 @@ struct coded_backend_plan {
 struct protocol_entry {
   std::string name;     // e.g. "greedy-forward", "tstable/patch"
   std::string summary;  // one line for `ncdn-run list-algorithms`
-  std::optional<algorithm> legacy;  // enum shim tag, if any
+  std::optional<algorithm> legacy;  // enum tag, if any
   std::function<std::unique_ptr<protocol_machine>(const problem&,
                                                   param_reader&)>
       make;
@@ -155,9 +149,9 @@ struct protocol_entry {
 struct adversary_entry {
   std::string name;
   std::string summary;
-  std::optional<topology_kind> legacy;
-  // The raw adversary; the caller layers T-stability on top when
-  // prob.t_stability > 1 (matching the old facade).
+  std::optional<topology_kind> legacy;  // enum tag, if any
+  // The raw adversary; build_adversary layers T-stability on top when
+  // prob.t_stability > 1.
   std::function<std::unique_ptr<adversary>(const problem&, param_reader&,
                                            std::uint64_t seed)>
       make;
@@ -214,7 +208,7 @@ std::string join_keys(const std::vector<std::string>& keys);
 /// unless `audit` is non-null, in which case leftover keys are reported
 /// there instead (the session uses this to accept a shared param_map where
 /// each key only needs to be consumed by one side).  The adversary builder
-/// applies the T-stability wrapper exactly like the old facade.
+/// applies the T-stability wrapper when prob.t_stability > 1.
 std::unique_ptr<protocol_machine> build_protocol(const problem& prob,
                                                  const protocol_spec& spec,
                                                  param_audit* audit = nullptr);

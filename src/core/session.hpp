@@ -1,5 +1,5 @@
-// The steppable session: the open replacement for the one-shot
-// `run_dissemination` facade.
+// The steppable session: the public entry point for running a registered
+// protocol against a registered adversary.
 //
 //   ncdn::session s(prob, {"rlnc-direct"}, {"permuted-path"}, /*seed=*/1);
 //   s.set_observer([](const ncdn::round_metrics& m) {

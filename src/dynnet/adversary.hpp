@@ -281,7 +281,10 @@ class churn_adversary final : public adversary {
 
   /// Liveness of every node on the most recent round (1 = live).
   const std::vector<char>& live() const noexcept { return live_; }
-  const std::vector<char>* live_mask() const override { return &live_; }
+  /// nullptr until the first round commits a mask (every node starts live).
+  const std::vector<char>* live_mask() const override {
+    return live_.empty() ? nullptr : &live_;
+  }
   std::size_t live_count() const noexcept { return live_count_; }
   std::size_t min_live() const noexcept { return min_live_; }
 

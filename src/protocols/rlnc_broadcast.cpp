@@ -1,10 +1,12 @@
 #include "protocols/rlnc_broadcast.hpp"
 
+#include "coding/matrix.hpp"
+
 namespace ncdn {
 
 rlnc_session::rlnc_session(std::size_t n, std::size_t items,
                            std::size_t item_bits)
-    : rlnc_session(n, items, item_bits, make_dense_backend()) {}
+    : rlnc_session(n, items, item_bits, make_matrix_backend(matrix_spec{})) {}
 
 rlnc_session::rlnc_session(std::size_t n, std::size_t items,
                            std::size_t item_bits,

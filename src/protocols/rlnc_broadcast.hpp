@@ -38,7 +38,7 @@ struct coded_msg {
 
 /// One indexed-broadcast instance over GF(2); per-node coders supplied by a
 /// coding_backend (dense by default, draw-for-draw identical to the
-/// pre-backend session; see coding/backend.hpp for sparse and
+/// pre-backend session; see coding/matrix.hpp for sparse and
 /// generation/band coding).
 class rlnc_session final : public knowledge_view {
  public:

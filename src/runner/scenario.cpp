@@ -427,7 +427,7 @@ std::vector<scenario> build_registry() {
       {"rlnc-gen", "g=16,w=4", merged(gen16, {{"dec", "banded"}}),
        "dec:banded", "random-connected", "", {}, 64, 48},
       // The sparse schedule spelled through the matrix surface on the
-      // dense entry (the rlnc-sparse shim's cell, reached the new way).
+      // dense entry (the rlnc-sparse default cell, reached the new way).
       {"rlnc-direct", "", {{"sched", "sparse"}, {"rho", "0.1"}},
        "sched:sparse[rho=0.1]", "permuted-path", "", {}, 16, 32},
       {"rlnc-direct", "", {{"sched", "systematic"}, {"dec", "rref"}},

@@ -23,8 +23,8 @@ std::uint64_t cell_seed(std::uint64_t base_seed,
                         0x9e3779b97f4a7c15ULL *
                             static_cast<std::uint64_t>(trial);
   std::uint64_t seed = splitmix64(state);
-  // run_dissemination derives sub-seeds multiplicatively, so steer clear of
-  // the one degenerate value.
+  // The session derives sub-seeds multiplicatively, so steer clear of the
+  // one degenerate value.
   return seed == 0 ? 1 : seed;
 }
 
@@ -86,8 +86,9 @@ sweep_result run_sweep(std::vector<scenario> scenarios,
         cell_result& cell = result.cells[i];
         const scenario& scen = result.scenarios[cell.scenario_index];
         try {
-          batch.emplace(scen.prob, scen.protocol(), scen.adversary(),
-                        scen.linkspec(), scen.contentspec(), cell.seed);
+          batch.add(std::make_unique<session>(
+              scen.prob, scen.protocol(), scen.adversary(), scen.linkspec(),
+              scen.contentspec(), cell.seed));
           cell_of.push_back(i);
         } catch (const std::exception& err) {
           cell_errors[i] = err.what();

@@ -6,7 +6,7 @@
 //     elimination work; generation coding honours the band structure;
 //   * bit-identity: the dense path is draw-for-draw identical to the
 //     pre-backend implementation (golden numbers captured before the
-//     refactor) and to an explicitly-passed dense backend;
+//     refactor) and to an explicitly-passed dense matrix cell;
 //   * property: sparse/generation complete on all six legacy topologies
 //     and pay for their cheaper elimination with rounds >= the dense
 //     baseline (the Firooz & Roy density/delay trade-off direction).
@@ -15,7 +15,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "coding/backend.hpp"
+#include "coding/matrix.hpp"
 #include "core/session.hpp"
 #include "protocols/rlnc_broadcast.hpp"
 
@@ -41,14 +41,18 @@ struct backend_case {
   std::unique_ptr<coding_backend> (*make)();
 };
 
+std::unique_ptr<coding_backend> make_dense() {
+  return make_matrix_backend(matrix_spec{});
+}
 std::unique_ptr<coding_backend> make_sparse02() {
-  return make_sparse_backend(0.2);
+  return make_matrix_backend({.sched = "sparse", .rho = 0.2});
 }
 std::unique_ptr<coding_backend> make_gen41() {
-  return make_generation_backend(4, 1);
+  return make_matrix_backend(
+      {.dec = "banded", .gen_size = 4, .band_overlap = 1});
 }
 std::unique_ptr<coding_backend> make_gen30() {
-  return make_generation_backend(3, 0);
+  return make_matrix_backend({.dec = "banded", .gen_size = 3});
 }
 
 class backend_suite : public ::testing::TestWithParam<backend_case> {};
@@ -79,7 +83,7 @@ TEST_P(backend_suite, decodes_true_payloads_on_a_dynamic_network) {
 
 INSTANTIATE_TEST_SUITE_P(
     backends, backend_suite,
-    ::testing::Values(backend_case{"dense", &make_dense_backend},
+    ::testing::Values(backend_case{"dense", &make_dense},
                       backend_case{"sparse_rho02", &make_sparse02},
                       backend_case{"gen4_band1", &make_gen41},
                       backend_case{"gen3_disjoint", &make_gen30}),
@@ -108,7 +112,9 @@ TEST(generation_backend, knowledge_is_decodable_count_and_monotone) {
   rng r(211);
   auto adv = make_permuted_path(n, 223);
   network net(n, k + d, *adv, 227);
-  rlnc_session s(n, k, d, make_generation_backend(4, 2));
+  rlnc_session s(n, k, d,
+                 make_matrix_backend(
+                     {.dec = "banded", .gen_size = 4, .band_overlap = 2}));
   seed_all(s, n, k, d, r);
   // Seeded singletons are immediately decodable.
   EXPECT_GE(s.knowledge(0), 1u);
@@ -142,9 +148,10 @@ TEST(generation_backend, decode_progress_is_uniform_across_backends) {
     EXPECT_EQ(s.decode_progress(0), decodable);
     EXPECT_EQ(s.decode_progress(0), 1u);  // one seeded singleton
   };
-  check(make_dense_backend());
-  check(make_sparse_backend(0.3));
-  check(make_generation_backend(2, 1));
+  check(make_dense());
+  check(make_matrix_backend({.sched = "sparse", .rho = 0.3}));
+  check(make_matrix_backend(
+      {.dec = "banded", .gen_size = 2, .band_overlap = 1}));
 }
 
 // --- bit-identity: dense must not move --------------------------------------
@@ -156,7 +163,7 @@ TEST(dense_bit_identity, explicit_dense_backend_equals_default_ctor) {
     auto adv = make_permuted_path(n, 307);
     network net(n, k + d, *adv, 311);
     rlnc_session s = explicit_backend
-                         ? rlnc_session(n, k, d, make_dense_backend())
+                         ? rlnc_session(n, k, d, make_dense())
                          : rlnc_session(n, k, d);
     seed_all(s, n, k, d, r);
     const round_t used = s.run(net, 20 * (n + k), true);

@@ -11,9 +11,8 @@
 //   * decode-delay: the new session metrics are shaped sanely (p50 <= p90
 //     <= max, events == n*k for complete one-shot coded runs) and absent
 //     for token-forwarding protocols;
-//   * shims: the historical make_*_backend factories are bit-identical to
-//     their matrix-cell spellings, and the registry rejects invalid
-//     sched=/dec= combos with messages listing the recognized values.
+//   * validation: the registry rejects invalid sched=/dec= combos with
+//     messages listing the recognized values.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -21,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "coding/backend.hpp"
 #include "coding/matrix.hpp"
 #include "core/session.hpp"
 #include "protocols/rlnc_broadcast.hpp"
@@ -94,37 +92,6 @@ TEST(decoder_matrix, banded_equals_generic_on_the_wire_and_costs_less) {
         run_backend(make_matrix_backend(generic), seed, n, k, d);
     EXPECT_TRUE(b.same_wire(g)) << "seed " << seed;
     EXPECT_LT(b.xors, g.xors) << "seed " << seed;
-  }
-}
-
-// --- shims: historical factories == matrix spellings -------------------------
-
-TEST(decoder_matrix, shim_factories_are_bit_identical_to_matrix_cells) {
-  {
-    matrix_spec dense;  // defaults: sched=dense, dec=rref, full span
-    const run_signature a = run_backend(make_dense_backend(), 5);
-    const run_signature b = run_backend(make_matrix_backend(dense), 5);
-    EXPECT_TRUE(a.same_wire(b));
-    EXPECT_EQ(a.xors, b.xors);
-  }
-  {
-    matrix_spec sparse;
-    sparse.sched = "sparse";
-    sparse.rho = 0.3;
-    const run_signature a = run_backend(make_sparse_backend(0.3), 7);
-    const run_signature b = run_backend(make_matrix_backend(sparse), 7);
-    EXPECT_TRUE(a.same_wire(b));
-    EXPECT_EQ(a.xors, b.xors);
-  }
-  {
-    matrix_spec gen;
-    gen.dec = "banded";
-    gen.gen_size = 4;
-    gen.band_overlap = 1;
-    const run_signature a = run_backend(make_generation_backend(4, 1), 9);
-    const run_signature b = run_backend(make_matrix_backend(gen), 9);
-    EXPECT_TRUE(a.same_wire(b));
-    EXPECT_EQ(a.xors, b.xors);
   }
 }
 

@@ -143,6 +143,23 @@ TEST(churn, live_set_connected_departed_isolated_downtime_bounded) {
   EXPECT_TRUE(saw_departure);  // rate 0.3 over 400 rounds must churn
 }
 
+TEST(churn, live_mask_is_null_or_n_entries_before_the_first_round) {
+  // The live_mask() contract is an n-entry mask or nullptr; readers index
+  // it by node id before the first topology() call (the content driver
+  // snapshots it at epoch 0).
+  const std::size_t n = 16;
+  auto adv = make_churn(make_random_connected(n, 8, 21), /*rate=*/0.3,
+                        /*rejoin=*/0.1, /*min_live=*/6, /*max_down=*/5, 77);
+  const std::vector<char>* before = adv->live_mask();
+  EXPECT_TRUE(before == nullptr || before->size() == n);
+
+  fake_view view(std::vector<std::size_t>(n, 0));
+  (void)adv->topology(0, view);
+  const std::vector<char>* after = adv->live_mask();
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->size(), n);
+}
+
 TEST(t_interval_random, fixed_within_window_fresh_across_windows) {
   const std::size_t n = 16;
   const round_t t = 8;

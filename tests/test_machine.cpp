@@ -8,8 +8,6 @@
 //     deterministically and leaves the report untouched;
 //   * session_batch interleaving >= 64 sessions on one thread yields
 //     reports bit-identical to running them sequentially;
-//   * the deprecated loop-style make_protocol_driver shim still registers
-//     and runs (whole protocol inside one advance);
 //   * unknown-parameter errors name the valid keys the factories queried.
 #include <gtest/gtest.h>
 
@@ -19,7 +17,6 @@
 
 #include "core/batch.hpp"
 #include "core/session.hpp"
-#include "protocols/flooding.hpp"
 
 namespace ncdn {
 namespace {
@@ -84,25 +81,6 @@ std::size_t os_thread_count() {
 }
 #endif
 
-// Coverage for the deprecated loop-style registration path: a protocol
-// registered through make_protocol_driver keeps working (the whole loop
-// runs inside one advance()), including through the registry-wide suites
-// below.
-const bool shim_registered = [] {
-  protocol_registry::instance().add(
-      {"test/blocking-loop",
-       "deprecated make_protocol_driver shim (test-only entry)", std::nullopt,
-       [](const problem& prob, param_reader& params) {
-         flooding_config cfg;
-         cfg.b_bits = prob.b;
-         cfg.phase_factor = params.real("phase_factor", cfg.phase_factor);
-         return make_protocol_driver([cfg](session_env& env) {
-           return run_flooding(env.net, env.state, cfg);
-         });
-       }});
-  return true;
-}();
-
 // The acceptance gate of the redesign: for EVERY registered protocol name,
 // against one oblivious and one adaptive adversary, driving the session
 // round-by-round with step() produces a report bit-identical to
@@ -127,14 +105,9 @@ TEST_P(machine_cross_suite, stepped_report_is_bit_identical_to_inline) {
   ASSERT_TRUE(stepped.finished());
   expect_reports_equal(inline_rep, stepped.report(),
                        proto + " on " + adv + " (stepped vs inline)");
-  // Machine-backed protocols suspend at every round boundary, so the step
-  // count is the round count; the blocking shim runs all rounds in its
-  // single advance and yields zero true steps.
-  if (proto != "test/blocking-loop") {
-    EXPECT_EQ(steps, inline_rep.metrics.rounds) << proto << " on " << adv;
-  } else {
-    EXPECT_EQ(steps, 0u);
-  }
+  // Machines suspend at every round boundary, so the step count is the
+  // round count.
+  EXPECT_EQ(steps, inline_rep.metrics.rounds) << proto << " on " << adv;
 }
 
 std::vector<machine_case> machine_cross_cases() {
@@ -251,8 +224,10 @@ TEST(session_batch, interleaved_batch_matches_sequential_bit_for_bit) {
   session_batch batch;
   for (const std::string& proto : protos) {
     for (std::uint64_t seed = 1; seed <= seeds_per_proto; ++seed) {
-      batch.emplace(tiny_problem(proto), protocol_spec{proto, {}},
-                    adversary_spec{"permuted-path", {}}, seed);
+      batch.add(std::make_unique<session>(tiny_problem(proto),
+                                          protocol_spec{proto, {}},
+                                          adversary_spec{"permuted-path", {}},
+                                          seed));
     }
   }
   ASSERT_EQ(batch.size(), 64u);
@@ -274,15 +249,14 @@ TEST(session_batch, interleaved_batch_matches_sequential_bit_for_bit) {
 TEST(session_batch, run_all_and_adopted_sessions) {
   const problem prob = tiny_problem("rlnc-direct");
   session_batch batch;
-  // Mix emplace() with adopting an externally-constructed (even
-  // pre-finished) session.
+  // Mix a fresh session with an already-finished one.
   auto done = std::make_unique<session>(prob, protocol_spec{"rlnc-direct", {}},
                                         adversary_spec{"permuted-path", {}},
                                         5);
   const run_report done_rep = done->run_to_completion();
   const std::size_t done_index = batch.add(std::move(done));
-  batch.emplace(prob, protocol_spec{"rlnc-direct", {}},
-                adversary_spec{"permuted-path", {}}, 6);
+  batch.add(std::make_unique<session>(prob, protocol_spec{"rlnc-direct", {}},
+                                      adversary_spec{"permuted-path", {}}, 6));
   EXPECT_EQ(batch.live(), 1u);  // the adopted session was already finished
   batch.run_all();
   EXPECT_TRUE(batch.all_finished());
@@ -291,7 +265,7 @@ TEST(session_batch, run_all_and_adopted_sessions) {
   session lone(prob, protocol_spec{"rlnc-direct", {}},
                adversary_spec{"permuted-path", {}}, 6);
   expect_reports_equal(lone.run_to_completion(), batch.at(1).report(),
-                       "emplaced");
+                       "fresh");
 }
 
 TEST(params, unknown_parameter_error_names_the_valid_keys) {
@@ -371,12 +345,13 @@ TEST(machine, throwing_machine_marks_the_session_failed_not_reported) {
   // culled from the live set, and the surviving sessions still run to
   // completion with intact reports.
   session_batch batch;
-  batch.emplace(prob, protocol_spec{"token-forwarding", {}},
-                adversary_spec{"permuted-path", {}}, 2);
-  batch.emplace(prob, protocol_spec{"test/throws-mid-run", {}},
-                adversary_spec{"permuted-path", {}}, 2);
-  batch.emplace(prob, protocol_spec{"token-forwarding", {}},
-                adversary_spec{"permuted-path", {}}, 3);
+  for (const auto& [proto, seed] :
+       {std::pair{"token-forwarding", 2}, std::pair{"test/throws-mid-run", 2},
+        std::pair{"token-forwarding", 3}}) {
+    batch.add(std::make_unique<session>(prob, protocol_spec{proto, {}},
+                                        adversary_spec{"permuted-path", {}},
+                                        seed));
+  }
   EXPECT_THROW(batch.run_all(), std::runtime_error);
   EXPECT_TRUE(batch.at(1).failed());
   batch.run_all();  // the two healthy sessions finish
@@ -389,27 +364,6 @@ TEST(machine, throwing_machine_marks_the_session_failed_not_reported) {
                        "survivor before the thrower");
   expect_reports_equal(lone3.run_to_completion(), batch.at(2).report(),
                        "survivor after the thrower");
-}
-
-TEST(machine, blocking_shim_completes_through_the_session) {
-  const problem prob = tiny_problem("test/blocking-loop");
-  session s(prob, protocol_spec{"test/blocking-loop", {}},
-            adversary_spec{"permuted-path", {}}, 13);
-  round_t observed = 0;
-  s.set_observer([&](const round_metrics&) { ++observed; });
-  // The shim runs the whole loop inside one advance: the first step()
-  // observes termination and returns false, but the per-round observer
-  // stream (via the network hook) is intact.
-  EXPECT_FALSE(s.step());
-  ASSERT_TRUE(s.finished());
-  EXPECT_TRUE(s.report().complete);
-  EXPECT_EQ(observed, s.report().metrics.rounds);
-
-  // And it matches the machine-backed registration of the same protocol.
-  session real(prob, protocol_spec{"token-forwarding", {}},
-               adversary_spec{"permuted-path", {}}, 13);
-  expect_reports_equal(real.run_to_completion(), s.report(),
-                       "shim vs machine registration");
 }
 
 }  // namespace

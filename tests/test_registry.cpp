@@ -1,8 +1,7 @@
 // Registry + session tests: every registered protocol x adversary pair
-// constructs and completes a tiny session through the string API, the
-// legacy enum facade stays bit-identical to the new API at equal seeds,
-// stepping is bit-identical to the inline run, and the observer stream /
-// parameter machinery behave.  Also holds the token_state micro-asserts
+// constructs and completes a tiny session through the string API, stepping
+// is bit-identical to the inline run, and the observer stream / parameter
+// machinery behave.  Also holds the token_state micro-asserts
 // for the pre-reserved retirement storage.
 #include <gtest/gtest.h>
 
@@ -95,15 +94,13 @@ TEST(registries, every_enum_has_an_entry_and_names_are_unique) {
 }
 
 // The acceptance gate: every registered protocol x adversary name builds a
-// tiny session through the string API and runs to completion; where the
-// pair is expressible through the deprecated enum facade, the run_report
-// is bit-identical at equal seeds.
+// tiny session through the string API and runs to completion.
 using cross_case = std::pair<std::string, std::string>;
 
 class registry_cross_suite
     : public ::testing::TestWithParam<cross_case> {};
 
-TEST_P(registry_cross_suite, string_api_completes_and_matches_legacy_facade) {
+TEST_P(registry_cross_suite, string_api_completes) {
   const auto& [proto, adv] = GetParam();
   const problem prob = tiny_problem(proto);
   const std::uint64_t seed = 17;
@@ -131,20 +128,6 @@ TEST_P(registry_cross_suite, string_api_completes_and_matches_legacy_facade) {
   EXPECT_EQ(rep.adversary_name, adv);
   if (rep.complete) {
     EXPECT_GT(rep.metrics.observed_completion_round, 0u) << proto;
-  }
-
-  // Legacy facade comparison, where the pair has enum shims.
-  const protocol_entry* pe = protocol_registry::instance().find(proto);
-  const adversary_entry* ae = adversary_registry::instance().find(adv);
-  ASSERT_NE(pe, nullptr);
-  ASSERT_NE(ae, nullptr);
-  if (pe->legacy.has_value() && ae->legacy.has_value()) {
-    run_options opts;
-    opts.alg = *pe->legacy;
-    opts.topo = *ae->legacy;
-    opts.seed = seed;
-    const run_report legacy = run_dissemination(prob, opts);
-    expect_reports_equal(rep, legacy, proto + " on " + adv + " (vs enums)");
   }
 }
 
@@ -244,14 +227,12 @@ TEST(session, params_override_problem_and_reject_typos) {
   EXPECT_TRUE(rep.complete);
   EXPECT_EQ(rep.prob.t_stability, 4u);
 
-  problem legacy_prob = prob;
-  legacy_prob.t_stability = 4;
-  run_options opts;
-  opts.alg = algorithm::tstable_chunked;
-  opts.topo = topology_kind::permuted_path;
-  opts.seed = 31;
-  const run_report legacy = run_dissemination(legacy_prob, opts);
-  expect_reports_equal(rep, legacy, "t_stability=4 param vs problem field");
+  problem field_prob = prob;
+  field_prob.t_stability = 4;
+  session field(field_prob, protocol_spec{"tstable/chunked", {}},
+                adversary_spec{"permuted-path", {}}, 31);
+  expect_reports_equal(rep, field.run_to_completion(),
+                       "t_stability=4 param vs problem field");
 
   // The CLI hands both specs the same --param map: a key consumed by one
   // side (radius belongs to the adversary) must not trip the other.

@@ -199,12 +199,14 @@ TEST(build_patches_distributed, produces_valid_structure) {
   const round_t t = 256;
   const patch_plan plan = plan_patch_broadcast(n, b, t);
   ASSERT_TRUE(plan.feasible);
-  static_adversary adv(gen::grid(8, 6));
+  const graph g = gen::grid(8, 6);
+  static_adversary adv(g);
   network net(n, b, adv, 17);
   built_patches bp;
   ASSERT_TRUE(build_patches_distributed(net, plan, bp));
   EXPECT_EQ(net.rounds_elapsed(), plan.patch_rounds);
-  // Every node assigned, within D of its leader, parents consistent.
+  // Every node assigned, within D of its leader, parents consistent and
+  // joined to their children by graph edges.
   std::size_t leaders = 0;
   for (node_id u = 0; u < n; ++u) {
     EXPECT_TRUE(bp.assigned[u]);
@@ -216,6 +218,7 @@ TEST(build_patches_distributed, produces_valid_structure) {
       EXPECT_EQ(bp.depth[u], 0u);
     } else {
       EXPECT_NE(bp.parent[u], u);
+      EXPECT_TRUE(g.has_edge(u, bp.parent[u]));
       EXPECT_EQ(bp.leader_of[bp.parent[u]], bp.leader_of[u]);
       EXPECT_EQ(bp.depth[bp.parent[u]] + 1, bp.depth[u]);
       const auto& kids = bp.children[bp.parent[u]];
@@ -223,6 +226,20 @@ TEST(build_patches_distributed, produces_valid_structure) {
     }
   }
   EXPECT_GE(leaders, 1u);
+  // The leaders are a maximal independent set of G^D (§8.1): no two are
+  // within D hops, and every other node has a leader within D hops.
+  const graph gd = g.power(plan.d_patch);
+  for (node_id u = 0; u < n; ++u) {
+    bool leader_adjacent = false;
+    for (const node_id v : gd.neighbors(u)) {
+      if (bp.is_leader[v]) leader_adjacent = true;
+    }
+    if (bp.is_leader[u]) {
+      EXPECT_FALSE(leader_adjacent) << "leaders " << u << " not independent";
+    } else {
+      EXPECT_TRUE(leader_adjacent) << "node " << u << " not dominated";
+    }
+  }
 }
 
 TEST(tstable_dissemination, chunked_beats_plain_at_larger_t) {
