@@ -10,22 +10,13 @@ namespace ncdn {
 
 namespace {
 
-double checked_content_probability(const std::string& context, const char* key,
-                                   double value) {
-  if (!(value >= 0.0 && value <= 1.0)) {
-    throw std::invalid_argument("ncdn: " + context + " needs " + key +
-                                " in [0, 1]");
-  }
-  return value;
-}
-
 /// The DAG-shape params shared by the steady and burst families (rolling
 /// pins its shape instead of reading these).
 void read_shared_shape(const std::string& context, param_reader& params,
                        epoch_plan& plan) {
-  plan.supersede = checked_content_probability(
+  plan.supersede = checked_probability(
       context, "supersede", params.real("supersede", plan.supersede));
-  plan.second_parent = checked_content_probability(
+  plan.second_parent = checked_probability(
       context, "second_parent",
       params.real("second_parent", plan.second_parent));
   plan.span = params.size("span", plan.span);
@@ -52,7 +43,9 @@ std::size_t checked_batch(const std::string& context, param_reader& params,
   return batch;
 }
 
-void register_builtin_contents(content_registry& reg) {
+}  // namespace
+
+void register_builtins(content_registry& reg) {
   reg.add({"steady",
            "uniform patch flow: batch patches per epoch [epochs, batch, "
            "supersede, span, second_parent]",
@@ -100,6 +93,8 @@ void register_builtin_contents(content_registry& reg) {
              return plan;
            }});
 }
+
+namespace {
 
 /// Dependency closure of `head` with supersede shortcuts applied: walk
 /// versions descending (every superseder of v has a larger id, so it is
@@ -157,48 +152,14 @@ content_schedule::content_schedule(
   }
 }
 
-content_registry& content_registry::instance() {
-  static content_registry reg = [] {
-    content_registry r;
-    register_builtin_contents(r);
-    return r;
-  }();
-  return reg;
-}
-
-void content_registry::add(content_entry entry) {
-  NCDN_EXPECTS(!entry.name.empty());
-  NCDN_EXPECTS(find(entry.name) == nullptr);  // duplicate registration
-  entries_.push_back(std::move(entry));
-}
-
-const content_entry* content_registry::find(const std::string& name) const {
-  for (const content_entry& e : entries_) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
-std::vector<std::string> list_content_names() {
-  std::vector<std::string> out;
-  for (const content_entry& e : content_registry::instance().entries()) {
-    out.push_back(e.name);
-  }
-  return out;
-}
-
 std::shared_ptr<const content_schedule> build_content_schedule(
     const content_spec& spec, const problem& prob, std::uint64_t seed) {
   NCDN_EXPECTS(!spec.empty());
-  const content_entry* entry = content_registry::instance().find(spec.name);
-  if (entry == nullptr) {
-    throw std::invalid_argument(
-        "ncdn: unknown content model '" + spec.name +
-        "' (known: " + join_keys(list_content_names()) + ")");
-  }
+  const content_entry& entry =
+      content_registry::instance().at(spec.name, "content model");
   const std::string context = "content model '" + spec.name + "'";
   param_reader params(spec.params, context);
-  const epoch_plan plan = entry->plan(params);
+  const epoch_plan plan = entry.plan(params);
   const std::string resync = params.str("resync", "delta");
   if (resync != "delta" && resync != "full") {
     throw std::invalid_argument("ncdn: " + context +
@@ -293,33 +254,7 @@ std::shared_ptr<const content_schedule> build_content_schedule(
 }
 
 content_spec parse_content_spec(const std::string& text) {
-  content_spec spec;
-  std::size_t pos = 0;
-  bool first = true;
-  while (pos <= text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string part =
-        text.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (first) {
-      if (part.empty() || part.find('=') != std::string::npos) {
-        throw std::invalid_argument(
-            "ncdn: --content needs \"name[,key=value]...\", got '" + text +
-            "'");
-      }
-      spec.name = part;
-      first = false;
-    } else {
-      const std::size_t eq = part.find('=');
-      if (eq == 0 || eq == std::string::npos) {
-        throw std::invalid_argument("ncdn: bad --content parameter '" + part +
-                                    "' (need key=value)");
-      }
-      spec.params[part.substr(0, eq)] = part.substr(eq + 1);
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return spec;
+  return parse_spec<content_spec>(text, "--content");
 }
 
 }  // namespace ncdn

@@ -134,19 +134,9 @@ struct content_entry {
   std::function<epoch_plan(param_reader&)> plan;
 };
 
-class content_registry {
- public:
-  static content_registry& instance();
-
-  void add(content_entry entry);  // duplicate names are programmer error
-  const content_entry* find(const std::string& name) const;
-  const std::vector<content_entry>& entries() const { return entries_; }
-
- private:
-  std::vector<content_entry> entries_;
-};
-
-std::vector<std::string> list_content_names();
+using content_registry = named_registry<content_entry>;
+/// The built-in content families (content.cpp).
+void register_builtins(content_registry& reg);
 
 /// Expands a spec into the full schedule for a problem instance.  Throws
 /// std::invalid_argument on an unknown name, unknown / malformed params, or

@@ -18,7 +18,7 @@
 namespace ncdn {
 
 /// Tag of a built-in protocol entry (protocol_entry::legacy); prefer the
-/// registry name (see `list_protocol_names()`).  Every enumerator is
+/// registry name (see `protocol_registry::names()`).  Every enumerator is
 /// registered under the name `to_string` returns.
 enum class algorithm {
   token_forwarding,            // Thm 2.1 baseline (batched min-flood)
@@ -37,7 +37,7 @@ enum class algorithm {
 };
 
 /// Tag of a built-in adversary entry (adversary_entry::legacy); prefer the
-/// registry name (see `list_adversary_names()`).
+/// registry name (see `adversary_registry::names()`).
 enum class topology_kind {
   static_path,
   static_star,

@@ -40,6 +40,17 @@ namespace {
                               "' for " + context + " is not a valid " + want);
 }
 
+// Leftover keys go to the caller's audit when it asks for one (the session
+// accepts a key that either spec consumed); otherwise they are rejected.
+void settle_params(const param_reader& params, param_audit* audit) {
+  if (audit == nullptr) {
+    params.expect_fully_consumed();
+    return;
+  }
+  audit->unconsumed = params.unconsumed();
+  audit->recognized = params.recognized();
+}
+
 }  // namespace
 
 std::uint64_t param_reader::u64(const std::string& key,
@@ -111,6 +122,46 @@ std::string join_keys(const std::vector<std::string>& keys) {
   return out;
 }
 
+void parse_spec_into(const std::string& text, const char* option,
+                     std::string& name, param_map& params) {
+  std::size_t comma = text.find(',');
+  name = text.substr(0, comma);
+  if (name.empty() || name.find('=') != std::string::npos) {
+    throw std::invalid_argument(std::string("ncdn: ") + option +
+                                " needs \"name[,key=value]...\", got '" +
+                                text + "'");
+  }
+  while (comma != std::string::npos) {
+    const std::size_t start = comma + 1;
+    comma = text.find(',', start);
+    // substr clamps the npos-derived count of the last part.
+    const std::string part = text.substr(start, comma - start);
+    const std::size_t eq = part.find('=');
+    if (eq == 0 || eq == std::string::npos) {
+      throw std::invalid_argument(std::string("ncdn: bad ") + option +
+                                  " parameter '" + part +
+                                  "' (need key=value)");
+    }
+    params[part.substr(0, eq)] = part.substr(eq + 1);
+  }
+}
+
+std::string format_spec(const std::string& name, const param_map& params) {
+  std::string out = name;
+  for (const auto& [key, value] : params) out += "," + key + "=" + value;
+  return out;
+}
+
+double checked_probability(const std::string& context, const char* key,
+                           double value, bool allow_zero) {
+  const bool ok = (allow_zero ? value >= 0.0 : value > 0.0) && value <= 1.0;
+  if (!ok) {
+    throw std::invalid_argument("ncdn: " + context + " needs " + key +
+                                (allow_zero ? " in [0, 1]" : " in (0, 1]"));
+  }
+  return value;
+}
+
 void param_reader::expect_fully_consumed() const {
   const std::vector<std::string> left = unconsumed();
   if (left.empty()) return;
@@ -145,51 +196,6 @@ problem apply_problem_params(problem prob, param_reader& params) {
     }
   }
   return prob;
-}
-
-// --- registries -------------------------------------------------------------
-
-void protocol_registry::add(protocol_entry entry) {
-  NCDN_EXPECTS(!entry.name.empty());
-  NCDN_EXPECTS(find(entry.name) == nullptr);  // duplicate registration
-  entries_.push_back(std::move(entry));
-}
-
-const protocol_entry* protocol_registry::find(const std::string& name) const {
-  for (const protocol_entry& e : entries_) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
-void adversary_registry::add(adversary_entry entry) {
-  NCDN_EXPECTS(!entry.name.empty());
-  NCDN_EXPECTS(find(entry.name) == nullptr);
-  entries_.push_back(std::move(entry));
-}
-
-const adversary_entry* adversary_registry::find(
-    const std::string& name) const {
-  for (const adversary_entry& e : entries_) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
-std::vector<std::string> list_protocol_names() {
-  std::vector<std::string> out;
-  for (const protocol_entry& e : protocol_registry::instance().entries()) {
-    out.push_back(e.name);
-  }
-  return out;
-}
-
-std::vector<std::string> list_adversary_names() {
-  std::vector<std::string> out;
-  for (const adversary_entry& e : adversary_registry::instance().entries()) {
-    out.push_back(e.name);
-  }
-  return out;
 }
 
 // --- built-in protocols -----------------------------------------------------
@@ -308,10 +314,8 @@ coded_backend_plan rlnc_direct_plan(const problem&, param_reader& params) {
 }
 
 coded_backend_plan rlnc_sparse_plan(const problem&, param_reader& params) {
-  const double rho = params.real("rho", 0.2);
-  if (!(rho > 0.0 && rho <= 1.0)) {
-    throw std::invalid_argument("ncdn: rlnc-sparse needs rho in (0, 1]");
-  }
+  const double rho = checked_probability("rlnc-sparse", "rho",
+                                         params.real("rho", 0.2), false);
   matrix_spec spec;
   spec.sched = params.str("sched", "sparse");
   spec.dec = params.str("dec", "rref");
@@ -383,7 +387,9 @@ std::unique_ptr<protocol_machine> tstable_factory(const problem& prob,
   });
 }
 
-void register_builtin_protocols(protocol_registry& reg) {
+}  // namespace
+
+void register_builtins(protocol_registry& reg) {
   reg.add({"token-forwarding",
            "Thm 2.1 token-forwarding baseline (batched min-flood)",
            algorithm::token_forwarding,
@@ -524,6 +530,8 @@ void register_builtin_protocols(protocol_registry& reg) {
 
 // --- built-in adversaries ---------------------------------------------------
 
+namespace {
+
 // The composable modifier layer (edge-markov / churn / t-stable over any
 // base family) builds its base through the registry so `base=` accepts the
 // same names `list-adversaries` prints.  Bases must be non-composite —
@@ -541,14 +549,9 @@ std::unique_ptr<adversary> build_base_adversary(const std::string& context,
                                   base_name + "' (pick a plain family)");
     }
   }
-  const adversary_entry* entry =
-      adversary_registry::instance().find(base_name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("ncdn: " + context + ": unknown base "
-                                "adversary '" + base_name +
-                                "' (see list-adversaries)");
-  }
-  return entry->make(prob, params, seed);
+  return adversary_registry::instance()
+      .at(base_name, "base adversary")
+      .make(prob, params, seed);
 }
 
 // Wrapper and base randomness must be decorrelated even though both derive
@@ -556,16 +559,6 @@ std::unique_ptr<adversary> build_base_adversary(const std::string& context,
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream) {
   std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL * (stream + 1));
   return splitmix64(state);
-}
-
-double checked_probability(const std::string& context, const char* key,
-                           double value, bool allow_zero) {
-  const bool ok = (allow_zero ? value >= 0.0 : value > 0.0) && value <= 1.0;
-  if (!ok) {
-    throw std::invalid_argument("ncdn: " + context + " needs " + key +
-                                (allow_zero ? " in [0, 1]" : " in (0, 1]"));
-  }
-  return value;
 }
 
 std::unique_ptr<adversary> edge_markov_factory(const std::string& context,
@@ -610,7 +603,9 @@ std::unique_ptr<adversary> churn_factory(const std::string& context,
                     derive_seed(seed, 4));
 }
 
-void register_builtin_adversaries(adversary_registry& reg) {
+}  // namespace
+
+void register_builtins(adversary_registry& reg) {
   reg.add({"static-path", "fixed path (static-network degenerate case)",
            topology_kind::static_path,
            [](const problem& prob, param_reader&, std::uint64_t) {
@@ -747,59 +742,28 @@ void register_builtin_adversaries(adversary_registry& reg) {
            }});
 }
 
-}  // namespace
-
-protocol_registry& protocol_registry::instance() {
-  static protocol_registry reg = [] {
-    protocol_registry r;
-    register_builtin_protocols(r);
-    return r;
-  }();
-  return reg;
-}
-
-adversary_registry& adversary_registry::instance() {
-  static adversary_registry reg = [] {
-    adversary_registry r;
-    register_builtin_adversaries(r);
-    return r;
-  }();
-  return reg;
-}
-
 // --- spec -> object builders ------------------------------------------------
 
 std::unique_ptr<protocol_machine> build_protocol(const problem& prob,
                                                  const protocol_spec& spec,
                                                  param_audit* audit) {
-  const protocol_entry* entry = protocol_registry::instance().find(spec.name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("ncdn: unknown protocol '" + spec.name +
-                                "' (see list-algorithms)");
-  }
+  const protocol_entry& entry =
+      protocol_registry::instance().at(spec.name, "protocol");
   param_reader params(spec.params, "protocol '" + spec.name + "'");
   // Problem-level keys may ride in the same map; apply (idempotently — the
   // caller already shaped the problem with them) so they count as consumed.
   const problem effective = apply_problem_params(prob, params);
-  auto machine = entry->make(effective, params);
-  if (audit != nullptr) {
-    audit->unconsumed = params.unconsumed();
-    audit->recognized = params.recognized();
-  } else {
-    params.expect_fully_consumed();
-  }
+  auto machine = entry.make(effective, params);
+  settle_params(params, audit);
   return machine;
 }
 
 coded_backend_plan build_coded_plan(const problem& prob,
                                     const protocol_spec& spec,
                                     param_audit* audit) {
-  const protocol_entry* entry = protocol_registry::instance().find(spec.name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("ncdn: unknown protocol '" + spec.name +
-                                "' (see list-algorithms)");
-  }
-  if (!entry->coded_plan) {
+  const protocol_entry& entry =
+      protocol_registry::instance().at(spec.name, "protocol");
+  if (!entry.coded_plan) {
     throw std::invalid_argument(
         "ncdn: protocol '" + spec.name +
         "' cannot drive a versioned-content workload; the epoch driver "
@@ -808,13 +772,8 @@ coded_backend_plan build_coded_plan(const problem& prob,
   }
   param_reader params(spec.params, "protocol '" + spec.name + "'");
   const problem effective = apply_problem_params(prob, params);
-  coded_backend_plan plan = entry->coded_plan(effective, params);
-  if (audit != nullptr) {
-    audit->unconsumed = params.unconsumed();
-    audit->recognized = params.recognized();
-  } else {
-    params.expect_fully_consumed();
-  }
+  coded_backend_plan plan = entry.coded_plan(effective, params);
+  settle_params(params, audit);
   return plan;
 }
 
@@ -822,20 +781,12 @@ std::unique_ptr<adversary> build_adversary(const problem& prob,
                                            const adversary_spec& spec,
                                            std::uint64_t seed,
                                            param_audit* audit) {
-  const adversary_entry* entry = adversary_registry::instance().find(spec.name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("ncdn: unknown adversary '" + spec.name +
-                                "' (see list-adversaries)");
-  }
+  const adversary_entry& entry =
+      adversary_registry::instance().at(spec.name, "adversary");
   param_reader params(spec.params, "adversary '" + spec.name + "'");
   const problem effective = apply_problem_params(prob, params);
-  auto adv = entry->make(effective, params, seed);
-  if (audit != nullptr) {
-    audit->unconsumed = params.unconsumed();
-    audit->recognized = params.recognized();
-  } else {
-    params.expect_fully_consumed();
-  }
+  auto adv = entry.make(effective, params, seed);
+  settle_params(params, audit);
   if (effective.t_stability > 1) {
     adv = make_t_stable(std::move(adv), effective.t_stability);
   }

@@ -43,9 +43,12 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "core/dissemination.hpp"
 #include "core/machine.hpp"
 #include "dynnet/adversary.hpp"
@@ -69,6 +72,87 @@ struct adversary_spec {
   param_map params;
 };
 
+/// "a, b, c" — the shared error-message rendering of a key vocabulary
+/// (expect_fully_consumed, the session's unknown-parameter error, and the
+/// registries' unknown-name error).
+std::string join_keys(const std::vector<std::string>& keys);
+
+/// Splits the CLI spec string "name[,key=value]..." (name alone is fine)
+/// into `name` and `params`; `option` ("--link") names the flag in error
+/// messages.  Throws std::invalid_argument on malformed input.
+void parse_spec_into(const std::string& text, const char* option,
+                     std::string& name, param_map& params);
+
+/// parse_spec_into for any {name, params} spec type.
+template <class Spec>
+Spec parse_spec(const std::string& text, const char* option) {
+  Spec spec;
+  parse_spec_into(text, option, spec.name, spec.params);
+  return spec;
+}
+
+/// The inverse of parse_spec: "name,key=value,..." in key order.
+std::string format_spec(const std::string& name, const param_map& params);
+
+/// Returns `value` if it is a probability — in [0, 1], or in (0, 1] when
+/// zero is not allowed — and otherwise throws std::invalid_argument
+/// "ncdn: <context> needs <key> in [0, 1]".
+double checked_probability(const std::string& context, const char* key,
+                           double value, bool allow_zero = true);
+
+/// A registration-ordered table of named extension-point entries: the
+/// protocols, adversaries, link models and content models.  `Entry` is a
+/// struct with `name` and `summary` strings.  instance() fills itself once
+/// from the `register_builtins(named_registry<Entry>&)` overload declared
+/// next to the subsystem's registry alias (found by argument-dependent
+/// lookup), so built-ins come first, deterministically.
+template <class Entry>
+class named_registry {
+ public:
+  static named_registry& instance() {
+    static named_registry reg = [] {
+      named_registry r;
+      register_builtins(r);
+      return r;
+    }();
+    return reg;
+  }
+
+  void add(Entry entry) {  // duplicate names are programmer error
+    NCDN_EXPECTS(!entry.name.empty());
+    NCDN_EXPECTS(find(entry.name) == nullptr);
+    entries_.push_back(std::move(entry));
+  }
+
+  const Entry* find(const std::string& name) const {
+    for (const Entry& e : entries_) {
+      if (e.name == name) return &e;
+    }
+    return nullptr;
+  }
+
+  /// find() for user input: throws std::invalid_argument
+  /// "ncdn: unknown <kind> '<name>' (known: a, b, ...)".
+  const Entry& at(const std::string& name, const char* kind) const {
+    if (const Entry* e = find(name)) return *e;
+    throw std::invalid_argument(std::string("ncdn: unknown ") + kind + " '" +
+                                name + "' (known: " + join_keys(names()) +
+                                ")");
+  }
+
+  const std::vector<Entry>& entries() const { return entries_; }
+
+  std::vector<std::string> names() const {
+    std::vector<std::string> out;
+    out.reserve(entries_.size());
+    for (const Entry& e : entries_) out.push_back(e.name);
+    return out;
+  }
+
+ private:
+  std::vector<Entry> entries_;
+};
+
 /// Typed, consumption-tracking access to a param_map.  Factories read the
 /// keys they understand; whoever owns the reader then calls
 /// `expect_fully_consumed()` so a typo'd key fails loudly instead of being
@@ -85,7 +169,6 @@ class param_reader {
   double real(const std::string& key, double fallback);
   bool flag(const std::string& key, bool fallback);
   std::string str(const std::string& key, std::string fallback);
-  bool has(const std::string& key) { return raw(key) != nullptr; }
 
   /// Keys present in the map that nothing has read yet.
   std::vector<std::string> unconsumed() const;
@@ -157,33 +240,11 @@ struct adversary_entry {
       make;
 };
 
-/// Registration-ordered registry (built-ins first, deterministically).
-class protocol_registry {
- public:
-  static protocol_registry& instance();
-
-  void add(protocol_entry entry);  // duplicate names are programmer error
-  const protocol_entry* find(const std::string& name) const;
-  const std::vector<protocol_entry>& entries() const { return entries_; }
-
- private:
-  std::vector<protocol_entry> entries_;
-};
-
-class adversary_registry {
- public:
-  static adversary_registry& instance();
-
-  void add(adversary_entry entry);
-  const adversary_entry* find(const std::string& name) const;
-  const std::vector<adversary_entry>& entries() const { return entries_; }
-
- private:
-  std::vector<adversary_entry> entries_;
-};
-
-std::vector<std::string> list_protocol_names();
-std::vector<std::string> list_adversary_names();
+using protocol_registry = named_registry<protocol_entry>;
+using adversary_registry = named_registry<adversary_entry>;
+/// The built-in protocols / adversaries (core/registry.cpp).
+void register_builtins(protocol_registry& reg);
+void register_builtins(adversary_registry& reg);
 
 /// Applies problem-level overrides (`n`, `k`, `d`, `b`, `t_stability`,
 /// `slack`, `placement`) from the reader's param_map.  Spec params are the
@@ -198,10 +259,6 @@ struct param_audit {
   std::vector<std::string> unconsumed;
   std::vector<std::string> recognized;
 };
-
-/// "a, b, c" — the shared error-message rendering of a key vocabulary
-/// (expect_fully_consumed and the session's unknown-parameter error).
-std::string join_keys(const std::vector<std::string>& keys);
 
 /// Builds a parameterized machine / adversary from a spec.  Throws
 /// std::invalid_argument on unknown names; unknown parameters throw too,

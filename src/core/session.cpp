@@ -103,6 +103,13 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
     throw std::invalid_argument(
         "ncdn: placement one-per-node requires k == n");
   }
+  if ((prob_.place == placement::random_spread ||
+       prob_.place == placement::adversarial_far) &&
+      prob_.k > prob_.n) {
+    throw std::invalid_argument(
+        "ncdn: placements random-spread and adversarial-far require k <= n "
+        "(§4.2)");
+  }
 
   // Seed derivation is kept bit-identical to the historical facade so that
   // every recorded (scenario, seed) cell stays reproducible.
@@ -117,10 +124,9 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
   // connected over all nodes) must not run under adversaries that only
   // keep a live subset connected: their min-flood agreement steps would
   // trip contract aborts mid-run.  Reject the pairing up front instead.
-  const protocol_entry* proto_entry =
-      protocol_registry::instance().find(proto_spec_.name);
-  if (proto_entry != nullptr && proto_entry->needs_full_connectivity &&
-      !adv_->full_connectivity()) {
+  const protocol_entry& proto_entry =
+      protocol_registry::instance().at(proto_spec_.name, "protocol");
+  if (proto_entry.needs_full_connectivity && !adv_->full_connectivity()) {
     throw std::invalid_argument(
         "ncdn: protocol '" + proto_spec_.name +
         "' requires full per-round connectivity (§4.1), but adversary '" +
@@ -137,7 +143,7 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
     // every protocol whose correctness rests on reliable synchronous
     // rounds (min-flood agreement, finalization schedules).  Reject the
     // pairing up front, mirroring the full-connectivity gate above.
-    if (proto_entry != nullptr && !proto_entry->loss_tolerant) {
+    if (!proto_entry.loss_tolerant) {
       throw std::invalid_argument(
           "ncdn: protocol '" + proto_spec_.name +
           "' assumes reliable synchronous delivery and cannot run under "

@@ -48,15 +48,6 @@ std::uint64_t round_slot(round_t round, node_id from, node_id to) {
   return round * 2 + (from < to ? 0 : 1);
 }
 
-double checked_link_probability(const std::string& context, const char* key,
-                                double value) {
-  if (!(value >= 0.0 && value <= 1.0)) {
-    throw std::invalid_argument("ncdn: " + context + " needs " + key +
-                                " in [0, 1]");
-  }
-  return value;
-}
-
 /// Two-state Gilbert-Elliott erasure chain, one chain per undirected edge.
 /// The chain state at round r is a pure function of (seed, edge, r): the
 /// initial state is a stationary hash draw and every advance step s in
@@ -159,14 +150,16 @@ class channel final : public link_model {
   double tx_prob_;
 };
 
-void register_builtin_links(link_registry& reg) {
+}  // namespace
+
+void register_builtins(link_registry& reg) {
   reg.add({"perfect", "reliable erasure-free links (latency/medium only)",
            [](param_reader&, std::uint64_t) {
              return [](round_t, node_id, node_id) { return false; };
            }});
   reg.add({"bernoulli", "iid per-copy erasures with probability p [p]",
            [](param_reader& params, std::uint64_t seed) {
-             const double p = checked_link_probability(
+             const double p = checked_probability(
                  "link model 'bernoulli'", "p", params.real("p", 0.1));
              return [p, seed](round_t round, node_id from, node_id to) {
                if (p <= 0.0) return false;
@@ -179,13 +172,13 @@ void register_builtin_links(link_registry& reg) {
            "loss_bad]",
            [](param_reader& params, std::uint64_t seed) {
              const std::string ctx = "link model 'gilbert-elliott'";
-             const double p_gb = checked_link_probability(
+             const double p_gb = checked_probability(
                  ctx, "p_good_bad", params.real("p_good_bad", 0.1));
-             const double p_bg = checked_link_probability(
+             const double p_bg = checked_probability(
                  ctx, "p_bad_good", params.real("p_bad_good", 0.3));
-             const double loss_good = checked_link_probability(
+             const double loss_good = checked_probability(
                  ctx, "loss_good", params.real("loss_good", 0.02));
-             const double loss_bad = checked_link_probability(
+             const double loss_bad = checked_probability(
                  ctx, "loss_bad", params.real("loss_bad", 0.6));
              auto chain = std::make_shared<gilbert_elliott_chain>(
                  seed, p_gb, p_bg, loss_good, loss_bad);
@@ -195,50 +188,14 @@ void register_builtin_links(link_registry& reg) {
            }});
 }
 
-}  // namespace
-
-link_registry& link_registry::instance() {
-  static link_registry reg = [] {
-    link_registry r;
-    register_builtin_links(r);
-    return r;
-  }();
-  return reg;
-}
-
-void link_registry::add(link_entry entry) {
-  NCDN_EXPECTS(!entry.name.empty());
-  NCDN_EXPECTS(find(entry.name) == nullptr);  // duplicate registration
-  entries_.push_back(std::move(entry));
-}
-
-const link_entry* link_registry::find(const std::string& name) const {
-  for (const link_entry& e : entries_) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
-std::vector<std::string> list_link_names() {
-  std::vector<std::string> out;
-  for (const link_entry& e : link_registry::instance().entries()) {
-    out.push_back(e.name);
-  }
-  return out;
-}
-
 std::unique_ptr<link_model> build_link_model(const link_spec& spec,
                                              std::uint64_t seed) {
   NCDN_EXPECTS(!spec.empty());
-  const link_entry* entry = link_registry::instance().find(spec.name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("ncdn: unknown link model '" + spec.name +
-                                "' (known: " + join_keys(list_link_names()) +
-                                ")");
-  }
+  const link_entry& entry =
+      link_registry::instance().at(spec.name, "link model");
   const std::string context = "link model '" + spec.name + "'";
   param_reader params(spec.params, context);
-  auto loss = entry->make_loss(params, seed);
+  auto loss = entry.make_loss(params, seed);
 
   const round_t fixed_delay = params.u64("delay", 0);
   const round_t max_delay = params.u64("delay_max", 0);
@@ -260,43 +217,15 @@ std::unique_ptr<link_model> build_link_model(const link_spec& spec,
                                 "got '" + medium_name + "'");
   }
   const bool collisions = params.flag("collisions", true);
-  const double tx_prob = params.real("tx_prob", 1.0);
-  if (!(tx_prob > 0.0 && tx_prob <= 1.0)) {
-    throw std::invalid_argument("ncdn: " + context +
-                                " needs tx_prob in (0, 1]");
-  }
+  const double tx_prob = checked_probability(
+      context, "tx_prob", params.real("tx_prob", 1.0), false);
   params.expect_fully_consumed();
   return std::make_unique<channel>(std::move(loss), seed, fixed_delay,
                                    max_delay, medium, collisions, tx_prob);
 }
 
 link_spec parse_link_spec(const std::string& text) {
-  link_spec spec;
-  std::size_t pos = 0;
-  bool first = true;
-  while (pos <= text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string part =
-        text.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (first) {
-      if (part.empty() || part.find('=') != std::string::npos) {
-        throw std::invalid_argument(
-            "ncdn: --link needs \"name[,key=value]...\", got '" + text + "'");
-      }
-      spec.name = part;
-      first = false;
-    } else {
-      const std::size_t eq = part.find('=');
-      if (eq == 0 || eq == std::string::npos) {
-        throw std::invalid_argument("ncdn: bad --link parameter '" + part +
-                                    "' (need key=value)");
-      }
-      spec.params[part.substr(0, eq)] = part.substr(eq + 1);
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return spec;
+  return parse_spec<link_spec>(text, "--link");
 }
 
 }  // namespace ncdn

@@ -55,19 +55,9 @@ struct link_entry {
       make_loss;
 };
 
-class link_registry {
- public:
-  static link_registry& instance();
-
-  void add(link_entry entry);  // duplicate names are programmer error
-  const link_entry* find(const std::string& name) const;
-  const std::vector<link_entry>& entries() const { return entries_; }
-
- private:
-  std::vector<link_entry> entries_;
-};
-
-std::vector<std::string> list_link_names();
+using link_registry = named_registry<link_entry>;
+/// The built-in loss processes (linkmodel.cpp).
+void register_builtins(link_registry& reg);
 
 /// Builds the full channel (loss process + latency + medium) from a spec.
 /// Throws std::invalid_argument on an unknown name or unknown / malformed

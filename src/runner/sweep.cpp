@@ -167,20 +167,12 @@ json::value sweep_to_json(const sweep_result& result) {
     // v2 addendum (PR7): the channel spec, present only on link cells so
     // the reliable matrix's bytes are untouched.
     if (!scen.link.empty()) {
-      std::string spec = scen.link;
-      for (const auto& [key, val] : scen.link_params) {
-        spec += "," + key + "=" + val;
-      }
-      json::put(c, "link", spec);
+      json::put(c, "link", format_spec(scen.link, scen.link_params));
     }
     // v2 addendum (PR9): the content spec, present only on versioned-
     // content cells so every earlier matrix's bytes are untouched.
     if (!scen.content.empty()) {
-      std::string spec = scen.content;
-      for (const auto& [key, val] : scen.content_params) {
-        spec += "," + key + "=" + val;
-      }
-      json::put(c, "content", spec);
+      json::put(c, "content", format_spec(scen.content, scen.content_params));
     }
     // v2 addendum (PR5): the CI tier the cell belongs to ("smoke" gates
     // PRs, "full"/"nightly" run on the schedule).

@@ -179,13 +179,16 @@ TEST(content, parse_content_spec_roundtrips_and_rejects) {
   EXPECT_EQ(spec.name, "burst");
   EXPECT_EQ(spec.params.at("period"), "2");
   EXPECT_EQ(spec.params.at("supersede"), "0.5");
+  EXPECT_EQ(format_spec(spec.name, spec.params),
+            "burst,period=2,supersede=0.5");
   EXPECT_THROW(parse_content_spec(""), std::invalid_argument);
   EXPECT_THROW(parse_content_spec("steady,oops"), std::invalid_argument);
   EXPECT_THROW(parse_content_spec(",k=v"), std::invalid_argument);
 }
 
 TEST(content, registry_lists_builtin_models) {
-  const std::vector<std::string> names = list_content_names();
+  const std::vector<std::string> names =
+      content_registry::instance().names();
   for (const char* want : {"steady", "burst", "rolling"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), want), names.end())
         << want;

@@ -261,6 +261,10 @@ TEST(linkmodel, parse_link_spec_roundtrip) {
   ASSERT_EQ(spec.params.size(), 2u);
   EXPECT_EQ(spec.params.at("p"), "0.2");
   EXPECT_EQ(spec.params.at("delay_max"), "3");
+  // format_spec inverts the parse of a canonical (key-ordered) spec.
+  const link_spec canonical = parse_link_spec("bernoulli,delay_max=3,p=0.2");
+  EXPECT_EQ(format_spec(canonical.name, canonical.params),
+            "bernoulli,delay_max=3,p=0.2");
 
   EXPECT_THROW(parse_link_spec(""), std::invalid_argument);
   EXPECT_THROW(parse_link_spec("p=0.2"), std::invalid_argument);

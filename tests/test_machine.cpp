@@ -112,7 +112,7 @@ TEST_P(machine_cross_suite, stepped_report_is_bit_identical_to_inline) {
 
 std::vector<machine_case> machine_cross_cases() {
   std::vector<machine_case> out;
-  for (const std::string& p : list_protocol_names()) {
+  for (const std::string& p : protocol_registry::instance().names()) {
     for (const char* a : {"permuted-path", "sorted-path"}) {
       out.push_back({p, a});
     }

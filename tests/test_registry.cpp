@@ -77,8 +77,10 @@ TEST(registries, every_enum_has_an_entry_and_names_are_unique) {
     EXPECT_STRNE(to_string(t), "?");
     EXPECT_NE(adversary_registry::instance().find(to_string(t)), nullptr);
   }
-  const std::vector<std::string> protos = list_protocol_names();
-  const std::vector<std::string> advs = list_adversary_names();
+  const std::vector<std::string> protos =
+      protocol_registry::instance().names();
+  const std::vector<std::string> advs =
+      adversary_registry::instance().names();
   EXPECT_GE(protos.size(), 13u);  // 12 legacy + tstable/plain
   EXPECT_GE(advs.size(), 7u);     // 6 legacy + t-interval
   for (std::size_t i = 0; i < protos.size(); ++i) {
@@ -133,8 +135,8 @@ TEST_P(registry_cross_suite, string_api_completes) {
 
 std::vector<cross_case> cross_product() {
   std::vector<cross_case> out;
-  for (const std::string& p : list_protocol_names()) {
-    for (const std::string& a : list_adversary_names()) {
+  for (const std::string& p : protocol_registry::instance().names()) {
+    for (const std::string& a : adversary_registry::instance().names()) {
       out.push_back({p, a});
     }
   }
@@ -259,6 +261,62 @@ TEST(session, params_override_problem_and_reject_typos) {
   EXPECT_THROW(session(prob, protocol_spec{"greedy-forward", {}},
                        adversary_spec{"no-such-adversary", {}}, 1),
                std::invalid_argument);
+}
+
+// Every registry resolves user-supplied names through one lookup, whose
+// error names the kind, the bad name, and every registered alternative.
+template <class Build>
+void expect_unknown_name(Build build, const std::string& kind,
+                         const std::vector<std::string>& names) {
+  try {
+    build();
+    ADD_FAILURE() << kind << ": unknown name accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown " + kind + " 'no-such'"), std::string::npos)
+        << what;
+    for (const std::string& name : names) {
+      EXPECT_NE(what.find(name), std::string::npos) << name << ": " << what;
+    }
+  }
+}
+
+TEST(registries, unknown_names_list_every_registered_name) {
+  const problem prob = tiny_problem("rlnc-direct");
+  expect_unknown_name(
+      [&] {
+        session s(prob, protocol_spec{"no-such", {}},
+                  adversary_spec{"permuted-path", {}}, 1);
+      },
+      "protocol", protocol_registry::instance().names());
+  expect_unknown_name(
+      [&] {
+        session s(prob, protocol_spec{"rlnc-direct", {}},
+                  adversary_spec{"no-such", {}}, 1);
+      },
+      "adversary", adversary_registry::instance().names());
+  expect_unknown_name([] { build_link_model({"no-such", {}}, 1); },
+                      "link model", link_registry::instance().names());
+  expect_unknown_name(
+      [&] { build_content_schedule({"no-such", {}}, prob, 1); },
+      "content model", content_registry::instance().names());
+}
+
+TEST(session, spread_placements_reject_more_tokens_than_nodes) {
+  // §4.2 allows k > n only when a single source holds every token.
+  problem prob = tiny_problem("rlnc-direct");
+  prob.k = prob.n + 1;
+  for (const placement place :
+       {placement::random_spread, placement::adversarial_far}) {
+    prob.place = place;
+    EXPECT_THROW(session(prob, protocol_spec{"rlnc-direct", {}},
+                         adversary_spec{"static-path", {}}, 1),
+                 std::invalid_argument);
+  }
+  prob.place = placement::single_source;
+  session s(prob, protocol_spec{"rlnc-direct", {}},
+            adversary_spec{"static-path", {}}, 1);
+  EXPECT_TRUE(s.run_to_completion().complete);
 }
 
 TEST(session, adversary_params_reshape_the_topology) {

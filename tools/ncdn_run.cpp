@@ -48,7 +48,8 @@
 //     --pretty          indent the JSON
 //
 // Exit status: 0 on success (even if some cells did not reach completion —
-// that is a result, not an error), 2 on usage errors.
+// that is a result, not an error), 2 on usage errors, bad input, or a
+// failed JSON write.
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -110,39 +111,14 @@ int cmd_list(const std::string& pattern) {
   return 0;
 }
 
-int cmd_list_algorithms() {
-  for (const protocol_entry& e : protocol_registry::instance().entries()) {
+// list-algorithms / list-adversaries / list-links / list-contents: one
+// line per registered entry, the count on stderr.
+template <class Entry>
+int cmd_list_entries(const named_registry<Entry>& reg, const char* counted) {
+  for (const Entry& e : reg.entries()) {
     std::printf("%-28s %s\n", e.name.c_str(), e.summary.c_str());
   }
-  std::fprintf(stderr, "%zu algorithm(s)\n",
-               protocol_registry::instance().entries().size());
-  return 0;
-}
-
-int cmd_list_adversaries() {
-  for (const adversary_entry& e : adversary_registry::instance().entries()) {
-    std::printf("%-28s %s\n", e.name.c_str(), e.summary.c_str());
-  }
-  std::fprintf(stderr, "%zu adversar(ies)\n",
-               adversary_registry::instance().entries().size());
-  return 0;
-}
-
-int cmd_list_links() {
-  for (const link_entry& e : link_registry::instance().entries()) {
-    std::printf("%-28s %s\n", e.name.c_str(), e.summary.c_str());
-  }
-  std::fprintf(stderr, "%zu link model(s)\n",
-               link_registry::instance().entries().size());
-  return 0;
-}
-
-int cmd_list_contents() {
-  for (const content_entry& e : content_registry::instance().entries()) {
-    std::printf("%-28s %s\n", e.name.c_str(), e.summary.c_str());
-  }
-  std::fprintf(stderr, "%zu content model(s)\n",
-               content_registry::instance().entries().size());
+  std::fprintf(stderr, "%zu %s\n", reg.entries().size(), counted);
   return 0;
 }
 
@@ -287,6 +263,8 @@ int cmd_run(int argc, char** argv) {
 
   problem prob;
   std::string label;
+  link_spec link;
+  content_spec content;
   if (!name.empty()) {
     if (!alg.empty() || !topo.empty()) {
       std::fprintf(stderr,
@@ -304,20 +282,10 @@ int cmd_run(int argc, char** argv) {
     alg = s->alg;
     topo = s->adv;
     label = s->name;
-    // A link scenario carries its channel; an explicit --link overrides.
-    if (link_text.empty() && !s->link.empty()) {
-      link_text = s->link;
-      for (const auto& [key, val] : s->link_params) {
-        link_text += "," + key + "=" + val;
-      }
-    }
-    // Likewise for a content scenario's workload spec.
-    if (content_text.empty() && !s->content.empty()) {
-      content_text = s->content;
-      for (const auto& [key, val] : s->content_params) {
-        content_text += "," + key + "=" + val;
-      }
-    }
+    // A link or content scenario carries its spec; an explicit --link or
+    // --content overrides it.
+    link = s->linkspec();
+    content = s->contentspec();
   } else {
     if (alg.empty() || topo.empty()) {
       std::fprintf(stderr,
@@ -334,34 +302,26 @@ int cmd_run(int argc, char** argv) {
     label = alg + "/" + topo;
   }
 
-  try {
-    link_spec link;
-    if (!link_text.empty()) link = parse_link_spec(link_text);
-    content_spec content;
-    if (!content_text.empty()) content = parse_content_spec(content_text);
-    session s(prob, protocol_spec{alg, params}, adversary_spec{topo, params},
-              std::move(link), std::move(content), seed);
-    if (trace) {
-      s.set_observer([](const round_metrics& m) {
-        std::printf("round %6llu  know %zu..%zu (sum %zu)  edges %zu  "
-                    "msgs %zu  bits %zu  retired %zu",
-                    static_cast<unsigned long long>(m.round), m.min_knowledge,
-                    m.max_knowledge, m.total_knowledge, m.topology_edges,
-                    m.messages, m.message_bits, m.tokens_retired);
-        if (m.link_active) {
-          std::printf("  sent %zu  dlvd %zu  drop %zu  flight %zu",
-                      m.messages_sent, m.messages_delivered,
-                      m.messages_dropped, m.messages_in_flight);
-        }
-        std::printf("%s\n", m.silent ? "  (silent)" : "");
-      });
-    }
-    const run_report& rep = s.run_to_completion();
-    print_report(label, rep);
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return 2;
+  if (!link_text.empty()) link = parse_link_spec(link_text);
+  if (!content_text.empty()) content = parse_content_spec(content_text);
+  session s(prob, protocol_spec{alg, params}, adversary_spec{topo, params},
+            std::move(link), std::move(content), seed);
+  if (trace) {
+    s.set_observer([](const round_metrics& m) {
+      std::printf("round %6llu  know %zu..%zu (sum %zu)  edges %zu  "
+                  "msgs %zu  bits %zu  retired %zu",
+                  static_cast<unsigned long long>(m.round), m.min_knowledge,
+                  m.max_knowledge, m.total_knowledge, m.topology_edges,
+                  m.messages, m.message_bits, m.tokens_retired);
+      if (m.link_active) {
+        std::printf("  sent %zu  dlvd %zu  drop %zu  flight %zu",
+                    m.messages_sent, m.messages_delivered, m.messages_dropped,
+                    m.messages_in_flight);
+      }
+      std::printf("%s\n", m.silent ? "  (silent)" : "");
+    });
   }
+  print_report(label, s.run_to_completion());
   return 0;
 }
 
@@ -518,16 +478,21 @@ int cmd_sweep(int argc, char** argv) {
   const json::value doc = sweep_to_json(result);
   const std::string text = pretty ? doc.dump_pretty() : doc.dump() + "\n";
 
-  if (out_path.empty() || out_path == "-") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-  } else {
-    std::FILE* f = std::fopen(out_path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "ncdn-run: cannot write '%s'\n", out_path.c_str());
-      return 2;
-    }
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
+  // A short write, or a flush or close that fails (a full disk), is an
+  // error, not a silent success.
+  const bool to_stdout = out_path.empty() || out_path == "-";
+  bool written = false;
+  if (to_stdout) {
+    written = std::fwrite(text.data(), 1, text.size(), stdout) == text.size();
+    written = std::fflush(stdout) == 0 && std::ferror(stdout) == 0 && written;
+  } else if (std::FILE* f = std::fopen(out_path.c_str(), "wb")) {
+    written = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    written = std::fclose(f) == 0 && written;
+  }
+  if (!written) {
+    std::fprintf(stderr, "ncdn-run: cannot write '%s'\n",
+                 to_stdout ? "stdout" : out_path.c_str());
+    return 2;
   }
 
   std::size_t incomplete = 0;
@@ -547,23 +512,26 @@ int cmd_sweep(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// Bad input (unknown names, malformed params, infeasible problems, a
+// failing sweep cell, a size too large to allocate) ends in a message and
+// exit 2, never an abort.
+int main(int argc, char** argv) try {
   if (argc < 2) return usage(argv[0]);
   const std::string cmd = argv[1];
   if (cmd == "list") {
     return cmd_list(argc >= 3 ? argv[2] : "");
   }
   if (cmd == "list-algorithms") {
-    return cmd_list_algorithms();
+    return cmd_list_entries(protocol_registry::instance(), "algorithm(s)");
   }
   if (cmd == "list-adversaries") {
-    return cmd_list_adversaries();
+    return cmd_list_entries(adversary_registry::instance(), "adversar(ies)");
   }
   if (cmd == "list-links") {
-    return cmd_list_links();
+    return cmd_list_entries(link_registry::instance(), "link model(s)");
   }
   if (cmd == "list-contents") {
-    return cmd_list_contents();
+    return cmd_list_entries(content_registry::instance(), "content model(s)");
   }
   if (cmd == "list-schedules") {
     return cmd_list_schedules();
@@ -576,4 +544,7 @@ int main(int argc, char** argv) {
     return cmd_sweep(argc - 2, argv + 2);
   }
   return usage(argv[0]);
+} catch (const std::exception& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }
