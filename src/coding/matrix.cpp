@@ -54,7 +54,6 @@ class span_strategy final : public decoder_strategy {
   std::size_t items() const override { return dec_.coeff_dim(); }
   std::size_t item_bits() const override { return dec_.payload_bits(); }
 
-  void prepare_emit() const override {}  // insert() reduces eagerly
   bool grouped() const override { return false; }
   std::size_t group_count() const override { return 1; }
   group_ref group(std::size_t gi) const override {
@@ -67,9 +66,11 @@ class span_strategy final : public decoder_strategy {
 };
 
 // Generation-windowed elimination.  Generation j owns the token window
-// [j*g, min(j*g + g + w, k)); arrivals whose support fits a window batch in
-// `pending` and one gf2_rref pass per touched generation per query folds
-// them in (re-reducing an RREF basis costs zero XORs, so laziness is free).
+// [j*g, min(j*g + g + w, k)).  insert() eliminates each arrival into every
+// generation whose window holds its support, one online Gaussian
+// elimination step per generation, so each basis is a canonical RREF
+// sorted by pivot after every insert and the rank and decode queries are
+// reads.
 //
 // narrow_ == true is the banded-pivot eliminator: rows are stored
 // [window | payload] and pivots never leave the g+w window, so every
@@ -89,6 +90,10 @@ class grouped_strategy final : public decoder_strategy {
         decoded_gen_(items, 0) {
     NCDN_EXPECTS(gen_size >= 1);
     NCDN_EXPECTS(band_overlap <= gen_size);
+    // Clamping to the token count leaves every window unchanged and keeps
+    // gen_size + band_overlap from wrapping for sizes near 2^64.
+    gen_size = std::min(gen_size, items);
+    band_overlap = std::min(band_overlap, items);
     for (std::size_t start = 0; start < items; start += gen_size) {
       generation g;
       g.start = start;
@@ -107,31 +112,25 @@ class grouped_strategy final : public decoder_strategy {
       return;
     }
     const std::size_t hi = last_set_below(row, items_);
-    for (generation& g : gens_) {
+    for (std::size_t gi = 0; gi < gens_.size(); ++gi) {
+      const generation& g = gens_[gi];
       if (g.start <= lo && hi < g.start + g.width) {
         if (narrow_) {
           bitvec slim(g.width + item_bits_);
           slim.copy_bits_from(row, g.start, g.width, 0);
           slim.copy_bits_from(row, items_, item_bits_, g.width);
-          g.pending.push_back(std::move(slim));
+          eliminate(gi, std::move(slim));
         } else {
-          g.pending.push_back(row);
+          eliminate(gi, row);
         }
       }
     }
   }
 
-  std::size_t rank() const override {
-    reduce_all();
-    return decoded_count_;
-  }
-  bool complete() const override {
-    reduce_all();
-    return decoded_count_ == items_;
-  }
+  std::size_t rank() const override { return decoded_count_; }
+  bool complete() const override { return decoded_count_ == items_; }
   bool can_decode(std::size_t i) const override {
     NCDN_EXPECTS(i < items_);
-    reduce_all();
     return decoded_.get(i);
   }
 
@@ -152,16 +151,12 @@ class grouped_strategy final : public decoder_strategy {
     return g.rows[r].slice(coeff_bits, item_bits_);
   }
 
-  std::size_t decode_progress() const override {
-    reduce_all();
-    return decoded_count_;
-  }
+  std::size_t decode_progress() const override { return decoded_count_; }
   std::uint64_t xor_word_ops() const override { return xor_words_; }
 
   std::size_t items() const override { return items_; }
   std::size_t item_bits() const override { return item_bits_; }
 
-  void prepare_emit() const override { reduce_all(); }
   bool grouped() const override { return true; }
   std::size_t group_count() const override { return gens_.size(); }
   group_ref group(std::size_t gi) const override {
@@ -174,51 +169,92 @@ class grouped_strategy final : public decoder_strategy {
   struct generation {
     std::size_t start = 0;
     std::size_t width = 0;
-    std::vector<bitvec> rows;     // reduced (RREF) basis
+    std::vector<bitvec> rows;  // canonical RREF basis, sorted by pivot
     std::vector<std::size_t> pivots;
-    std::vector<bitvec> pending;  // arrivals since the last batch decode
   };
 
-  void reduce_all() const {
-    for (std::size_t gi = 0; gi < gens_.size(); ++gi) reduce(gi);
-  }
-
-  void reduce(std::size_t gi) const {
-    generation& g = gens_[gi];  // gens_ is mutable
-    if (g.pending.empty()) return;
-    std::vector<bitvec> rows = std::move(g.rows);
-    rows.reserve(rows.size() + g.pending.size());
-    for (bitvec& row : g.pending) rows.push_back(std::move(row));
-    g.pending.clear();
-    g.pivots = gf2_rref(rows, &xor_words_);
-    g.rows = std::move(rows);
-    // Newly decodable tokens: a basis row whose coefficients reduce to a
-    // singleton pins down one original (decodability is monotone, so
-    // set-once bookkeeping suffices).
+  // One online elimination step into generation gi: forward-reduce the
+  // arrival, drop it if it reduces to zero, clear its pivot from the other
+  // rows, and insert it at its pivot's position.  The basis is a canonical
+  // RREF before the step, so whether the arrival meets a basis row depends
+  // only on its own bit at that row's pivot: the step does exactly the
+  // XORs of a batch elimination over (basis, arrival), and re-reducing the
+  // resulting basis would cost none.
+  void eliminate(std::size_t gi, bitvec row) {
+    generation& g = gens_[gi];
     const std::size_t coeff_bits = narrow_ ? g.width : items_;
+    const std::uint64_t w = row.words().size();
     for (std::size_t r = 0; r < g.rows.size(); ++r) {
-      if (g.rows[r].popcount_below(coeff_bits) == 1) {
-        const std::size_t token =
-            narrow_ ? g.start + g.pivots[r] : g.pivots[r];
-        if (!decoded_.get(token)) {
-          decoded_.set(token);
-          decoded_gen_[token] = gi;
-          ++decoded_count_;
+      if (row.get(g.pivots[r])) {
+        row.xor_with(g.rows[r]);
+        xor_words_ += w;
+      }
+    }
+    const std::size_t p = row.first_set();
+    if (p >= coeff_bits) {
+      NCDN_ASSERT(p == row.size());  // consistency: no pivot inside payload
+      return;
+    }
+    // A generation's rank never exceeds its width: reserve once.
+    if (g.rows.empty()) {
+      g.rows.reserve(g.width);
+      g.pivots.reserve(g.width);
+    }
+    for (std::size_t r = 0; r < g.rows.size(); ++r) {
+      if (g.rows[r].get(p)) {
+        g.rows[r].xor_with(row);
+        xor_words_ += w;
+        // Back-substitution can strip a row down to its pivot alone; a
+        // singleton never loses that status (no later row carries its
+        // pivot column), so set-once bookkeeping suffices.
+        if (g.rows[r].popcount_below(coeff_bits) == 1) {
+          note_decoded(gi, g.pivots[r]);
         }
       }
     }
+    if (row.popcount_below(coeff_bits) == 1) note_decoded(gi, p);
+    const auto at = std::lower_bound(g.pivots.begin(), g.pivots.end(), p);
+    g.rows.insert(g.rows.begin() + (at - g.pivots.begin()), std::move(row));
+    g.pivots.insert(at, p);
+    NCDN_AUDIT(is_canonical_rref(g.rows, g.pivots));
+    NCDN_AUDIT(audit_decoded());
+  }
+
+  // Token behind generation gi's singleton row with local pivot `pivot`
+  // becomes decodable (first generation to produce it wins).
+  void note_decoded(std::size_t gi, std::size_t pivot) {
+    const std::size_t token = narrow_ ? gens_[gi].start + pivot : pivot;
+    if (decoded_.get(token)) return;
+    decoded_.set(token);
+    decoded_gen_[token] = gi;
+    ++decoded_count_;
+  }
+
+  /// Audit rebuild of the decodable set: the tokens with a singleton row in
+  /// some generation are exactly the ones eliminate() counted.
+  bool audit_decoded() const {
+    bitvec fresh(items_);
+    for (const generation& g : gens_) {
+      const std::size_t coeff_bits = narrow_ ? g.width : items_;
+      for (std::size_t r = 0; r < g.rows.size(); ++r) {
+        if (g.rows[r].popcount_below(coeff_bits) == 1) {
+          fresh.set(narrow_ ? g.start + g.pivots[r] : g.pivots[r]);
+        }
+      }
+    }
+    return fresh == decoded_ && fresh.popcount() == decoded_count_;
   }
 
   std::size_t items_;
   std::size_t item_bits_;
   bool narrow_;
-  mutable std::vector<generation> gens_;  // lazily batch-reduced
-  mutable bitvec decoded_;
+  std::vector<generation> gens_;
+  bitvec decoded_;
   // For token i with decoded_.get(i): index of the generation whose basis
   // holds its singleton row (decode's O(1)-ish lookup path).
-  mutable std::vector<std::size_t> decoded_gen_;
-  mutable std::size_t decoded_count_ = 0;
-  mutable std::uint64_t xor_words_ = 0;
+  std::vector<std::size_t> decoded_gen_;
+  std::size_t decoded_count_ = 0;
+  std::uint64_t xor_words_ = 0;
 };
 
 // --- emission helpers -------------------------------------------------------
@@ -268,7 +304,6 @@ bitvec combine_group(const decoder_strategy& dec,
 std::optional<bitvec> coin_emit(const decoder_strategy& dec, rng& r,
                                 word_arena* pool, std::uint64_t* xor_words,
                                 bool dense, double rho) {
-  dec.prepare_emit();
   if (!dec.grouped()) {
     const decoder_strategy::group_ref g = dec.group(0);
     if (g.rows->empty()) return std::nullopt;
@@ -365,7 +400,6 @@ class feedback_schedule final : public encoder_schedule {
   std::optional<bitvec> emit(const decoder_strategy& dec, rng& r,
                              word_arena* pool,
                              std::uint64_t* xor_words) override {
-    dec.prepare_emit();
     if (fresh_) {
       active_ = pending_;
       std::fill(pending_.begin(), pending_.end(), 0);
@@ -447,7 +481,6 @@ class matrix_coder final : public node_coder {
 
   const std::vector<std::uint32_t>* deficit_report() override {
     if (!sched_->wants_feedback()) return nullptr;
-    dec_->prepare_emit();
     const std::size_t gc = dec_->group_count();
     report_.assign(gc, 0);
     for (std::size_t gi = 0; gi < gc; ++gi) {

@@ -23,15 +23,18 @@
 //   decoder_strategy — how arrivals are eliminated and queried:
 //     rref        generic gf2 elimination.  Full-span layouts keep one
 //                 incremental bit_decoder; generation layouts store rows
-//                 full-width per generation and batch-reduce with gf2_rref
-//                 (pivots may sit anywhere, every XOR is k+d bits wide —
-//                 the generic baseline banded elimination is judged
-//                 against).
+//                 full-width per generation (pivots may sit anywhere,
+//                 every XOR is k+d bits wide — the generic baseline banded
+//                 elimination is judged against).
 //     banded      generation layouts only: rows are stored narrow
 //                 ([g+w window | payload]) and pivots never leave the
 //                 window, so every elimination XOR touches g+w+d bits
 //                 instead of k+d (PR 3's generation coder, now one cell of
 //                 the matrix).
+//
+// Every strategy eliminates each arrival on insert, one online Gaussian
+// elimination step per basis it lands in, so rank, completion and decode
+// queries are reads and the basis a schedule draws from is always reduced.
 //
 // A matrix_spec names one cell; make_matrix_backend builds it.  The default
 // spec is the paper's dense GF(2) code (sched=dense, dec=rref, full span).
@@ -59,10 +62,10 @@ struct matrix_spec {
 };
 
 /// How arrivals are stored, eliminated, and queried.  The emission surface
-/// (prepare_emit / group) exposes the reduced basis as windowed groups so a
-/// schedule can draw combinations without knowing the storage layout:
-/// full-span strategies report one group spanning all tokens, generation
-/// strategies one group per generation.
+/// (group) exposes the reduced basis as windowed groups so a schedule can
+/// draw combinations without knowing the storage layout: full-span
+/// strategies report one group spanning all tokens, generation strategies
+/// one group per generation.
 class decoder_strategy {
  public:
   struct group_ref {
@@ -90,9 +93,7 @@ class decoder_strategy {
   virtual std::size_t items() const = 0;
   virtual std::size_t item_bits() const = 0;
 
-  /// Emission surface: folds any pending arrivals into the reduced basis,
-  /// then the groups are valid until the next insert.
-  virtual void prepare_emit() const = 0;
+  /// Emission surface: the groups are valid until the next insert.
   virtual bool grouped() const = 0;
   virtual std::size_t group_count() const = 0;
   virtual group_ref group(std::size_t gi) const = 0;

@@ -289,6 +289,18 @@ std::unique_ptr<protocol_machine> coded_broadcast_factory(
   });
 }
 
+// A protocol's Las-Vegas cap multiplier: non-negative (a negative factor
+// would ask for a negative number of rounds).
+double cap_factor_param(const char* name, param_reader& params,
+                        double fallback) {
+  const double cap_factor = params.real("cap_factor", fallback);
+  if (cap_factor < 0.0) {
+    throw std::invalid_argument(std::string("ncdn: ") + name +
+                                " needs cap_factor >= 0");
+  }
+  return cap_factor;
+}
+
 // The rlnc-* param surfaces, factored as plans so the one registration
 // serves both the standalone broadcast (`make`) and the per-epoch
 // re-instantiation of the versioned-content driver (`coded_plan`).  The
@@ -302,13 +314,13 @@ coded_backend_plan rlnc_direct_plan(const problem&, param_reader& params) {
   spec.dec = params.str("dec", "rref");
   if (spec.sched == "sparse") spec.rho = params.real("rho", 0.2);
   make_matrix_backend(spec);  // validate the combo at parse time
-  const double cap_factor = params.real("cap_factor", 16.0);
+  const double cap_factor = cap_factor_param("rlnc-direct", params, 16.0);
   coded_backend_plan plan;
   plan.make_backend = maybe_buffered(
       params, "rlnc-direct", [spec] { return make_matrix_backend(spec); });
   // Whp bound is O(n + k); the cap only guards the 2^-n tail.
   plan.cap = [cap_factor](std::size_t n, std::size_t k) {
-    return static_cast<round_t>(cap_factor * static_cast<double>(n + k)) + 64;
+    return round_cap(cap_factor * static_cast<double>(n + k), 64);
   };
   return plan;
 }
@@ -321,7 +333,7 @@ coded_backend_plan rlnc_sparse_plan(const problem&, param_reader& params) {
   spec.dec = params.str("dec", "rref");
   spec.rho = rho;
   make_matrix_backend(spec);  // validate the combo at parse time
-  const double cap_factor = params.real("cap_factor", 16.0);
+  const double cap_factor = cap_factor_param("rlnc-sparse", params, 16.0);
   // Per-round mixing slows by roughly rho / (1/2); widen the Las-Vegas cap
   // accordingly so small densities still finish.
   const double stretch = std::max(1.0, 0.5 / rho);
@@ -329,9 +341,7 @@ coded_backend_plan rlnc_sparse_plan(const problem&, param_reader& params) {
   plan.make_backend = maybe_buffered(
       params, "rlnc-sparse", [spec] { return make_matrix_backend(spec); });
   plan.cap = [cap_factor, stretch](std::size_t n, std::size_t k) {
-    return static_cast<round_t>(cap_factor * stretch *
-                                static_cast<double>(n + k)) +
-           64;
+    return round_cap(cap_factor * stretch * static_cast<double>(n + k), 64);
   };
   return plan;
 }
@@ -354,18 +364,19 @@ coded_backend_plan rlnc_gen_plan(const problem&, param_reader& params) {
   spec.band_overlap = overlap;
   if (spec.sched == "sparse") spec.rho = params.real("rho", 0.2);
   make_matrix_backend(spec);  // validate the combo at parse time
-  const double cap_factor = params.real("cap_factor", 16.0);
+  const double cap_factor = cap_factor_param("rlnc-gen", params, 16.0);
   coded_backend_plan plan;
   plan.make_backend = maybe_buffered(
       params, "rlnc-gen", [spec] { return make_matrix_backend(spec); });
   plan.cap = [cap_factor, gen_size, overlap](std::size_t n, std::size_t k) {
     // Bandwidth splits across G generations; each needs its own
-    // O(n + g + w) broadcast worth of rounds.
-    const std::size_t gens = (k + gen_size - 1) / gen_size;
-    return static_cast<round_t>(
-               cap_factor *
-               static_cast<double>(gens * (n + gen_size + overlap) + k)) +
-           64;
+    // O(n + g + w) broadcast worth of rounds.  Sizes clamp to k (as the
+    // decoder's windows do) so sizes near 2^64 cannot wrap.
+    const std::size_t g = std::min(gen_size, std::max<std::size_t>(k, 1));
+    const std::size_t w = std::min(overlap, k);
+    const std::size_t gens = (k + g - 1) / g;
+    return round_cap(
+        cap_factor * static_cast<double>(gens * (n + g + w) + k), 64);
   };
   return plan;
 }
@@ -490,7 +501,8 @@ void register_builtins(protocol_registry& reg) {
            [](const problem& prob, param_reader& params) {
              centralized_config cfg;
              cfg.b_bits = prob.b;
-             cfg.cap_factor = params.real("cap_factor", cfg.cap_factor);
+             cfg.cap_factor =
+                 cap_factor_param("centralized-rlnc", params, cfg.cap_factor);
              return make_protocol_machine([cfg](session_env& env) {
                return centralized_rlnc_machine(env.net, env.state, cfg);
              });

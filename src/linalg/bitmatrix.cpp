@@ -6,13 +6,9 @@
 
 namespace ncdn {
 
-namespace {
-
-/// Audit-build check that (rows, pivots) form a canonical RREF: pivots
-/// strictly increasing, each row leading with its pivot, and every pivot
-/// column zero in all other rows.
-[[maybe_unused]] bool audit_canonical_rref(
-    const std::vector<bitvec>& rows, const std::vector<std::size_t>& pivots) {
+bool is_canonical_rref(const std::vector<bitvec>& rows,
+                       const std::vector<std::size_t>& pivots) {
+  if (rows.size() != pivots.size()) return false;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (i > 0 && pivots[i - 1] >= pivots[i]) return false;
     if (rows[i].first_set() != pivots[i]) return false;
@@ -22,8 +18,6 @@ namespace {
   }
   return true;
 }
-
-}  // namespace
 
 std::vector<std::size_t> gf2_rref(std::vector<bitvec>& rows,
                                   std::uint64_t* xor_words) {
@@ -67,7 +61,7 @@ std::vector<std::size_t> gf2_rref(std::vector<bitvec>& rows,
     sorted_pivots.push_back(pivots[i]);
   }
   rows = std::move(sorted);
-  NCDN_AUDIT(audit_canonical_rref(rows, sorted_pivots));
+  NCDN_AUDIT(is_canonical_rref(rows, sorted_pivots));
   return sorted_pivots;
 }
 

@@ -1,7 +1,8 @@
 // Batch Gaussian elimination over GF(2) on word-packed rows.
-// The incremental decoder (decoder.hpp) is what protocols use online; these
-// helpers serve tests, the omniscient adversary (which evaluates prospective
-// rank growth), and one-shot rank computations.
+// The library's decoders all eliminate online (linalg/decoder.hpp, the
+// generation strategies of coding/matrix.cpp); gf2_rref is the batch
+// reference their tests check against, and it backs the one-shot rank and
+// span helpers below.
 #pragma once
 
 #include <cstdint>
@@ -17,10 +18,17 @@ std::size_t gf2_rank(std::vector<bitvec> rows);
 /// In-place reduced row echelon form; zero rows are dropped.
 /// Returns pivot column of each remaining row, in increasing order.
 /// When `xor_words` is non-null it is incremented by the 64-bit XOR
-/// word-operations the elimination performed (the generation-coding
-/// backend charges its batched decodes through this).
+/// word-operations the elimination performed (the count an online decoder
+/// must reproduce when it eliminates the same rows one at a time).
 std::vector<std::size_t> gf2_rref(std::vector<bitvec>& rows,
                                   std::uint64_t* xor_words = nullptr);
+
+/// True iff (rows, pivots) is a canonical RREF: one pivot per row, pivots
+/// strictly increasing, each row leading with its pivot, and every pivot
+/// column zero in all other rows (the audit-build check of gf2_rref and
+/// of the online generation decoders).
+bool is_canonical_rref(const std::vector<bitvec>& rows,
+                       const std::vector<std::size_t>& pivots);
 
 /// True iff `v` lies in the span of `basis` (basis need not be reduced).
 bool gf2_in_span(const std::vector<bitvec>& basis, const bitvec& v);

@@ -74,7 +74,7 @@ round_task<protocol_result> centralized_rlnc_machine(
 
   protocol_result res;
   const round_t start = net.rounds_elapsed();
-  const round_t cap = static_cast<round_t>(
+  const round_t cap = round_cap(
       cfg.cap_factor *
       static_cast<double>(n + ceil_div(k * d, cfg.b_bits) + 1));
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,18 @@ struct protocol_result {
   std::size_t max_message_bits = 0;
   std::size_t epochs = 0;        // protocol-specific loop iterations
 };
+
+/// A Las-Vegas round cap: `rounds` (a cap_factor times a size estimate)
+/// plus `slack`, saturating at the largest round_t instead of wrapping or
+/// casting a double out of range (cap_factor=1e300 means "no cap").
+inline round_t round_cap(double rounds, round_t slack = 0) {
+  NCDN_EXPECTS(rounds >= 0.0);
+  constexpr round_t top = std::numeric_limits<round_t>::max();
+  // 2^64 is exact in a double; anything at or past it saturates.
+  if (!(rounds < 18446744073709551616.0)) return top;
+  const auto base = static_cast<round_t>(rounds);
+  return base > top - slack ? top : base + slack;
+}
 
 /// Decode-delay accounting shared by the sessions that hold bit_decoder
 /// vectors directly (the genie baseline and the patch/chunked T-stable

@@ -245,6 +245,59 @@ TEST(backend_registry, new_entries_exist_and_validate_params) {
   EXPECT_THROW(session(prob, protocol_spec{"rlnc-sparse", tight},
                        adversary_spec{"permuted-path", tight}, 1),
                std::invalid_argument);
+  // Every entry with a Las-Vegas cap rejects a negative cap_factor, and a
+  // huge one saturates the cap (no out-of-range cast): the run is the
+  // default's.
+  for (const char* alg :
+       {"rlnc-direct", "rlnc-sparse", "rlnc-gen", "centralized-rlnc"}) {
+    EXPECT_THROW(session(prob, protocol_spec{alg, {{"cap_factor", "-1"}}},
+                         adversary_spec{"permuted-path", {}}, 1),
+                 std::invalid_argument)
+        << alg;
+    session dflt(prob, protocol_spec{alg, {}},
+                 adversary_spec{"permuted-path", {}}, 1);
+    session huge(prob, protocol_spec{alg, {{"cap_factor", "1e300"}}},
+                 adversary_spec{"permuted-path", {}}, 1);
+    const run_report a = dflt.run_to_completion();
+    const run_report b = huge.run_to_completion();
+    EXPECT_TRUE(a.complete) << alg;
+    EXPECT_EQ(b.complete, a.complete) << alg;
+    EXPECT_EQ(b.rounds, a.rounds) << alg;
+    EXPECT_EQ(b.metrics.total_message_bits, a.metrics.total_message_bits)
+        << alg;
+    EXPECT_EQ(b.metrics.total_elimination_xors,
+              a.metrics.total_elimination_xors)
+        << alg;
+  }
+}
+
+TEST(backend_registry, gen_size_past_k_is_the_one_generation_layout) {
+  // gen_size and band_overlap clamp to k, so sizes near 2^64 cannot wrap
+  // the window arithmetic or the round cap: they run exactly like the
+  // one-generation layout gen_size=k.
+  problem prob;
+  prob.n = 16;
+  prob.k = 16;
+  prob.d = 8;
+  prob.b = 32;
+  const char* const top = "18446744073709551615";
+  auto run = [&](param_map params) {
+    session s(prob, protocol_spec{"rlnc-gen", std::move(params)},
+              adversary_spec{"permuted-path", {}}, 1);
+    return s.run_to_completion();
+  };
+  auto expect_same = [&](const run_report& huge, const run_report& want) {
+    EXPECT_TRUE(huge.complete);
+    EXPECT_EQ(huge.rounds, want.rounds);
+    EXPECT_EQ(huge.metrics.final_min_knowledge, prob.k);
+    EXPECT_EQ(huge.metrics.total_elimination_xors,
+              want.metrics.total_elimination_xors);
+  };
+  const run_report want = run({{"gen_size", "16"}});
+  ASSERT_TRUE(want.complete);
+  expect_same(run({{"gen_size", top}}), want);
+  expect_same(run({{"gen_size", top}, {"band_overlap", top}}),
+              run({{"gen_size", "16"}, {"band_overlap", "16"}}));
 }
 
 TEST(backend_registry, session_reports_per_round_elimination_xors) {

@@ -1,13 +1,17 @@
 // Encoder-schedule x decoder-strategy matrix tests (PR10).
 //
-// Four layers of guarantees:
+// Five layers of guarantees:
 //   * equivalence: the banded-pivot eliminator and the generic grouped
 //     rref are the same code on the wire — identical draws, rounds, and
 //     decodes over several seeds — and differ only in elimination cost
 //     (banded XORs strictly fewer words);
-//   * byte-identity: the default-path sweep (no link:/content:/sched:/dec:
-//     cells) dumps bytes equal to the committed golden for every
-//     threads x batch combination;
+//   * differential: a generation coder's on-insert elimination does the
+//     XORs, and reaches the decodable set and payloads, of a batch gf2_rref
+//     over each generation's arrivals;
+//   * byte-identity: the n16 sweep dumps bytes equal to the committed
+//     goldens for every threads x batch combination — the default-path
+//     cells (no link:/content:/sched:/dec: axis) and the axis cells each
+//     against their own file;
 //   * decode-delay: the new session metrics are shaped sanely (p50 <= p90
 //     <= max, events == n*k for complete one-shot coded runs) and absent
 //     for token-forwarding protocols;
@@ -22,6 +26,7 @@
 
 #include "coding/matrix.hpp"
 #include "core/session.hpp"
+#include "linalg/bitmatrix.hpp"
 #include "protocols/rlnc_broadcast.hpp"
 #include "runner/sweep.hpp"
 
@@ -106,6 +111,170 @@ TEST(decoder_matrix, systematic_and_feedback_schedules_complete) {
   fb.gen_size = 4;
   fb.band_overlap = 1;
   (void)run_backend(make_matrix_backend(fb), 17);
+}
+
+// --- differential: on-insert elimination vs batch gf2_rref -------------------
+
+// The batch reference: per generation, the rows that arrived (narrow
+// [window | payload] ones for dec=banded), re-reduced from scratch by
+// gf2_rref.  A batch pass over rows r1..rm does the XORs of m online
+// elimination steps, so its count must equal the coder's.
+struct batch_reference {
+  struct generation {
+    std::size_t start = 0;
+    std::size_t width = 0;
+    std::vector<bitvec> arrived;
+  };
+  std::size_t k = 0;
+  std::size_t d = 0;
+  bool narrow = false;
+  std::vector<generation> gens;
+
+  batch_reference(std::size_t k_, std::size_t d_, std::size_t g,
+                  std::size_t w, bool narrow_)
+      : k(k_), d(d_), narrow(narrow_) {
+    for (std::size_t start = 0; start < k; start += g) {
+      gens.push_back({start, std::min(g + w, k - start), {}});
+    }
+  }
+
+  void insert(const bitvec& row) {
+    const std::size_t lo = row.first_set();
+    if (lo >= k) return;
+    std::size_t hi = lo;
+    for (std::size_t i = lo; i < k; ++i) {
+      if (row.get(i)) hi = i;
+    }
+    for (generation& g : gens) {
+      if (g.start > lo || hi >= g.start + g.width) continue;
+      if (narrow) {
+        bitvec slim(g.width + d);
+        slim.copy_bits_from(row, g.start, g.width, 0);
+        slim.copy_bits_from(row, k, d, g.width);
+        g.arrived.push_back(std::move(slim));
+      } else {
+        g.arrived.push_back(row);
+      }
+    }
+  }
+
+  // XOR word-ops of the batch pass; sets `decodable` to the tokens with a
+  // singleton row in some generation and `payload` to their payloads.
+  std::uint64_t reduce(std::vector<bool>& decodable,
+                       std::vector<bitvec>& payload) const {
+    std::uint64_t xors = 0;
+    decodable.assign(k, false);
+    payload.assign(k, bitvec());
+    for (const generation& g : gens) {
+      std::vector<bitvec> rows = g.arrived;
+      const std::vector<std::size_t> pivots = gf2_rref(rows, &xors);
+      const std::size_t coeff_bits = narrow ? g.width : k;
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        if (rows[r].popcount_below(coeff_bits) != 1) continue;
+        const std::size_t token = narrow ? g.start + pivots[r] : pivots[r];
+        decodable[token] = true;
+        payload[token] = rows[r].slice(coeff_bits, d);
+      }
+    }
+    return xors;
+  }
+};
+
+// A row over tokens [lo, hi] (lo and hi always set, each token between
+// them with probability 1/2), carrying the matching payload sum.
+bitvec consistent_row(const std::vector<bitvec>& payloads, std::size_t lo,
+                      std::size_t hi, rng& r) {
+  const std::size_t k = payloads.size();
+  const std::size_t d = payloads[0].size();
+  bitvec row(k + d);
+  bitvec sum(d);
+  for (std::size_t i = lo; i <= hi; ++i) {
+    if (i == lo || i == hi || r.coin()) {
+      row.set(i);
+      sum.xor_with(payloads[i]);
+    }
+  }
+  row.copy_bits_from(sum, 0, d, k);
+  return row;
+}
+
+TEST(decoder_matrix, on_insert_elimination_matches_batch_rref) {
+  // k is not a multiple of g, so the last generation is narrower; w > 0,
+  // so the bands [j*g, j*g + w) lie in two generations' windows.
+  const std::size_t k = 37, d = 24, g = 8, w = 3;
+  for (const char* dec : {"banded", "rref"}) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull, 6ull}) {
+      SCOPED_TRACE(std::string(dec) + " seed " + std::to_string(seed));
+      matrix_spec spec;
+      spec.dec = dec;
+      spec.gen_size = g;
+      spec.band_overlap = w;
+      const std::unique_ptr<node_coder> coder =
+          make_matrix_backend(spec)->make_node_coder(k, d);
+      batch_reference ref(k, d, g, w, spec.dec == "banded");
+      rng r(seed);
+      std::vector<bitvec> payloads;
+      for (std::size_t i = 0; i < k; ++i) {
+        payloads.emplace_back(d);
+        payloads.back().randomize(r);
+      }
+      std::vector<bool> decodable;
+      std::vector<bitvec> payload;
+      std::size_t shared = 0, orphaned = 0;
+      for (std::size_t step = 0; step < 320; ++step) {
+        const std::size_t gen = r.below(ref.gens.size());
+        const std::size_t start = gen * g;
+        const std::size_t end = std::min(start + g + w, k);  // window end
+        bitvec row(k + d);
+        switch (r.below(5)) {
+          case 0:  // zero row
+            break;
+          case 1: {  // one token of the window, uncoded
+            const std::size_t i = start + r.below(end - start);
+            row = consistent_row(payloads, i, i, r);
+            break;
+          }
+          case 2: {  // overlap band: taken by generations gen-1 and gen
+            if (gen == 0) break;
+            const std::size_t lo = start + r.below(w);
+            row = consistent_row(payloads, lo, lo + r.below(start + w - lo),
+                                 r);
+            ++shared;
+            break;
+          }
+          case 3:  // straddles two windows: no generation takes it
+            if (start + g + w >= k) break;
+            row = consistent_row(payloads, start + r.below(g),
+                                 start + g + w + r.below(k - start - g - w),
+                                 r);
+            ++orphaned;
+            break;
+          default:  // anywhere inside the window
+            row = consistent_row(payloads, start, end - 1, r);
+            break;
+        }
+        coder->insert(row);
+        ref.insert(row);
+        const std::uint64_t ref_xors = ref.reduce(decodable, payload);
+        ASSERT_EQ(coder->xor_word_ops(), ref_xors) << "step " << step;
+        std::size_t count = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+          ASSERT_EQ(coder->can_decode(i), decodable[i])
+              << "step " << step << " token " << i;
+          if (!decodable[i]) continue;
+          ++count;
+          EXPECT_EQ(payload[i], payloads[i]);
+          EXPECT_EQ(coder->decode(i), payloads[i]);
+        }
+        EXPECT_EQ(coder->decode_progress(), count);
+        EXPECT_EQ(coder->rank(), count);
+        EXPECT_EQ(coder->complete(), count == k);
+      }
+      EXPECT_GT(shared, 0u);
+      EXPECT_GT(orphaned, 0u);
+      EXPECT_TRUE(coder->complete());
+    }
+  }
 }
 
 // --- registry: sched=/dec= validation ----------------------------------------
@@ -233,21 +402,24 @@ std::string read_file(const std::string& path) {
   return out;
 }
 
-TEST(decoder_matrix, default_sweep_is_byte_identical_to_committed_golden) {
-  // The matrix refactor must leave the default-path sweep untouched: the
-  // n16 slice minus the link:/content:/sched:/dec: axes dumps bytes equal
-  // to the committed golden, for every threads x batch engine shape.
-  const std::string golden =
-      read_file(std::string(NCDN_SOURCE_DIR) + "/tools/ci/golden_sweep_n16.json");
-  ASSERT_FALSE(golden.empty()) << "missing committed golden fixture";
+bool has_axis(const std::string& name) {
+  for (const char* axis : {"link:", "content:", "sched:", "dec:"}) {
+    if (name.find(axis) != std::string::npos) return true;
+  }
+  return false;
+}
+
+// Sweeps the n16 scenarios with (axes) or without (!axes) a link:,
+// content:, sched: or dec: segment at two seeds, for every threads x batch
+// engine shape, and compares the JSON with the committed golden.
+void expect_n16_sweep_matches_golden(const char* golden_name, bool axes) {
+  const std::string golden = read_file(std::string(NCDN_SOURCE_DIR) +
+                                       "/tools/ci/" + golden_name);
+  ASSERT_FALSE(golden.empty()) << "missing committed golden " << golden_name;
 
   std::vector<runner::scenario> scens;
   for (const runner::scenario& s : runner::scenarios_matching("n16")) {
-    if (s.name.find("link:") != std::string::npos) continue;
-    if (s.name.find("content:") != std::string::npos) continue;
-    if (s.name.find("sched:") != std::string::npos) continue;
-    if (s.name.find("dec:") != std::string::npos) continue;
-    scens.push_back(s);
+    if (has_axis(s.name) == axes) scens.push_back(s);
   }
   ASSERT_FALSE(scens.empty());
 
@@ -264,6 +436,22 @@ TEST(decoder_matrix, default_sweep_is_byte_identical_to_committed_golden) {
           << "threads=" << threads << " batch=" << batch;
     }
   }
+}
+
+TEST(decoder_matrix, default_sweep_is_byte_identical_to_committed_golden) {
+  // The matrix refactor must leave the default-path sweep untouched: the
+  // n16 slice minus the link:/content:/sched:/dec: axes dumps bytes equal
+  // to the committed golden.
+  expect_n16_sweep_matches_golden("golden_sweep_n16.json", /*axes=*/false);
+}
+
+TEST(decoder_matrix, axis_sweep_is_byte_identical_to_committed_golden) {
+  // The axis cells (lossy/delayed links, content epochs, the coding
+  // matrix's schedules and strategies, recoding buffers) have their own
+  // golden, so a change that moves release and audit builds alike still
+  // shows up here.
+  expect_n16_sweep_matches_golden("golden_sweep_n16_axes.json",
+                                  /*axes=*/true);
 }
 
 }  // namespace
