@@ -27,7 +27,7 @@ double broadcast_rounds(std::size_t n, std::size_t k, std::size_t d,
     p.randomize(r);
     s.seed(static_cast<node_id>(i % n), i, p);
   }
-  const round_t used = s.run(net, 100 * (n + k), true);
+  const round_t used = run_rounds(s.run_stepped(net, 100 * (n + k), true));
   NCDN_ASSERT(s.all_complete());
   return static_cast<double>(used);
 }

@@ -24,7 +24,8 @@ double gathered(std::size_t n, std::size_t k, std::size_t d, std::size_t b,
   token_state st(dist);
   gather_config cfg;
   cfg.b_bits = b;
-  return static_cast<double>(run_random_forward(net, st, cfg).leader_count);
+  return static_cast<double>(
+      run_rounds(random_forward_machine(net, st, cfg)).leader_count);
 }
 
 }  // namespace

@@ -22,7 +22,8 @@ priority_forward_result run_once(std::size_t n, std::size_t k, std::size_t d,
   cfg.b_bits = b;
   cfg.indexing = mode;
   cfg.skip_greedy_phase = true;  // isolate the while-loop being measured
-  const priority_forward_result res = run_priority_forward(net, st, cfg);
+  const priority_forward_result res =
+      run_rounds(priority_forward_machine(net, st, cfg));
   NCDN_ASSERT(res.complete);
   return res;
 }

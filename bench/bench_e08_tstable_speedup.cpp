@@ -81,7 +81,7 @@ int main() {
           p.randomize(r);
           s.seed(static_cast<node_id>(i % n), i, p);
         }
-        const round_t used = s.run(net, 100000 * T, true);
+        const round_t used = run_rounds(s.run_stepped(net, 100000 * T, true));
         NCDN_ASSERT(s.all_complete());
         return static_cast<double>(plan.items * plan.item_bits) /
                static_cast<double>(used);
@@ -92,7 +92,7 @@ int main() {
         p.randomize(r);
         s.seed(static_cast<node_id>(i % n), i, p);
       }
-      const round_t used = s.run(net, 100000 * T, true);
+      const round_t used = run_rounds(s.run_stepped(net, 100000 * T, true));
       NCDN_ASSERT(s.all_complete());
       return static_cast<double>(s.items() * s.item_bits()) /
              static_cast<double>(used);

@@ -29,7 +29,7 @@ patch_run run_patch(std::size_t n, std::size_t b, round_t T,
     p.randomize(r);
     s.seed(static_cast<node_id>(i % n), i, p);
   }
-  const round_t used = s.run(net, 100000 * T, true);
+  const round_t used = run_rounds(s.run_stepped(net, 100000 * T, true));
   NCDN_ASSERT(s.all_complete());
   return patch_run{static_cast<double>(used),
                    static_cast<double>(s.windows_run()),

@@ -14,7 +14,7 @@ template <finite_field F>
 std::pair<double, bool> run_field(std::size_t n, std::size_t k,
                                   std::size_t d, bool omniscient,
                                   std::uint64_t seed) {
-  deterministic_rlnc_session<F> s(n, k, d, /*advice_seed=*/seed);
+  field_rlnc_session<F> s(n, k, d, /*advice_seed=*/seed);
   rng r(seed + 3);
   for (std::size_t i = 0; i < k; ++i) {
     bitvec p(d);

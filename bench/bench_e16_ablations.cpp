@@ -37,7 +37,7 @@ run_out run_greedy(std::size_t n, std::size_t k, std::size_t d, std::size_t b,
   cfg.broadcast_factor = bc_factor;
   cfg.gather_factor = gather_factor;
   cfg.max_epochs = 3000;
-  const protocol_result res = run_greedy_forward(net, st, cfg);
+  const protocol_result res = run_rounds(greedy_forward_machine(net, st, cfg));
   NCDN_ASSERT(res.complete);
   return run_out{static_cast<double>(res.rounds),
                  static_cast<double>(res.epochs)};

@@ -256,9 +256,11 @@ inline round_task<void> silent_wait(network& net, round_t rounds) {
   }
 }
 
-/// Drives a round task to completion on the calling thread.  This is what
-/// the legacy blocking `run_*` entry points are now: one-line wrappers over
-/// their machine.
+/// Drives a round task to completion on the calling thread and returns its
+/// result.  This is how tests, benches and examples run a protocol machine
+/// or a coded-broadcast sub-phase without a session, e.g.
+/// `run_rounds(greedy_forward_machine(net, st, cfg))` or
+/// `run_rounds(coding.run_stepped(net, cap, /*stop_early=*/true))`.
 template <class T>
 T run_rounds(round_task<T> task) {
   detail::machine_scheduler sched;

@@ -202,13 +202,31 @@ problem apply_problem_params(problem prob, param_reader& params) {
 
 namespace {
 
+// A protocol's round-budget multiplier (a Las-Vegas cap, or a phase length
+// per unit of n or n + k): at least `min`.  A negative factor would ask for
+// a negative number of rounds, and a min-flood whose agreement the protocol
+// asserts needs min = 1, since a flood shorter than n rounds need not
+// reach every node.
+double cap_factor_param(param_reader& params, const char* key, double fallback,
+                        int min = 0) {
+  const double factor = params.real(key, fallback);
+  if (factor < min) {
+    throw std::invalid_argument("ncdn: " + params.context() + " needs " + key +
+                                " >= " + std::to_string(min));
+  }
+  return factor;
+}
+
 std::unique_ptr<protocol_machine> flooding_factory(const problem& prob,
                                                    param_reader& params,
                                                    bool pipelined) {
   flooding_config cfg;
   cfg.b_bits = prob.b;
   cfg.pipelined = pipelined;
-  cfg.phase_factor = params.real("phase_factor", cfg.phase_factor);
+  // Batched phases finalize by min-flood agreement: at least n rounds.
+  const int min_factor = pipelined ? 0 : 1;
+  cfg.phase_factor =
+      cap_factor_param(params, "phase_factor", cfg.phase_factor, min_factor);
   return make_protocol_machine([cfg](session_env& env) {
     return flooding_machine(env.net, env.state, cfg);
   });
@@ -220,8 +238,10 @@ std::unique_ptr<protocol_machine> priority_factory(const problem& prob,
   priority_forward_config cfg;
   cfg.b_bits = prob.b;
   cfg.indexing = mode;
-  cfg.broadcast_factor = params.real("broadcast_factor", cfg.broadcast_factor);
-  cfg.charged_factor = params.real("charged_factor", cfg.charged_factor);
+  cfg.broadcast_factor =
+      cap_factor_param(params, "broadcast_factor", cfg.broadcast_factor);
+  cfg.charged_factor =
+      cap_factor_param(params, "charged_factor", cfg.charged_factor);
   cfg.max_iterations = params.size("max_iterations", cfg.max_iterations);
   return make_protocol_machine([cfg](session_env& env) {
     return priority_forward_machine(env.net, env.state, cfg);
@@ -289,18 +309,6 @@ std::unique_ptr<protocol_machine> coded_broadcast_factory(
   });
 }
 
-// A protocol's Las-Vegas cap multiplier: non-negative (a negative factor
-// would ask for a negative number of rounds).
-double cap_factor_param(const char* name, param_reader& params,
-                        double fallback) {
-  const double cap_factor = params.real("cap_factor", fallback);
-  if (cap_factor < 0.0) {
-    throw std::invalid_argument(std::string("ncdn: ") + name +
-                                " needs cap_factor >= 0");
-  }
-  return cap_factor;
-}
-
 // The rlnc-* param surfaces, factored as plans so the one registration
 // serves both the standalone broadcast (`make`) and the per-epoch
 // re-instantiation of the versioned-content driver (`coded_plan`).  The
@@ -314,7 +322,7 @@ coded_backend_plan rlnc_direct_plan(const problem&, param_reader& params) {
   spec.dec = params.str("dec", "rref");
   if (spec.sched == "sparse") spec.rho = params.real("rho", 0.2);
   make_matrix_backend(spec);  // validate the combo at parse time
-  const double cap_factor = cap_factor_param("rlnc-direct", params, 16.0);
+  const double cap_factor = cap_factor_param(params, "cap_factor", 16.0);
   coded_backend_plan plan;
   plan.make_backend = maybe_buffered(
       params, "rlnc-direct", [spec] { return make_matrix_backend(spec); });
@@ -333,7 +341,7 @@ coded_backend_plan rlnc_sparse_plan(const problem&, param_reader& params) {
   spec.dec = params.str("dec", "rref");
   spec.rho = rho;
   make_matrix_backend(spec);  // validate the combo at parse time
-  const double cap_factor = cap_factor_param("rlnc-sparse", params, 16.0);
+  const double cap_factor = cap_factor_param(params, "cap_factor", 16.0);
   // Per-round mixing slows by roughly rho / (1/2); widen the Las-Vegas cap
   // accordingly so small densities still finish.
   const double stretch = std::max(1.0, 0.5 / rho);
@@ -364,7 +372,7 @@ coded_backend_plan rlnc_gen_plan(const problem&, param_reader& params) {
   spec.band_overlap = overlap;
   if (spec.sched == "sparse") spec.rho = params.real("rho", 0.2);
   make_matrix_backend(spec);  // validate the combo at parse time
-  const double cap_factor = cap_factor_param("rlnc-gen", params, 16.0);
+  const double cap_factor = cap_factor_param(params, "cap_factor", 16.0);
   coded_backend_plan plan;
   plan.make_backend = maybe_buffered(
       params, "rlnc-gen", [spec] { return make_matrix_backend(spec); });
@@ -388,10 +396,12 @@ std::unique_ptr<protocol_machine> tstable_factory(const problem& prob,
   cfg.b_bits = prob.b;
   cfg.t_stability = prob.t_stability;
   cfg.engine = engine;
-  cfg.gather_factor = params.real("gather_factor", cfg.gather_factor);
-  cfg.flood_factor = params.real("flood_factor", cfg.flood_factor);
-  cfg.broadcast_cap_factor =
-      params.real("broadcast_cap_factor", cfg.broadcast_cap_factor);
+  cfg.gather_factor =
+      cap_factor_param(params, "gather_factor", cfg.gather_factor);
+  cfg.flood_factor =
+      cap_factor_param(params, "flood_factor", cfg.flood_factor, 1);
+  cfg.broadcast_cap_factor = cap_factor_param(
+      params, "broadcast_cap_factor", cfg.broadcast_cap_factor);
   cfg.max_epochs = params.size("epoch_cap", cfg.max_epochs);
   return make_protocol_machine([cfg](session_env& env) {
     return tstable_machine(env.net, env.state, cfg);
@@ -425,8 +435,8 @@ void register_builtins(protocol_registry& reg) {
            [](const problem& prob, param_reader& params) {
              naive_indexed_config cfg;
              cfg.b_bits = prob.b;
-             cfg.broadcast_factor =
-                 params.real("broadcast_factor", cfg.broadcast_factor);
+             cfg.broadcast_factor = cap_factor_param(
+                 params, "broadcast_factor", cfg.broadcast_factor);
              cfg.max_iterations =
                  params.size("max_iterations", cfg.max_iterations);
              return make_protocol_machine([cfg](session_env& env) {
@@ -440,10 +450,11 @@ void register_builtins(protocol_registry& reg) {
              greedy_forward_config cfg;
              cfg.b_bits = prob.b;
              cfg.gather_factor =
-                 params.real("gather_factor", cfg.gather_factor);
-             cfg.flood_factor = params.real("flood_factor", cfg.flood_factor);
-             cfg.broadcast_factor =
-                 params.real("broadcast_factor", cfg.broadcast_factor);
+                 cap_factor_param(params, "gather_factor", cfg.gather_factor);
+             cfg.flood_factor =
+                 cap_factor_param(params, "flood_factor", cfg.flood_factor, 1);
+             cfg.broadcast_factor = cap_factor_param(
+                 params, "broadcast_factor", cfg.broadcast_factor);
              cfg.max_epochs = params.size("epoch_cap", cfg.max_epochs);
              cfg.stop_when_gather_below =
                  params.size("stop_below", cfg.stop_when_gather_below);
@@ -502,7 +513,7 @@ void register_builtins(protocol_registry& reg) {
              centralized_config cfg;
              cfg.b_bits = prob.b;
              cfg.cap_factor =
-                 cap_factor_param("centralized-rlnc", params, cfg.cap_factor);
+                 cap_factor_param(params, "cap_factor", cfg.cap_factor);
              return make_protocol_machine([cfg](session_env& env) {
                return centralized_rlnc_machine(env.net, env.state, cfg);
              });
@@ -665,6 +676,9 @@ void register_builtins(adversary_registry& reg) {
            std::nullopt,
            [](const problem& prob, param_reader& params, std::uint64_t seed) {
              const round_t t = params.u64("t", 4);
+             if (t < 1) {
+               throw std::invalid_argument("ncdn: t-interval needs t >= 1");
+             }
              const std::size_t extra =
                  params.size("extra_edges", prob.n / 2);
              return make_t_interval(prob.n, t, extra, seed);
@@ -677,6 +691,8 @@ void register_builtins(adversary_registry& reg) {
            [](const problem& prob, param_reader&, std::uint64_t) {
              return make_static_clique(prob.n);
            }});
+  // T-stability over random-connected: one fresh graph per window, held
+  // fixed for all of it (t-interval redraws its extra edges every round).
   reg.add({"t-interval-random",
            "fresh random connected subgraph held fixed per T-round window "
            "(the paper's T-interval model class) [t, extra_edges]",
@@ -689,7 +705,8 @@ void register_builtins(adversary_registry& reg) {
              }
              const std::size_t extra =
                  params.size("extra_edges", prob.n / 2);
-             return make_t_interval_random(prob.n, t, extra, seed);
+             return make_t_stable(
+                 make_random_connected(prob.n, extra, seed), t);
            }});
   reg.add({"edge-markov",
            "per-edge on/off Markov chains over a base edge set "

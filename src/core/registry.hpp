@@ -164,6 +164,9 @@ class param_reader {
   param_reader(const param_map& params, std::string context)
       : params_(&params), context_(std::move(context)) {}
 
+  /// What the map configures ("protocol 'rlnc-gen'"), for error messages.
+  const std::string& context() const noexcept { return context_; }
+
   std::size_t size(const std::string& key, std::size_t fallback);
   std::uint64_t u64(const std::string& key, std::uint64_t fallback);
   double real(const std::string& key, double fallback);

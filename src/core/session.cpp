@@ -92,9 +92,11 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
                         "adversary '" + adv_spec_.name + "'");
     prob_ = apply_problem_params(prob_, params);
   }
-  if (!(prob_.n >= 2 && prob_.k >= 1 && prob_.d >= 1 && prob_.b >= prob_.d)) {
+  if (!(prob_.n >= 2 && prob_.k >= 1 && prob_.d >= 1 && prob_.b >= prob_.d &&
+        prob_.t_stability >= 1)) {
     throw std::invalid_argument(
-        "ncdn: infeasible problem (need n >= 2, k >= 1, d >= 1, b >= d)");
+        "ncdn: infeasible problem (need n >= 2, k >= 1, d >= 1, b >= d, "
+        "t_stability >= 1)");
   }
   if (prob_.b < bits_for(prob_.n)) {
     throw std::invalid_argument("ncdn: the model requires b >= log2 n (§4.1)");

@@ -306,26 +306,6 @@ std::string churn_adversary::name() const {
   return "churn(" + base_->name() + ")";
 }
 
-t_interval_random_adversary::t_interval_random_adversary(
-    std::size_t n, round_t t, std::size_t extra_edges, std::uint64_t seed)
-    : n_(n), t_(t), extra_edges_(extra_edges), rng_(seed) {
-  NCDN_EXPECTS(n >= 2 && t >= 1);
-}
-
-const graph& t_interval_random_adversary::topology(round_t r,
-                                                   const knowledge_view&) {
-  const round_t window = r / t_;
-  if (window != window_) {
-    current_ = gen::random_connected(n_, extra_edges_, rng_);
-    window_ = window;
-  }
-  return current_;
-}
-
-std::string t_interval_random_adversary::name() const {
-  return "t-interval-random/T=" + std::to_string(t_);
-}
-
 const graph& adaptive_min_cut_adversary::topology(round_t,
                                                   const knowledge_view& view) {
   const std::size_t n = view.node_count();
@@ -456,13 +436,6 @@ std::unique_ptr<adversary> make_churn(std::unique_ptr<adversary> base,
                                       std::uint64_t seed) {
   return std::make_unique<churn_adversary>(std::move(base), rate, rejoin,
                                            min_live, max_down, seed);
-}
-
-std::unique_ptr<adversary> make_t_interval_random(std::size_t n, round_t t,
-                                                  std::size_t extra_edges,
-                                                  std::uint64_t seed) {
-  return std::make_unique<t_interval_random_adversary>(n, t, extra_edges,
-                                                       seed);
 }
 
 std::unique_ptr<adversary> make_adaptive_min_cut(bool clique_sides) {

@@ -312,30 +312,6 @@ class churn_adversary final : public adversary {
   std::vector<node_id> flipped_;
 };
 
-/// The paper's actual model class (Kuhn-Lynch-Oshman T-interval
-/// connectivity, instanced at its cleanest): a fresh random connected
-/// spanning subgraph is drawn every T rounds and held fixed for the whole
-/// window.  Unlike `t_interval_adversary` (stable tree, churning extras)
-/// nothing at all moves inside a window, and unlike the T-stability
-/// wrapper the window schedule is the family's own parameter, composable
-/// with any protocol's `t_stability`.
-class t_interval_random_adversary final : public adversary {
- public:
-  t_interval_random_adversary(std::size_t n, round_t t,
-                              std::size_t extra_edges, std::uint64_t seed);
-  const graph& topology(round_t r, const knowledge_view& view) override;
-  std::string name() const override;
-  round_t interval() const noexcept { return t_; }
-
- private:
-  std::size_t n_;
-  round_t t_;
-  std::size_t extra_edges_;
-  rng rng_;
-  graph current_;
-  round_t window_ = ~round_t{0};
-};
-
 /// Adaptive worst case: every round the adversary sorts nodes by current
 /// knowledge, splits them at the widest knowledge gap, and commits two
 /// dense sides joined by a single bridge — so the cut between the
@@ -387,9 +363,6 @@ std::unique_ptr<adversary> make_churn(std::unique_ptr<adversary> base,
                                       double rate, double rejoin,
                                       std::size_t min_live, round_t max_down,
                                       std::uint64_t seed);
-std::unique_ptr<adversary> make_t_interval_random(std::size_t n, round_t t,
-                                                  std::size_t extra_edges,
-                                                  std::uint64_t seed);
 std::unique_ptr<adversary> make_adaptive_min_cut(bool clique_sides = true);
 
 }  // namespace ncdn

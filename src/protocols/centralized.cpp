@@ -119,9 +119,4 @@ round_task<protocol_result> centralized_rlnc_machine(
   co_return res;
 }
 
-protocol_result run_centralized_rlnc(network& net, token_state& st,
-                                     const centralized_config& cfg) {
-  return run_rounds(centralized_rlnc_machine(net, st, cfg));
-}
-
 }  // namespace ncdn

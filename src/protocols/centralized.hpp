@@ -32,7 +32,4 @@ struct centralized_config {
 round_task<protocol_result> centralized_rlnc_machine(
     network& net, token_state& st, centralized_config cfg);
 
-protocol_result run_centralized_rlnc(network& net, token_state& st,
-                                     const centralized_config& cfg);
-
 }  // namespace ncdn

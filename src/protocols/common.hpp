@@ -38,12 +38,11 @@ inline round_t round_cap(double rounds, round_t slack = 0) {
   return base > top - slack ? top : base + slack;
 }
 
-/// Decode-delay accounting shared by the sessions that hold bit_decoder
-/// vectors directly (the genie baseline and the patch/chunked T-stable
-/// engines): how many rounds after the session's start did each
-/// (node, token) pair first become decodable?  Seeds land in bucket 0;
-/// later arrivals in the session-local round of their insert.
-/// rlnc_session keeps its own audited copy of the same bookkeeping.
+/// Decode-delay accounting shared by the coding sessions (rlnc_session,
+/// the genie baseline and the patch/chunked T-stable engines): how many
+/// rounds after the session's start did each (node, token) pair first
+/// become decodable?  Seeds land in bucket 0; later arrivals in the
+/// session-local round of their insert.
 struct decode_delay_tracker {
   std::vector<std::size_t> progress;  // last observed per-node count
   std::vector<std::uint64_t> hist;    // bucket = session-local round

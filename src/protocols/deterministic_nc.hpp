@@ -10,12 +10,13 @@
 //
 // We realize this with an explicit advice matrix: coefficient for
 // (uid, round, slot) is a seeded hash, shared by all nodes (and known to
-// the adversary).  The protocol is then fully deterministic given the
-// initial token placement.  Substitutions (DESIGN.md §5): the advice is a
-// seeded PRF rather than the lexicographically-first good matrix (whose
-// construction is super-polynomial), and q = 2^61 - 1 stands in for
-// n^Omega(k) — at every (n, k) the benches run, exp(nk log n) * q^{-n}
-// evaluates to < 2^{-100}.
+// the adversary) — a `field_rlnc_session` built with an advice seed
+// (protocols/rlnc_broadcast.hpp).  The protocol is then fully
+// deterministic given the initial token placement.  Substitutions
+// (DESIGN.md §5): the advice is a seeded PRF rather than the
+// lexicographically-first good matrix (whose construction is
+// super-polynomial), and q = 2^61 - 1 stands in for n^Omega(k) — at every
+// (n, k) the benches run, exp(nk log n) * q^{-n} evaluates to < 2^{-100}.
 //
 // The omniscient adversary implemented here evaluates every node's exact
 // next message (possible because the algorithm is deterministic) and
@@ -32,104 +33,7 @@
 
 namespace ncdn {
 
-/// Deterministic coefficient advice: element for (uid, round, slot).
-template <finite_field F>
-typename F::value_type advice_coefficient(std::uint64_t advice_seed,
-                                          node_id uid, round_t round,
-                                          std::size_t slot) {
-  std::uint64_t s = advice_seed ^ (0x9e3779b97f4a7c15ULL * (uid + 1)) ^
-                    (0xbf58476d1ce4e5b9ULL * (round + 1)) ^
-                    (0x94d049bb133111ebULL * (slot + 1));
-  const std::uint64_t h = splitmix64(s);
-  if constexpr (F::order == 2) {
-    return static_cast<typename F::value_type>(h & 1u);
-  } else {
-    return static_cast<typename F::value_type>(h % F::order);
-  }
-}
-
-/// Deterministic (advice-driven) indexed broadcast over field F.
-template <finite_field F>
-class deterministic_rlnc_session final : public knowledge_view {
- public:
-  using row_type = typename field_decoder<F>::row_type;
-  using message = typename field_rlnc_session<F>::message;
-
-  deterministic_rlnc_session(std::size_t n, std::size_t items,
-                             std::size_t item_bits, std::uint64_t advice_seed)
-      : advice_seed_(advice_seed),
-        items_(items),
-        payload_symbols_((item_bits + coefficient_bits<F>() - 1) /
-                         coefficient_bits<F>()),
-        decoders_(n, field_decoder<F>(items_, payload_symbols_)) {}
-
-  std::size_t wire_bits() const noexcept {
-    return (items_ + payload_symbols_) * coefficient_bits<F>();
-  }
-
-  void seed(node_id u, std::size_t index, const bitvec& payload) {
-    row_type row(items_ + payload_symbols_, F::zero());
-    row[index] = F::one();
-    const row_type sym = to_symbols<F>(payload);
-    NCDN_EXPECTS(sym.size() == payload_symbols_);
-    std::copy(sym.begin(), sym.end(),
-              row.begin() + static_cast<std::ptrdiff_t>(items_));
-    decoders_[u].insert(std::move(row));
-  }
-
-  /// The exact row node u will broadcast in round `r` (advice combination
-  /// of its current basis) — also what the omniscient adversary computes.
-  std::optional<row_type> prospective_row(node_id u, round_t r) const {
-    const auto& dec = decoders_[u];
-    if (dec.rank() == 0) return std::nullopt;
-    std::vector<typename F::value_type> coeffs(dec.rank());
-    for (std::size_t i = 0; i < coeffs.size(); ++i) {
-      coeffs[i] = advice_coefficient<F>(advice_seed_, u, r, i);
-    }
-    return dec.combine(coeffs);
-  }
-
-  round_t run(network& net, round_t max_rounds, bool stop_early) {
-    round_t used = 0;
-    for (; used < max_rounds; ++used) {
-      if (stop_early && all_complete()) break;
-      const round_t r = net.rounds_elapsed();
-      net.step<message>(
-          *this,
-          [&](node_id u, rng&) -> std::optional<message> {
-            auto row = prospective_row(u, r);
-            if (!row) return std::nullopt;
-            return message{std::move(*row), wire_bits()};
-          },
-          [&](node_id u, const std::vector<const message*>& inbox) {
-            for (const message* m : inbox) decoders_[u].insert(m->row);
-          });
-    }
-    return used;
-  }
-
-  bool all_complete() const {
-    for (const auto& d : decoders_) {
-      if (!d.complete()) return false;
-    }
-    return true;
-  }
-  bool node_complete(node_id u) const { return decoders_[u].complete(); }
-  const field_decoder<F>& decoder(node_id u) const { return decoders_[u]; }
-
-  std::size_t node_count() const override { return decoders_.size(); }
-  std::size_t knowledge(node_id u) const override {
-    return decoders_[u].rank();
-  }
-
- private:
-  std::uint64_t advice_seed_;
-  std::size_t items_;
-  std::size_t payload_symbols_;
-  std::vector<field_decoder<F>> decoders_;
-};
-
-/// Omniscient adversary against the deterministic session: each round it
+/// Omniscient adversary against an advice session: each round it
 /// computes every node's next message and greedily builds a path placing
 /// non-innovative transmissions next to each other (connected, as the
 /// model requires).  A search over all topologies would be exponential;
@@ -138,8 +42,7 @@ class deterministic_rlnc_session final : public knowledge_view {
 template <finite_field F>
 class omniscient_chain_adversary final : public adversary {
  public:
-  explicit omniscient_chain_adversary(
-      const deterministic_rlnc_session<F>* session)
+  explicit omniscient_chain_adversary(const field_rlnc_session<F>* session)
       : session_(session) {}
 
   const graph& topology(round_t r, const knowledge_view&) override {
@@ -190,7 +93,7 @@ class omniscient_chain_adversary final : public adversary {
   std::string name() const override { return "omniscient-chain"; }
 
  private:
-  const deterministic_rlnc_session<F>* session_;
+  const field_rlnc_session<F>* session_;
   graph current_;
 };
 

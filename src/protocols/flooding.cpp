@@ -41,8 +41,8 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
     for (std::size_t t : dist.held_by_node[u]) active[u].insert(rank_of[t]);
   }
 
-  const round_t phase_len = static_cast<round_t>(std::max<std::size_t>(
-      1, static_cast<std::size_t>(cfg.phase_factor * static_cast<double>(n))));
+  const round_t phase_len = std::max<round_t>(
+      1, round_cap(cfg.phase_factor * static_cast<double>(n)));
   const std::size_t phases = (k + batch - 1) / batch;
 
   protocol_result res;
@@ -146,11 +146,6 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
   res.max_message_bits = net.max_observed_message_bits();
   res.epochs = phases;
   co_return res;
-}
-
-protocol_result run_flooding(network& net, token_state& st,
-                             const flooding_config& cfg) {
-  return run_rounds(flooding_machine(net, st, cfg));
 }
 
 }  // namespace ncdn

@@ -36,7 +36,4 @@ struct flooding_config {
 round_task<protocol_result> flooding_machine(network& net, token_state& st,
                                              flooding_config cfg);
 
-protocol_result run_flooding(network& net, token_state& st,
-                             const flooding_config& cfg);
-
 }  // namespace ncdn

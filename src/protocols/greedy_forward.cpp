@@ -85,9 +85,8 @@ round_task<protocol_result> greedy_forward_machine(
     const std::size_t k_cap = static_cast<std::size_t>(ceil_div(
         std::min(g.leader_count, budget.tokens_total), budget.tokens_per_item));
     NCDN_ASSERT(k_items <= k_cap);
-    const round_t bc_rounds = static_cast<round_t>(std::max<std::size_t>(
-        1, static_cast<std::size_t>(cfg.broadcast_factor *
-                                    static_cast<double>(n + k_cap))));
+    const round_t bc_rounds = std::max<round_t>(
+        1, round_cap(cfg.broadcast_factor * static_cast<double>(n + k_cap)));
 
     rlnc_session session(n, k_items, budget.item_bits);
     session.set_arena(net.arena());
@@ -138,11 +137,6 @@ round_task<protocol_result> greedy_forward_machine(
   }
   res.max_message_bits = net.max_observed_message_bits();
   co_return res;
-}
-
-protocol_result run_greedy_forward(network& net, token_state& st,
-                                   const greedy_forward_config& cfg) {
-  return run_rounds(greedy_forward_machine(net, st, cfg));
 }
 
 }  // namespace ncdn

@@ -45,7 +45,4 @@ struct greedy_forward_config {
 round_task<protocol_result> greedy_forward_machine(
     network& net, token_state& st, greedy_forward_config cfg);
 
-protocol_result run_greedy_forward(network& net, token_state& st,
-                                   const greedy_forward_config& cfg);
-
 }  // namespace ncdn

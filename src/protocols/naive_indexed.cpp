@@ -133,10 +133,9 @@ round_task<protocol_result> naive_indexed_machine(
         }
       }
     }
-    const round_t bc_rounds = static_cast<round_t>(std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               cfg.broadcast_factor *
-               static_cast<double>(n + sel_tokens.size()))));
+    const round_t bc_rounds = std::max<round_t>(
+        1, round_cap(cfg.broadcast_factor *
+                     static_cast<double>(n + sel_tokens.size())));
     co_await session.run_stepped(net, bc_rounds, /*stop_early=*/false);
 
     for (node_id u = 0; u < n; ++u) {
@@ -163,11 +162,6 @@ round_task<protocol_result> naive_indexed_machine(
   }
   res.max_message_bits = net.max_observed_message_bits();
   co_return res;
-}
-
-protocol_result run_naive_indexed(network& net, token_state& st,
-                                  const naive_indexed_config& cfg) {
-  return run_rounds(naive_indexed_machine(net, st, cfg));
 }
 
 }  // namespace ncdn

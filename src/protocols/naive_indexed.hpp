@@ -24,7 +24,4 @@ struct naive_indexed_config {
 round_task<protocol_result> naive_indexed_machine(
     network& net, token_state& st, naive_indexed_config cfg);
 
-protocol_result run_naive_indexed(network& net, token_state& st,
-                                  const naive_indexed_config& cfg);
-
 }  // namespace ncdn

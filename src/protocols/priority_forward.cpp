@@ -115,10 +115,9 @@ round_task<priority_forward_result> priority_forward_machine(
       // Simulates the paper's deferred recursive indexing subroutine:
       // consistent selection at a charged cost of O(n) rounds.
       for (node_id u = 0; u < n; ++u) fail_seen = fail_seen || raise_fail[u];
-      co_await silent_wait(
-          net, static_cast<round_t>(std::max<std::size_t>(
-                   1, static_cast<std::size_t>(cfg.charged_factor *
-                                               static_cast<double>(n)))));
+      const round_t charged =
+          round_cap(cfg.charged_factor * static_cast<double>(n));
+      co_await silent_wait(net, std::max<round_t>(1, charged));
       if (!fail_seen) {
         for (node_id u = 0; u < n; ++u) {
           for (const announcement& a : own_anns[u]) selected.push_back(a);
@@ -230,9 +229,8 @@ round_task<priority_forward_result> priority_forward_machine(
       }
       session.seed(origin, i, payload);
     }
-    const round_t bc_rounds = static_cast<round_t>(std::max<std::size_t>(
-        1, static_cast<std::size_t>(cfg.broadcast_factor *
-                                    static_cast<double>(n + s))));
+    const round_t bc_rounds = std::max<round_t>(
+        1, round_cap(cfg.broadcast_factor * static_cast<double>(n + s)));
     co_await session.run_stepped(net, bc_rounds, /*stop_early=*/false);
 
     // 4. Decode, learn, retire.
@@ -271,11 +269,6 @@ round_task<priority_forward_result> priority_forward_machine(
   res.max_message_bits = net.max_observed_message_bits();
   res.epochs = res.greedy_epochs + res.priority_iters;
   co_return res;
-}
-
-priority_forward_result run_priority_forward(
-    network& net, token_state& st, const priority_forward_config& cfg) {
-  return run_rounds(priority_forward_machine(net, st, cfg));
 }
 
 }  // namespace ncdn

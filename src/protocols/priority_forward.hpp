@@ -48,7 +48,4 @@ struct priority_forward_result : protocol_result {
 round_task<priority_forward_result> priority_forward_machine(
     network& net, token_state& st, priority_forward_config cfg);
 
-priority_forward_result run_priority_forward(
-    network& net, token_state& st, const priority_forward_config& cfg);
-
 }  // namespace ncdn

@@ -46,8 +46,8 @@ round_task<gather_result> random_forward_machine(
   }
 
   const round_t start = net.rounds_elapsed();
-  const round_t gather_rounds = static_cast<round_t>(std::max<std::size_t>(
-      1, static_cast<std::size_t>(cfg.gather_factor * static_cast<double>(n))));
+  const round_t gather_rounds = std::max<round_t>(
+      1, round_cap(cfg.gather_factor * static_cast<double>(n)));
 
   for (round_t r = 0; r < gather_rounds; ++r) {
     net.step<random_forward_msg>(
@@ -94,8 +94,8 @@ round_task<gather_result> random_forward_machine(
     return a.count != b.count ? a.count > b.count : a.uid > b.uid;
   };
 
-  const round_t flood_rounds = static_cast<round_t>(std::max<std::size_t>(
-      1, static_cast<std::size_t>(cfg.flood_factor * static_cast<double>(n))));
+  const round_t flood_rounds = std::max<round_t>(
+      1, round_cap(cfg.flood_factor * static_cast<double>(n)));
   for (round_t r = 0; r < flood_rounds; ++r) {
     net.step<max_flood_msg>(
         st,
@@ -125,12 +125,6 @@ round_task<gather_result> random_forward_machine(
   }
   res.rounds = net.rounds_elapsed() - start;
   co_return res;
-}
-
-gather_result run_random_forward(network& net, token_state& st,
-                                 const gather_config& cfg,
-                                 const std::vector<bool>* raise_fail) {
-  return run_rounds(random_forward_machine(net, st, cfg, raise_fail));
 }
 
 }  // namespace ncdn

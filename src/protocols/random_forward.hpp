@@ -38,9 +38,4 @@ round_task<gather_result> random_forward_machine(
     network& net, token_state& st, gather_config cfg,
     const std::vector<bool>* raise_fail = nullptr);
 
-/// Blocking convenience over the machine (draw-for-draw identical).
-gather_result run_random_forward(network& net, token_state& st,
-                                 const gather_config& cfg,
-                                 const std::vector<bool>* raise_fail = nullptr);
-
 }  // namespace ncdn

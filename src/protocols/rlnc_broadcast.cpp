@@ -13,11 +13,11 @@ rlnc_session::rlnc_session(std::size_t n, std::size_t items,
                            std::unique_ptr<coding_backend> backend)
     : items_(items),
       item_bits_(item_bits),
-      backend_(std::move(backend)),
-      progress_(n, 0) {
+      backend_(std::move(backend)) {
   NCDN_EXPECTS(items >= 1);
   NCDN_EXPECTS(item_bits >= 1);
   NCDN_EXPECTS(backend_ != nullptr);
+  delays_.reset(n);
   coders_.reserve(n);
   for (std::size_t u = 0; u < n; ++u) {
     coders_.push_back(backend_->make_node_coder(items, item_bits));
@@ -33,10 +33,6 @@ void rlnc_session::seed(node_id u, std::size_t index, const bitvec& payload) {
   row.copy_bits_from(payload, 0, item_bits_, items_);
   coders_[u]->insert(row);
   note_progress(u);
-}
-
-round_t rlnc_session::run(network& net, round_t max_rounds, bool stop_early) {
-  return run_rounds(run_stepped(net, max_rounds, stop_early));
 }
 
 round_task<round_t> rlnc_session::run_stepped(network& net,
@@ -79,12 +75,9 @@ bool rlnc_session::all_complete() const {
 
 void rlnc_session::note_progress(node_id u) {
   const std::size_t p = coders_[u]->decode_progress();
-  const std::size_t delta = p - progress_[u];
-  NCDN_AUDIT(audit_delay_flips(u, delta));  // delta == can_decode flips
-  if (delta == 0) return;
-  if (delay_hist_.size() <= delay_round_) delay_hist_.resize(delay_round_ + 1);
-  delay_hist_[delay_round_] += delta;
-  progress_[u] = p;
+  // The recorded delta must equal the can_decode flips since last time.
+  NCDN_AUDIT(audit_delay_flips(u, p - delays_.progress[u]));
+  delays_.note(u, p, delay_round_);
 }
 
 bool rlnc_session::audit_delay_flips(node_id u, std::size_t delta) {

@@ -88,6 +88,15 @@ struct block_ann_msg {
   }
 };
 
+// Generous per-epoch broadcast cap (Lemma 8.1 shape: (n + bT^2) log n).
+round_t broadcast_cap(const tstable_config& cfg, std::size_t n) {
+  const double t = static_cast<double>(cfg.t_stability);
+  return round_cap(
+      cfg.broadcast_cap_factor *
+      (static_cast<double>(n) + static_cast<double>(cfg.b_bits) * t * t) *
+      static_cast<double>(log2ceil(n) + 2));
+}
+
 /// §8.3 mode B: patch-pipelined gathering + patch broadcast.
 round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
                                                 const tstable_config& cfg,
@@ -114,11 +123,7 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
 
   const std::size_t max_epochs =
       cfg.max_epochs != 0 ? cfg.max_epochs : 16 + 8 * dist.k();
-  const double t_d = static_cast<double>(t);
-  const round_t bc_cap = static_cast<round_t>(
-      cfg.broadcast_cap_factor *
-      (static_cast<double>(n) + static_cast<double>(cfg.b_bits) * t_d * t_d) *
-      static_cast<double>(log2ceil(n) + 2));
+  const round_t bc_cap = broadcast_cap(cfg, n);
 
   std::vector<bool> raise_fail(n, false);
   std::vector<std::vector<std::size_t>> last_epoch_tokens(n);
@@ -351,12 +356,7 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
   gcfg.gather_factor = cfg.gather_factor;
   gcfg.flood_factor = cfg.flood_factor;
 
-  // Generous per-epoch broadcast cap (Lemma 8.1 shape: (n + bT^2) log n).
-  const double t_d = static_cast<double>(cfg.t_stability);
-  const round_t bc_cap = static_cast<round_t>(
-      cfg.broadcast_cap_factor *
-      (static_cast<double>(n) + static_cast<double>(cfg.b_bits) * t_d * t_d) *
-      static_cast<double>(log2ceil(n) + 2));
+  const round_t bc_cap = broadcast_cap(cfg, n);
 
   for (std::size_t epoch = 0; epoch < max_epochs; ++epoch) {
     const gather_result g =
@@ -460,11 +460,6 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
   }
   res.max_message_bits = net.max_observed_message_bits();
   co_return res;
-}
-
-tstable_result run_tstable_dissemination(network& net, token_state& st,
-                                         const tstable_config& cfg) {
-  return run_rounds(tstable_machine(net, st, cfg));
 }
 
 }  // namespace ncdn

@@ -56,7 +56,4 @@ struct tstable_result : protocol_result {
 round_task<tstable_result> tstable_machine(network& net, token_state& st,
                                            tstable_config cfg);
 
-tstable_result run_tstable_dissemination(network& net, token_state& st,
-                                         const tstable_config& cfg);
-
 }  // namespace ncdn

@@ -149,11 +149,6 @@ bool tstable_patch_session::all_complete() const {
 // Patching: distributed Luby on G^D + tree building, all real rounds.
 // ---------------------------------------------------------------------------
 
-bool build_patches_distributed(network& net, const patch_plan& plan,
-                               built_patches& wp) {
-  return run_rounds(build_patches_machine(net, plan, wp));
-}
-
 round_task<bool> build_patches_machine(network& net, const patch_plan& plan,
                                        built_patches& wp) {
   const std::size_t n = plan.n;
@@ -508,13 +503,8 @@ round_task<void> tstable_patch_session::pass_stepped(network& net,
 }
 
 // ---------------------------------------------------------------------------
-// run: whole stability windows of [patching][cycles...].
+// run_stepped: whole stability windows of [patching][cycles...].
 // ---------------------------------------------------------------------------
-
-round_t tstable_patch_session::run(network& net, round_t max_rounds,
-                                   bool stop_early) {
-  return run_rounds(run_stepped(net, max_rounds, stop_early));
-}
 
 round_task<round_t> tstable_patch_session::run_stepped(network& net,
                                                        round_t max_rounds,
@@ -587,11 +577,6 @@ bool chunked_meta_session::all_complete() const {
     if (!d.complete()) return false;
   }
   return true;
-}
-
-round_t chunked_meta_session::run(network& net, round_t max_rounds,
-                                  bool stop_early) {
-  return run_rounds(run_stepped(net, max_rounds, stop_early));
 }
 
 round_task<round_t> chunked_meta_session::run_stepped(network& net,

@@ -66,15 +66,11 @@ struct built_patches {
   std::vector<std::vector<node_id>> children;  // sorted
 };
 
-/// Runs the construction on the *current* stability window; consumes
-/// plan.patch_rounds message rounds.  Returns false on the whp-rare event
-/// that Luby did not converge within its budget (callers skip the window
-/// and retry with fresh randomness).
-bool build_patches_distributed(network& net, const patch_plan& plan,
-                               built_patches& out);
-
-/// The same construction as a round-driven machine (every Luby / wave /
-/// notification round is a suspension point).
+/// Runs the construction on the *current* stability window as a
+/// round-driven machine (every Luby / wave / notification round is a
+/// suspension point); consumes plan.patch_rounds message rounds.  Returns
+/// false on the whp-rare event that Luby did not converge within its
+/// budget (callers skip the window and retry with fresh randomness).
 round_task<bool> build_patches_machine(network& net, const patch_plan& plan,
                                        built_patches& out);
 
@@ -90,10 +86,7 @@ class tstable_patch_session final : public knowledge_view {
   void seed(node_id u, std::size_t index, const bitvec& payload);
 
   /// Runs whole stability windows until all nodes decode (stop_early) or
-  /// the round cap; returns rounds consumed.
-  round_t run(network& net, round_t max_rounds, bool stop_early);
-
-  /// Round-driven machine form of run() (awaitable sub-phase).
+  /// the round cap; returns rounds consumed.  An awaitable sub-phase.
   round_task<round_t> run_stepped(network& net, round_t max_rounds,
                                   bool stop_early);
 
@@ -150,8 +143,8 @@ class chunked_meta_session final : public knowledge_view {
   round_t t_vec() const noexcept { return t_vec_; }
 
   void seed(node_id u, std::size_t index, const bitvec& payload);
-  round_t run(network& net, round_t max_rounds, bool stop_early);
-  /// Round-driven machine form of run() (awaitable sub-phase).
+  /// Runs up to `max_rounds` rounds, or until every node decodes when
+  /// stop_early; returns rounds used.  An awaitable sub-phase.
   round_task<round_t> run_stepped(network& net, round_t max_rounds,
                                   bool stop_early);
 

@@ -17,7 +17,8 @@ TEST(centralized, disseminates_in_linear_rounds) {
     token_state st(dist);
     centralized_config cfg;
     cfg.b_bits = 64;
-    const protocol_result res = run_centralized_rlnc(net, st, cfg);
+    const protocol_result res =
+        run_rounds(centralized_rlnc_machine(net, st, cfg));
     EXPECT_TRUE(res.complete);
     // Theta(n): generous constant but clearly linear, and headerless.
     EXPECT_LE(res.rounds, 8 * n);
@@ -35,7 +36,8 @@ TEST(centralized, message_carries_no_header_bits) {
   token_state st(dist);
   centralized_config cfg;
   cfg.b_bits = b;
-  const protocol_result res = run_centralized_rlnc(net, st, cfg);
+  const protocol_result res =
+      run_rounds(centralized_rlnc_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
   EXPECT_EQ(res.max_message_bits, (b / d) * d);
 }
@@ -49,7 +51,8 @@ TEST(centralized, works_on_sorted_path_adversary) {
   token_state st(dist);
   centralized_config cfg;
   cfg.b_bits = 32;
-  const protocol_result res = run_centralized_rlnc(net, st, cfg);
+  const protocol_result res =
+      run_rounds(centralized_rlnc_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
 }
 

@@ -65,7 +65,8 @@ TEST_P(backend_suite, decodes_true_payloads_on_a_dynamic_network) {
   rlnc_session s(n, k, d, GetParam().make());
   const std::vector<bitvec> payloads = seed_all(s, n, k, d, r);
 
-  const round_t used = s.run(net, 200 * (n + k), /*stop_early=*/true);
+  const round_t used =
+      run_rounds(s.run_stepped(net, 200 * (n + k), /*stop_early=*/true));
   ASSERT_TRUE(s.all_complete()) << GetParam().label;
   EXPECT_GT(used, 0u);
   for (node_id u = 0; u < n; ++u) {
@@ -120,7 +121,7 @@ TEST(generation_backend, knowledge_is_decodable_count_and_monotone) {
   EXPECT_GE(s.knowledge(0), 1u);
   std::vector<std::size_t> last(n, 0);
   for (round_t step = 0; step < 400 && !s.all_complete(); ++step) {
-    s.run(net, 1, /*stop_early=*/false);
+    run_rounds(s.run_stepped(net, 1, /*stop_early=*/false));
     for (node_id u = 0; u < n; ++u) {
       const std::size_t now = s.knowledge(u);
       EXPECT_GE(now, last[u]) << "decodable count regressed at node " << u;
@@ -166,7 +167,7 @@ TEST(dense_bit_identity, explicit_dense_backend_equals_default_ctor) {
                          ? rlnc_session(n, k, d, make_dense())
                          : rlnc_session(n, k, d);
     seed_all(s, n, k, d, r);
-    const round_t used = s.run(net, 20 * (n + k), true);
+    const round_t used = run_rounds(s.run_stepped(net, 20 * (n + k), true));
     std::vector<std::uint64_t> sig{used, s.xor_word_ops()};
     for (node_id u = 0; u < n; ++u) {
       sig.push_back(s.decode_progress(u));

@@ -62,7 +62,8 @@ run_signature run_backend(std::unique_ptr<coding_backend> backend,
     s.seed(static_cast<node_id>(i % n), i, p);
   }
   run_signature sig;
-  sig.rounds = s.run(net, 400 * (n + k), /*stop_early=*/true);
+  sig.rounds =
+      run_rounds(s.run_stepped(net, 400 * (n + k), /*stop_early=*/true));
   EXPECT_TRUE(s.all_complete());
   sig.xors = s.xor_word_ops();
   for (node_id u = 0; u < n; ++u) {

@@ -23,7 +23,7 @@ TEST(deterministic_session, is_reproducible) {
   round_t used[2];
   for (int run = 0; run < 2; ++run) {
     const std::size_t n = 10, k = 6, d = 16;
-    deterministic_rlnc_session<mersenne61> s(n, k, d, /*advice_seed=*/99);
+    field_rlnc_session<mersenne61> s(n, k, d, /*advice_seed=*/99);
     rng r(5);
     for (std::size_t i = 0; i < k; ++i) {
       bitvec p(d);
@@ -40,7 +40,7 @@ TEST(deterministic_session, is_reproducible) {
 
 TEST(deterministic_session, decodes_against_oblivious_adversaries) {
   const std::size_t n = 12, k = 8, d = 24;
-  deterministic_rlnc_session<mersenne61> s(n, k, d, 123);
+  field_rlnc_session<mersenne61> s(n, k, d, 123);
   rng r(13);
   std::vector<bitvec> payloads;
   for (std::size_t i = 0; i < k; ++i) {
@@ -65,7 +65,7 @@ TEST(omniscient, large_field_defeats_omniscient_adversary) {
   // Theorem 6.1's content: with q = 2^61 - 1 the omniscient chain adversary
   // cannot prevent O(n + k) mixing.
   const std::size_t n = 12, k = 8, d = 16;
-  deterministic_rlnc_session<mersenne61> s(n, k, d, 31);
+  field_rlnc_session<mersenne61> s(n, k, d, 31);
   rng r(37);
   for (std::size_t i = 0; i < k; ++i) {
     bitvec p(d);
@@ -87,7 +87,7 @@ TEST(omniscient, small_field_is_visibly_stalled) {
 
   round_t oblivious_rounds = 0;
   {
-    deterministic_rlnc_session<gf2> s(n, k, d, 53);
+    field_rlnc_session<gf2> s(n, k, d, 53);
     rng r(59);
     for (std::size_t i = 0; i < k; ++i) {
       bitvec p(d);
@@ -103,7 +103,7 @@ TEST(omniscient, small_field_is_visibly_stalled) {
   round_t omniscient_rounds = 0;
   bool omniscient_finished = false;
   {
-    deterministic_rlnc_session<gf2> s(n, k, d, 53);
+    field_rlnc_session<gf2> s(n, k, d, 53);
     rng r(59);
     for (std::size_t i = 0; i < k; ++i) {
       bitvec p(d);
@@ -125,7 +125,7 @@ TEST(omniscient, small_field_is_visibly_stalled) {
 
 TEST(omniscient, chain_topology_is_connected_path) {
   const std::size_t n = 8, k = 4, d = 8;
-  deterministic_rlnc_session<mersenne61> s(n, k, d, 71);
+  field_rlnc_session<mersenne61> s(n, k, d, 71);
   rng r(73);
   for (std::size_t i = 0; i < k; ++i) {
     bitvec p(d);

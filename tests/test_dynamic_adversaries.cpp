@@ -164,7 +164,10 @@ TEST(t_interval_random, fixed_within_window_fresh_across_windows) {
   const std::size_t n = 16;
   const round_t t = 8;
   fake_view view(std::vector<std::size_t>(n, 0));
-  auto adv = make_t_interval_random(n, t, n / 2, 5);
+  problem prob;
+  prob.n = n;  // extra_edges defaults to n / 2
+  auto adv = build_adversary(
+      prob, {"t-interval-random", {{"t", std::to_string(t)}}}, 5);
   std::vector<std::string> window_shapes;
   for (round_t r = 0; r < 8 * t; ++r) {
     const graph& g = adv->topology(r, view);

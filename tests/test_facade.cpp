@@ -19,7 +19,7 @@ TEST(naive_indexed, schedule_matches_corollary_7_1) {
   token_state st(dist);
   naive_indexed_config cfg;
   cfg.b_bits = b;
-  const protocol_result res = run_naive_indexed(net, st, cfg);
+  const protocol_result res = run_rounds(naive_indexed_machine(net, st, cfg));
   ASSERT_TRUE(res.complete);
   const std::size_t m = std::max<std::size_t>(1, b / (2 * dist.id_bits()));
   const std::size_t iters = (k + m - 1) / m + 1;  // +1 empty-detect round

@@ -37,7 +37,7 @@ TEST_P(flooding_suite, disseminates_everything) {
   flooding_config cfg;
   cfg.b_bits = c.b;
   cfg.pipelined = c.pipelined;
-  const protocol_result res = run_flooding(net, st, cfg);
+  const protocol_result res = run_rounds(flooding_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
   EXPECT_GT(res.completion_round, 0u);
   EXPECT_LE(res.completion_round, res.rounds);
@@ -72,7 +72,7 @@ TEST(flooding, single_token_floods_in_one_phase) {
   token_state st(dist);
   flooding_config cfg;
   cfg.b_bits = 16;
-  const protocol_result res = run_flooding(net, st, cfg);
+  const protocol_result res = run_rounds(flooding_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
   EXPECT_EQ(res.rounds, 12u);
   EXPECT_EQ(res.epochs, 1u);
@@ -90,7 +90,7 @@ TEST(flooding, larger_messages_cut_rounds_linearly) {
     token_state st(dist);
     flooding_config cfg;
     cfg.b_bits = b;
-    const protocol_result res = run_flooding(net, st, cfg);
+    const protocol_result res = run_rounds(flooding_machine(net, st, cfg));
     EXPECT_TRUE(res.complete);
     if (prev != 0) {
       EXPECT_EQ(res.rounds * 2, prev);
@@ -109,7 +109,7 @@ TEST(flooding, completion_tracks_observer_not_schedule) {
   token_state st(dist);
   flooding_config cfg;
   cfg.b_bits = 8;
-  const protocol_result res = run_flooding(net, st, cfg);
+  const protocol_result res = run_rounds(flooding_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
   EXPECT_LT(res.completion_round, res.rounds);
 }

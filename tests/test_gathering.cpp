@@ -38,7 +38,7 @@ TEST(random_forward, identifies_max_holder) {
   st.learn(3, 7);
   gather_config cfg;
   cfg.b_bits = 16;
-  const gather_result g = run_random_forward(net, st, cfg);
+  const gather_result g = run_rounds(random_forward_machine(net, st, cfg));
   // After gathering, the leader count can only have grown; leader holds at
   // least as many as anyone else (ties break toward higher uid).
   for (node_id u = 0; u < 8; ++u) {
@@ -58,7 +58,8 @@ TEST(random_forward, fail_flag_floods_to_everyone) {
   fail[7] = true;
   gather_config cfg;
   cfg.b_bits = 16;
-  const gather_result g = run_random_forward(net, st, cfg, &fail);
+  const gather_result g =
+      run_rounds(random_forward_machine(net, st, cfg, &fail));
   EXPECT_TRUE(g.fail_seen);
 }
 
@@ -75,7 +76,7 @@ TEST(random_forward, gathering_concentrates_tokens) {
     token_state st(dist);
     gather_config cfg;
     cfg.b_bits = b;
-    const gather_result g = run_random_forward(net, st, cfg);
+    const gather_result g = run_rounds(random_forward_machine(net, st, cfg));
     const double target = std::sqrt(static_cast<double>(b) * k / d);
     if (g.leader_count == k ||
         static_cast<double>(g.leader_count) >= target) {
@@ -103,7 +104,7 @@ TEST_P(greedy_suite, disseminates_everything) {
   token_state st(dist);
   greedy_forward_config cfg;
   cfg.b_bits = c.b;
-  const protocol_result res = run_greedy_forward(net, st, cfg);
+  const protocol_result res = run_rounds(greedy_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete) << "epochs=" << res.epochs;
   EXPECT_GT(res.epochs, 0u);
   for (node_id u = 0; u < c.n; ++u) {
@@ -137,7 +138,8 @@ TEST_P(priority_suite, disseminates_everything_flooding_mode) {
   priority_forward_config cfg;
   cfg.b_bits = c.b;
   cfg.indexing = indexing_mode::flooding;
-  const priority_forward_result res = run_priority_forward(net, st, cfg);
+  const priority_forward_result res =
+      run_rounds(priority_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete)
       << "greedy=" << res.greedy_epochs << " prio=" << res.priority_iters;
 }
@@ -154,7 +156,8 @@ TEST_P(priority_suite, disseminates_everything_charged_mode) {
   priority_forward_config cfg;
   cfg.b_bits = c.b;
   cfg.indexing = indexing_mode::charged;
-  const priority_forward_result res = run_priority_forward(net, st, cfg);
+  const priority_forward_result res =
+      run_rounds(priority_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
 }
 
@@ -177,7 +180,8 @@ TEST(priority_forward, skip_greedy_exercises_loop_directly) {
   priority_forward_config cfg;
   cfg.b_bits = b;
   cfg.skip_greedy_phase = true;
-  const priority_forward_result res = run_priority_forward(net, st, cfg);
+  const priority_forward_result res =
+      run_rounds(priority_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
   EXPECT_EQ(res.greedy_epochs, 0u);
   EXPECT_GT(res.priority_iters, 0u);
@@ -197,7 +201,7 @@ TEST(greedy_forward, recovers_from_injected_decode_failures) {
   cfg.b_bits = b;
   cfg.broadcast_factor = 1.05;  // barely enough: failures occur sometimes
   cfg.max_epochs = 4000;
-  const protocol_result res = run_greedy_forward(net, st, cfg);
+  const protocol_result res = run_rounds(greedy_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
 }
 

@@ -25,7 +25,8 @@ TEST(resilience, priority_forward_recovers_from_decode_failures) {
   cfg.broadcast_factor = 1.1;
   cfg.max_iterations = 4000;
   cfg.skip_greedy_phase = true;
-  const priority_forward_result res = run_priority_forward(net, st, cfg);
+  const priority_forward_result res =
+      run_rounds(priority_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
 }
 
@@ -40,7 +41,7 @@ TEST(resilience, naive_indexed_recovers_from_decode_failures) {
   cfg.b_bits = b;
   cfg.broadcast_factor = 1.1;
   cfg.max_iterations = 4000;
-  const protocol_result res = run_naive_indexed(net, st, cfg);
+  const protocol_result res = run_rounds(naive_indexed_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
 }
 
@@ -57,7 +58,7 @@ TEST(resilience, greedy_forward_with_adaptive_adversary_and_tight_budget) {
   cfg.b_bits = b;
   cfg.broadcast_factor = 2.0;
   cfg.max_epochs = 5000;
-  const protocol_result res = run_greedy_forward(net, st, cfg);
+  const protocol_result res = run_rounds(greedy_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
 }
 
@@ -73,7 +74,8 @@ TEST(resilience, dissemination_through_a_one_edge_cut) {
     token_state st(dist);
     greedy_forward_config cfg;
     cfg.b_bits = b;
-    const protocol_result res = run_greedy_forward(net, st, cfg);
+    const protocol_result res =
+        run_rounds(greedy_forward_machine(net, st, cfg));
     EXPECT_TRUE(res.complete);
   }
   {
@@ -88,7 +90,7 @@ TEST(resilience, dissemination_through_a_one_edge_cut) {
       p.randomize(r);
       s.seed(0, i, p);  // all items on one side of the cut
     }
-    s.run(net, 2000, true);
+    run_rounds(s.run_stepped(net, 2000, true));
     EXPECT_TRUE(s.all_complete());
   }
 }
@@ -106,7 +108,7 @@ TEST(resilience, rlnc_with_absent_item_never_completes_but_stays_sane) {
     p.randomize(r);
     s.seed(static_cast<node_id>(i), i, p);
   }
-  const round_t used = s.run(net, 500, true);
+  const round_t used = run_rounds(s.run_stepped(net, 500, true));
   EXPECT_EQ(used, 500u);  // ran to the cap
   EXPECT_FALSE(s.all_complete());
   for (node_id u = 0; u < n; ++u) {
@@ -134,7 +136,7 @@ TEST(resilience, star_hub_bottleneck) {
   token_state st(dist);
   greedy_forward_config cfg;
   cfg.b_bits = b;
-  const protocol_result res = run_greedy_forward(net, st, cfg);
+  const protocol_result res = run_rounds(greedy_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "gf/gf2k.hpp"
@@ -47,7 +48,8 @@ TEST_P(rlnc_suite, all_nodes_decode_within_linear_rounds) {
   }
 
   const round_t cap = 20 * (c.n + c.items);
-  const round_t used = session.run(net, cap, /*stop_early=*/true);
+  const round_t used =
+      run_rounds(session.run_stepped(net, cap, /*stop_early=*/true));
   ASSERT_TRUE(session.all_complete()) << "did not decode within cap";
   // Lemma 5.3's O(n + k): generous constant, but the *linear* shape.
   EXPECT_LE(used, 8 * (c.n + c.items));
@@ -87,7 +89,7 @@ TEST(rlnc_session, single_source_broadcast) {
     payloads.push_back(p);
     s.seed(0, i, p);
   }
-  s.run(net, 20 * (n + k), true);
+  run_rounds(s.run_stepped(net, 20 * (n + k), true));
   ASSERT_TRUE(s.all_complete());
   for (node_id u = 0; u < n; ++u) {
     for (std::size_t i = 0; i < k; ++i) {
@@ -109,7 +111,7 @@ TEST(rlnc_session, knowledge_view_reports_rank) {
   }
   EXPECT_EQ(s.knowledge(0), k);
   EXPECT_EQ(s.knowledge(1), 0u);
-  s.run(net, 200, true);
+  run_rounds(s.run_stepped(net, 200, true));
   for (node_id u = 0; u < n; ++u) EXPECT_EQ(s.knowledge(u), k);
 }
 
@@ -127,7 +129,7 @@ TEST(rlnc_session, redundant_seeding_is_harmless) {
     payloads.push_back(p);
     for (node_id u = 0; u < n; u += 3) s.seed(u, i, p);
   }
-  s.run(net, 20 * (n + k), true);
+  run_rounds(s.run_stepped(net, 20 * (n + k), true));
   ASSERT_TRUE(s.all_complete());
   for (node_id u = 0; u < n; ++u) {
     for (std::size_t i = 0; i < k; ++i) {
@@ -155,7 +157,7 @@ TYPED_TEST(field_rlnc_suite, broadcast_decodes_over_any_field) {
     bitvec p(item_bits);
     p.randomize(r);
     payloads.push_back(p);
-    s.seed(static_cast<node_id>(i % n), i, to_symbols<F>(p));
+    s.seed(static_cast<node_id>(i % n), i, p);
   }
   const round_t used = s.run(net, 50 * (n + k), true);
   ASSERT_TRUE(s.all_complete());
@@ -163,6 +165,41 @@ TYPED_TEST(field_rlnc_suite, broadcast_decodes_over_any_field) {
   for (node_id u = 0; u < n; ++u) {
     for (std::size_t i = 0; i < k; ++i) {
       EXPECT_EQ(s.decoder(u).decode(i), to_symbols<F>(payloads[i]));
+    }
+  }
+}
+
+TYPED_TEST(field_rlnc_suite, all_ones_payload_decodes) {
+  // Payload bits pack floor(lg q) to a symbol, so every symbol is below q:
+  // over GF(2^61 - 1) a 61-bit chunk of ones would be q itself, i.e. zero.
+  // Checked with random and with advice coefficients.
+  using F = TypeParam;
+  const std::size_t n = 6, k = 3, d = 61;
+  bitvec ones(d);
+  for (std::size_t j = 0; j < d; ++j) ones.set(j);
+  for (const auto& v : to_symbols<F>(ones)) EXPECT_LT(v, F::order);
+  const std::optional<std::uint64_t> advice_seeds[] = {std::nullopt, 7};
+  for (const auto& advice : advice_seeds) {
+    field_rlnc_session<F> s(n, k, d, advice);
+    rng r(89);
+    std::vector<bitvec> payloads{ones};
+    for (std::size_t i = 1; i < k; ++i) {
+      bitvec p(d);
+      p.randomize(r);
+      payloads.push_back(p);
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      s.seed(static_cast<node_id>(i % n), i, payloads[i]);
+    }
+    auto adv = make_permuted_path(n, 97);
+    network net(n, s.wire_bits(), *adv, 101);
+    s.run(net, 50 * (n + k), true);
+    ASSERT_TRUE(s.all_complete());
+    for (node_id u = 0; u < n; ++u) {
+      for (std::size_t i = 0; i < k; ++i) {
+        EXPECT_EQ(s.decoder(u).decode(i), to_symbols<F>(payloads[i]))
+            << "node " << u << " token " << i;
+      }
     }
   }
 }
@@ -182,7 +219,7 @@ TEST(rlnc_wire_size, gf2_messages_cost_exactly_k_plus_s_bits) {
   }
   coded_msg probe{bitvec(k + s), {}};
   EXPECT_EQ(probe.bit_size(), k + s);
-  sess.run(net, 4, false);
+  run_rounds(sess.run_stepped(net, 4, false));
   EXPECT_EQ(net.max_observed_message_bits(), k + s);
 }
 
@@ -201,7 +238,7 @@ TEST(rlnc_wire_size, field_messages_cost_exactly_k_lgq_plus_s_bits) {
   for (std::size_t i = 0; i < k; ++i) {
     bitvec p(s);
     p.randomize(r);
-    s16.seed(static_cast<node_id>(i % n), i, to_symbols<gf16>(p));
+    s16.seed(static_cast<node_id>(i % n), i, p);
   }
   s16.run(net, 4, false);
   EXPECT_EQ(net.max_observed_message_bits(), k * 4 + s);
@@ -222,7 +259,7 @@ TEST(rlnc_shape, rounds_grow_linearly_not_quadratically) {
         p.randomize(r);
         s.seed(static_cast<node_id>(i), i, p);
       }
-      const round_t used = s.run(net, 100 * n, true);
+      const round_t used = run_rounds(s.run_stepped(net, 100 * n, true));
       ASSERT_TRUE(s.all_complete());
       (n == 16 ? r16 : r32) += static_cast<double>(used);
     }

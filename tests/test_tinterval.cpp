@@ -72,7 +72,7 @@ TEST(chunked_meta, decodes_under_t_interval_connectivity) {
       s.seed(static_cast<node_id>(i % n), i, p);
     }
     const round_t cap = 2000 * (n + s.items()) * t;
-    s.run(net, cap, true);
+    run_rounds(s.run_stepped(net, cap, true));
     ASSERT_TRUE(s.all_complete()) << "T=" << t;
     for (node_id u = 0; u < n; ++u) {
       for (std::size_t i = 0; i < s.items(); ++i) {
@@ -90,7 +90,7 @@ TEST(flooding, works_under_t_interval_connectivity) {
   token_state st(dist);
   flooding_config cfg;
   cfg.b_bits = 16;
-  const protocol_result res = run_flooding(net, st, cfg);
+  const protocol_result res = run_rounds(flooding_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
 }
 
@@ -102,7 +102,7 @@ TEST(greedy_forward, works_under_t_interval_connectivity) {
   token_state st(dist);
   greedy_forward_config cfg;
   cfg.b_bits = 32;
-  const protocol_result res = run_greedy_forward(net, st, cfg);
+  const protocol_result res = run_rounds(greedy_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
 }
 

@@ -50,7 +50,7 @@ TEST(chunked_meta, decodes_on_t_stable_network) {
       s.seed(static_cast<node_id>(i % n), i, p);
     }
     const round_t cap = 400 * (n + s.items()) * t;
-    s.run(net, cap, true);
+    run_rounds(s.run_stepped(net, cap, true));
     ASSERT_TRUE(s.all_complete()) << "T=" << t;
     for (node_id u = 0; u < n; ++u) {
       for (std::size_t i = 0; i < s.items(); ++i) {
@@ -84,7 +84,7 @@ TEST(tstable_patch_session, decodes_on_stable_network) {
     s.seed(static_cast<node_id>(i % n), i, p);
   }
   const round_t cap = 2000 * t;
-  s.run(net, cap, true);
+  run_rounds(s.run_stepped(net, cap, true));
   ASSERT_TRUE(s.all_complete())
       << "windows=" << s.windows_run()
       << " failures=" << s.patching_failures();
@@ -112,7 +112,7 @@ TEST(tstable_patch_session, single_source_static_graph) {
     payloads.push_back(p);
     s.seed(0, i, p);
   }
-  s.run(net, 2000 * t, true);
+  run_rounds(s.run_stepped(net, 2000 * t, true));
   ASSERT_TRUE(s.all_complete());
   for (node_id u = 0; u < n; ++u) {
     for (std::size_t i = 0; i < plan.items; ++i) {
@@ -141,7 +141,7 @@ TEST_P(tstable_dissem_suite, disseminates_everything) {
   cfg.b_bits = c.b;
   cfg.t_stability = c.t;
   cfg.engine = c.engine;
-  const tstable_result res = run_tstable_dissemination(net, st, cfg);
+  const tstable_result res = run_rounds(tstable_machine(net, st, cfg));
   EXPECT_TRUE(res.complete) << "engine=" << static_cast<int>(res.engine_used)
                             << " epochs=" << res.epochs;
 }
@@ -171,7 +171,7 @@ TEST(tstable_dissemination, patch_gather_disseminates_everything) {
     cfg.b_bits = b;
     cfg.t_stability = t;
     cfg.engine = tstable_engine::patch_gather;
-    const tstable_result res = run_tstable_dissemination(net, st, cfg);
+    const tstable_result res = run_rounds(tstable_machine(net, st, cfg));
     EXPECT_TRUE(res.complete) << "seed " << seed;
     EXPECT_EQ(res.engine_used, tstable_engine::patch_gather);
     for (node_id u = 0; u < n; ++u) EXPECT_EQ(st.known_count(u), k);
@@ -190,7 +190,7 @@ TEST(tstable_dissemination, patch_gather_on_random_topology) {
   cfg.b_bits = b;
   cfg.t_stability = t;
   cfg.engine = tstable_engine::patch_gather;
-  const tstable_result res = run_tstable_dissemination(net, st, cfg);
+  const tstable_result res = run_rounds(tstable_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
 }
 
@@ -203,7 +203,7 @@ TEST(build_patches_distributed, produces_valid_structure) {
   static_adversary adv(g);
   network net(n, b, adv, 17);
   built_patches bp;
-  ASSERT_TRUE(build_patches_distributed(net, plan, bp));
+  ASSERT_TRUE(run_rounds(build_patches_machine(net, plan, bp)));
   EXPECT_EQ(net.rounds_elapsed(), plan.patch_rounds);
   // Every node assigned, within D of its leader, parents consistent and
   // joined to their children by graph edges.
@@ -258,7 +258,7 @@ TEST(tstable_dissemination, chunked_beats_plain_at_larger_t) {
     cfg.b_bits = b;
     cfg.t_stability = t;
     cfg.engine = which == 0 ? tstable_engine::plain : tstable_engine::chunked;
-    const tstable_result res = run_tstable_dissemination(net, st, cfg);
+    const tstable_result res = run_rounds(tstable_machine(net, st, cfg));
     ASSERT_TRUE(res.complete);
     (which == 0 ? rounds_plain : rounds_chunked) = res.rounds;
   }
