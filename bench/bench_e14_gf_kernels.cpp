@@ -4,6 +4,7 @@
 // simulation is only possible because these inner loops are cheap.
 #include <benchmark/benchmark.h>
 
+#include "coding/matrix.hpp"
 #include "core/rng.hpp"
 #include "gf/gf2k.hpp"
 #include "gf/gfp.hpp"
@@ -84,18 +85,19 @@ void bm_bit_decoder_full_decode(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   const std::size_t d = 64;
   rng r(6);
-  bit_decoder source(k, d);
+  // The stream is the dense §5.1 draw: a coin per seeded basis row.
+  const auto source = make_matrix_backend(matrix_spec{})->make_node_coder(k, d);
   for (std::size_t i = 0; i < k; ++i) {
     bitvec p(d);
     p.randomize(r);
     bitvec row(k + d);
     row.set(i);
     row.copy_bits_from(p, 0, d, k);
-    source.insert(std::move(row));
+    source->insert(row);
   }
   std::vector<bitvec> stream;
   for (std::size_t i = 0; i < 2 * k; ++i) {
-    stream.push_back(*source.random_combination(r));
+    stream.push_back(*source->make_combination(r));
   }
   for (auto _ : state) {
     bit_decoder sink(k, d);

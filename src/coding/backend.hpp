@@ -60,8 +60,7 @@ class node_coder {
 
   /// Number of tokens currently decodable (monotone; == items iff
   /// complete).  Uniform across backends — the session's decode-delay
-  /// accounting reads this instead of poking a backend-specific decoder,
-  /// which is why the old dense_decoder() nullptr escape hatch is gone.
+  /// accounting reads this instead of poking a backend-specific decoder.
   virtual std::size_t decode_progress() const = 0;
 
   /// Cumulative XOR word-ops spent eliminating and combining.

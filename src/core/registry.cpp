@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "coding/backend.hpp"
 #include "coding/matrix.hpp"
@@ -392,6 +393,17 @@ coded_backend_plan rlnc_gen_plan(const problem&, param_reader& params) {
 std::unique_ptr<protocol_machine> tstable_factory(const problem& prob,
                                                   param_reader& params,
                                                   tstable_engine engine) {
+  // A forced engine must fit the instance (auto_select falls back instead
+  // of failing); the machine's engine choice uses the same predicate.
+  if (!tstable_engine_fits(engine, prob.n, prob.b, prob.t_stability, prob.d)) {
+    throw std::invalid_argument(
+        "ncdn: this T-stable engine does not fit n=" + std::to_string(prob.n) +
+        ", b=" + std::to_string(prob.b) + ", T=" +
+        std::to_string(prob.t_stability) + ", d=" + std::to_string(prob.d) +
+        " (its coded item must hold a d-bit token, and the patch engines "
+        "need a window that fits patching plus one share-pass-share "
+        "cycle); use tstable/auto, or raise t_stability or b");
+  }
   tstable_config cfg;
   cfg.b_bits = prob.b;
   cfg.t_stability = prob.t_stability;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "content/driver.hpp"
 #include "core/bits.hpp"
@@ -100,6 +101,12 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
   }
   if (prob_.b < bits_for(prob_.n)) {
     throw std::invalid_argument("ncdn: the model requires b >= log2 n (§4.1)");
+  }
+  // Tokens are distinct nonzero d-bit strings (coding/token.cpp).
+  if (prob_.d < 64 && prob_.k >= (std::size_t{1} << prob_.d)) {
+    throw std::invalid_argument(
+        "ncdn: k distinct d-bit tokens need k < 2^d (got k=" +
+        std::to_string(prob_.k) + ", d=" + std::to_string(prob_.d) + ")");
   }
   if (prob_.place == placement::one_per_node && prob_.k != prob_.n) {
     throw std::invalid_argument(
@@ -262,17 +269,21 @@ void session::collect(const round_digest& digest) {
     }
     scratch_.tokens_retired = retired;
 
-    // Decode-cost delta.  Work counters are cumulative per view; a view
-    // swap (multi-phase protocols hand the engine a fresh coding session)
-    // charges the new view's accumulated work to this round.  Keyed on
-    // view_id — per-object counters are monotone, so same id means the
-    // delta is exact.
+    // Decode-cost delta.  Work counters are cumulative per view, and a
+    // protocol may step other views between two rounds of one coding view
+    // (the patch session builds each window's patches under its own), so
+    // the delta is against that view's last reading.  Keyed on view_id —
+    // per-object counters are monotone, so the delta is exact; views that
+    // have done no work never enter the table.
     const std::uint64_t w = digest.view->coding_work();
     const std::uint64_t id = digest.view->view_id();
-    scratch_.elimination_xors =
-        id == last_work_view_id_ ? w - last_work_ : w;
-    last_work_view_id_ = id;
-    last_work_ = w;
+    scratch_.elimination_xors = 0;
+    if (w != 0) {
+      std::uint64_t& seen = work_seen_[id];
+      scratch_.elimination_xors = w - seen;
+      seen = w;
+    }
+    last_view_id_ = id;
     metrics_.total_elimination_xors += scratch_.elimination_xors;
 
     // Decode-delay delta, same cumulative-per-view discipline.  Coded
@@ -440,7 +451,7 @@ bool session::audit_knowledge_monotone(const std::vector<std::size_t>& now,
   // Multi-phase protocols hand the engine fresh views whose rank-based
   // knowledge restarts at zero, so monotonicity only binds within one
   // view epoch (same id as the previous observed round).
-  if (view_id != last_work_view_id_) return true;
+  if (view_id != last_view_id_) return true;
   if (last_knowledge_.size() != now.size()) return last_knowledge_.empty();
   for (std::size_t u = 0; u < now.size(); ++u) {
     if (now[u] < last_knowledge_[u]) return false;  // tokens are never lost

@@ -25,6 +25,7 @@
 // protocols' hand-rolled observer-measured completion tracking.
 #pragma once
 
+#include <map>
 #include <optional>
 
 #include "content/content.hpp"
@@ -150,12 +151,12 @@ class session {
   observer_fn observer_;
   round_metrics scratch_;  // reused snapshot buffer
   std::vector<std::size_t> last_knowledge_;
+  std::uint64_t last_view_id_ = 0;  // last stepped view; 0 = none yet
   // coding_work delta tracking (see round_metrics::elimination_xors): the
-  // counters are cumulative per view, so remember which view we last read
+  // counters are cumulative per view, so remember each view's last reading
   // — by view_id, not address, so a phase's fresh view reusing a freed
   // view's storage cannot inherit its counter.
-  std::uint64_t last_work_view_id_ = 0;  // 0 = none yet
-  std::uint64_t last_work_ = 0;
+  std::map<std::uint64_t, std::uint64_t> work_seen_;
   // Decode-delay delta tracking: the view's histogram is cumulative, so
   // per-round newly_decodable is the bucket-wise diff against the last
   // snapshot of the same view (fresh views start from zero).

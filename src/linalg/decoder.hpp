@@ -18,12 +18,13 @@
 // the projection analysis (Lemma 5.2) applies verbatim to any random
 // combination with independent uniform coefficients over a spanning set.
 // Recoding from the basis is also what practical RLNC implementations do.
+// bit_decoder only eliminates: the GF(2) draws over its basis are the
+// encoder schedules of coding/matrix.hpp.
 #pragma once
 
 #include <optional>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "core/contracts.hpp"
 #include "gf/field.hpp"
 #include "linalg/bitvec.hpp"
@@ -83,39 +84,6 @@ class bit_decoder {
     return true;
   }
 
-  /// Uniformly random combination of the basis (may be the zero vector).
-  /// Returns nullopt if nothing has been received yet.  A non-null pool
-  /// supplies the output row's storage (identical contents either way).
-  std::optional<bitvec> random_combination(rng& r,
-                                           word_arena* pool = nullptr) const {
-    if (rows_.empty()) return std::nullopt;
-    bitvec out = pool != nullptr ? pool->make(row_bits()) : bitvec(row_bits());
-    for (const bitvec& row : rows_) {
-      if (r.coin()) {
-        out.xor_with(row);
-        xor_words_ += out.words().size();
-      }
-    }
-    return out;
-  }
-
-  /// Sparse-RLNC combination: each basis row is included with independent
-  /// probability `rho` instead of 1/2 (Firooz & Roy's density/delay
-  /// trade-off; sparsenc's `density` knob).  Draws one RNG value per basis
-  /// row, like random_combination, but from the Bernoulli stream.
-  std::optional<bitvec> sparse_combination(rng& r, double rho,
-                                           word_arena* pool = nullptr) const {
-    if (rows_.empty()) return std::nullopt;
-    bitvec out = pool != nullptr ? pool->make(row_bits()) : bitvec(row_bits());
-    for (const bitvec& row : rows_) {
-      if (r.bernoulli(rho)) {
-        out.xor_with(row);
-        xor_words_ += out.words().size();
-      }
-    }
-    return out;
-  }
-
   /// True iff some basis row's coefficient part is non-orthogonal to mu
   /// (Definition 5.1 "senses"; equivalent over the received span).
   /// Word-parallel via bitvec::dot — mu is coeff_dim bits, so the dot
@@ -166,8 +134,8 @@ class bit_decoder {
   std::size_t decodable_count() const noexcept { return decodable_; }
 
   /// Cumulative 64-bit XOR word-operations spent in Gaussian elimination
-  /// (insert) and combination generation — the decode-cost axis the sparse
-  /// and generation backends trade rounds against.
+  /// (insert) — the decode-cost axis the sparse and generation backends
+  /// trade rounds against.
   std::uint64_t xor_word_ops() const noexcept { return xor_words_; }
 
   void reset(std::size_t coeff_dim, std::size_t payload_bits) {
@@ -214,7 +182,7 @@ class bit_decoder {
   std::vector<std::size_t> pivots_;
   std::vector<std::size_t> pivot_row_;  // pivot column -> index into rows_
   std::size_t decodable_ = 0;     // singleton rows (decodable tokens)
-  mutable std::uint64_t xor_words_ = 0;  // stats only; const combiners count
+  std::uint64_t xor_words_ = 0;
 };
 
 /// Generic-field incremental decoder; rows are symbol vectors

@@ -38,44 +38,6 @@ inline round_t round_cap(double rounds, round_t slack = 0) {
   return base > top - slack ? top : base + slack;
 }
 
-/// Decode-delay accounting shared by the coding sessions (rlnc_session,
-/// the genie baseline and the patch/chunked T-stable engines): how many
-/// rounds after the session's start did each (node, token) pair first
-/// become decodable?  Seeds land in bucket 0; later arrivals in the
-/// session-local round of their insert.
-struct decode_delay_tracker {
-  std::vector<std::size_t> progress;  // last observed per-node count
-  std::vector<std::uint64_t> hist;    // bucket = session-local round
-  round_t base = 0;                   // network round at session start
-  bool have_base = false;
-
-  void reset(std::size_t n) {
-    progress.assign(n, 0);
-    hist.clear();
-    have_base = false;
-  }
-  /// Pins bucket 0 to the network's current round (first call wins;
-  /// callers invoke this at run entry, after seeding).
-  void start(round_t now) {
-    if (!have_base) {
-      base = now;
-      have_base = true;
-    }
-  }
-  /// Folds node u's decodable-count delta into the given bucket.
-  void note(node_id u, std::size_t decodable, round_t bucket) {
-    const std::size_t delta = decodable - progress[u];
-    if (delta == 0) return;
-    if (hist.size() <= bucket) hist.resize(bucket + 1);
-    hist[bucket] += delta;
-    progress[u] = decodable;
-  }
-  /// Bucket for an insert happening at network round `now`.
-  round_t bucket(round_t now) const {
-    return have_base && now > base ? now - base : 0;
-  }
-};
-
 /// Tracks which tokens each node knows, and which tokens are still "in
 /// consideration" (not yet removed by a completed broadcast, §7).  Tokens
 /// are referenced by their index in the sorted token_distribution — a

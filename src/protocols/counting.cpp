@@ -5,8 +5,9 @@
 #include <vector>
 
 #include "coding/budget.hpp"
+#include "coding/matrix.hpp"
 #include "core/bits.hpp"
-#include "linalg/decoder.hpp"
+#include "protocols/coded_nodes.hpp"
 
 namespace ncdn {
 
@@ -187,21 +188,18 @@ counting_result run_counting(network& net, const counting_config& cfg) {
         }
         const std::size_t k_items =
             ceil_div(chosen.size(), budget.tokens_per_item);
-        std::vector<bit_decoder> dec(
-            n, bit_decoder(k_items, budget.item_bits));
+        coded_nodes nodes(n, k_items, budget.item_bits,
+                          make_matrix_backend(matrix_spec{}));
         for (std::size_t i = 0; i < k_items; ++i) {
-          bitvec row(k_items + budget.item_bits);
-          row.set(i);
+          bitvec block(budget.item_bits);
           for (std::size_t j = 0; j < budget.tokens_per_item; ++j) {
             const std::size_t idx = i * budget.tokens_per_item + j;
             if (idx >= chosen.size()) break;
             for (std::size_t bit = 0; bit < ub; ++bit) {
-              if ((chosen[idx] >> bit) & 1u) {
-                row.set(k_items + j * ub + bit);
-              }
+              if ((chosen[idx] >> bit) & 1u) block.set(j * ub + bit);
             }
           }
-          dec[leader].insert(std::move(row));
+          nodes.seed(leader, i, block);
         }
         const round_t bc_rounds = 2 * (phase_len + static_cast<round_t>(
                                                        k_items));
@@ -209,18 +207,20 @@ counting_result run_counting(network& net, const counting_config& cfg) {
           net.step<coded_msg_c>(
               view,
               [&](node_id u, rng& prng) -> std::optional<coded_msg_c> {
-                auto combo = dec[u].random_combination(prng);
+                auto combo = nodes.coder(u).make_combination(prng);
                 if (!combo) return std::nullopt;
                 return coded_msg_c{std::move(*combo)};
               },
               [&](node_id u, const std::vector<const coded_msg_c*>& inbox) {
-                for (const coded_msg_c* m : inbox) dec[u].insert(m->row);
+                for (const coded_msg_c* m : inbox) {
+                  nodes.coder(u).insert(m->row);
+                }
               });
         }
         for (node_id u = 0; u < n; ++u) {
-          if (!dec[u].complete()) continue;
+          if (!nodes.node_complete(u)) continue;
           for (std::size_t i = 0; i < k_items; ++i) {
-            const bitvec block = dec[u].decode(i);
+            const bitvec block = nodes.decode(u, i);
             for (std::size_t j = 0; j < budget.tokens_per_item; ++j) {
               uid_t id = 0;
               for (std::size_t bit = 0; bit < ub; ++bit) {

@@ -1,6 +1,7 @@
 #include "protocols/greedy_forward.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "core/bits.hpp"
 #include "protocols/random_forward.hpp"
@@ -90,14 +91,11 @@ round_task<protocol_result> greedy_forward_machine(
 
     rlnc_session session(n, k_items, budget.item_bits);
     session.set_arena(net.arena());
+    const std::span<const std::size_t> tokens(chosen);
     for (std::size_t i = 0; i < k_items; ++i) {
-      bitvec block(budget.item_bits);
-      for (std::size_t j = 0; j < budget.tokens_per_item; ++j) {
-        const std::size_t idx = i * budget.tokens_per_item + j;
-        if (idx >= chosen.size()) break;  // zero padding
-        block.copy_bits_from(dist.tokens[chosen[idx]].payload, 0, d, j * d);
-      }
-      session.seed(leader, i, block);
+      session.seed(leader, i,
+                   pack_block(dist, tokens.subspan(i * budget.tokens_per_item),
+                              budget.item_bits));
     }
     co_await session.run_stepped(net, bc_rounds, /*stop_early=*/false);
 
@@ -108,15 +106,8 @@ round_task<protocol_result> greedy_forward_machine(
         last_epoch_tokens[u].clear();
         continue;
       }
-      std::vector<std::size_t> decoded_tokens;
-      for (std::size_t i = 0; i < k_items; ++i) {
-        const bitvec block = session.decode(u, i);
-        for (std::size_t j = 0; j < budget.tokens_per_item; ++j) {
-          const bitvec payload = block.slice(j * d, d);
-          if (!payload.any()) continue;  // padding
-          decoded_tokens.push_back(by_payload.at(payload.hash()));
-        }
-      }
+      std::vector<std::size_t> decoded_tokens =
+          unpack_blocks(session, u, by_payload, d);
       for (std::size_t t : decoded_tokens) {
         st.learn(u, t);
         st.retire(u, t);

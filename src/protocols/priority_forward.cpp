@@ -222,12 +222,8 @@ round_task<priority_forward_result> priority_forward_machine(
     for (std::size_t i = 0; i < s; ++i) {
       const node_id origin = std::get<1>(selected[i]);
       const std::uint32_t idx = std::get<2>(selected[i]);
-      const std::vector<std::size_t>& blk = blocks[origin][idx];
-      bitvec payload(block_bits);
-      for (std::size_t j = 0; j < blk.size(); ++j) {
-        payload.copy_bits_from(dist.tokens[blk[j]].payload, 0, d, j * d);
-      }
-      session.seed(origin, i, payload);
+      session.seed(origin, i,
+                   pack_block(dist, blocks[origin][idx], block_bits));
     }
     const round_t bc_rounds = std::max<round_t>(
         1, round_cap(cfg.broadcast_factor * static_cast<double>(n + s)));
@@ -240,15 +236,8 @@ round_task<priority_forward_result> priority_forward_machine(
         last_iter_tokens[u].clear();
         continue;
       }
-      std::vector<std::size_t> decoded;
-      for (std::size_t i = 0; i < s; ++i) {
-        const bitvec block = session.decode(u, i);
-        for (std::size_t j = 0; j < g; ++j) {
-          const bitvec payload = block.slice(j * d, d);
-          if (!payload.any()) continue;  // padding
-          decoded.push_back(by_payload.at(payload.hash()));
-        }
-      }
+      std::vector<std::size_t> decoded =
+          unpack_blocks(session, u, by_payload, d);
       for (std::size_t t : decoded) {
         st.learn(u, t);
         st.retire(u, t);

@@ -22,6 +22,7 @@
 #include "dynnet/network.hpp"
 #include "gf/field.hpp"
 #include "linalg/decoder.hpp"
+#include "protocols/coded_nodes.hpp"
 
 namespace ncdn {
 
@@ -42,19 +43,12 @@ struct coded_msg {
 /// coding_backend (dense by default, draw-for-draw identical to the
 /// pre-backend session; see coding/matrix.hpp for sparse and
 /// generation/band coding).
-class rlnc_session final : public knowledge_view {
+class rlnc_session final : public coded_nodes {
  public:
   /// Dense backend (the paper's §5.1 path).
   rlnc_session(std::size_t n, std::size_t items, std::size_t item_bits);
   rlnc_session(std::size_t n, std::size_t items, std::size_t item_bits,
                std::unique_ptr<coding_backend> backend);
-
-  std::size_t items() const noexcept { return items_; }
-  std::size_t item_bits() const noexcept { return item_bits_; }
-  const coding_backend& backend() const noexcept { return *backend_; }
-
-  /// Gives node u the original item `index` (inserts [e_index | payload]).
-  void seed(node_id u, std::size_t index, const bitvec& payload);
 
   /// Draws outgoing rows from `pool` (null = plain heap rows).  The draws
   /// and the bytes on the wire are identical either way; only the row
@@ -68,67 +62,9 @@ class rlnc_session final : public knowledge_view {
   round_task<round_t> run_stepped(network& net, round_t max_rounds,
                                   bool stop_early);
 
-  bool all_complete() const;
-  bool node_complete(node_id u) const { return coders_[u]->complete(); }
-
-  /// Backend-independent decode surface.
-  bool can_decode(node_id u, std::size_t i) const {
-    return coders_[u]->can_decode(i);
-  }
-  bitvec decode(node_id u, std::size_t i) const {
-    return coders_[u]->decode(i);
-  }
-
-  /// Tokens node u can decode right now (monotone, backend-independent;
-  /// == items() iff node_complete(u)).
-  std::size_t decode_progress(node_id u) const {
-    return coders_[u]->decode_progress();
-  }
-
-  /// Cumulative elimination/combination XOR word-ops across all nodes.
-  std::uint64_t xor_word_ops() const {
-    std::uint64_t total = 0;
-    for (const auto& c : coders_) total += c->xor_word_ops();
-    return total;
-  }
-
-  /// knowledge_view: adaptive adversaries see the rank of each node's span
-  /// (the paper's knowledge-based notion for coding algorithms; decodable
-  /// count for generation coding).
-  std::size_t node_count() const override { return coders_.size(); }
-  std::size_t knowledge(node_id u) const override {
-    return coders_[u]->rank();
-  }
-  std::uint64_t coding_work() const override { return xor_word_ops(); }
-  /// Decode-delay histogram: bucket = session-local round a (node, token)
-  /// pair first became decodable (seeds in bucket 0), value = pair count.
-  const std::vector<std::uint64_t>* decode_delays() const override {
-    return &delays_.hist;
-  }
-
  private:
-  /// Folds node u's decode-progress delta into the delay histogram at the
-  /// current round bucket.  Called after every insert batch (seeding and
-  /// round delivery) — the only places progress can move.
-  void note_progress(node_id u);
-  /// Audit rebuild (NCDN_AUDIT): the recorded delta must equal the number
-  /// of per-token can_decode flips since the last observation, and flips
-  /// only ever go false -> true.  Mutates audit-only snapshot state; never
-  /// called in release builds.
-  bool audit_delay_flips(node_id u, std::size_t delta);
-
-  std::size_t items_;
-  std::size_t item_bits_;
-  std::unique_ptr<coding_backend> backend_;
-  std::vector<std::unique_ptr<node_coder>> coders_;
   word_arena* arena_ = nullptr;
-
-  // Decode-delay accounting (tail latency, Costa et al.): when did each
-  // (node, token) pair first become decodable?  Tracked as monotone
-  // decode_progress deltas — O(n) per round, no per-token scans.
-  decode_delay_tracker delays_;  // bucket = delay_round_
-  round_t delay_round_ = 0;      // rounds stepped so far
-  std::vector<std::vector<char>> audit_decodable_;  // audit-only snapshots
+  round_t delay_round_ = 0;  // rounds stepped so far: the delay bucket
 };
 
 /// Bits of payload packed into one field symbol: floor(lg q), so every

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "core/bits.hpp"
 #include "protocols/greedy_forward.hpp"
@@ -20,51 +21,34 @@ struct engine_sizing {
 
 engine_sizing choose_engine(const tstable_config& cfg, std::size_t n,
                             std::size_t d) {
+  const auto fits = [&](tstable_engine engine) {
+    return tstable_engine_fits(engine, n, cfg.b_bits, cfg.t_stability, d);
+  };
   engine_sizing s;
-  const auto try_patch = [&]() -> bool {
+  s.engine = cfg.engine;
+  if (s.engine == tstable_engine::auto_select) {
+    s.engine = fits(tstable_engine::patch)     ? tstable_engine::patch
+               : fits(tstable_engine::chunked) ? tstable_engine::chunked
+                                               : tstable_engine::plain;
+  }
+  NCDN_EXPECTS(fits(s.engine));
+  if (s.engine == tstable_engine::patch ||
+      s.engine == tstable_engine::patch_gather) {
     const patch_plan plan =
         plan_patch_broadcast(n, cfg.b_bits, cfg.t_stability);
-    if (!plan.feasible || plan.item_bits < d) return false;
-    s.engine = tstable_engine::patch;
     s.items = plan.items;
     s.item_bits = plan.item_bits;
-    s.tokens_per_item = plan.item_bits / d;
-    return true;
-  };
-  const auto try_chunked = [&]() -> bool {
-    const chunked_meta_session probe(n, cfg.b_bits, cfg.t_stability);
-    if (probe.item_bits() < d) return false;
-    s.engine = tstable_engine::chunked;
-    s.items = probe.items();
-    s.item_bits = probe.item_bits();
-    s.tokens_per_item = probe.item_bits() / d;
-    return true;
-  };
-  const auto plain = [&]() {
+  } else if (s.engine == tstable_engine::chunked) {
+    const chunked_plan plan =
+        plan_chunked_broadcast(cfg.b_bits, cfg.t_stability);
+    s.items = plan.items;
+    s.item_bits = plan.item_bits;
+  } else {
     const coded_budget budget = block_budget(cfg.b_bits, d);
-    s.engine = tstable_engine::plain;
     s.items = budget.items;
     s.item_bits = budget.item_bits;
-    s.tokens_per_item = budget.tokens_per_item;
-  };
-  switch (cfg.engine) {
-    case tstable_engine::patch:
-    case tstable_engine::patch_gather:
-      NCDN_EXPECTS(try_patch());
-      if (cfg.engine == tstable_engine::patch_gather) {
-        s.engine = tstable_engine::patch_gather;
-      }
-      break;
-    case tstable_engine::chunked:
-      NCDN_EXPECTS(try_chunked());
-      break;
-    case tstable_engine::plain:
-      plain();
-      break;
-    case tstable_engine::auto_select:
-      if (!try_patch() && !try_chunked()) plain();
-      break;
   }
+  s.tokens_per_item = s.item_bits / d;
   return s;
 }
 
@@ -99,8 +83,7 @@ round_t broadcast_cap(const tstable_config& cfg, std::size_t n) {
 
 /// §8.3 mode B: patch-pipelined gathering + patch broadcast.
 round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
-                                                const tstable_config& cfg,
-                                                const engine_sizing& sizing) {
+                                                const tstable_config& cfg) {
   const token_distribution& dist = st.distribution();
   const std::size_t n = dist.n;
   const std::size_t d = dist.d_bits;
@@ -265,12 +248,8 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
     bc_plan.items = selected.size();
     tstable_patch_session session(bc_plan);
     for (std::size_t i = 0; i < selected.size(); ++i) {
-      bitvec block(plan.item_bits);
-      for (std::size_t j = 0; j < gathered[selected[i]].size(); ++j) {
-        block.copy_bits_from(dist.tokens[gathered[selected[i]][j]].payload,
-                             0, d, j * d);
-      }
-      session.seed(selected[i], i, block);
+      session.seed(selected[i], i,
+                   pack_block(dist, gathered[selected[i]], plan.item_bits));
     }
     co_await session.run_stepped(net, bc_cap, /*stop_early=*/true);
 
@@ -279,15 +258,8 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
         raise_fail[u] = true;
         continue;
       }
-      std::vector<std::size_t> decoded;
-      for (std::size_t i = 0; i < selected.size(); ++i) {
-        const bitvec block = session.decode(u, i);
-        for (std::size_t j = 0; j < cap_tokens; ++j) {
-          const bitvec payload = block.slice(j * d, d);
-          if (!payload.any()) continue;
-          decoded.push_back(by_payload.at(payload.hash()));
-        }
-      }
+      std::vector<std::size_t> decoded =
+          unpack_blocks(session, u, by_payload, d);
       for (std::size_t tk : decoded) {
         st.learn(u, tk);
         st.retire(u, tk);
@@ -306,11 +278,25 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
     res.completion_round = res.rounds;
   }
   res.max_message_bits = net.max_observed_message_bits();
-  (void)sizing;
   co_return res;
 }
 
 }  // namespace
+
+bool tstable_engine_fits(tstable_engine engine, std::size_t n,
+                         std::size_t b_bits, round_t t_stability,
+                         std::size_t d) {
+  if (engine == tstable_engine::plain ||
+      engine == tstable_engine::auto_select) {
+    return true;
+  }
+  if (b_bits < 2) return false;  // both plans' precondition
+  if (engine == tstable_engine::chunked) {
+    return plan_chunked_broadcast(b_bits, t_stability).item_bits >= d;
+  }
+  const patch_plan plan = plan_patch_broadcast(n, b_bits, t_stability);
+  return plan.feasible && plan.item_bits >= d;
+}
 
 round_task<tstable_result> tstable_machine(network& net, token_state& st,
                                            tstable_config cfg) {
@@ -321,7 +307,7 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
 
   const engine_sizing sizing = choose_engine(cfg, n, d);
   if (sizing.engine == tstable_engine::patch_gather) {
-    co_return co_await patch_gather_machine(net, st, cfg, sizing);
+    co_return co_await patch_gather_machine(net, st, cfg);
   }
   if (sizing.engine == tstable_engine::plain) {
     // Ordinary greedy-forward: the T-independent control arm.
@@ -390,35 +376,24 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
     const std::size_t k_items = static_cast<std::size_t>(
         ceil_div(chosen.size(), sizing.tokens_per_item));
 
-    auto seed_items = [&](auto& session) {
+    const std::span<const std::size_t> tokens(chosen);
+    auto seed_items = [&](coded_nodes& session) {
       for (std::size_t i = 0; i < k_items; ++i) {
-        bitvec block(sizing.item_bits);
-        for (std::size_t j = 0; j < sizing.tokens_per_item; ++j) {
-          const std::size_t idx = i * sizing.tokens_per_item + j;
-          if (idx >= chosen.size()) break;
-          block.copy_bits_from(dist.tokens[chosen[idx]].payload, 0, d, j * d);
-        }
-        session.seed(leader, i, block);
+        session.seed(
+            leader, i,
+            pack_block(dist, tokens.subspan(i * sizing.tokens_per_item),
+                       sizing.item_bits));
       }
     };
 
-    bool decoded_everywhere = false;
     std::vector<std::vector<std::size_t>> decoded_of(n);
-    auto harvest = [&](const auto& session) {
-      decoded_everywhere = session.all_complete();
+    auto harvest = [&](const coded_nodes& session) {
       for (node_id u = 0; u < n; ++u) {
         if (!session.node_complete(u)) {
           raise_fail[u] = true;
           continue;
         }
-        for (std::size_t i = 0; i < k_items; ++i) {
-          const bitvec block = session.decode(u, i);
-          for (std::size_t j = 0; j < sizing.tokens_per_item; ++j) {
-            const bitvec payload = block.slice(j * d, d);
-            if (!payload.any()) continue;
-            decoded_of[u].push_back(by_payload.at(payload.hash()));
-          }
-        }
+        decoded_of[u] = unpack_blocks(session, u, by_payload, d);
       }
     };
 
@@ -445,7 +420,6 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
       }
       last_epoch_tokens[u] = std::move(decoded_of[u]);
     }
-    (void)decoded_everywhere;
 
     if (res.completion_round == 0 && st.all_complete()) {
       res.completion_round = net.rounds_elapsed() - start;

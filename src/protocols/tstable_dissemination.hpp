@@ -52,6 +52,14 @@ struct tstable_result : protocol_result {
   std::size_t tokens_per_epoch = 0;  // broadcast capacity of one epoch
 };
 
+/// True iff `engine`'s sizing fits an (n, b, T, d) instance: the patch
+/// engines need a feasible patch plan, and every coded engine needs an
+/// item that holds a d-bit token.  plain (and auto_select, which falls
+/// back to it) always fit.
+bool tstable_engine_fits(tstable_engine engine, std::size_t n,
+                         std::size_t b_bits, round_t t_stability,
+                         std::size_t d);
+
 /// Round-driven machine form (one suspension per communication round).
 round_task<tstable_result> tstable_machine(network& net, token_state& st,
                                            tstable_config cfg);

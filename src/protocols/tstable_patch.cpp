@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "coding/matrix.hpp"
 #include "core/bits.hpp"
 
 namespace ncdn {
@@ -52,6 +53,18 @@ patch_plan plan_patch_broadcast(std::size_t n, std::size_t b_bits,
   p.patch_rounds = static_cast<round_t>(p.luby_iters) * (2 * d) + d + 2;
   p.cycle_rounds = 5 * p.t_vec + 4 * d;
   p.feasible = true;
+  return p;
+}
+
+chunked_plan plan_chunked_broadcast(std::size_t b_bits, round_t t_window,
+                                    std::size_t items_cap) {
+  NCDN_EXPECTS(b_bits >= 2 && t_window >= 1);
+  chunked_plan p;
+  p.t_vec = std::max<round_t>(1, t_window / 2);
+  const std::size_t vec_bits = b_bits * static_cast<std::size_t>(p.t_vec);
+  p.items = std::max<std::size_t>(1, vec_bits / 2);
+  p.item_bits = std::max<std::size_t>(1, vec_bits - p.items);
+  if (items_cap != 0) p.items = std::min(p.items, items_cap);
   return p;
 }
 
@@ -120,29 +133,10 @@ struct tstable_patch_session::window_patches : built_patches {
 };
 
 tstable_patch_session::tstable_patch_session(const patch_plan& plan)
-    : plan_(plan),
-      decoders_(plan.n, bit_decoder(plan.items, plan.item_bits)) {
+    : coded_nodes(plan.n, plan.items, plan.item_bits,
+                  make_matrix_backend(matrix_spec{})),
+      plan_(plan) {
   NCDN_EXPECTS(plan.n >= 2);
-  delays_.reset(plan.n);
-}
-
-void tstable_patch_session::seed(node_id u, std::size_t index,
-                                 const bitvec& payload) {
-  NCDN_EXPECTS(u < decoders_.size());
-  NCDN_EXPECTS(index < plan_.items);
-  NCDN_EXPECTS(payload.size() == plan_.item_bits);
-  bitvec row(plan_.items + plan_.item_bits);
-  row.set(index);
-  row.copy_bits_from(payload, 0, plan_.item_bits, plan_.items);
-  decoders_[u].insert(std::move(row));
-  delays_.note(u, decoders_[u].decodable_count(), 0);
-}
-
-bool tstable_patch_session::all_complete() const {
-  for (const auto& d : decoders_) {
-    if (!d.complete()) return false;
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -352,7 +346,7 @@ round_task<bool> build_patches_machine(network& net, const patch_plan& plan,
 
 round_task<void> tstable_patch_session::share_stepped(network& net,
                                                       window_patches& wp) {
-  const std::size_t n = decoders_.size();
+  const std::size_t n = node_count();
   const std::uint32_t d = plan_.d_patch;
   const round_t t_vec = plan_.t_vec;
   const std::size_t row_bits = plan_.items + plan_.item_bits;
@@ -371,7 +365,7 @@ round_task<void> tstable_patch_session::share_stepped(network& net,
   // Local random combinations (zero vector when nothing received yet).
   wp.acc.assign(n, bitvec(row_bits));
   for (node_id u = 0; u < n; ++u) {
-    auto combo = decoders_[u].random_combination(net.node_rng(u));
+    auto combo = coder(u).make_combination(net.node_rng(u));
     if (combo) wp.acc[u] = std::move(*combo);
   }
 
@@ -450,9 +444,8 @@ round_task<void> tstable_patch_session::share_stepped(network& net,
   }
   for (node_id u = 0; u < n; ++u) {
     NCDN_ASSERT(wp.got_chunks[u] == static_cast<std::uint32_t>(t_vec));
-    decoders_[u].insert(wp.patch_sum[u]);
-    delays_.note(u, decoders_[u].decodable_count(),
-                 delays_.bucket(net.rounds_elapsed()));
+    coder(u).insert(wp.patch_sum[u]);
+    note_progress(u, delay_bucket(net.rounds_elapsed()));
   }
 }
 
@@ -463,7 +456,7 @@ round_task<void> tstable_patch_session::share_stepped(network& net,
 
 round_task<void> tstable_patch_session::pass_stepped(network& net,
                                                      window_patches& wp) {
-  const std::size_t n = decoders_.size();
+  const std::size_t n = node_count();
   const round_t t_vec = plan_.t_vec;
   const std::size_t row_bits = plan_.items + plan_.item_bits;
   const std::size_t tag_bits =
@@ -496,9 +489,8 @@ round_task<void> tstable_patch_session::pass_stepped(network& net,
     co_await next_round;
   }
   for (node_id u = 0; u < n; ++u) {
-    for (auto& [from, row] : inbox_vec[u]) decoders_[u].insert(row);
-    delays_.note(u, decoders_[u].decodable_count(),
-                 delays_.bucket(net.rounds_elapsed()));
+    for (auto& [from, row] : inbox_vec[u]) coder(u).insert(row);
+    note_progress(u, delay_bucket(net.rounds_elapsed()));
   }
 }
 
@@ -511,7 +503,7 @@ round_task<round_t> tstable_patch_session::run_stepped(network& net,
                                                        bool stop_early) {
   NCDN_EXPECTS(plan_.feasible);
   const round_t start = net.rounds_elapsed();
-  delays_.start(start);
+  start_delays(start);
   const round_t t = plan_.t_window;
 
   while (net.rounds_elapsed() - start < max_rounds) {
@@ -549,45 +541,30 @@ round_task<round_t> tstable_patch_session::run_stepped(network& net,
 chunked_meta_session::chunked_meta_session(std::size_t n, std::size_t b_bits,
                                            round_t t_window,
                                            std::size_t items_cap)
-    : b_bits_(b_bits), t_window_(t_window) {
-  NCDN_EXPECTS(n >= 2 && b_bits >= 2 && t_window >= 1);
-  t_vec_ = std::max<round_t>(1, t_window / 2);
-  const std::size_t vec_bits = b_bits * static_cast<std::size_t>(t_vec_);
-  items_ = std::max<std::size_t>(1, vec_bits / 2);
-  item_bits_ = std::max<std::size_t>(1, vec_bits - items_);
-  if (items_cap != 0) items_ = std::min(items_, items_cap);
-  decoders_.assign(n, bit_decoder(items_, item_bits_));
-  delays_.reset(n);
-}
+    : chunked_meta_session(
+          n, b_bits, t_window,
+          plan_chunked_broadcast(b_bits, t_window, items_cap)) {}
 
-void chunked_meta_session::seed(node_id u, std::size_t index,
-                                const bitvec& payload) {
-  NCDN_EXPECTS(u < decoders_.size());
-  NCDN_EXPECTS(index < items_);
-  NCDN_EXPECTS(payload.size() == item_bits_);
-  bitvec row(items_ + item_bits_);
-  row.set(index);
-  row.copy_bits_from(payload, 0, item_bits_, items_);
-  decoders_[u].insert(std::move(row));
-  delays_.note(u, decoders_[u].decodable_count(), 0);
-}
-
-bool chunked_meta_session::all_complete() const {
-  for (const auto& d : decoders_) {
-    if (!d.complete()) return false;
-  }
-  return true;
+chunked_meta_session::chunked_meta_session(std::size_t n, std::size_t b_bits,
+                                           round_t t_window,
+                                           const chunked_plan& plan)
+    : coded_nodes(n, plan.items, plan.item_bits,
+                  make_matrix_backend(matrix_spec{})),
+      b_bits_(b_bits),
+      t_window_(t_window),
+      t_vec_(plan.t_vec) {
+  NCDN_EXPECTS(n >= 2);
 }
 
 round_task<round_t> chunked_meta_session::run_stepped(network& net,
                                                       round_t max_rounds,
                                                       bool stop_early) {
-  const std::size_t n = decoders_.size();
-  const std::size_t row_bits = items_ + item_bits_;
+  const std::size_t n = node_count();
+  const std::size_t row_bits = items() + item_bits();
   const std::size_t tag_bits =
       bits_for(static_cast<std::uint64_t>(t_vec_) + 1) + bits_for(n) + 2;
   const round_t start = net.rounds_elapsed();
-  delays_.start(start);
+  start_delays(start);
 
   while (net.rounds_elapsed() - start < max_rounds) {
     if (stop_early && all_complete()) break;
@@ -603,7 +580,7 @@ round_task<round_t> chunked_meta_session::run_stepped(network& net,
     std::vector<bitvec> outgoing(n, bitvec(row_bits));
     std::vector<bool> speaking(n, false);
     for (node_id u = 0; u < n; ++u) {
-      auto combo = decoders_[u].random_combination(net.node_rng(u));
+      auto combo = coder(u).make_combination(net.node_rng(u));
       if (combo) {
         outgoing[u] = std::move(*combo);
         speaking[u] = true;
@@ -656,11 +633,10 @@ round_task<round_t> chunked_meta_session::run_stepped(network& net,
     for (node_id u = 0; u < n; ++u) {
       for (auto& [from, p] : reassembly[u]) {
         if (p.count == static_cast<std::uint32_t>(t_vec_)) {
-          decoders_[u].insert(p.row);
+          coder(u).insert(p.row);
         }
       }
-      delays_.note(u, decoders_[u].decodable_count(),
-                   delays_.bucket(net.rounds_elapsed()));
+      note_progress(u, delay_bucket(net.rounds_elapsed()));
     }
   }
   co_return net.rounds_elapsed() - start;

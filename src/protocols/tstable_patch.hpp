@@ -31,8 +31,7 @@
 
 #include "core/machine.hpp"
 #include "dynnet/network.hpp"
-#include "linalg/decoder.hpp"
-#include "protocols/common.hpp"
+#include "protocols/coded_nodes.hpp"
 
 namespace ncdn {
 
@@ -53,6 +52,19 @@ struct patch_plan {
 /// Computes the sizing above for an (n, b, T) instance.
 patch_plan plan_patch_broadcast(std::size_t n, std::size_t b_bits,
                                 round_t t_window);
+
+/// Sizing of idea (1) alone: one (K+S)-bit vector ships over t_vec = T/2
+/// rounds of b-bit chunks, with K = S = b*t_vec/2.
+struct chunked_plan {
+  round_t t_vec = 0;
+  std::size_t items = 0;      // K
+  std::size_t item_bits = 0;  // S
+};
+
+/// Computes the chunked sizing for a (b, T) instance.  items_cap (0 = no
+/// cap) shrinks K when fewer items are in play (tail epochs).
+chunked_plan plan_chunked_broadcast(std::size_t b_bits, round_t t_window,
+                                    std::size_t items_cap = 0);
 
 /// Result of the distributed patch construction (§8.1 run as real message
 /// rounds): Luby's MIS on G^D via D-hop floods, then the incrementing
@@ -76,40 +88,20 @@ round_task<bool> build_patches_machine(network& net, const patch_plan& plan,
 
 /// Full §8 algorithm.  The network's adversary must be (at least) T-stable
 /// with the plan's window length.
-class tstable_patch_session final : public knowledge_view {
+class tstable_patch_session final : public coded_nodes {
  public:
   explicit tstable_patch_session(const patch_plan& plan);
 
   const patch_plan& plan() const noexcept { return plan_; }
-
-  /// Node u holds original item `index` (inserts [e_index | payload]).
-  void seed(node_id u, std::size_t index, const bitvec& payload);
 
   /// Runs whole stability windows until all nodes decode (stop_early) or
   /// the round cap; returns rounds consumed.  An awaitable sub-phase.
   round_task<round_t> run_stepped(network& net, round_t max_rounds,
                                   bool stop_early);
 
-  bool all_complete() const;
-  bool node_complete(node_id u) const { return decoders_[u].complete(); }
-  bool can_decode(node_id u, std::size_t i) const {
-    return decoders_[u].can_decode(i);
-  }
-  bitvec decode(node_id u, std::size_t i) const {
-    return decoders_[u].decode(i);
-  }
-
   /// Diagnostics for tests/benches.
   std::size_t windows_run() const noexcept { return windows_; }
   std::size_t patching_failures() const noexcept { return patch_failures_; }
-
-  std::size_t node_count() const override { return decoders_.size(); }
-  std::size_t knowledge(node_id u) const override {
-    return decoders_[u].rank();
-  }
-  const std::vector<std::uint64_t>* decode_delays() const override {
-    return &delays_.hist;
-  }
 
  private:
   struct window_patches;  // per-window patch structures (tree, depth, ...)
@@ -118,8 +110,6 @@ class tstable_patch_session final : public knowledge_view {
   round_task<void> pass_stepped(network& net, window_patches& wp);
 
   patch_plan plan_;
-  std::vector<bit_decoder> decoders_;
-  decode_delay_tracker delays_;
   std::size_t windows_ = 0;
   std::size_t patch_failures_ = 0;
 };
@@ -131,48 +121,27 @@ class tstable_patch_session final : public knowledge_view {
 /// tree stable per window, everything else churning): partially-received
 /// vectors from churning edges are discarded, and the stable tree carries
 /// the progress — a working answer to the §9 question for this engine.
-class chunked_meta_session final : public knowledge_view {
+class chunked_meta_session final : public coded_nodes {
  public:
   /// items_cap (0 = no cap) shrinks the coefficient width when fewer items
   /// are in play than the window sizing affords (tail epochs).
   chunked_meta_session(std::size_t n, std::size_t b_bits, round_t t_window,
                        std::size_t items_cap = 0);
 
-  std::size_t items() const noexcept { return items_; }
-  std::size_t item_bits() const noexcept { return item_bits_; }
   round_t t_vec() const noexcept { return t_vec_; }
 
-  void seed(node_id u, std::size_t index, const bitvec& payload);
   /// Runs up to `max_rounds` rounds, or until every node decodes when
   /// stop_early; returns rounds used.  An awaitable sub-phase.
   round_task<round_t> run_stepped(network& net, round_t max_rounds,
                                   bool stop_early);
 
-  bool all_complete() const;
-  bool node_complete(node_id u) const { return decoders_[u].complete(); }
-  bool can_decode(node_id u, std::size_t i) const {
-    return decoders_[u].can_decode(i);
-  }
-  bitvec decode(node_id u, std::size_t i) const {
-    return decoders_[u].decode(i);
-  }
-
-  std::size_t node_count() const override { return decoders_.size(); }
-  std::size_t knowledge(node_id u) const override {
-    return decoders_[u].rank();
-  }
-  const std::vector<std::uint64_t>* decode_delays() const override {
-    return &delays_.hist;
-  }
-
  private:
+  chunked_meta_session(std::size_t n, std::size_t b_bits, round_t t_window,
+                       const chunked_plan& plan);
+
   std::size_t b_bits_;
   round_t t_window_;
   round_t t_vec_;
-  std::size_t items_;
-  std::size_t item_bits_;
-  std::vector<bit_decoder> decoders_;
-  decode_delay_tracker delays_;
 };
 
 }  // namespace ncdn

@@ -302,21 +302,31 @@ TEST(backend_registry, gen_size_past_k_is_the_one_generation_layout) {
 }
 
 TEST(backend_registry, session_reports_per_round_elimination_xors) {
+  // Every coded engine runs Gaussian elimination, so every one reports it:
+  // the standalone broadcast, the centralized genie and the chunked and
+  // patch T-stable sessions (each at a window its sizing fits).
+  const protocol_spec protocols[] = {
+      {"rlnc-direct", {}},
+      {"centralized-rlnc", {}},
+      {"tstable/chunked", {{"t_stability", "4"}}},
+      {"tstable/patch", {{"t_stability", "256"}}},
+  };
   problem prob;
   prob.n = 8;
   prob.k = 8;
   prob.d = 8;
   prob.b = 32;
-  session s(prob, protocol_spec{"rlnc-direct", {}},
-            adversary_spec{"permuted-path", {}}, 9);
-  std::uint64_t observed_total = 0;
-  s.set_observer([&](const round_metrics& m) {
-    observed_total += m.elimination_xors;
-  });
-  const run_report rep = s.run_to_completion();
-  ASSERT_TRUE(rep.complete);
-  EXPECT_GT(rep.metrics.total_elimination_xors, 0u);
-  EXPECT_EQ(observed_total, rep.metrics.total_elimination_xors);
+  for (const protocol_spec& proto : protocols) {
+    session s(prob, proto, adversary_spec{"permuted-path", proto.params}, 9);
+    std::uint64_t observed_total = 0;
+    s.set_observer([&](const round_metrics& m) {
+      observed_total += m.elimination_xors;
+    });
+    const run_report rep = s.run_to_completion();
+    ASSERT_TRUE(rep.complete) << proto.name;
+    EXPECT_GT(rep.metrics.total_elimination_xors, 0u) << proto.name;
+    EXPECT_EQ(observed_total, rep.metrics.total_elimination_xors) << proto.name;
+  }
 }
 
 // --- property: completion everywhere, rounds >= dense ------------------------

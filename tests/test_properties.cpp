@@ -3,6 +3,7 @@
 // under permutation, model-ordering guarantees of the round engine.
 #include <gtest/gtest.h>
 
+#include "coding/matrix.hpp"
 #include "dynnet/network.hpp"
 #include "gf/field.hpp"
 #include "linalg/bitmatrix.hpp"
@@ -45,22 +46,28 @@ INSTANTIATE_TEST_SUITE_P(seeds, rank_agreement,
 
 class decoder_properties : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Combination source: a dense node_coder, whose draw is the paper's §5.1
+// coin per basis row.
+std::unique_ptr<node_coder> dense_coder(std::size_t k, std::size_t d) {
+  return make_matrix_backend(matrix_spec{})->make_node_coder(k, d);
+}
+
 TEST_P(decoder_properties, rank_is_insert_order_invariant) {
   rng r(100 + GetParam());
   const std::size_t k = 4 + r.below(12);
   const std::size_t d = 8;
-  bit_decoder source(k, d);
+  const auto source = dense_coder(k, d);
   for (std::size_t i = 0; i < k; ++i) {
     bitvec p(d);
     p.randomize(r);
     bitvec row(k + d);
     row.set(i);
     row.copy_bits_from(p, 0, d, k);
-    source.insert(std::move(row));
+    source->insert(row);
   }
   std::vector<bitvec> stream;
   for (std::size_t i = 0; i < k + 5; ++i) {
-    stream.push_back(*source.random_combination(r));
+    stream.push_back(*source->make_combination(r));
   }
   bit_decoder a(k, d);
   for (const bitvec& row : stream) a.insert(row);
@@ -76,18 +83,18 @@ TEST_P(decoder_properties, innovative_iff_outside_current_span) {
   rng r(200 + GetParam());
   const std::size_t k = 4 + r.below(10);
   const std::size_t d = 8;
-  bit_decoder source(k, d);
+  const auto source = dense_coder(k, d);
   for (std::size_t i = 0; i < k; ++i) {
     bitvec p(d);
     p.randomize(r);
     bitvec row(k + d);
     row.set(i);
     row.copy_bits_from(p, 0, d, k);
-    source.insert(std::move(row));
+    source->insert(row);
   }
   bit_decoder sink(k, d);
   for (int i = 0; i < 40; ++i) {
-    const bitvec row = *source.random_combination(r);
+    const bitvec row = *source->make_combination(r);
     const bool predicted_innovative = !sink.in_span(row);
     EXPECT_EQ(sink.insert(row), predicted_innovative);
   }
@@ -96,7 +103,7 @@ TEST_P(decoder_properties, innovative_iff_outside_current_span) {
 TEST_P(decoder_properties, can_decode_is_monotone_and_exact) {
   rng r(300 + GetParam());
   const std::size_t k = 6, d = 8;
-  bit_decoder source(k, d);
+  const auto source = dense_coder(k, d);
   std::vector<bitvec> payloads;
   for (std::size_t i = 0; i < k; ++i) {
     bitvec p(d);
@@ -105,12 +112,12 @@ TEST_P(decoder_properties, can_decode_is_monotone_and_exact) {
     bitvec row(k + d);
     row.set(i);
     row.copy_bits_from(p, 0, d, k);
-    source.insert(std::move(row));
+    source->insert(row);
   }
   bit_decoder sink(k, d);
   std::vector<bool> was_decodable(k, false);
   while (!sink.complete()) {
-    sink.insert(*source.random_combination(r));
+    sink.insert(*source->make_combination(r));
     for (std::size_t i = 0; i < k; ++i) {
       const bool now = sink.can_decode(i);
       EXPECT_TRUE(!was_decodable[i] || now);  // monotone

@@ -265,37 +265,51 @@ TEST(session, params_override_problem_and_reject_typos) {
 
 TEST(session, bad_window_and_round_budget_params_are_rejected_up_front) {
   // A zero window, a flood too short to reach every node (min-flood
-  // agreement would fail mid-run), or a negative round-budget factor is a
-  // user error, not a contract abort or a cast that never terminates.
+  // agreement would fail mid-run), a negative round-budget factor, a forced
+  // T-stable engine whose sizing does not fit, or more tokens than d bits
+  // can tell apart is a user error, not a contract abort or a cast that
+  // never terminates.
   struct bad_input {
     const char* protocol;
     const char* adversary;
-    const char* key;
-    const char* value;
+    param_map params;
   };
   const bad_input inputs[] = {
-      {"rlnc-direct", "t-interval", "t", "0"},
-      {"tstable/patch", "static-path", "t_stability", "0"},
-      {"token-forwarding", "static-path", "phase_factor", "0.5"},
-      {"token-forwarding-pipelined", "static-path", "phase_factor", "-1"},
-      {"greedy-forward", "static-path", "flood_factor", "0.5"},
-      {"greedy-forward", "static-path", "gather_factor", "-1"},
-      {"greedy-forward", "static-path", "broadcast_factor", "-1"},
-      {"naive-indexed", "static-path", "broadcast_factor", "-1"},
-      {"priority-forward/flooding", "static-path", "broadcast_factor", "-1"},
-      {"priority-forward/charged", "static-path", "charged_factor", "-1"},
-      {"tstable/chunked", "static-path", "gather_factor", "-1"},
-      {"tstable/chunked", "static-path", "flood_factor", "0.5"},
-      {"tstable/chunked", "static-path", "broadcast_cap_factor", "-1"},
+      {"rlnc-direct", "t-interval", {{"t", "0"}}},
+      {"tstable/patch", "static-path", {{"t_stability", "0"}}},
+      {"token-forwarding", "static-path", {{"phase_factor", "0.5"}}},
+      {"token-forwarding-pipelined", "static-path", {{"phase_factor", "-1"}}},
+      {"greedy-forward", "static-path", {{"flood_factor", "0.5"}}},
+      {"greedy-forward", "static-path", {{"gather_factor", "-1"}}},
+      {"greedy-forward", "static-path", {{"broadcast_factor", "-1"}}},
+      {"naive-indexed", "static-path", {{"broadcast_factor", "-1"}}},
+      {"priority-forward/flooding",
+       "static-path",
+       {{"broadcast_factor", "-1"}}},
+      {"priority-forward/charged", "static-path", {{"charged_factor", "-1"}}},
+      {"tstable/chunked", "static-path", {{"gather_factor", "-1"}}},
+      {"tstable/chunked", "static-path", {{"flood_factor", "0.5"}}},
+      {"tstable/chunked", "static-path", {{"broadcast_cap_factor", "-1"}}},
+      {"tstable/patch", "static-path", {{"t_stability", "4"}}},
+      {"tstable/patch-gather", "static-path", {{"t_stability", "4"}}},
+      {"tstable/chunked", "static-path", {{"b", "8"}, {"t_stability", "1"}}},
+      {"tstable/chunked",
+       "static-path",
+       {{"n", "2"}, {"k", "1"}, {"d", "1"}, {"b", "1"},
+        {"placement", "single-source"}}},
+      {"rlnc-direct",
+       "static-path",
+       {{"n", "4"}, {"k", "4"}, {"d", "2"}, {"b", "8"}}},
   };
   for (const bad_input& in : inputs) {
     const problem prob = tiny_problem(in.protocol);
+    std::string what = in.protocol;
+    for (const auto& [key, value] : in.params) what += " " + key + "=" + value;
     // The CLI hands both specs the same --param map.
-    const param_map params{{in.key, in.value}};
-    EXPECT_THROW(session(prob, protocol_spec{in.protocol, params},
-                         adversary_spec{in.adversary, params}, 1),
+    EXPECT_THROW(session(prob, protocol_spec{in.protocol, in.params},
+                         adversary_spec{in.adversary, in.params}, 1),
                  std::invalid_argument)
-        << in.protocol << " " << in.key << "=" << in.value;
+        << what;
   }
 }
 
