@@ -1,5 +1,5 @@
-// E16 — ablations of the design constants DESIGN.md calls out (not a paper
-// table; this quantifies our own engineering choices).
+// E16 — ablations of ncdn's own design constants (not a paper table; this
+// quantifies our own engineering choices).
 //
 // (a) The whp broadcast budget: Lemma 5.3 needs O(n + k') rounds *with a
 //     constant that survives the adaptive adversary*.  Against the

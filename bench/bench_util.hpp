@@ -1,6 +1,7 @@
-// Shared helpers for the experiment bench binaries (E1..E15, DESIGN.md §3).
+// Shared helpers for the experiment bench binaries (E1..E15; README, Bench
+// binaries).
 //
-// Each binary prints the table(s) recorded in EXPERIMENTS.md.  Sizes are
+// Each binary prints its experiment's table(s).  Sizes are
 // chosen so the full suite runs in a couple of minutes; NCDN_TRIALS and
 // NCDN_SCALE scale the statistics and instance sizes up for deeper runs.
 #pragma once

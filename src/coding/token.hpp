@@ -32,6 +32,11 @@ struct token_id {
   }
 };
 
+/// Wire size of one token ID announcement among n nodes and k tokens.
+constexpr std::size_t token_id_bits(std::size_t n, std::size_t k) noexcept {
+  return bits_for(n) + bits_for(k + 1);
+}
+
 struct token {
   token_id id;
   bitvec payload;  // exactly d bits
@@ -48,9 +53,7 @@ struct token_distribution {
 
   std::size_t k() const noexcept { return tokens.size(); }
   /// Wire size of one token ID announcement.
-  std::size_t id_bits() const noexcept {
-    return bits_for(n) + bits_for(k() + 1);
-  }
+  std::size_t id_bits() const noexcept { return token_id_bits(n, k()); }
 };
 
 /// Placement policies for the adversarial initial distribution.

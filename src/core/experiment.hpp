@@ -1,6 +1,6 @@
 // Experiment harness: runs a measurement across seeds, summarizes, and
-// feeds the per-experiment tables the bench binaries print (DESIGN.md §3,
-// EXPERIMENTS.md).  Honors NCDN_TRIALS / NCDN_SCALE environment variables
+// feeds the per-experiment tables the bench binaries print (README, Bench
+// binaries).  Honors NCDN_TRIALS / NCDN_SCALE environment variables
 // so the default `for b in build/bench/*; do $b; done` stays quick while
 // allowing deeper sweeps.
 #pragma once

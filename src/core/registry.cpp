@@ -400,9 +400,10 @@ std::unique_ptr<protocol_machine> tstable_factory(const problem& prob,
         "ncdn: this T-stable engine does not fit n=" + std::to_string(prob.n) +
         ", b=" + std::to_string(prob.b) + ", T=" +
         std::to_string(prob.t_stability) + ", d=" + std::to_string(prob.d) +
-        " (its coded item must hold a d-bit token, and the patch engines "
-        "need a window that fits patching plus one share-pass-share "
-        "cycle); use tstable/auto, or raise t_stability or b");
+        " (its coded item must hold a d-bit token, its sizes must fit in "
+        "64 bits, and the patch engines need a window that fits patching "
+        "plus one share-pass-share cycle); use tstable/auto, or change "
+        "t_stability or b");
   }
   tstable_config cfg;
   cfg.b_bits = prob.b;
@@ -445,6 +446,16 @@ void register_builtins(protocol_registry& reg) {
            "Cor 7.1: index by ID-flooding, then RLNC-broadcast",
            algorithm::naive_indexed,
            [](const problem& prob, param_reader& params) {
+             // A message carries m >= 1 token IDs in the flood and as many
+             // coefficients in the coded phase.
+             const std::size_t id_bits = token_id_bits(prob.n, prob.k);
+             if (prob.b < 2 * id_bits) {
+               throw std::invalid_argument(
+                   "ncdn: naive-indexed needs b >= 2 * id_bits = " +
+                   std::to_string(2 * id_bits) + " at n=" +
+                   std::to_string(prob.n) + ", k=" + std::to_string(prob.k) +
+                   " (got b=" + std::to_string(prob.b) + ")");
+             }
              naive_indexed_config cfg;
              cfg.b_bits = prob.b;
              cfg.broadcast_factor = cap_factor_param(

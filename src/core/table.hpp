@@ -1,5 +1,5 @@
 // Aligned plain-text table printer used by the bench harness to emit the
-// per-experiment tables recorded in EXPERIMENTS.md.
+// per-experiment tables (README, Bench binaries).
 #pragma once
 
 #include <cstdio>

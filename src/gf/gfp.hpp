@@ -4,7 +4,7 @@
 // that a union bound over ~exp(nk log n) adversarial "witnesses" leaves
 // negligible failure probability.  At the scales the benchmark harness
 // simulates, q = 2^61 - 1 makes the bound numerically vanish (see
-// DESIGN.md §5, substitutions); reduction modulo a Mersenne prime costs a
+// README, Substitutions); reduction modulo a Mersenne prime costs a
 // shift and an add, so coefficients stay cheap.
 #pragma once
 

@@ -96,4 +96,30 @@ std::vector<std::size_t> unpack_blocks(const coded_nodes& nodes, node_id u,
   return tokens;
 }
 
+void retirement_ledger::close_flood(token_state& st, bool fail_seen) {
+  for (node_id u = 0; u < last_.size(); ++u) {
+    if (fail_seen) {
+      for (std::size_t t : last_[u]) st.reinstate(u, t);
+    }
+    last_[u].clear();
+  }
+  std::fill(fail_.begin(), fail_.end(), false);
+}
+
+void retirement_ledger::settle(token_state& st, const coded_nodes& session,
+                               const payload_index& by_payload) {
+  const std::size_t d = st.distribution().d_bits;
+  for (node_id u = 0; u < last_.size(); ++u) {
+    if (!session.node_complete(u)) {
+      fail_[u] = true;
+      continue;
+    }
+    last_[u] = unpack_blocks(session, u, by_payload, d);
+    for (std::size_t t : last_[u]) {
+      st.learn(u, t);
+      st.retire(u, t);
+    }
+  }
+}
+
 }  // namespace ncdn

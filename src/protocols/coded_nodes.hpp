@@ -120,4 +120,32 @@ std::vector<std::size_t> unpack_blocks(const coded_nodes& nodes, node_id u,
                                        const payload_index& by_payload,
                                        std::size_t d);
 
+/// §7's Las-Vegas retirement rule for the flood-then-broadcast machines.
+/// A node that decodes a coded broadcast learns and retires its tokens; a
+/// node that misses it raises a fail bit in the next flood, and a flood
+/// that saw a fail bit puts that broadcast's tokens back into every
+/// retiring node's consideration, so a coding failure never loses a token.
+class retirement_ledger {
+ public:
+  explicit retirement_ledger(std::size_t n) : fail_(n, false), last_(n) {}
+
+  /// The fail bits the next flood carries.
+  const std::vector<bool>& fail_bits() const noexcept { return fail_; }
+
+  /// Ends the flood that carried fail_bits(): on `fail_seen` every node
+  /// reinstates what it retired in the last broadcast.  Either way that
+  /// broadcast is forgotten and the fail bits drop.
+  void close_flood(token_state& st, bool fail_seen);
+
+  /// After a broadcast over `session`: each node that decoded it learns and
+  /// retires its tokens (unpack_blocks), each node that missed it raises
+  /// its fail bit.
+  void settle(token_state& st, const coded_nodes& session,
+              const payload_index& by_payload);
+
+ private:
+  std::vector<bool> fail_;
+  std::vector<std::vector<std::size_t>> last_;  // per node, last retired
+};
+
 }  // namespace ncdn

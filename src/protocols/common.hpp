@@ -189,6 +189,28 @@ class token_state final : public knowledge_view {
   std::vector<std::size_t> remaining_count_;
 };
 
+/// Sets res.completion_round the first time every node knows every token
+/// (in rounds since `start`, the network round the protocol began at).
+inline void note_completion(protocol_result& res, const network& net,
+                            const token_state& st, round_t start) {
+  if (res.completion_round == 0 && st.all_complete()) {
+    res.completion_round = net.rounds_elapsed() - start;
+  }
+}
+
+/// Closes a run begun at network round `start`: rounds, completeness, the
+/// completion round (the last round if note_completion never fired on a
+/// complete run) and the widest message sent.
+inline void finish_result(protocol_result& res, const network& net,
+                          const token_state& st, round_t start) {
+  res.rounds = net.rounds_elapsed() - start;
+  res.complete = st.all_complete();
+  if (res.completion_round == 0 && res.complete) {
+    res.completion_round = res.rounds;
+  }
+  res.max_message_bits = net.max_observed_message_bits();
+}
+
 /// Tokens are compared as d-bit strings (the "smallest token" order used by
 /// the flooding baselines).  The distribution is sorted by token_id, so we
 /// precompute the payload-lexicographic order once.
@@ -196,10 +218,10 @@ std::vector<std::size_t> payload_order(const token_distribution& dist);
 
 /// Map from payload hash to token index, for recognizing decoded payloads
 /// (simulation-side shorthand: on the wire the payload *is* the token).
-/// Shared by the greedy/priority/t-stable decode paths.  Lookup-only by
-/// construction — no iteration is exposed, so the backing hash map cannot
-/// leak bucket order into protocol decisions (the det::hash_map seed
-/// perturbation test proves it).
+/// Shared by every coded decode path (retirement_ledger::settle).
+/// Lookup-only by construction — no iteration is exposed, so the backing
+/// hash map cannot leak bucket order into protocol decisions (the
+/// det::hash_map seed perturbation test proves it).
 class payload_index {
  public:
   explicit payload_index(const token_distribution& dist);

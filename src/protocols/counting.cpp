@@ -15,7 +15,7 @@ namespace {
 
 using uid_t = std::uint32_t;
 
-struct uid_flood_msg {
+struct uid_batch_msg {
   std::vector<uid_t> uids;
   std::size_t uid_bits = 0;
   std::size_t bit_size() const noexcept { return uids.size() * uid_bits; }
@@ -86,10 +86,10 @@ counting_result run_counting(network& net, const counting_config& cfg) {
       for (node_id u = 0; u < n; ++u) active[u] = seen[u];
       for (std::size_t p = 0; p < phases; ++p) {
         for (round_t r = 0; r < phase_len; ++r) {
-          net.step<uid_flood_msg>(
+          net.step<uid_batch_msg>(
               view,
-              [&](node_id u, rng&) -> std::optional<uid_flood_msg> {
-                uid_flood_msg m;
+              [&](node_id u, rng&) -> std::optional<uid_batch_msg> {
+                uid_batch_msg m;
                 m.uid_bits = ub;
                 for (uid_t id : active[u]) {
                   if (m.uids.size() >= batch) break;
@@ -98,8 +98,8 @@ counting_result run_counting(network& net, const counting_config& cfg) {
                 if (m.uids.empty()) return std::nullopt;
                 return m;
               },
-              [&](node_id u, const std::vector<const uid_flood_msg*>& inbox) {
-                for (const uid_flood_msg* m : inbox) {
+              [&](node_id u, const std::vector<const uid_batch_msg*>& inbox) {
+                for (const uid_batch_msg* m : inbox) {
                   for (uid_t id : m->uids) {
                     if (seen[u].insert(id).second) active[u].insert(id);
                   }
@@ -123,11 +123,11 @@ counting_result run_counting(network& net, const counting_config& cfg) {
         // Random forwarding of UIDs.
         const std::size_t batch = std::max<std::size_t>(1, cfg.b_bits / ub);
         for (round_t r = 0; r < phase_len; ++r) {
-          net.step<uid_flood_msg>(
+          net.step<uid_batch_msg>(
               view,
-              [&](node_id u, rng& prng) -> std::optional<uid_flood_msg> {
+              [&](node_id u, rng& prng) -> std::optional<uid_batch_msg> {
                 if (unretired[u].empty()) return std::nullopt;
-                uid_flood_msg m;
+                uid_batch_msg m;
                 m.uid_bits = ub;
                 std::vector<uid_t> pool(unretired[u].begin(),
                                         unretired[u].end());
@@ -139,8 +139,8 @@ counting_result run_counting(network& net, const counting_config& cfg) {
                 }
                 return m;
               },
-              [&](node_id u, const std::vector<const uid_flood_msg*>& inbox) {
-                for (const uid_flood_msg* m : inbox) {
+              [&](node_id u, const std::vector<const uid_batch_msg*>& inbox) {
+                for (const uid_batch_msg* m : inbox) {
                   for (uid_t id : m->uids) {
                     if (seen[u].insert(id).second) unretired[u].insert(id);
                   }

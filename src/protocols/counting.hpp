@@ -16,7 +16,7 @@
 //   coding   — gather + network-coded block broadcast (greedy-forward
 //              structure), O(n̂^2 d / b^2 + n̂ b) rounds per attempt.
 //
-// Substitution (DESIGN.md §5): verification compares 64-bit set checksums,
+// Substitution (README): verification compares 64-bit set checksums,
 // a with-high-probability equality test standing in for the paper's exact
 // (and more intricate) k-verification; nodes output-and-continue, so a
 // premature local output is corrected by the time the protocol terminates.

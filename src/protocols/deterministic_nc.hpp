@@ -13,7 +13,7 @@
 // the adversary) — a `field_rlnc_session` built with an advice seed
 // (protocols/rlnc_broadcast.hpp).  The protocol is then fully
 // deterministic given the initial token placement.  Substitutions
-// (DESIGN.md §5): the advice is a seeded PRF rather than the
+// (README): the advice is a seeded PRF rather than the
 // lexicographically-first good matrix (whose construction is
 // super-polynomial), and q = 2^61 - 1 stands in for n^Omega(k) — at every
 // (n, k) the benches run, exp(nk log n) * q^{-n} evaluates to < 2^{-100}.
@@ -38,7 +38,7 @@ namespace ncdn {
 /// non-innovative transmissions next to each other (connected, as the
 /// model requires).  A search over all topologies would be exponential;
 /// the greedy chain suffices to separate small-q from large-q behaviour
-/// (DESIGN.md §5).
+/// (README, Substitutions).
 template <finite_field F>
 class omniscient_chain_adversary final : public adversary {
  public:

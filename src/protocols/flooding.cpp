@@ -60,8 +60,9 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
     // Streaming mode: no finalization schedule (see header); run until the
     // observer sees completion or a generous cap.
     for (node_id u = 0; u < n; ++u) unsent[u] = active[u];
-    const round_t cap = 4 * static_cast<round_t>(phases) * phase_len +
-                        4 * static_cast<round_t>(n);
+    const round_t cap = round_cap(
+        4.0 * static_cast<double>(phases) * static_cast<double>(phase_len),
+        4 * static_cast<round_t>(n));
     for (round_t r = 0; r < cap && !st.all_complete(); ++r) {
       net.step<forward_msg>(
           st,
@@ -84,10 +85,7 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
           });
       co_await next_round;
     }
-    res.rounds = net.rounds_elapsed() - start_round;
-    res.complete = st.all_complete();
-    res.completion_round = res.complete ? res.rounds : 0;
-    res.max_message_bits = net.max_observed_message_bits();
+    finish_result(res, net, st, start_round);
     res.epochs = 1;
     co_return res;
   }
@@ -112,9 +110,7 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
             }
           });
       co_await next_round;
-      if (res.completion_round == 0 && st.all_complete()) {
-        res.completion_round = net.rounds_elapsed() - start_round;
-      }
+      note_completion(res, net, st, start_round);
     }
     // Phase boundary: every node finalizes its `batch` smallest known
     // non-finalized tokens.  The min-flood argument (header comment)
@@ -138,12 +134,7 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
     }
   }
 
-  res.rounds = net.rounds_elapsed() - start_round;
-  res.complete = st.all_complete();
-  if (res.completion_round == 0 && res.complete) {
-    res.completion_round = res.rounds;
-  }
-  res.max_message_bits = net.max_observed_message_bits();
+  finish_result(res, net, st, start_round);
   res.epochs = phases;
   co_return res;
 }

@@ -4,6 +4,7 @@
 #include <span>
 
 #include "core/bits.hpp"
+#include "protocols/coded_nodes.hpp"
 #include "protocols/random_forward.hpp"
 #include "protocols/rlnc_broadcast.hpp"
 
@@ -24,10 +25,7 @@ round_task<protocol_result> greedy_forward_machine(
   protocol_result res;
   const round_t start = net.rounds_elapsed();
 
-  // Failure-recovery state: which nodes must raise the flag, and the token
-  // set of the previous epoch (recorded by nodes that decoded it).
-  std::vector<bool> raise_fail(n, false);
-  std::vector<std::vector<std::size_t>> last_epoch_tokens(n);
+  retirement_ledger ledger(n);
 
   gather_config gcfg;
   gcfg.b_bits = cfg.b_bits;
@@ -37,17 +35,11 @@ round_task<protocol_result> greedy_forward_machine(
   for (std::size_t epoch = 0; epoch < max_epochs; ++epoch) {
     // --- gather + identify (also the termination / failure channel) ---
     const gather_result g =
-        co_await random_forward_machine(net, st, gcfg, &raise_fail);
-    std::fill(raise_fail.begin(), raise_fail.end(), false);
-
-    if (g.fail_seen) {
-      // Someone missed the previous broadcast: undo its retirement.
-      for (node_id u = 0; u < n; ++u) {
-        for (std::size_t t : last_epoch_tokens[u]) st.reinstate(u, t);
-        last_epoch_tokens[u].clear();
-      }
-    } else {
-      for (auto& v : last_epoch_tokens) v.clear();
+        co_await random_forward_machine(net, st, gcfg, &ledger.fail_bits());
+    // A fail bit means someone missed the last broadcast: undo its
+    // retirement.
+    ledger.close_flood(st, g.fail_seen);
+    if (!g.fail_seen) {
       if (g.leader_count == 0) {
         res.epochs = epoch + 1;
         break;  // nothing remains anywhere: terminate
@@ -59,10 +51,7 @@ round_task<protocol_result> greedy_forward_machine(
         break;
       }
     }
-    if (g.fail_seen && g.leader_count == 0) {
-      // Reinstated tokens exist but were not gatherable this epoch; loop.
-      continue;
-    }
+    // Reinstated tokens exist but were not gatherable this epoch; loop.
     if (g.leader_count == 0) continue;
 
     // --- leader groups its tokens into blocks (indexing is trivial: the
@@ -100,33 +89,12 @@ round_task<protocol_result> greedy_forward_machine(
     co_await session.run_stepped(net, bc_rounds, /*stop_early=*/false);
 
     // --- decode, learn, retire ---
-    for (node_id u = 0; u < n; ++u) {
-      if (!session.node_complete(u)) {
-        raise_fail[u] = true;  // veto retirement in the next flood
-        last_epoch_tokens[u].clear();
-        continue;
-      }
-      std::vector<std::size_t> decoded_tokens =
-          unpack_blocks(session, u, by_payload, d);
-      for (std::size_t t : decoded_tokens) {
-        st.learn(u, t);
-        st.retire(u, t);
-      }
-      last_epoch_tokens[u] = std::move(decoded_tokens);
-    }
-
-    if (res.completion_round == 0 && st.all_complete()) {
-      res.completion_round = net.rounds_elapsed() - start;
-    }
+    ledger.settle(st, session, by_payload);
+    note_completion(res, net, st, start);
     res.epochs = epoch + 1;
   }
 
-  res.rounds = net.rounds_elapsed() - start;
-  res.complete = st.all_complete();
-  if (res.completion_round == 0 && res.complete) {
-    res.completion_round = res.rounds;
-  }
-  res.max_message_bits = net.max_observed_message_bits();
+  finish_result(res, net, st, start);
   co_return res;
 }
 

@@ -18,7 +18,7 @@
 //     subroutine "(*)" whose details are deferred to the full version:
 //     the selection is computed consistently and charged O(n) rounds,
 //     which yields exactly the Theorem 7.5 bound
-//     O(log n / b * nkd/b + n log n).  (DESIGN.md §5, substitutions.)
+//     O(log n / b * nkd/b + n log n).  (README, Substitutions.)
 #pragma once
 
 #include "core/machine.hpp"

@@ -26,7 +26,7 @@ struct max_flood_msg {
 
 round_task<gather_result> random_forward_machine(
     network& net, token_state& st, gather_config cfg,
-    const std::vector<bool>* raise_fail) {
+    const std::vector<bool>* fail_bits) {
   const token_distribution& dist = st.distribution();
   const std::size_t n = dist.n;
   const std::size_t d = dist.d_bits;
@@ -87,7 +87,7 @@ round_task<gather_result> random_forward_machine(
   for (node_id u = 0; u < n; ++u) {
     best[u].count = st.remaining_count(u);
     best[u].uid = u;
-    best[u].fail = raise_fail != nullptr && (*raise_fail)[u];
+    best[u].fail = fail_bits != nullptr && (*fail_bits)[u];
     best[u].wire_bits = count_bits + uid_bits + 1;
   }
   auto better = [](const max_flood_msg& a, const max_flood_msg& b) {

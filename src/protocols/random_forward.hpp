@@ -32,10 +32,10 @@ struct gather_result {
 };
 
 /// Gather + max-identification as a round-driven machine (one suspension
-/// per communication round).  `raise_fail[u]`, when provided, marks nodes
+/// per communication round).  `fail_bits[u]`, when provided, marks nodes
 /// that inject the failure flag into the flood; it must outlive the task.
 round_task<gather_result> random_forward_machine(
     network& net, token_state& st, gather_config cfg,
-    const std::vector<bool>* raise_fail = nullptr);
+    const std::vector<bool>* fail_bits = nullptr);
 
 }  // namespace ncdn

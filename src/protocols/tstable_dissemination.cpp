@@ -1,11 +1,13 @@
 #include "protocols/tstable_dissemination.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <span>
 
 #include "core/bits.hpp"
 #include "protocols/greedy_forward.hpp"
+#include "protocols/min_flood.hpp"
 #include "protocols/random_forward.hpp"
 
 namespace ncdn {
@@ -63,15 +65,6 @@ struct gather_up_msg {
   }
 };
 
-struct block_ann_msg {
-  std::vector<node_id> holders;  // leader UIDs announcing a block
-  bool fail = false;
-  std::size_t uid_bits = 0;
-  std::size_t bit_size() const noexcept {
-    return holders.size() * uid_bits + 1;
-  }
-};
-
 // Generous per-epoch broadcast cap (Lemma 8.1 shape: (n + bT^2) log n).
 round_t broadcast_cap(const tstable_config& cfg, std::size_t n) {
   const double t = static_cast<double>(cfg.t_stability);
@@ -107,9 +100,7 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
   const std::size_t max_epochs =
       cfg.max_epochs != 0 ? cfg.max_epochs : 16 + 8 * dist.k();
   const round_t bc_cap = broadcast_cap(cfg, n);
-
-  std::vector<bool> raise_fail(n, false);
-  std::vector<std::vector<std::size_t>> last_epoch_tokens(n);
+  retirement_ledger ledger(n);
 
   for (std::size_t epoch = 0; epoch < max_epochs; ++epoch) {
     res.epochs = epoch + 1;
@@ -187,61 +178,18 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
 
     // --- index blocks: flood the holders' UIDs (plus the fail bit) for n
     //     rounds; everyone selects the s_cap smallest consistently ---
-    std::vector<std::set<node_id>> known(n);
-    std::vector<bool> fail_bit(raise_fail.begin(), raise_fail.end());
-    std::fill(raise_fail.begin(), raise_fail.end(), false);
+    std::vector<std::set<node_id>> holders(n);
     for (node_id u = 0; u < n; ++u) {
-      if (bp.is_leader[u] && !gathered[u].empty()) known[u].insert(u);
+      if (bp.is_leader[u] && !gathered[u].empty()) holders[u].insert(u);
     }
-    for (std::size_t r = 0; r < n; ++r) {
-      net.step<block_ann_msg>(
-          st,
-          [&](node_id u, rng&) -> std::optional<block_ann_msg> {
-            block_ann_msg m;
-            m.uid_bits = uid_bits;
-            m.fail = fail_bit[u];
-            for (node_id h : known[u]) {
-              if (m.holders.size() >= anns_per_msg) break;
-              m.holders.push_back(h);
-            }
-            if (m.holders.empty() && !m.fail) return std::nullopt;
-            return m;
-          },
-          [&](node_id u, const std::vector<const block_ann_msg*>& inbox) {
-            for (const block_ann_msg* m : inbox) {
-              fail_bit[u] = fail_bit[u] || m->fail;
-              for (node_id h : m->holders) known[u].insert(h);
-            }
-          });
-      co_await next_round;
-    }
-    bool fail_seen = false;
-    for (node_id u = 0; u < n; ++u) fail_seen = fail_seen || fail_bit[u];
-    if (fail_seen) {
-      for (node_id u = 0; u < n; ++u) {
-        for (std::size_t tk : last_epoch_tokens[u]) st.reinstate(u, tk);
-        last_epoch_tokens[u].clear();
-      }
-      continue;
-    }
-    for (auto& v : last_epoch_tokens) v.clear();
-    // Only the s_cap smallest holder UIDs are guaranteed to have flooded
-    // to everyone (each message carries anns_per_msg >= s_cap of them, and
-    // min-flooding spreads the smallest set reliably in n rounds); the
-    // selection is their sorted prefix, on which all nodes agree.
-    auto prefix = [&](node_id u) {
-      std::vector<node_id> out;
-      for (node_id h : known[u]) {
-        if (out.size() >= s_cap) break;
-        out.push_back(h);
-      }
-      return out;
-    };
-    const std::vector<node_id> selected = prefix(0);
-    for (node_id u = 1; u < n; ++u) {
-      NCDN_ASSERT(prefix(u) == selected);  // min-flood agreement
-    }
+    min_flood_result<node_id> flood = co_await min_flood(
+        net, st, std::move(holders), ledger.fail_bits(), 1, anns_per_msg,
+        uid_bits);
+    ledger.close_flood(st, flood.fail_seen);
+    if (flood.fail_seen) continue;
+    std::vector<node_id>& selected = flood.finalized;
     if (selected.empty()) break;  // nothing left anywhere
+    if (selected.size() > s_cap) selected.resize(s_cap);
 
     // --- patch broadcast of the selected blocks ---
     patch_plan bc_plan = plan;
@@ -252,32 +200,11 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
                    pack_block(dist, gathered[selected[i]], plan.item_bits));
     }
     co_await session.run_stepped(net, bc_cap, /*stop_early=*/true);
-
-    for (node_id u = 0; u < n; ++u) {
-      if (!session.node_complete(u)) {
-        raise_fail[u] = true;
-        continue;
-      }
-      std::vector<std::size_t> decoded =
-          unpack_blocks(session, u, by_payload, d);
-      for (std::size_t tk : decoded) {
-        st.learn(u, tk);
-        st.retire(u, tk);
-      }
-      last_epoch_tokens[u] = std::move(decoded);
-    }
-
-    if (res.completion_round == 0 && st.all_complete()) {
-      res.completion_round = net.rounds_elapsed() - start;
-    }
+    ledger.settle(st, session, by_payload);
+    note_completion(res, net, st, start);
   }
 
-  res.rounds = net.rounds_elapsed() - start;
-  res.complete = st.all_complete();
-  if (res.completion_round == 0 && res.complete) {
-    res.completion_round = res.rounds;
-  }
-  res.max_message_bits = net.max_observed_message_bits();
+  finish_result(res, net, st, start);
   co_return res;
 }
 
@@ -291,11 +218,20 @@ bool tstable_engine_fits(tstable_engine engine, std::size_t n,
     return true;
   }
   if (b_bits < 2) return false;  // both plans' precondition
+  // A vector is b * t_vec bits and an epoch ships items * (item_bits / d)
+  // tokens; on huge windows either product can wrap a size_t.
+  const auto sized = [&](round_t t_vec, std::size_t items,
+                         std::size_t item_bits) {
+    const std::size_t top = std::numeric_limits<std::size_t>::max();
+    return item_bits >= d && t_vec <= top / b_bits &&
+           item_bits / d <= top / items;
+  };
   if (engine == tstable_engine::chunked) {
-    return plan_chunked_broadcast(b_bits, t_stability).item_bits >= d;
+    const chunked_plan plan = plan_chunked_broadcast(b_bits, t_stability);
+    return sized(plan.t_vec, plan.items, plan.item_bits);
   }
   const patch_plan plan = plan_patch_broadcast(n, b_bits, t_stability);
-  return plan.feasible && plan.item_bits >= d;
+  return plan.feasible && sized(plan.t_vec, plan.items, plan.item_bits);
 }
 
 round_task<tstable_result> tstable_machine(network& net, token_state& st,
@@ -333,9 +269,7 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
   res.engine_used = sizing.engine;
   res.tokens_per_epoch = tokens_total;
   const round_t start = net.rounds_elapsed();
-
-  std::vector<bool> raise_fail(n, false);
-  std::vector<std::vector<std::size_t>> last_epoch_tokens(n);
+  retirement_ledger ledger(n);
 
   gather_config gcfg;
   gcfg.b_bits = cfg.b_bits;
@@ -346,17 +280,9 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
 
   for (std::size_t epoch = 0; epoch < max_epochs; ++epoch) {
     const gather_result g =
-        co_await random_forward_machine(net, st, gcfg, &raise_fail);
-    std::fill(raise_fail.begin(), raise_fail.end(), false);
-
-    if (g.fail_seen) {
-      for (node_id u = 0; u < n; ++u) {
-        for (std::size_t t : last_epoch_tokens[u]) st.reinstate(u, t);
-        last_epoch_tokens[u].clear();
-      }
-      continue;
-    }
-    for (auto& v : last_epoch_tokens) v.clear();
+        co_await random_forward_machine(net, st, gcfg, &ledger.fail_bits());
+    ledger.close_flood(st, g.fail_seen);
+    if (g.fail_seen) continue;
     if (g.leader_count == 0) {
       res.epochs = epoch + 1;
       break;
@@ -386,17 +312,6 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
       }
     };
 
-    std::vector<std::vector<std::size_t>> decoded_of(n);
-    auto harvest = [&](const coded_nodes& session) {
-      for (node_id u = 0; u < n; ++u) {
-        if (!session.node_complete(u)) {
-          raise_fail[u] = true;
-          continue;
-        }
-        decoded_of[u] = unpack_blocks(session, u, by_payload, d);
-      }
-    };
-
     // The coefficient width shrinks to the epoch's actual item count
     // (globally derivable: everyone knows leader_count from the flood).
     if (sizing.engine == tstable_engine::patch) {
@@ -405,34 +320,19 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
       tstable_patch_session session(plan);
       seed_items(session);
       co_await session.run_stepped(net, bc_cap, /*stop_early=*/true);
-      harvest(session);
+      ledger.settle(st, session, by_payload);
     } else {
       chunked_meta_session session(n, cfg.b_bits, cfg.t_stability, k_items);
       seed_items(session);
       co_await session.run_stepped(net, bc_cap, /*stop_early=*/true);
-      harvest(session);
+      ledger.settle(st, session, by_payload);
     }
 
-    for (node_id u = 0; u < n; ++u) {
-      for (std::size_t t : decoded_of[u]) {
-        st.learn(u, t);
-        st.retire(u, t);
-      }
-      last_epoch_tokens[u] = std::move(decoded_of[u]);
-    }
-
-    if (res.completion_round == 0 && st.all_complete()) {
-      res.completion_round = net.rounds_elapsed() - start;
-    }
+    note_completion(res, net, st, start);
     res.epochs = epoch + 1;
   }
 
-  res.rounds = net.rounds_elapsed() - start;
-  res.complete = st.all_complete();
-  if (res.completion_round == 0 && res.complete) {
-    res.completion_round = res.rounds;
-  }
-  res.max_message_bits = net.max_observed_message_bits();
+  finish_result(res, net, st, start);
   co_return res;
 }
 

@@ -25,8 +25,9 @@
 //
 // Fidelity note: the coded broadcast here runs in observer-stopped mode
 // (we measure the round all nodes decoded).  The distributed termination
-// and failure machinery is demonstrated by greedy/priority-forward; reusing
-// it here would only add O(n) rounds per epoch (see DESIGN.md §5).
+// is demonstrated by greedy/priority-forward; reusing it here would only
+// add O(n) rounds per epoch, and a broadcast cut short by the cap still
+// goes through §7's fail-bit veto (README, Substitutions).
 #pragma once
 
 #include "core/machine.hpp"
@@ -54,8 +55,8 @@ struct tstable_result : protocol_result {
 
 /// True iff `engine`'s sizing fits an (n, b, T, d) instance: the patch
 /// engines need a feasible patch plan, and every coded engine needs an
-/// item that holds a d-bit token.  plain (and auto_select, which falls
-/// back to it) always fit.
+/// item that holds a d-bit token and bit and token counts that fit a
+/// size_t.  plain (and auto_select, which falls back to it) always fit.
 bool tstable_engine_fits(tstable_engine engine, std::size_t n,
                          std::size_t b_bits, round_t t_stability,
                          std::size_t d);

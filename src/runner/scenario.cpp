@@ -112,6 +112,7 @@ std::vector<scenario> build_registry() {
       // broadcast cycles inside it (§8); T = 256 at n = 32, b = 16 is the
       // sizing the patch tests prove feasible.
       {"tstable/patch", "", 256, {{32, 16}}, {}},
+      {"tstable/patch-gather", "", 256, {{32, 16}}, {}},
       {"tstable/chunked", "", 4, {{16, 32}}, {}},
       {"tstable/plain", "", 4, {{16, 32}}, {}},
   };

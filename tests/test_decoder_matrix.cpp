@@ -10,8 +10,9 @@
 //     over each generation's arrivals;
 //   * byte-identity: the n16 sweep dumps bytes equal to the committed
 //     goldens for every threads x batch combination — the default-path
-//     cells (no link:/content:/sched:/dec: axis) and the axis cells each
-//     against their own file;
+//     cells (no link:/content:/sched:/dec: axis), the axis cells and the
+//     n32 cells of the flood-then-broadcast machines each against their
+//     own file;
 //   * decode-delay: the new session metrics are shaped sanely (p50 <= p90
 //     <= max, events == n*k for complete one-shot coded runs) and absent
 //     for token-forwarding protocols;
@@ -410,18 +411,23 @@ bool has_axis(const std::string& name) {
   return false;
 }
 
-// Sweeps the n16 scenarios with (axes) or without (!axes) a link:,
-// content:, sched: or dec: segment at two seeds, for every threads x batch
-// engine shape, and compares the JSON with the committed golden.
-void expect_n16_sweep_matches_golden(const char* golden_name, bool axes) {
-  const std::string golden = read_file(std::string(NCDN_SOURCE_DIR) +
-                                       "/tools/ci/" + golden_name);
-  ASSERT_FALSE(golden.empty()) << "missing committed golden " << golden_name;
-
+// The n16 scenarios with (axes) or without (!axes) a link:, content:,
+// sched: or dec: segment.
+std::vector<runner::scenario> n16_slice(bool axes) {
   std::vector<runner::scenario> scens;
   for (const runner::scenario& s : runner::scenarios_matching("n16")) {
     if (has_axis(s.name) == axes) scens.push_back(s);
   }
+  return scens;
+}
+
+// Sweeps `scens` at two seeds, for every threads x batch engine shape, and
+// compares the JSON with the committed golden.
+void expect_sweep_matches_golden(const char* golden_name,
+                                 const std::vector<runner::scenario>& scens) {
+  const std::string golden = read_file(std::string(NCDN_SOURCE_DIR) +
+                                       "/tools/ci/" + golden_name);
+  ASSERT_FALSE(golden.empty()) << "missing committed golden " << golden_name;
   ASSERT_FALSE(scens.empty());
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -443,7 +449,7 @@ TEST(decoder_matrix, default_sweep_is_byte_identical_to_committed_golden) {
   // The matrix refactor must leave the default-path sweep untouched: the
   // n16 slice minus the link:/content:/sched:/dec: axes dumps bytes equal
   // to the committed golden.
-  expect_n16_sweep_matches_golden("golden_sweep_n16.json", /*axes=*/false);
+  expect_sweep_matches_golden("golden_sweep_n16.json", n16_slice(false));
 }
 
 TEST(decoder_matrix, axis_sweep_is_byte_identical_to_committed_golden) {
@@ -451,8 +457,20 @@ TEST(decoder_matrix, axis_sweep_is_byte_identical_to_committed_golden) {
   // matrix's schedules and strategies, recoding buffers) have their own
   // golden, so a change that moves release and audit builds alike still
   // shows up here.
-  expect_n16_sweep_matches_golden("golden_sweep_n16_axes.json",
-                                  /*axes=*/true);
+  expect_sweep_matches_golden("golden_sweep_n16_axes.json", n16_slice(true));
+}
+
+TEST(decoder_matrix, gathering_sweep_is_byte_identical_to_committed_golden) {
+  // The n32 cells of the flood-then-broadcast machines, among them the only
+  // tstable/patch and tstable/patch-gather cells, against their own golden
+  // (`sweep --match n32 --filter '^(naive-indexed|greedy-forward|tstable/)'`).
+  std::vector<runner::scenario> scens;
+  for (const runner::scenario& s : runner::scenarios_matching("n32")) {
+    for (const char* alg : {"naive-indexed", "greedy-forward", "tstable/"}) {
+      if (s.name.starts_with(alg)) scens.push_back(s);
+    }
+  }
+  expect_sweep_matches_golden("golden_sweep_n32_gather.json", scens);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "core/session.hpp"
 #include "protocols/flooding.hpp"
 
 namespace ncdn {
@@ -112,6 +113,26 @@ TEST(flooding, completion_tracks_observer_not_schedule) {
   const protocol_result res = run_rounds(flooding_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
   EXPECT_LT(res.completion_round, res.rounds);
+}
+
+TEST(flooding, pipelined_cap_saturates_instead_of_wrapping) {
+  // phase_factor = 1e300 saturates the phase length; the streaming cap
+  // built from it must mean "no cap" and let the run finish exactly as the
+  // default factor does, not wrap to a zero-round, incomplete run.
+  problem prob;
+  prob.n = 64;
+  prob.k = 64;
+  prob.d = 8;
+  prob.b = 8;
+  for (const char* factor : {"1", "1e300"}) {
+    session s(prob,
+              protocol_spec{"token-forwarding-pipelined",
+                            {{"phase_factor", factor}}},
+              adversary_spec{"static-path", {}}, 1);
+    const run_report& rep = s.run_to_completion();
+    EXPECT_TRUE(rep.complete) << "phase_factor=" << factor;
+    EXPECT_EQ(rep.rounds, 1402u) << "phase_factor=" << factor;
+  }
 }
 
 }  // namespace

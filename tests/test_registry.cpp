@@ -266,9 +266,9 @@ TEST(session, params_override_problem_and_reject_typos) {
 TEST(session, bad_window_and_round_budget_params_are_rejected_up_front) {
   // A zero window, a flood too short to reach every node (min-flood
   // agreement would fail mid-run), a negative round-budget factor, a forced
-  // T-stable engine whose sizing does not fit, or more tokens than d bits
-  // can tell apart is a user error, not a contract abort or a cast that
-  // never terminates.
+  // T-stable engine whose sizing does not fit, more tokens than d bits can
+  // tell apart, or a naive-indexed message too small for two token IDs is
+  // a user error, not a contract abort or a cast that never terminates.
   struct bad_input {
     const char* protocol;
     const char* adversary;
@@ -300,6 +300,25 @@ TEST(session, bad_window_and_round_budget_params_are_rejected_up_front) {
       {"rlnc-direct",
        "static-path",
        {{"n", "4"}, {"k", "4"}, {"d", "2"}, {"b", "8"}}},
+      // One token ID costs bits_for(16) + bits_for(17) = 9 bits, and a
+      // naive-indexed message needs room for two.
+      {"naive-indexed", "static-path", {{"n", "16"}, {"k", "16"}, {"b", "16"}}},
+      // Windows whose sizing products wrap a size_t.
+      {"tstable/chunked", "static-path", {{"t_stability", "4294967296"}}},
+      {"tstable/patch", "static-path", {{"t_stability", "1099511627776"}}},
+      {"tstable/chunked", "static-path", {{"t_stability", "1099511627776"}}},
+      {"tstable/patch-gather",
+       "static-path",
+       {{"t_stability", "1099511627776"}}},
+      {"tstable/patch",
+       "static-path",
+       {{"t_stability", "18446744073709551615"}}},
+      {"tstable/chunked",
+       "static-path",
+       {{"t_stability", "18446744073709551615"}}},
+      {"tstable/patch-gather",
+       "static-path",
+       {{"t_stability", "18446744073709551615"}}},
   };
   for (const bad_input& in : inputs) {
     const problem prob = tiny_problem(in.protocol);

@@ -3,6 +3,8 @@
 // budgets, and dissemination through one-edge cuts.
 #include <gtest/gtest.h>
 
+#include "core/session.hpp"
+#include "protocols/coded_nodes.hpp"
 #include "protocols/greedy_forward.hpp"
 #include "protocols/naive_indexed.hpp"
 #include "protocols/priority_forward.hpp"
@@ -43,6 +45,54 @@ TEST(resilience, naive_indexed_recovers_from_decode_failures) {
   cfg.max_iterations = 4000;
   const protocol_result res = run_rounds(naive_indexed_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
+}
+
+TEST(resilience, tstable_chunked_recovers_from_decode_failures) {
+  // A broadcast cap of a few rounds leaves most chunked broadcasts
+  // undecoded somewhere; the vetoed epochs must put their tokens back
+  // until every node has them.
+  problem prob;
+  prob.n = 16;
+  prob.k = 16;
+  prob.d = 8;
+  prob.b = 32;
+  prob.t_stability = 4;
+  const adversary_spec adv{"permuted-path", {}};
+  session tight(prob,
+                protocol_spec{"tstable/chunked",
+                              {{"broadcast_cap_factor", "0.001"}}},
+                adv, 1);
+  const run_report& rep = tight.run_to_completion();
+  EXPECT_TRUE(rep.complete);
+  session roomy(prob, protocol_spec{"tstable/chunked", {}}, adv, 1);
+  EXPECT_GT(rep.epochs, roomy.run_to_completion().epochs);
+}
+
+TEST(resilience, retirement_ledger_reinstates_a_vetoed_broadcast) {
+  // Node 0 holds both tokens and decodes its own broadcast; node 1 hears
+  // nothing.  Node 1 raises its fail bit, and the flood that sees it puts
+  // both tokens back into node 0's consideration.
+  rng r(71);
+  const auto dist = make_distribution(2, 2, 8, placement::single_source, r);
+  token_state st(dist);
+  const payload_index by_payload(dist);
+  rlnc_session session(2, 2, 8);
+  for (std::size_t t = 0; t < 2; ++t) {
+    session.seed(0, t, dist.tokens[t].payload);
+  }
+  retirement_ledger ledger(2);
+  ledger.settle(st, session, by_payload);
+  EXPECT_EQ(st.remaining_count(0), 0u);
+  EXPECT_EQ(ledger.fail_bits(), (std::vector<bool>{false, true}));
+  ledger.close_flood(st, /*fail_seen=*/true);
+  EXPECT_EQ(st.remaining_count(0), 2u);
+  EXPECT_EQ(ledger.fail_bits(), (std::vector<bool>{false, false}));
+  // A clean flood forgets the broadcast, so a later veto has nothing of it
+  // to put back.
+  ledger.settle(st, session, by_payload);
+  ledger.close_flood(st, /*fail_seen=*/false);
+  ledger.close_flood(st, /*fail_seen=*/true);
+  EXPECT_EQ(st.remaining_count(0), 0u);
 }
 
 TEST(resilience, greedy_forward_with_adaptive_adversary_and_tight_budget) {
