@@ -57,7 +57,9 @@ int main() {
       if (i != missing) b_dec.insert(std::move(row));
     }
     bitvec xor_all(k + d);
-    for (const bitvec& row : a.basis()) xor_all.xor_with(row);
+    for (std::size_t i = 0; i < a.rank(); ++i) {
+      xor_all.xor_with(a.basis_row(i));
+    }
     b_dec.insert(xor_all);
     const bool ok =
         b_dec.complete() && b_dec.decode(missing) == payloads[missing];

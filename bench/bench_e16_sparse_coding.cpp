@@ -9,7 +9,12 @@
 // numbers are exactly what sweeps report in `metrics.elimination_xors`.
 //
 // Writes BENCH_E16.json under NCDN_BENCH_JSON (rows per backend config:
-// completion rounds, total XOR word-ops, XOR word-ops per round).
+// completion rounds, total XOR word-ops, XOR word-ops per round, mean
+// session wall time and XOR word-ops per second).  The wall time is the
+// elimination-and-combination speed axis: rounds and XOR counts are pure
+// functions of the seeds, secs and xors_per_sec are machine-dependent.
+#include <chrono>
+
 #include "bench_util.hpp"
 
 using namespace ncdn;
@@ -20,18 +25,24 @@ namespace {
 struct cell_out {
   double rounds = 0;
   double xors = 0;
+  double secs = 0;  // mean session wall time
 };
 
 cell_out mean_cell(const problem& prob, const std::string& alg,
                    const param_map& params, std::size_t trials) {
   cell_out out;
   for (std::size_t t = 0; t < trials; ++t) {
+    const auto t0 = std::chrono::steady_clock::now();
     const run_report rep =
         run_cell(prob, alg, "permuted-path", 1 + t, params);
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
     out.rounds += static_cast<double>(rep.metrics.observed_completion_round) /
                   static_cast<double>(trials);
     out.xors += static_cast<double>(rep.metrics.total_elimination_xors) /
                 static_cast<double>(trials);
+    out.secs += secs / static_cast<double>(trials);
   }
   return out;
 }
@@ -76,12 +87,14 @@ int main() {
 
   std::printf("\nbackend frontier [n = k = %zu, d = %zu, b = %zu]\n", n, d,
               prob.b);
-  text_table t({"backend", "rounds", "xor word-ops", "xors/round"});
+  text_table t(
+      {"backend", "rounds", "xor word-ops", "xors/round", "secs", "xors/sec"});
   double dense_total = 0;
   double dense_per_round = 0;
   for (const row& r : rows) {
     const cell_out c = mean_cell(prob, r.alg, r.params, trials);
     const double per_round = c.rounds > 0 ? c.xors / c.rounds : 0;
+    const double per_sec = c.secs > 0 ? c.xors / c.secs : 0;
     if (std::string(r.label) == "dense") {
       dense_total = c.xors;
       dense_per_round = per_round;
@@ -95,12 +108,15 @@ int main() {
       NCDN_ASSERT(c.xors < dense_total);
     }
     t.add_row({r.label, text_table::num(c.rounds), text_table::num(c.xors),
-               text_table::num(per_round)});
+               text_table::num(per_round), text_table::fixed(c.secs, 3),
+               text_table::num(per_sec)});
     rec.row("backends", {{"backend", json::value{r.label}},
                          {"algorithm", json::value{r.alg}},
                          {"rounds", json::value{c.rounds}},
                          {"elimination_xors", json::value{c.xors}},
-                         {"xors_per_round", json::value{per_round}}});
+                         {"xors_per_round", json::value{per_round}},
+                         {"secs", json::value{c.secs}},
+                         {"xors_per_sec", json::value{per_sec}}});
   }
   t.print();
   std::printf(

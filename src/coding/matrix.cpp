@@ -98,6 +98,7 @@ class grouped_strategy final : public decoder_strategy {
       generation g;
       g.start = start;
       g.width = std::min(gen_size + band_overlap, items - start);
+      g.rows = row_block((narrow ? g.width : items) + item_bits);
       gens_.push_back(std::move(g));
     }
   }
@@ -112,17 +113,23 @@ class grouped_strategy final : public decoder_strategy {
       return;
     }
     const std::size_t hi = last_set_below(row, items_);
+    const std::size_t words = row.words().size();
     for (std::size_t gi = 0; gi < gens_.size(); ++gi) {
-      const generation& g = gens_[gi];
+      generation& g = gens_[gi];
       if (g.start <= lo && hi < g.start + g.width) {
-        if (narrow_) {
-          bitvec slim(g.width + item_bits_);
-          slim.copy_bits_from(row, g.start, g.width, 0);
-          slim.copy_bits_from(row, items_, item_bits_, g.width);
-          eliminate(gi, std::move(slim));
-        } else {
-          eliminate(gi, row);
+        // A generation's rank never exceeds its width: reserve once.
+        if (g.rows.empty()) {
+          g.rows.reserve(g.width);
+          g.pivots.reserve(g.width);
         }
+        if (narrow_) {
+          std::uint64_t* slim = g.rows.stage();
+          copy_bits(slim, 0, row.data(), words, g.start, g.width);
+          copy_bits(slim, g.width, row.data(), words, items_, item_bits_);
+        } else {
+          g.rows.stage(row.data());
+        }
+        eliminate(gi);
       }
     }
   }
@@ -147,8 +154,11 @@ class grouped_strategy final : public decoder_strategy {
     const std::size_t r =
         static_cast<std::size_t>(it - g.pivots.begin());
     const std::size_t coeff_bits = narrow_ ? g.width : items_;
-    NCDN_ASSERT(g.rows[r].popcount_below(coeff_bits) == 1);
-    return g.rows[r].slice(coeff_bits, item_bits_);
+    NCDN_ASSERT(no_bits_after(g.rows.row(r), local, coeff_bits));
+    bitvec out(item_bits_);
+    copy_bits(out.data(), 0, g.rows.row(r), g.rows.row_words(), coeff_bits,
+              item_bits_);
+    return out;
   }
 
   std::size_t decode_progress() const override { return decoded_count_; }
@@ -169,52 +179,47 @@ class grouped_strategy final : public decoder_strategy {
   struct generation {
     std::size_t start = 0;
     std::size_t width = 0;
-    std::vector<bitvec> rows;  // canonical RREF basis, sorted by pivot
+    row_block rows;  // canonical RREF basis, sorted by pivot
     std::vector<std::size_t> pivots;
   };
 
   // One online elimination step into generation gi: forward-reduce the
-  // arrival, drop it if it reduces to zero, clear its pivot from the other
-  // rows, and insert it at its pivot's position.  The basis is a canonical
-  // RREF before the step, so whether the arrival meets a basis row depends
-  // only on its own bit at that row's pivot: the step does exactly the
+  // arrival staged in its block, drop it if it reduces to zero, clear its
+  // pivot from the other rows, and commit it at its pivot's position.  The
+  // basis is a canonical RREF before the step, so whether the arrival
+  // meets a basis row depends only on its own bit at that row's pivot (and
+  // adding a row changes no other pivot bit): the step does exactly the
   // XORs of a batch elimination over (basis, arrival), and re-reducing the
-  // resulting basis would cost none.
-  void eliminate(std::size_t gi, bitvec row) {
+  // resulting basis would cost none.  Both passes mark their rows 64 at a
+  // time and then XOR them, with no branch per row.
+  void eliminate(std::size_t gi) {
     generation& g = gens_[gi];
     const std::size_t coeff_bits = narrow_ ? g.width : items_;
-    const std::uint64_t w = row.words().size();
-    for (std::size_t r = 0; r < g.rows.size(); ++r) {
-      if (row.get(g.pivots[r])) {
-        row.xor_with(g.rows[r]);
-        xor_words_ += w;
-      }
-    }
-    const std::size_t p = row.first_set();
+    const std::size_t w = g.rows.row_words();
+    std::uint64_t* base = g.rows.data();
+    std::uint64_t* s = base + g.rows.size() * w;
+    const std::size_t* pivots = g.pivots.data();
+    std::uint64_t xors = 0;
+    const auto meets = [&](std::size_t r) {
+      return (s[pivots[r] >> 6] >> (pivots[r] & 63)) & 1;
+    };
+    const auto reduce = [&](std::size_t r) {
+      xor_row(s, base + r * w, w);
+      ++xors;
+    };
+    for_each_marked(g.rows.size(), meets, reduce);
+    const std::size_t p = first_set_bit(s, g.rows.row_bits());
     if (p >= coeff_bits) {
-      NCDN_ASSERT(p == row.size());  // consistency: no pivot inside payload
+      NCDN_ASSERT(p == g.rows.row_bits());  // no pivot inside the payload
+      xor_words_ += xors * w;
       return;
     }
-    // A generation's rank never exceeds its width: reserve once.
-    if (g.rows.empty()) {
-      g.rows.reserve(g.width);
-      g.pivots.reserve(g.width);
-    }
-    for (std::size_t r = 0; r < g.rows.size(); ++r) {
-      if (g.rows[r].get(p)) {
-        g.rows[r].xor_with(row);
-        xor_words_ += w;
-        // Back-substitution can strip a row down to its pivot alone; a
-        // singleton never loses that status (no later row carries its
-        // pivot column), so set-once bookkeeping suffices.
-        if (g.rows[r].popcount_below(coeff_bits) == 1) {
-          note_decoded(gi, g.pivots[r]);
-        }
-      }
-    }
-    if (row.popcount_below(coeff_bits) == 1) note_decoded(gi, p);
+    xors += back_substitute(
+        g.rows, s, p, pivots, coeff_bits,
+        [&](std::size_t pivot) { note_decoded(gi, pivot); });
+    xor_words_ += xors * w;
     const auto at = std::lower_bound(g.pivots.begin(), g.pivots.end(), p);
-    g.rows.insert(g.rows.begin() + (at - g.pivots.begin()), std::move(row));
+    g.rows.commit(static_cast<std::size_t>(at - g.pivots.begin()));
     g.pivots.insert(at, p);
     NCDN_AUDIT(is_canonical_rref(g.rows, g.pivots));
     NCDN_AUDIT(audit_decoded());
@@ -237,7 +242,7 @@ class grouped_strategy final : public decoder_strategy {
     for (const generation& g : gens_) {
       const std::size_t coeff_bits = narrow_ ? g.width : items_;
       for (std::size_t r = 0; r < g.rows.size(); ++r) {
-        if (g.rows[r].popcount_below(coeff_bits) == 1) {
+        if (no_bits_after(g.rows.row(r), g.pivots[r], coeff_bits)) {
           fresh.set(narrow_ ? g.start + g.pivots[r] : g.pivots[r]);
         }
       }
@@ -264,6 +269,8 @@ bool include_row(rng& r, bool dense, double rho) {
 }
 
 // Coin/Bernoulli-combines one group's reduced rows into a full wire row.
+// Every row's coin is drawn first, in row order (the rng stream of a
+// coin-then-XOR loop), 64 rows at a time; the picked rows are XORed after.
 // Narrow groups combine narrow then widen (every combination XOR is window
 // wide — the generation coder's draw and accounting, verbatim); full-width
 // groups XOR wire rows directly.
@@ -273,27 +280,24 @@ bitvec combine_group(const decoder_strategy& dec,
                      double rho) {
   const std::size_t items = dec.items();
   const std::size_t item_bits = dec.item_bits();
-  if (g.narrow) {
-    bitvec slim = make_row(pool, g.width + item_bits);
-    for (const bitvec& row : *g.rows) {
-      if (include_row(r, dense, rho)) {
-        slim.xor_with(row);
-        *xor_words += slim.words().size();
-      }
-    }
-    bitvec out = make_row(pool, items + item_bits);
-    out.copy_bits_from(slim, 0, g.width, g.start);
-    out.copy_bits_from(slim, g.width, item_bits, items);
-    if (pool != nullptr) pool->recycle(std::move(slim));
-    return out;
-  }
+  const row_block& rows = *g.rows;
+  const std::size_t w = rows.row_words();
+  const std::uint64_t* base = rows.data();
+  bitvec sum = make_row(pool, rows.row_bits());
+  std::uint64_t* acc = sum.data();
+  std::uint64_t picked = 0;
+  const auto coin = [&](std::size_t) { return include_row(r, dense, rho); };
+  const auto add = [&](std::size_t i) {
+    xor_row(acc, base + i * w, w);
+    ++picked;
+  };
+  for_each_marked(rows.size(), coin, add);
+  *xor_words += picked * w;
+  if (!g.narrow) return sum;
   bitvec out = make_row(pool, items + item_bits);
-  for (const bitvec& row : *g.rows) {
-    if (include_row(r, dense, rho)) {
-      out.xor_with(row);
-      *xor_words += out.words().size();
-    }
-  }
+  out.copy_bits_from(sum, 0, g.width, g.start);
+  out.copy_bits_from(sum, g.width, item_bits, items);
+  if (pool != nullptr) pool->recycle(std::move(sum));
   return out;
 }
 
@@ -454,7 +458,8 @@ class matrix_coder final : public node_coder {
       // Pre-emission inserts are the node's own seeds; a singleton
       // coefficient row names the token it carries.
       const std::size_t lo = row.first_set();
-      if (lo < dec_->items() && row.popcount_below(dec_->items()) == 1) {
+      const std::size_t items = dec_->items();
+      if (lo < items && no_bits_after(row.data(), lo, items)) {
         sched_->note_seed(lo);
       }
     }

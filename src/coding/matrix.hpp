@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "coding/backend.hpp"
+#include "linalg/row_block.hpp"
 
 namespace ncdn {
 
@@ -74,7 +75,7 @@ class decoder_strategy {
     // Rows stored narrow ([width | payload], banded) or full wire width
     // ([items | payload]).
     bool narrow = false;
-    const std::vector<bitvec>* rows = nullptr;  // reduced basis rows
+    const row_block* rows = nullptr;  // reduced basis rows
   };
 
   virtual ~decoder_strategy() = default;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/rng.hpp"
+#include "dynnet/network.hpp"
 
 namespace ncdn {
 
@@ -239,12 +240,14 @@ std::shared_ptr<const content_schedule> build_content_schedule(
     for (std::size_t v = epoch_first[e]; v < epoch_first[e + 1]; ++v) {
       if (in_target[v] == 0) ++working;
     }
-    if (2 * prob.b < working + prob.d) {
+    const double limit = message_bit_limit(prob.n, prob.b, prob.slack);
+    if (static_cast<double>(working + prob.d) > limit) {
       throw std::invalid_argument(
           "ncdn: " + context + " puts " + std::to_string(working) +
           " versions on the wire at epoch " + std::to_string(e) +
-          ", but b=" + std::to_string(prob.b) +
-          " needs b >= (versions + d) / 2 to fit coded messages");
+          ", over the message budget slack * b + framing = " +
+          std::to_string(static_cast<std::size_t>(limit)) +
+          " bits for (versions + d)-bit coded rows; raise b or slack");
     }
   }
 

@@ -9,6 +9,7 @@
 
 #include "coding/backend.hpp"
 #include "coding/matrix.hpp"
+#include "dynnet/network.hpp"
 #include "protocols/centralized.hpp"
 #include "protocols/flooding.hpp"
 #include "protocols/greedy_forward.hpp"
@@ -256,7 +257,8 @@ std::unique_ptr<protocol_machine> priority_factory(const problem& prob,
 round_task<protocol_result> coded_broadcast_run(session_env& env,
                                                 coded_backend_plan plan) {
   const token_distribution& dist = env.dist;
-  NCDN_EXPECTS(2 * env.prob.b >= dist.k() + env.prob.d);
+  NCDN_EXPECTS(static_cast<double>(dist.k() + env.prob.d) <=
+               message_bit_limit(env.prob.n, env.prob.b, env.prob.slack));
   rlnc_session coding(env.prob.n, dist.k(), env.prob.d, plan.make_backend());
   coding.set_arena(env.arena);
   for (node_id u = 0; u < env.prob.n; ++u) {
@@ -298,12 +300,15 @@ std::function<std::unique_ptr<coding_backend>()> maybe_buffered(
 
 std::unique_ptr<protocol_machine> coded_broadcast_factory(
     const problem& prob, const char* name, coded_backend_plan plan) {
-  // Messages cost k + d bits, so b must be at least (k + d) / 2 to fit the
-  // network's O(b) budget.
-  if (2 * prob.b < prob.k + prob.d) {
-    throw std::invalid_argument(std::string("ncdn: ") + name +
-                                " needs b >= (k + d) / 2 (k+d-bit coded "
-                                "messages must fit the O(b) budget)");
+  // Messages cost k + d bits, which must fit the network's message budget.
+  const double limit = message_bit_limit(prob.n, prob.b, prob.slack);
+  if (static_cast<double>(prob.k + prob.d) > limit) {
+    throw std::invalid_argument(
+        std::string("ncdn: ") + name + " sends " +
+        std::to_string(prob.k + prob.d) +
+        "-bit coded rows (k + d), over the message budget slack * b + " +
+        "framing = " + std::to_string(static_cast<std::size_t>(limit)) +
+        " bits; raise b or slack");
   }
   return make_protocol_machine([plan = std::move(plan)](session_env& env) {
     return coded_broadcast_run(env, plan);

@@ -102,6 +102,13 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
   if (prob_.b < bits_for(prob_.n)) {
     throw std::invalid_argument("ncdn: the model requires b >= log2 n (§4.1)");
   }
+  // Below 1, the message budget slack * b cannot hold the b-bit messages
+  // the protocols are sized to.
+  if (!(prob_.slack >= 1.0)) {
+    throw std::invalid_argument(
+        "ncdn: slack must be >= 1 (the message budget is slack * b plus "
+        "framing, and protocols send messages of up to b bits)");
+  }
   // Tokens are distinct nonzero d-bit strings (coding/token.cpp).
   if (prob_.d < 64 && prob_.k >= (std::size_t{1} << prob_.d)) {
     throw std::invalid_argument(

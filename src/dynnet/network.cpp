@@ -6,15 +6,20 @@
 
 namespace ncdn {
 
+double message_bit_limit(std::size_t n, std::size_t b_bits, double slack) {
+  return slack * static_cast<double>(b_bits) +
+         (8.0 * static_cast<double>(bits_for(n)) + 64.0);
+}
+
 network::network(std::size_t n, std::size_t b_bits, adversary& adv,
                  std::uint64_t seed, double slack)
-    : n_(n), b_bits_(b_bits), slack_(slack), adv_(adv) {
+    : n_(n),
+      b_bits_(b_bits),
+      bit_limit_(message_bit_limit(n, b_bits, slack)),
+      adv_(adv) {
   NCDN_EXPECTS(n >= 1);
   // The model requires b >= log n (§4.1).
   NCDN_EXPECTS(b_bits_ >= bits_for(n));
-  // Fixed per-message framing allowance: phase/epoch tag plus item count.
-  // This is the O(log n) bookkeeping the paper's O(b)-bit messages absorb.
-  framing_bits_ = 8.0 * static_cast<double>(bits_for(n)) + 64.0;
   rng master(seed);
   node_rngs_.reserve(n);
   for (node_id u = 0; u < n; ++u) node_rngs_.push_back(master.fork(u));

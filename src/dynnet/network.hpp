@@ -9,10 +9,11 @@
 //   3. every node receives the messages of its G(t)-neighbours.
 //
 // The engine enforces the message-size budget: every message type reports
-// `bit_size()`, and the engine asserts it stays within slack * b, recording
-// the maximum for the experiment tables.  Protocols are free-running state
-// machines that call step() once per round — multi-phase algorithms
-// (gather, flood, broadcast, ...) read naturally as sequential code.
+// `bit_size()`, and the engine asserts it stays within message_bit_limit
+// (slack * b plus O(log n) framing), recording the maximum for the
+// experiment tables.  Protocols are free-running state machines that call
+// step() once per round — multi-phase algorithms (gather, flood,
+// broadcast, ...) read naturally as sequential code.
 #pragma once
 
 #include <functional>
@@ -58,6 +59,15 @@ struct round_digest {
   // same-round delivery); empty when nothing was delivered.
   std::vector<std::size_t> link_latency;
 };
+
+/// The largest message, in bits, the round model admits for n nodes and
+/// message parameter b: slack * b, the constant hidden in the paper's
+/// "messages of size O(b)", plus a fixed framing allowance of
+/// 8 * bits_for(n) + 64 bits (phase/epoch tag plus item count, the
+/// O(log n) bookkeeping those messages absorb).  network::step asserts
+/// every message against it; protocol factories check their wire sizes
+/// against it before a run.
+double message_bit_limit(std::size_t n, std::size_t b_bits, double slack);
 
 template <class M>
 concept sized_message = requires(const M& m) {
@@ -135,8 +145,7 @@ class network {
       msgs.push_back(make(u, node_rngs_[u]));
       if (msgs.back().has_value()) {
         const std::size_t bits = msgs.back()->bit_size();
-        NCDN_ASSERT(static_cast<double>(bits) <=
-                    slack_ * static_cast<double>(b_bits_) + framing_bits_);
+        NCDN_ASSERT(static_cast<double>(bits) <= bit_limit_);
         max_message_bits_ = std::max(max_message_bits_, bits);
       }
     }
@@ -320,8 +329,7 @@ class network {
 
   std::size_t n_;
   std::size_t b_bits_;
-  double slack_;
-  double framing_bits_;
+  double bit_limit_;  // message_bit_limit(n, b, slack)
   adversary& adv_;
   round_t round_ = 0;
   std::size_t max_message_bits_ = 0;

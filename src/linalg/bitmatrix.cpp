@@ -6,17 +6,40 @@
 
 namespace ncdn {
 
-bool is_canonical_rref(const std::vector<bitvec>& rows,
-                       const std::vector<std::size_t>& pivots) {
-  if (rows.size() != pivots.size()) return false;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
+namespace {
+
+// One canonical-RREF check over any row store: `first_set(i)` is row i's
+// first set bit, `get(i, c)` its bit c.
+template <class FirstSet, class Get>
+bool canonical_rref(std::size_t rows, const std::vector<std::size_t>& pivots,
+                    FirstSet first_set, Get get) {
+  if (rows != pivots.size()) return false;
+  for (std::size_t i = 0; i < rows; ++i) {
     if (i > 0 && pivots[i - 1] >= pivots[i]) return false;
-    if (rows[i].first_set() != pivots[i]) return false;
-    for (std::size_t j = 0; j < rows.size(); ++j) {
-      if (j != i && rows[j].get(pivots[i])) return false;
+    if (first_set(i) != pivots[i]) return false;
+    for (std::size_t j = 0; j < rows; ++j) {
+      if (j != i && get(j, pivots[i])) return false;
     }
   }
   return true;
+}
+
+}  // namespace
+
+bool is_canonical_rref(const std::vector<bitvec>& rows,
+                       const std::vector<std::size_t>& pivots) {
+  const auto first_set = [&](std::size_t i) { return rows[i].first_set(); };
+  const auto get = [&](std::size_t i, std::size_t c) { return rows[i].get(c); };
+  return canonical_rref(rows.size(), pivots, first_set, get);
+}
+
+bool is_canonical_rref(const row_block& rows,
+                       const std::vector<std::size_t>& pivots) {
+  const auto first_set = [&](std::size_t i) {
+    return first_set_bit(rows.row(i), rows.row_bits());
+  };
+  const auto get = [&](std::size_t i, std::size_t c) { return rows.get(i, c); };
+  return canonical_rref(rows.size(), pivots, first_set, get);
 }
 
 std::vector<std::size_t> gf2_rref(std::vector<bitvec>& rows,

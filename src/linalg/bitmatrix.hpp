@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "linalg/bitvec.hpp"
+#include "linalg/row_block.hpp"
 
 namespace ncdn {
 
@@ -28,6 +29,8 @@ std::vector<std::size_t> gf2_rref(std::vector<bitvec>& rows,
 /// column zero in all other rows (the audit-build check of gf2_rref and
 /// of the online generation decoders).
 bool is_canonical_rref(const std::vector<bitvec>& rows,
+                       const std::vector<std::size_t>& pivots);
+bool is_canonical_rref(const row_block& rows,
                        const std::vector<std::size_t>& pivots);
 
 /// True iff `v` lies in the span of `basis` (basis need not be reduced).

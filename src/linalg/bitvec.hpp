@@ -14,6 +14,7 @@
 #include "core/bits.hpp"
 #include "core/contracts.hpp"
 #include "core/rng.hpp"
+#include "linalg/row_block.hpp"
 
 namespace ncdn {
 
@@ -64,20 +65,12 @@ class bitvec {
   /// this ^= other (vector addition over GF(2)).
   void xor_with(const bitvec& other) noexcept {
     NCDN_EXPECTS(bits_ == other.bits_);
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      words_[w] ^= other.words_[w];
-    }
+    xor_row(words_.data(), other.words_.data(), words_.size());
   }
 
   /// Index of first set bit, or size() if none.
   std::size_t first_set() const noexcept {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      if (words_[w] != 0) {
-        return (w << 6) +
-               static_cast<std::size_t>(std::countr_zero(words_[w]));
-      }
-    }
-    return bits_;
+    return first_set_bit(words_.data(), bits_);
   }
 
   /// Index of first set bit at position >= from, or size() if none.
@@ -131,18 +124,14 @@ class bitvec {
     return c;
   }
 
-  /// Dot product over GF(2): parity of AND, word-parallel (AND words,
-  /// XOR-fold, popcount parity).  Sizes may differ: the shorter vector is
-  /// treated as zero-extended, so dotting a k-bit mask against a longer
-  /// [coefficients | payload] row needs no slicing.  (Bits past size() are
-  /// zero by invariant, so the overlap word at the boundary is exact.)
+  /// Dot product over GF(2): parity of AND, word-parallel (dot_words).
+  /// Sizes may differ: the shorter vector is treated as zero-extended, so
+  /// dotting a k-bit mask against a longer [coefficients | payload] row
+  /// needs no slicing.  (Bits past size() are zero by invariant, so the
+  /// overlap word at the boundary is exact.)
   bool dot(const bitvec& other) const noexcept {
-    const std::size_t common = std::min(words_.size(), other.words_.size());
-    std::uint64_t acc = 0;
-    for (std::size_t w = 0; w < common; ++w) {
-      acc ^= words_[w] & other.words_[w];
-    }
-    return (std::popcount(acc) & 1) != 0;
+    return dot_words(words_.data(), other.words_.data(),
+                     std::min(words_.size(), other.words_.size()));
   }
 
   /// Fill all bits uniformly at random (tail bits beyond size stay zero).
@@ -160,28 +149,8 @@ class bitvec {
                       std::size_t len, std::size_t dst_begin) noexcept {
     NCDN_EXPECTS(src_begin + len <= src.size());
     NCDN_EXPECTS(dst_begin + len <= bits_);
-    std::size_t sbit = src_begin;
-    std::size_t dbit = dst_begin;
-    std::size_t remaining = len;
-    while (remaining > 0) {
-      const std::size_t dw = dbit >> 6;
-      const std::size_t doff = dbit & 63;
-      const std::size_t chunk = std::min<std::size_t>(remaining, 64 - doff);
-      // Gather up to 64 source bits starting at sbit (bits past the last
-      // source word read as zero; only the low `chunk` bits are used).
-      const std::size_t sw = sbit >> 6;
-      const std::size_t soff = sbit & 63;
-      std::uint64_t v = src.words_[sw] >> soff;
-      if (soff != 0 && sw + 1 < src.words_.size()) {
-        v |= src.words_[sw + 1] << (64 - soff);
-      }
-      const std::uint64_t keep =
-          chunk == 64 ? ~0ULL : ((1ULL << chunk) - 1);
-      words_[dw] = (words_[dw] & ~(keep << doff)) | ((v & keep) << doff);
-      sbit += chunk;
-      dbit += chunk;
-      remaining -= chunk;
-    }
+    copy_bits(words_.data(), dst_begin, src.words_.data(), src.words_.size(),
+              src_begin, len);
   }
 
   /// Extract bits [begin, begin+len) as a new bitvec.
@@ -196,6 +165,9 @@ class bitvec {
   }
 
   const std::vector<std::uint64_t>& words() const noexcept { return words_; }
+  /// The word buffer, for the raw-word row kernels of linalg/row_block.hpp.
+  std::uint64_t* data() noexcept { return words_.data(); }
+  const std::uint64_t* data() const noexcept { return words_.data(); }
 
   /// 64-bit mixing hash (used by set-equality checks in the counting app).
   std::uint64_t hash() const noexcept {

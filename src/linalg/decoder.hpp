@@ -13,6 +13,18 @@
 //   field_decoder<F>   — any finite_field F (GF(2^k) for hop-failure-rate
 //                        experiments, mersenne61 for §6 derandomization).
 //
+// bit_decoder keeps its basis in one row_block (linalg/row_block.hpp):
+// rows back to back in one buffer, each arrival copied into the staging
+// slot past the last row and eliminated there.  Elimination has no branch
+// per basis row.  The forward pass adds exactly the rows whose pivot
+// columns the arrival holds: the set bits of (arrival & pivot mask), each
+// mapped to its row through pivot_row_ (in RREF no row carries another
+// row's pivot, so that set is read once).  Back-substitution marks the
+// rows holding the new pivot 64 at a time into a word, then XORs them.  A
+// row is decodable when no coefficient bit follows its pivot, an OR over
+// words; the popcount it replaces is a libgcc call per word in a build
+// without -mpopcnt.
+//
 // Messages in the paper are random linear combinations of *all received
 // messages*; combining the decoder's basis rows spans the same subspace and
 // the projection analysis (Lemma 5.2) applies verbatim to any random
@@ -22,12 +34,15 @@
 // encoder schedules of coding/matrix.hpp.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <optional>
 #include <vector>
 
 #include "core/contracts.hpp"
 #include "gf/field.hpp"
 #include "linalg/bitvec.hpp"
+#include "linalg/row_block.hpp"
 
 namespace ncdn {
 
@@ -37,7 +52,9 @@ class bit_decoder {
   bit_decoder(std::size_t coeff_dim, std::size_t payload_bits)
       : coeff_dim_(coeff_dim),
         payload_bits_(payload_bits),
-        pivot_row_(coeff_dim, npos) {}
+        rows_(coeff_dim + payload_bits),
+        pivot_row_(coeff_dim, npos),
+        pivot_mask_(words_for_bits(coeff_dim), 0) {}
 
   std::size_t coeff_dim() const noexcept { return coeff_dim_; }
   std::size_t payload_bits() const noexcept { return payload_bits_; }
@@ -49,36 +66,29 @@ class bit_decoder {
   /// Precondition: a row whose coefficient part eliminates to zero must
   /// eliminate to the all-zero row (payloads are linear in coefficients);
   /// violating rows indicate corrupted input and trip a contract.
-  bool insert(bitvec row) {
+  bool insert(const bitvec& row) {
     NCDN_EXPECTS(row.size() == row_bits());
-    const std::size_t w = row.words().size();
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (row.get(pivots_[i])) {
-        row.xor_with(rows_[i]);
-        xor_words_ += w;
-      }
-    }
-    const std::size_t p = row.first_set();
+    const std::size_t w = rows_.row_words();
+    std::uint64_t* s = rows_.stage(row.data());
+    std::uint64_t xors = forward_reduce(s);
+    const std::size_t p = first_set_bit(s, row_bits());
     if (p >= coeff_dim_) {
-      NCDN_ASSERT(p == row.size());  // consistency: no pivot inside payload
+      NCDN_ASSERT(p == row_bits());  // consistency: no pivot inside payload
+      xor_words_ += xors * w;
       return false;
     }
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (rows_[i].get(p)) {
-        rows_[i].xor_with(row);
-        xor_words_ += w;
-        // Back-substitution can strip a row down to its pivot alone; a
-        // singleton never loses that status (no later row carries its
-        // pivot column), so counting the 0 -> 1 transitions here keeps
-        // decodable_count() exact in O(coeff words) per touched row.
-        if (rows_[i].popcount_below(coeff_dim_) == 1) ++decodable_;
-      }
-    }
-    if (row.popcount_below(coeff_dim_) == 1) ++decodable_;
+    // Clear column p from the rows holding it, counting the rows left with
+    // their pivot alone so decodable_count() stays exact.
+    std::size_t singletons = 0;
+    xors += back_substitute(rows_, s, p, pivots_.data(), coeff_dim_,
+                            [&](std::size_t) { ++singletons; });
+    decodable_ += singletons;
+    xor_words_ += xors * w;
     NCDN_AUDIT(pivot_row_[p] == npos);  // pivot columns are claimed once
     pivot_row_[p] = rows_.size();
-    rows_.push_back(std::move(row));
+    pivot_mask_[p >> 6] |= 1ULL << (p & 63);
     pivots_.push_back(p);
+    rows_.commit(rows_.size());
     NCDN_AUDIT(audit_rref());
     NCDN_AUDIT(audit_decodable());
     return true;
@@ -86,26 +96,25 @@ class bit_decoder {
 
   /// True iff some basis row's coefficient part is non-orthogonal to mu
   /// (Definition 5.1 "senses"; equivalent over the received span).
-  /// Word-parallel via bitvec::dot — mu is coeff_dim bits, so the dot
-  /// never touches a row's payload words.
+  /// Word-parallel (dot_words) — mu is coeff_dim bits, so the dot never
+  /// touches a row's payload words.
   bool senses(const bitvec& mu) const {
     NCDN_EXPECTS(mu.size() == coeff_dim_);
-    for (const bitvec& row : rows_) {
-      if (mu.dot(row)) return true;
+    const std::size_t mw = mu.words().size();
+    for (std::size_t i = 0; i < rank(); ++i) {
+      if (dot_words(mu.data(), rows_.row(i), mw)) return true;
     }
     return false;
   }
 
   /// True iff token i is decodable right now (e_i in the coefficient span).
-  /// O(row words) via the pivot->row index and an in-place coefficient
-  /// popcount — no O(rank) scan, no heap-allocating slice.
+  /// In RREF: iff the row pivoting on i has no other coefficient entries,
+  /// found through the pivot->row index — no O(rank) scan, no slice.
   bool can_decode(std::size_t i) const {
     NCDN_EXPECTS(i < coeff_dim_);
-    // In RREF: e_i is in the span iff the row pivoting on i has no other
-    // coefficient entries.
     const std::size_t r = pivot_row_[i];
     if (r == npos) return false;
-    return rows_[r].popcount_below(coeff_dim_) == 1;
+    return no_bits_after(rows_.row(r), i, coeff_dim_);
   }
 
   /// Payload of token i; requires can_decode(i).  (complete() implies every
@@ -113,19 +122,27 @@ class bit_decoder {
   /// satisfy this unchanged; per-token early decode is now legal too.)
   bitvec decode(std::size_t i) const {
     NCDN_EXPECTS(can_decode(i));
-    return rows_[pivot_row_[i]].slice(coeff_dim_, payload_bits_);
+    bitvec out(payload_bits_);
+    copy_bits(out.data(), 0, rows_.row(pivot_row_[i]), rows_.row_words(),
+              coeff_dim_, payload_bits_);
+    return out;
   }
 
   /// True iff `row` is already in the received span (non-mutating).
   bool in_span(bitvec row) const {
     NCDN_EXPECTS(row.size() == row_bits());
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (row.get(pivots_[i])) row.xor_with(rows_[i]);
-    }
-    return row.first_set() == row.size();
+    forward_reduce(row.data());
+    return !row.any();
   }
 
-  const std::vector<bitvec>& basis() const noexcept { return rows_; }
+  /// The reduced basis, one row per pivot in insertion order.
+  const row_block& basis() const noexcept { return rows_; }
+  /// Copy of basis row i as a bitvec.
+  bitvec basis_row(std::size_t i) const {
+    bitvec out(row_bits());
+    std::copy(rows_.row(i), rows_.row(i) + rows_.row_words(), out.data());
+    return out;
+  }
 
   /// Number of tokens currently decodable (singleton RREF rows).
   /// Maintained incrementally by insert — O(1) to read, monotone, and
@@ -139,28 +156,52 @@ class bit_decoder {
   std::uint64_t xor_word_ops() const noexcept { return xor_words_; }
 
   void reset(std::size_t coeff_dim, std::size_t payload_bits) {
-    coeff_dim_ = coeff_dim;
-    payload_bits_ = payload_bits;
-    rows_.clear();
-    pivots_.clear();
-    pivot_row_.assign(coeff_dim, npos);
-    xor_words_ = 0;
-    decodable_ = 0;
+    *this = bit_decoder(coeff_dim, payload_bits);
   }
 
  private:
   static constexpr std::size_t npos = ~std::size_t{0};
 
+  /// Forward pass over a row_bits()-bit row: adds the basis rows whose
+  /// pivot columns it holds and returns how many.  In RREF no row carries
+  /// another row's pivot, so those rows are the set bits of (row & pivot
+  /// mask), read a word at a time: adding a row clears its own pivot bit
+  /// and touches no other pivot column.
+  std::uint64_t forward_reduce(std::uint64_t* row) const {
+    const std::size_t w = rows_.row_words();
+    const std::uint64_t* base = rows_.data();
+    const std::size_t* pivot_row = pivot_row_.data();
+    const std::uint64_t* mask = pivot_mask_.data();
+    const std::size_t mask_words = pivot_mask_.size();
+    std::uint64_t added = 0;
+    for (std::size_t cw = 0; cw < mask_words; ++cw) {
+      for (std::uint64_t hit = row[cw] & mask[cw]; hit != 0; hit &= hit - 1) {
+        const std::size_t col =
+            (cw << 6) + static_cast<std::size_t>(std::countr_zero(hit));
+        xor_row(row, base + pivot_row[col] * w, w);
+        ++added;
+      }
+    }
+    return added;
+  }
+
   /// Full O(rank^2) RREF audit: every stored row leads with its pivot,
-  /// the pivot->row index agrees, and no pivot column appears in any
-  /// other row.  insert() maintains this incrementally; the audit build
-  /// re-derives it from scratch after every insertion.
+  /// the pivot->row index and the pivot mask agree, and no pivot column
+  /// appears in any other row.  insert() maintains this incrementally; the
+  /// audit build re-derives it from scratch after every insertion.
   bool audit_rref() const {
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (rows_[i].first_set() != pivots_[i]) return false;
-      if (pivot_row_[pivots_[i]] != i) return false;
-      for (std::size_t j = 0; j < rows_.size(); ++j) {
-        if (j != i && rows_[j].get(pivots_[i])) return false;
+    std::size_t mask_bits = 0;
+    for (const std::uint64_t m : pivot_mask_) {
+      mask_bits += static_cast<std::size_t>(std::popcount(m));
+    }
+    if (mask_bits != rank()) return false;
+    for (std::size_t i = 0; i < rank(); ++i) {
+      const std::size_t p = pivots_[i];
+      if (first_set_bit(rows_.row(i), row_bits()) != p) return false;
+      if (pivot_row_[p] != i) return false;
+      if (((pivot_mask_[p >> 6] >> (p & 63)) & 1) == 0) return false;
+      for (std::size_t j = 0; j < rank(); ++j) {
+        if (j != i && rows_.get(j, p)) return false;
       }
     }
     return true;
@@ -178,10 +219,11 @@ class bit_decoder {
 
   std::size_t coeff_dim_ = 0;
   std::size_t payload_bits_ = 0;
-  std::vector<bitvec> rows_;      // maintained in RREF (unordered by pivot)
-  std::vector<std::size_t> pivots_;
-  std::vector<std::size_t> pivot_row_;  // pivot column -> index into rows_
-  std::size_t decodable_ = 0;     // singleton rows (decodable tokens)
+  row_block rows_;  // maintained in RREF (insertion order, not by pivot)
+  std::vector<std::size_t> pivots_;     // row -> pivot column
+  std::vector<std::size_t> pivot_row_;  // pivot column -> row
+  std::vector<std::uint64_t> pivot_mask_;  // bit c set iff c is a pivot
+  std::size_t decodable_ = 0;  // singleton rows (decodable tokens)
   std::uint64_t xor_words_ = 0;
 };
 

@@ -169,6 +169,17 @@ TEST(content, errors_name_the_model_and_recognized_keys) {
                std::invalid_argument);
   EXPECT_THROW(build_content_schedule({"steady", {{"epochs", "0"}}}, prob, 1),
                std::invalid_argument);
+  // (256 + 16)-bit coded rows over the 136 + 64 + 64 = 264-bit budget
+  // network::step asserts at slack = 1: rejected up front, naming slack.
+  problem tight = content_problem(256, 136);
+  tight.d = 16;
+  tight.slack = 1.0;
+  try {
+    build_content_schedule({"steady", {}}, tight, 1);
+    FAIL() << "over-budget working set accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("slack"), std::string::npos);
+  }
 }
 
 TEST(content, parse_content_spec_roundtrips_and_rejects) {

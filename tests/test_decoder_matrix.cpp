@@ -5,9 +5,9 @@
 //     rref are the same code on the wire — identical draws, rounds, and
 //     decodes over several seeds — and differ only in elimination cost
 //     (banded XORs strictly fewer words);
-//   * differential: a generation coder's on-insert elimination does the
-//     XORs, and reaches the decodable set and payloads, of a batch gf2_rref
-//     over each generation's arrivals;
+//   * differential: a generation or full-span coder's on-insert
+//     elimination does the XORs, and reaches the rank, decodable set and
+//     payloads, of a batch gf2_rref over each window's arrivals;
 //   * byte-identity: the n16 sweep dumps bytes equal to the committed
 //     goldens for every threads x batch combination — the default-path
 //     cells (no link:/content:/sched:/dec: axis), the axis cells and the
@@ -161,15 +161,19 @@ struct batch_reference {
   }
 
   // XOR word-ops of the batch pass; sets `decodable` to the tokens with a
-  // singleton row in some generation and `payload` to their payloads.
+  // singleton row in some generation, `payload` to their payloads and
+  // `rank` (when given) to the summed rank of the generations.
   std::uint64_t reduce(std::vector<bool>& decodable,
-                       std::vector<bitvec>& payload) const {
+                       std::vector<bitvec>& payload,
+                       std::size_t* rank = nullptr) const {
     std::uint64_t xors = 0;
     decodable.assign(k, false);
     payload.assign(k, bitvec());
+    if (rank != nullptr) *rank = 0;
     for (const generation& g : gens) {
       std::vector<bitvec> rows = g.arrived;
       const std::vector<std::size_t> pivots = gf2_rref(rows, &xors);
+      if (rank != nullptr) *rank += pivots.size();
       const std::size_t coeff_bits = narrow ? g.width : k;
       for (std::size_t r = 0; r < rows.size(); ++r) {
         if (rows[r].popcount_below(coeff_bits) != 1) continue;
@@ -275,6 +279,75 @@ TEST(decoder_matrix, on_insert_elimination_matches_batch_rref) {
       EXPECT_GT(shared, 0u);
       EXPECT_GT(orphaned, 0u);
       EXPECT_TRUE(coder->complete());
+    }
+  }
+}
+
+TEST(decoder_matrix, full_span_elimination_matches_batch_rref) {
+  // The full-span layout is one window [0, k): its online elimination must
+  // do the XORs of a batch gf2_rref over every arrival and reach the same
+  // rank, decodable set and payloads.  The k values put the pivot mask in
+  // one to three words, and with d = 24 the payload shares a word with the
+  // coefficients.
+  const std::size_t d = 24;
+  for (const std::size_t k : {37u, 64u, 65u, 130u}) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      SCOPED_TRACE("k " + std::to_string(k) + " seed " + std::to_string(seed));
+      const std::unique_ptr<node_coder> coder =
+          make_matrix_backend(matrix_spec{})->make_node_coder(k, d);
+      batch_reference ref(k, d, k, 0, /*narrow_=*/false);
+      ASSERT_EQ(ref.gens.size(), 1u);
+      rng r(seed);
+      std::vector<bitvec> payloads;
+      for (std::size_t i = 0; i < k; ++i) {
+        payloads.emplace_back(d);
+        payloads.back().randomize(r);
+      }
+      std::vector<bool> decodable;
+      std::vector<bitvec> payload;
+      // Insert until full rank, then 20 more (all dependent) rows.
+      for (std::size_t step = 0, after = 0; after < 20; ++step) {
+        ASSERT_LT(step, 40 * k) << "never reached full rank";
+        bitvec row(k + d);
+        switch (r.below(4)) {
+          case 0:  // zero row
+            break;
+          case 1: {  // one token, uncoded
+            const std::size_t i = r.below(k);
+            row = consistent_row(payloads, i, i, r);
+            break;
+          }
+          case 2: {  // a short run of tokens
+            const std::size_t lo = r.below(k);
+            row = consistent_row(payloads, lo,
+                                 std::min(k - 1, lo + r.below(8)), r);
+            break;
+          }
+          default: {  // anywhere
+            const std::size_t lo = r.below(k);
+            row = consistent_row(payloads, lo, lo + r.below(k - lo), r);
+            break;
+          }
+        }
+        coder->insert(row);
+        ref.insert(row);
+        std::size_t rank = 0;
+        const std::uint64_t ref_xors = ref.reduce(decodable, payload, &rank);
+        ASSERT_EQ(coder->xor_word_ops(), ref_xors) << "step " << step;
+        ASSERT_EQ(coder->rank(), rank) << "step " << step;
+        std::size_t count = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+          ASSERT_EQ(coder->can_decode(i), decodable[i])
+              << "step " << step << " token " << i;
+          if (!decodable[i]) continue;
+          ++count;
+          EXPECT_EQ(payload[i], payloads[i]);
+          EXPECT_EQ(coder->decode(i), payloads[i]);
+        }
+        EXPECT_EQ(coder->decode_progress(), count);
+        EXPECT_EQ(coder->complete(), rank == k);
+        if (rank == k) ++after;
+      }
     }
   }
 }

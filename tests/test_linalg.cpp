@@ -3,6 +3,10 @@
 // packed GF(2) path and the generic-field reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "coding/matrix.hpp"
 #include "gf/gf2k.hpp"
 #include "gf/gfp.hpp"
@@ -10,6 +14,7 @@
 #include "linalg/bitvec.hpp"
 #include "linalg/decoder.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/row_block.hpp"
 
 namespace ncdn {
 namespace {
@@ -129,6 +134,103 @@ TEST(bitvec, popcount_below_counts_only_the_prefix) {
   EXPECT_EQ(v.popcount_below(129), 6u);
   EXPECT_EQ(v.popcount_below(190), 7u);
   EXPECT_EQ(v.popcount_below(190), v.popcount());
+}
+
+// --- contiguous row block ---
+
+TEST(row_block, commit_places_the_staged_row_and_keeps_tails_masked) {
+  // Row widths of one to three words, none a whole number of words: the
+  // tail bits past row_bits() stay zero through stage, XOR and commit.
+  rng r(31);
+  for (const std::size_t bits : {37u, 64u, 65u, 130u}) {
+    SCOPED_TRACE("bits " + std::to_string(bits));
+    row_block block(bits);
+    const std::size_t words = block.row_words();
+    EXPECT_EQ(words, words_for_bits(bits));
+    std::vector<bitvec> expect;  // the block's rows, in order
+    const auto stage_random = [&] {
+      bitvec v(bits);
+      v.randomize(r);
+      const std::uint64_t* slot = block.stage(v.data());
+      EXPECT_TRUE(std::equal(v.data(), v.data() + words, slot));
+      return v;
+    };
+    // Append, then insert at the front, in the middle and at the end.
+    for (const std::size_t where : {0u, 0u, 1u, 3u, 1u}) {
+      const std::size_t pos = std::min(where, block.size());
+      expect.insert(expect.begin() + static_cast<std::ptrdiff_t>(pos),
+                    stage_random());
+      block.commit(pos);
+    }
+    // A staged row that is never committed leaves the rows alone, and the
+    // next stage starts from zero.
+    (void)stage_random();
+    const std::uint64_t* zero = block.stage();
+    for (std::size_t w = 0; w < words; ++w) EXPECT_EQ(zero[w], 0u);
+    ASSERT_EQ(block.size(), expect.size());
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      for (std::size_t bit = 0; bit < bits; ++bit) {
+        ASSERT_EQ(block.get(i, bit), expect[i].get(bit))
+            << "row " << i << " bit " << bit;
+      }
+      EXPECT_EQ(first_set_bit(block.row(i), bits), expect[i].first_set());
+    }
+    // The kernel bitvec::xor_with runs, on block rows.
+    bitvec sum = expect[1];
+    sum.xor_with(expect[3]);
+    std::uint64_t* row1 = block.row(1);
+    xor_row(row1, block.row(3), words);
+    EXPECT_TRUE(std::equal(sum.data(), sum.data() + words, row1));
+    const std::size_t tail = bits & 63;
+    if (tail != 0) {
+      EXPECT_EQ(row1[words - 1] >> tail, 0u);
+    }
+  }
+}
+
+TEST(row_block, no_bits_after_ignores_bits_past_the_coefficients) {
+  // [coefficients | payload] rows: only (pivot, upto) is inspected, so a
+  // payload sharing the last coefficient word never counts.
+  for (const std::size_t k : {37u, 64u, 65u, 130u}) {
+    const std::size_t bits = k + 24;
+    for (std::size_t pivot = 0; pivot < k; pivot += 7) {
+      bitvec row(bits);
+      row.set(pivot);
+      for (std::size_t j = k; j < bits; j += 5) row.set(j);  // payload
+      EXPECT_TRUE(no_bits_after(row.data(), pivot, k)) << k << " " << pivot;
+      for (std::size_t other = pivot + 1; other < k; other += 11) {
+        bitvec extra = row;
+        extra.set(other);
+        EXPECT_FALSE(no_bits_after(extra.data(), pivot, k))
+            << k << " " << pivot << " " << other;
+      }
+    }
+  }
+}
+
+TEST(row_block, for_each_marked_marks_in_order_before_acting) {
+  // Marks run once per index in index order, 64 at a time, each batch
+  // before any act on it; acts visit the marked indices in order.
+  for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 130u}) {
+    std::vector<std::size_t> marked, acted;
+    const auto mark = [&](std::size_t i) {
+      marked.push_back(i);
+      return i % 3 == 0;
+    };
+    const auto act = [&](std::size_t i) {
+      acted.push_back(i);
+      // Every mark of i's batch of 64 has run, and none of the next one.
+      EXPECT_EQ(marked.size(), std::min(n, (i / 64 + 1) * 64));
+    };
+    for_each_marked(n, mark, act);
+    std::vector<std::size_t> want_marked(n), want_acted;
+    for (std::size_t i = 0; i < n; ++i) {
+      want_marked[i] = i;
+      if (i % 3 == 0) want_acted.push_back(i);
+    }
+    EXPECT_EQ(marked, want_marked);
+    EXPECT_EQ(acted, want_acted);
+  }
 }
 
 TEST(gf2_batch, rank_of_identity) {
@@ -393,11 +495,11 @@ TEST(bit_decoder, senses_matches_scalar_reference) {
   // scalar bit-at-a-time definition it replaced.  Dimensions straddle word
   // boundaries so the masked-tail overlap word is exercised.
   const auto scalar_senses = [](const bit_decoder& dec, const bitvec& mu) {
-    for (const bitvec& row : dec.basis()) {
+    for (std::size_t r = 0; r < dec.rank(); ++r) {
       bool dot = false;
       for (std::size_t i = mu.first_set(); i < mu.size();
            i = mu.first_set_from(i + 1)) {
-        dot ^= row.get(i);
+        dot ^= dec.basis().get(r, i);
       }
       if (dot) return true;
     }

@@ -267,8 +267,9 @@ TEST(session, bad_window_and_round_budget_params_are_rejected_up_front) {
   // A zero window, a flood too short to reach every node (min-flood
   // agreement would fail mid-run), a negative round-budget factor, a forced
   // T-stable engine whose sizing does not fit, more tokens than d bits can
-  // tell apart, or a naive-indexed message too small for two token IDs is
-  // a user error, not a contract abort or a cast that never terminates.
+  // tell apart, a naive-indexed message too small for two token IDs, coded
+  // rows over the message budget, or a slack below 1 is a user error, not
+  // a contract abort or a cast that never terminates.
   struct bad_input {
     const char* protocol;
     const char* adversary;
@@ -319,6 +320,32 @@ TEST(session, bad_window_and_round_budget_params_are_rejected_up_front) {
       {"tstable/patch-gather",
        "static-path",
        {{"t_stability", "18446744073709551615"}}},
+      // Coded rows of k + d = 272 bits over the slack * b + framing =
+      // 264-bit budget network::step asserts.
+      {"rlnc-direct",
+       "static-path",
+       {{"n", "256"},
+        {"k", "256"},
+        {"d", "16"},
+        {"b", "136"},
+        {"slack", "1"}}},
+      // A slack below 1 cannot hold the b-bit messages protocols send.
+      {"token-forwarding",
+       "static-path",
+       {{"slack", "0.5"}, {"d", "128"}, {"b", "256"}}},
+      {"token-forwarding-pipelined",
+       "static-path",
+       {{"slack", "0.5"}, {"d", "128"}, {"b", "256"}}},
+      {"greedy-forward",
+       "static-path",
+       {{"slack", "0.5"}, {"d", "128"}, {"b", "256"}}},
+      {"centralized-rlnc",
+       "static-path",
+       {{"slack", "0.5"}, {"d", "128"}, {"b", "256"}}},
+      {"tstable/auto",
+       "static-path",
+       {{"slack", "0.5"}, {"d", "128"}, {"b", "256"}}},
+      {"token-forwarding", "static-path", {{"slack", "-1"}}},
   };
   for (const bad_input& in : inputs) {
     const problem prob = tiny_problem(in.protocol);
@@ -329,6 +356,24 @@ TEST(session, bad_window_and_round_budget_params_are_rejected_up_front) {
                          adversary_spec{in.adversary, in.params}, 1),
                  std::invalid_argument)
         << what;
+  }
+}
+
+TEST(session, coded_rows_within_the_framing_allowance_complete) {
+  // The coded broadcasts admit any k + d up to message_bit_limit (slack * b
+  // plus framing), the bound network::step asserts — not just 2 * b.  Here
+  // k + d = 24 bits exceeds 2 * b = 22 but fits the 118-bit budget (and the
+  // 140-bit one at slack 4): each run must start and complete.
+  for (const char* protocol : {"rlnc-direct", "rlnc-sparse", "rlnc-gen"}) {
+    for (const char* slack : {"2", "4"}) {
+      const param_map params = {{"n", "16"}, {"k", "16"}, {"d", "8"},
+                                {"b", "11"}, {"slack", slack}};
+      session s(tiny_problem(protocol), protocol_spec{protocol, params},
+                adversary_spec{"static-path", params}, 1);
+      const run_report rep = s.run_to_completion();
+      EXPECT_TRUE(rep.complete) << protocol << " slack=" << slack;
+      EXPECT_GT(rep.max_message_bits, 22u) << protocol << " slack=" << slack;
+    }
   }
 }
 
