@@ -41,7 +41,8 @@ class link_model {
 
   /// Rounds the copy spends in flight: 0 delivers within the sending
   /// round (the historical synchronous semantics), d > 0 arrives d rounds
-  /// later through the engine's delivery queue.
+  /// later through the engine's delivery queue.  At most 2^64 - 1 - round,
+  /// so the due round does not wrap.
   virtual round_t delay(round_t round, node_id from, node_id to) = 0;
 
   /// ALOHA-style transmit gate: false suppresses node u's broadcast this

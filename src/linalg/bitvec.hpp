@@ -94,11 +94,6 @@ class bitvec {
     return false;
   }
 
-  /// Returns true iff all bits in [0, upto) are zero.
-  bool zero_below(std::size_t upto) const noexcept {
-    return first_set() >= upto;
-  }
-
   std::size_t popcount() const noexcept {
     std::size_t c = 0;
     for (std::uint64_t w : words_) {

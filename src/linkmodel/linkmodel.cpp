@@ -1,5 +1,6 @@
 #include "linkmodel/linkmodel.hpp"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -125,11 +126,18 @@ class channel final : public link_model {
   }
 
   round_t delay(round_t round, node_id from, node_id to) override {
-    if (max_delay_ == 0) return fixed_delay_;
-    const std::uint64_t h = link_draw(seed_, stream_delay,
-                                      edge_key(from, to),
-                                      round_slot(round, from, to));
-    return static_cast<round_t>(h % (max_delay_ + 1));
+    round_t d = fixed_delay_;
+    if (max_delay_ != 0) {
+      const std::uint64_t h = link_draw(seed_, stream_delay,
+                                        edge_key(from, to),
+                                        round_slot(round, from, to));
+      // At max_delay_ = 2^64 - 1 the span wraps to 0: every draw is in it.
+      const round_t span = max_delay_ + 1;
+      d = span == 0 ? h : h % span;
+    }
+    // A due round past 2^64 - 1 would wrap to an early one; the last
+    // round stands in for "never".
+    return std::min(d, ~round_t{0} - round);
   }
 
   bool transmits(round_t round, node_id u) override {

@@ -119,6 +119,79 @@ struct chunk_msg {
 
 constexpr node_id no_node = 0xffffffffu;
 
+// ---------------------------------------------------------------------------
+// Chunked vector exchange: idea (1), and patching's pass step.
+// ---------------------------------------------------------------------------
+
+// A chunk's tag: its index (< t_vec) and the sender's id, plus framing.
+std::size_t chunk_tag_bits(round_t t_vec, std::size_t n) {
+  return bits_for(static_cast<std::uint64_t>(t_vec) + 1) + bits_for(n) + 2;
+}
+
+// Chunk c of a row: b bits from c * b on.  The row may be shorter than
+// t_vec * b bits when the item count was capped below the plan's default;
+// trailing chunks are empty.
+bitvec chunk_of(const bitvec& row, std::size_t c, std::size_t b_bits) {
+  const std::size_t begin = std::min(c * b_bits, row.size());
+  return row.slice(begin, std::min(b_bits, row.size() - begin));
+}
+
+// Idea (1): every node ships its vector to all neighbours one b-bit chunk
+// per round over t_vec rounds (an empty vector is a silent node), then
+// inserts the vectors that arrived whole, in sender-id order, and records
+// decode progress.  Under full T-stability every neighbour's vector
+// completes; under the weaker T-interval connectivity only the stable-tree
+// neighbours are guaranteed to, and partial vectors from churning edges
+// are dropped.
+round_task<void> exchange_vectors(network& net, coded_nodes& nodes,
+                                  const std::vector<bitvec>& outgoing,
+                                  std::size_t b_bits, round_t t_vec) {
+  const std::size_t n = nodes.node_count();
+  const std::size_t row_bits = nodes.items() + nodes.item_bits();
+  const std::size_t tag_bits = chunk_tag_bits(t_vec, n);
+  struct partial {
+    bitvec row;
+    bitvec seen;
+    std::uint32_t count = 0;
+  };
+  // std::map, not unordered: iteration feeds the decoder insert order,
+  // which must not depend on the library's bucket layout.
+  std::vector<std::map<node_id, partial>> reassembly(n);
+  for (round_t c = 0; c < t_vec; ++c) {
+    net.step<chunk_msg>(
+        nodes,
+        [&](node_id u, rng&) -> std::optional<chunk_msg> {
+          if (outgoing[u].empty()) return std::nullopt;
+          return chunk_msg{chunk_of(outgoing[u], c, b_bits),
+                           static_cast<std::uint32_t>(c), u, tag_bits};
+        },
+        [&](node_id u, const std::vector<const chunk_msg*>& inbox) {
+          for (const chunk_msg* m : inbox) {
+            auto [it, inserted] = reassembly[u].try_emplace(
+                m->uid, partial{bitvec(row_bits),
+                                bitvec(static_cast<std::size_t>(t_vec)), 0});
+            partial& p = it->second;
+            if (p.seen.get(m->index)) continue;
+            p.seen.set(m->index);
+            ++p.count;
+            if (!m->chunk.empty()) {
+              p.row.copy_bits_from(m->chunk, 0, m->chunk.size(),
+                                   static_cast<std::size_t>(m->index) * b_bits);
+            }
+          }
+        });
+    co_await next_round;
+  }
+  for (node_id u = 0; u < n; ++u) {
+    for (auto& [from, p] : reassembly[u]) {
+      if (p.count == static_cast<std::uint32_t>(t_vec)) {
+        nodes.coder(u).insert(p.row);
+      }
+    }
+    nodes.note_progress(u, nodes.delay_bucket(net.rounds_elapsed()));
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -150,31 +223,19 @@ round_task<bool> build_patches_machine(network& net, const patch_plan& plan,
   const std::size_t uid_bits = bits_for(n);
   const std::size_t prio_bits = 2 * uid_bits + 8;
   const std::size_t depth_bits = bits_for(d + 2);
-  const patch_plan& plan_ = plan;
   opaque_view patch_view(n);
 
   // Luby working state (local to the construction).
-  struct luby_state {
-    std::vector<bool> active;
-    std::vector<std::uint64_t> prio;
-    std::vector<std::uint64_t> best_prio;
-    std::vector<node_id> best_uid;
-    std::vector<bool> best_valid;
-    std::vector<std::uint32_t> ttl;
-  } ls;
-  ls.active.assign(n, true);
-  ls.prio.assign(n, 0);
-  ls.ttl.assign(n, 0);
-  auto& active = ls.active;
-  auto& prio = ls.prio;
-  auto& best_prio = ls.best_prio;
-  auto& best_uid = ls.best_uid;
-  auto& best_valid = ls.best_valid;
-  auto& ttl = ls.ttl;
+  std::vector<bool> active(n, true);
+  std::vector<std::uint64_t> prio(n, 0);
+  std::vector<std::uint64_t> best_prio;
+  std::vector<node_id> best_uid;
+  std::vector<bool> best_valid;
+  std::vector<std::uint32_t> ttl(n, 0);
 
   wp.is_leader.assign(n, false);
 
-  for (std::size_t iter = 0; iter < plan_.luby_iters; ++iter) {
+  for (std::size_t iter = 0; iter < plan.luby_iters; ++iter) {
     bool any_active = false;
     for (node_id u = 0; u < n; ++u) any_active = any_active || active[u];
     if (!any_active) {
@@ -350,17 +411,7 @@ round_task<void> tstable_patch_session::share_stepped(network& net,
   const std::uint32_t d = plan_.d_patch;
   const round_t t_vec = plan_.t_vec;
   const std::size_t row_bits = plan_.items + plan_.item_bits;
-  const std::size_t tag_bits =
-      bits_for(static_cast<std::uint64_t>(t_vec) + 1) + bits_for(n) + 2;
-
-  auto chunk_of = [&](const bitvec& row, std::uint32_t c) {
-    // The vector may be shorter than t_vec * b bits when the item count was
-    // capped below the plan's default; trailing chunks are empty.
-    const std::size_t begin =
-        std::min(static_cast<std::size_t>(c) * plan_.b_bits, row_bits);
-    const std::size_t len = std::min(plan_.b_bits, row_bits - begin);
-    return row.slice(begin, len);
-  };
+  const std::size_t tag_bits = chunk_tag_bits(t_vec, n);
 
   // Local random combinations (zero vector when nothing received yet).
   wp.acc.assign(n, bitvec(row_bits));
@@ -381,8 +432,9 @@ round_task<void> tstable_patch_session::share_stepped(network& net,
           if (c < 0 || c >= static_cast<std::int64_t>(t_vec)) {
             return std::nullopt;
           }
-          return chunk_msg{chunk_of(wp.acc[u], static_cast<std::uint32_t>(c)),
-                           static_cast<std::uint32_t>(c), u, tag_bits};
+          return chunk_msg{
+              chunk_of(wp.acc[u], static_cast<std::size_t>(c), plan_.b_bits),
+              static_cast<std::uint32_t>(c), u, tag_bits};
         },
         [&](node_id u, const std::vector<const chunk_msg*>& inbox) {
           for (const chunk_msg* m : inbox) {
@@ -425,7 +477,8 @@ round_task<void> tstable_patch_session::share_stepped(network& net,
                                   // on schedule, but stay safe)
           }
           return chunk_msg{
-              chunk_of(wp.patch_sum[u], static_cast<std::uint32_t>(c)),
+              chunk_of(wp.patch_sum[u], static_cast<std::size_t>(c),
+                       plan_.b_bits),
               static_cast<std::uint32_t>(c), u, tag_bits};
         },
         [&](node_id u, const std::vector<const chunk_msg*>& inbox) {
@@ -445,51 +498,6 @@ round_task<void> tstable_patch_session::share_stepped(network& net,
   for (node_id u = 0; u < n; ++u) {
     NCDN_ASSERT(wp.got_chunks[u] == static_cast<std::uint32_t>(t_vec));
     coder(u).insert(wp.patch_sum[u]);
-    note_progress(u, delay_bucket(net.rounds_elapsed()));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// pass: every node ships its patch sum to all graph neighbours, chunk by
-// chunk over t_vec rounds (the topology is stable inside the window).
-// ---------------------------------------------------------------------------
-
-round_task<void> tstable_patch_session::pass_stepped(network& net,
-                                                     window_patches& wp) {
-  const std::size_t n = node_count();
-  const round_t t_vec = plan_.t_vec;
-  const std::size_t row_bits = plan_.items + plan_.item_bits;
-  const std::size_t tag_bits =
-      bits_for(static_cast<std::uint64_t>(t_vec) + 1) + bits_for(n) + 2;
-
-  // std::map, not unordered: the per-node iteration below fixes the decoder
-  // insert order, which must not depend on the library's bucket layout.
-  std::vector<std::map<node_id, bitvec>> inbox_vec(n);
-  for (round_t r = 0; r < t_vec; ++r) {
-    net.step<chunk_msg>(
-        *this,
-        [&](node_id u, rng&) -> std::optional<chunk_msg> {
-          const std::size_t begin = std::min(
-              static_cast<std::size_t>(r) * plan_.b_bits, row_bits);
-          const std::size_t len = std::min(plan_.b_bits, row_bits - begin);
-          return chunk_msg{wp.patch_sum[u].slice(begin, len),
-                           static_cast<std::uint32_t>(r), u, tag_bits};
-        },
-        [&](node_id u, const std::vector<const chunk_msg*>& inbox) {
-          for (const chunk_msg* m : inbox) {
-            auto [it, inserted] =
-                inbox_vec[u].try_emplace(m->uid, bitvec(row_bits));
-            if (!m->chunk.empty()) {
-              it->second.copy_bits_from(
-                  m->chunk, 0, m->chunk.size(),
-                  static_cast<std::size_t>(m->index) * plan_.b_bits);
-            }
-          }
-        });
-    co_await next_round;
-  }
-  for (node_id u = 0; u < n; ++u) {
-    for (auto& [from, row] : inbox_vec[u]) coder(u).insert(row);
     note_progress(u, delay_bucket(net.rounds_elapsed()));
   }
 }
@@ -523,7 +531,9 @@ round_task<round_t> tstable_patch_session::run_stepped(network& net,
     while (window_end - net.rounds_elapsed() >= plan_.cycle_rounds &&
            !(stop_early && all_complete())) {
       co_await share_stepped(net, wp);
-      co_await pass_stepped(net, wp);
+      // pass: idea (1) applied to the patch sums.
+      co_await exchange_vectors(net, *this, wp.patch_sum, plan_.b_bits,
+                                plan_.t_vec);
       co_await share_stepped(net, wp);
     }
     if (net.rounds_elapsed() < window_end) {
@@ -560,9 +570,6 @@ round_task<round_t> chunked_meta_session::run_stepped(network& net,
                                                       round_t max_rounds,
                                                       bool stop_early) {
   const std::size_t n = node_count();
-  const std::size_t row_bits = items() + item_bits();
-  const std::size_t tag_bits =
-      bits_for(static_cast<std::uint64_t>(t_vec_) + 1) + bits_for(n) + 2;
   const round_t start = net.rounds_elapsed();
   start_delays(start);
 
@@ -577,67 +584,12 @@ round_task<round_t> chunked_meta_session::run_stepped(network& net,
       continue;
     }
 
-    std::vector<bitvec> outgoing(n, bitvec(row_bits));
-    std::vector<bool> speaking(n, false);
+    std::vector<bitvec> outgoing(n);  // empty = silent
     for (node_id u = 0; u < n; ++u) {
       auto combo = coder(u).make_combination(net.node_rng(u));
-      if (combo) {
-        outgoing[u] = std::move(*combo);
-        speaking[u] = true;
-      }
+      if (combo) outgoing[u] = std::move(*combo);
     }
-    // Reassembly tracks which chunk indices arrived per sender; only
-    // complete vectors are decodable.  Under full T-stability every
-    // neighbour's vector completes; under the weaker T-interval
-    // connectivity only the stable-tree neighbours are guaranteed to, and
-    // partially-heard vectors from churning edges are discarded.
-    struct partial {
-      bitvec row;
-      bitvec seen;
-      std::uint32_t count = 0;
-    };
-    // std::map for the same reason as pass_stepped's inbox_vec: iteration
-    // feeds decoder insert order, so it must be sender-id sorted.
-    std::vector<std::map<node_id, partial>> reassembly(n);
-    for (round_t c = 0; c < t_vec_; ++c) {
-      net.step<chunk_msg>(
-          *this,
-          [&](node_id u, rng&) -> std::optional<chunk_msg> {
-            if (!speaking[u]) return std::nullopt;
-            const std::size_t begin = std::min(
-                static_cast<std::size_t>(c) * b_bits_, row_bits);
-            const std::size_t len = std::min(b_bits_, row_bits - begin);
-            return chunk_msg{outgoing[u].slice(begin, len),
-                             static_cast<std::uint32_t>(c), u, tag_bits};
-          },
-          [&](node_id u, const std::vector<const chunk_msg*>& inbox) {
-            for (const chunk_msg* m : inbox) {
-              auto [it, inserted] = reassembly[u].try_emplace(
-                  m->uid,
-                  partial{bitvec(row_bits),
-                          bitvec(static_cast<std::size_t>(t_vec_)), 0});
-              partial& p = it->second;
-              if (!p.seen.get(m->index)) {
-                p.seen.set(m->index);
-                ++p.count;
-                if (!m->chunk.empty()) {
-                  p.row.copy_bits_from(
-                      m->chunk, 0, m->chunk.size(),
-                      static_cast<std::size_t>(m->index) * b_bits_);
-                }
-              }
-            }
-          });
-      co_await next_round;
-    }
-    for (node_id u = 0; u < n; ++u) {
-      for (auto& [from, p] : reassembly[u]) {
-        if (p.count == static_cast<std::uint32_t>(t_vec_)) {
-          coder(u).insert(p.row);
-        }
-      }
-      note_progress(u, delay_bucket(net.rounds_elapsed()));
-    }
+    co_await exchange_vectors(net, *this, outgoing, b_bits_, t_vec_);
   }
   co_return net.rounds_elapsed() - start;
 }

@@ -13,7 +13,9 @@
 //       linear combination (pipelined convergecast over the patch tree),
 //       passes it across patch boundaries, and shares again — so each
 //       meta-round informs Theta(D) fresh nodes at once, the second
-//       factor T (tstable_patch_session).
+//       factor T (tstable_patch_session).  The pass is idea (1) applied
+//       to the patch sums: both engines ship vectors through one chunked
+//       exchange.
 //
 // All phases run as real anonymous-broadcast message rounds through the
 // network engine: Luby's MIS adapted to D-hop flooding (§8.1), the
@@ -107,7 +109,6 @@ class tstable_patch_session final : public coded_nodes {
   struct window_patches;  // per-window patch structures (tree, depth, ...)
 
   round_task<void> share_stepped(network& net, window_patches& wp);
-  round_task<void> pass_stepped(network& net, window_patches& wp);
 
   patch_plan plan_;
   std::size_t windows_ = 0;

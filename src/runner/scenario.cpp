@@ -52,6 +52,35 @@ param_map merged(const param_map& base, const param_map& extra) {
   return out;
 }
 
+// One cell, named "alg[variant]/adv[variant]/<axes>/n<n>" (an empty
+// `axes` adds no segment), with the adversary's pinned params merged into
+// the protocol's and the default problem: k = n, d = 8, one token per
+// node, T = 1.  Callers override the rest (t_stability, k and placement,
+// the link or content spec).  Both names must resolve through the
+// registries; a typo'd name fails here, at registry build time, not
+// mid-sweep.
+scenario make_cell(const char* alg, const char* alg_variant,
+                   const param_map& params, const adv_cell& adv,
+                   const std::string& axes, std::size_t n, std::size_t b) {
+  NCDN_ASSERT(protocol_registry::instance().find(alg) != nullptr);
+  NCDN_ASSERT(adversary_registry::instance().find(adv.name) != nullptr);
+  scenario s;
+  s.alg = alg;
+  s.adv = adv.name;
+  s.params = merged(params, adv.params);
+  s.prob.n = n;
+  s.prob.k = n;
+  s.prob.d = 8;
+  s.prob.b = b;
+  s.prob.t_stability = 1;
+  s.prob.place = placement::one_per_node;
+  s.tier = tier_for(n);
+  s.name = spec_segment(alg, alg_variant) + "/" +
+           spec_segment(adv.name, adv.variant) + "/" +
+           (axes.empty() ? "" : axes + "/") + "n" + std::to_string(n);
+  return s;
+}
+
 std::vector<scenario> build_registry() {
   // The adversary axis.  The first block is the full-connectivity
   // families (every protocol crosses them); the churn block only pairs
@@ -119,30 +148,11 @@ std::vector<scenario> build_registry() {
 
   std::vector<scenario> out;
   for (const matrix_row& row : rows) {
-    // Every cell must resolve through the registries; a typo'd name fails
-    // here, at registry build time, not mid-sweep.
-    NCDN_ASSERT(protocol_registry::instance().find(row.alg) != nullptr);
-    const std::string alg_segment = spec_segment(row.alg, row.variant);
     for (const size_spec& size : row.sizes) {
       auto emit = [&](const adv_cell& adv) {
-        NCDN_ASSERT(adversary_registry::instance().find(adv.name) != nullptr);
-        scenario s;
-        s.alg = row.alg;
-        s.adv = adv.name;
-        s.params = row.params;
-        for (const auto& [key, value] : adv.params) {
-          NCDN_ASSERT(s.params.count(key) == 0);  // axes must stay disjoint
-          s.params[key] = value;
-        }
-        s.prob.n = size.n;
-        s.prob.k = size.n;
-        s.prob.d = 8;
-        s.prob.b = size.b;
+        scenario s = make_cell(row.alg, row.variant, row.params, adv, "",
+                               size.n, size.b);
         s.prob.t_stability = row.t_stability;
-        s.prob.place = placement::one_per_node;
-        s.tier = tier_for(size.n);
-        s.name = alg_segment + "/" + spec_segment(adv.name, adv.variant) +
-                 "/n" + std::to_string(size.n);
         out.push_back(std::move(s));
       };
       for (const adv_cell& adv : full_axis) emit(adv);
@@ -232,52 +242,24 @@ std::vector<scenario> build_registry() {
       {"t-interval-random", "", {{"t", "4"}}},
   };
   for (const xl_row& row : xl_rows) {
-    NCDN_ASSERT(protocol_registry::instance().find(row.alg) != nullptr);
     for (const adv_cell& adv : xl_axis) {
-      NCDN_ASSERT(adversary_registry::instance().find(adv.name) != nullptr);
-      scenario s;
-      s.alg = row.alg;
-      s.adv = adv.name;
-      s.params = row.params;
-      for (const auto& [key, value] : adv.params) {
-        NCDN_ASSERT(s.params.count(key) == 0);
-        s.params[key] = value;
-      }
-      s.prob.n = 4096;
+      scenario s = make_cell(row.alg, "", row.params, adv, "", 4096, 64);
       s.prob.k = 64;
-      s.prob.d = 8;
-      s.prob.b = 64;
-      s.prob.t_stability = 1;
       s.prob.place = placement::random_spread;
-      s.tier = tier_for(s.prob.n);
-      s.name = std::string(row.alg) + "/" +
-               spec_segment(adv.name, adv.variant) + "/n4096";
       out.push_back(std::move(s));
     }
   }
 
   for (const link_row& row : link_rows) {
-    NCDN_ASSERT(protocol_registry::instance().find(row.alg) != nullptr);
-    const std::string alg_segment = spec_segment(row.alg, row.variant);
     for (std::size_t li = 0; li < link_axis.size(); ++li) {
       if ((row.links & (std::size_t{1} << li)) == 0) continue;
       const link_cell& lc = link_axis[li];
-      scenario s;
-      s.alg = row.alg;
-      s.adv = lc.adv;
+      scenario s = make_cell(row.alg, row.variant, row.params,
+                             {lc.adv, "", {}},
+                             "link:" + spec_segment(lc.name, lc.variant),
+                             row.n, row.b);
       s.link = lc.name;
-      s.params = row.params;
       s.link_params = lc.params;
-      s.prob.n = row.n;
-      s.prob.k = row.n;
-      s.prob.d = 8;
-      s.prob.b = row.b;
-      s.prob.t_stability = 1;
-      s.prob.place = placement::one_per_node;
-      s.tier = tier_for(row.n);
-      s.name = alg_segment + "/" + lc.adv + "/link:" +
-               spec_segment(lc.name, lc.variant) + "/n" +
-               std::to_string(row.n);
       out.push_back(std::move(s));
     }
   }
@@ -305,54 +287,34 @@ std::vector<scenario> build_registry() {
   struct content_row {
     const char* alg;
     param_map params;
-    const char* adv;
-    const char* adv_variant;
-    param_map adv_params;
+    adv_cell adv;
     std::size_t n;
     std::size_t b;
     std::size_t contents = ~std::size_t{0};  // bitmask into content_axis
   };
+  const adv_cell permuted_path{"permuted-path", "", {}};
+  const adv_cell churn{"churn", "", {{"rate", "0.1"}, {"max_down", "4"}}};
   const std::vector<content_row> content_rows = {
-      {"rlnc-direct", {}, "permuted-path", "", {}, 16, 32},
+      {"rlnc-direct", {}, permuted_path, 16, 32},
       // Under churn, rejoining nodes must catch up through the backlog or
       // a supersede shortcut — the workload's reason to exist.
-      {"rlnc-direct", {}, "churn", "",
-       {{"rate", "0.1"}, {"max_down", "4"}}, 16, 32},
-      {"rlnc-sparse", {{"rho", "0.2"}}, "permuted-path", "", {}, 16, 32},
+      {"rlnc-direct", {}, churn, 16, 32},
+      {"rlnc-sparse", {{"rho", "0.2"}}, permuted_path, 16, 32},
       {"rlnc-gen", {{"gen_size", "8"}, {"band_overlap", "2"}},
-       "permuted-path", "", {}, 16, 32},
+       permuted_path, 16, 32},
       // Full-tier spot checks at n32 (steady only).
-      {"rlnc-direct", {}, "permuted-path", "", {}, 32, 48, 0x1},
-      {"rlnc-direct", {}, "churn", "",
-       {{"rate", "0.1"}, {"max_down", "4"}}, 32, 48, 0x1},
+      {"rlnc-direct", {}, permuted_path, 32, 48, 0x1},
+      {"rlnc-direct", {}, churn, 32, 48, 0x1},
   };
   for (const content_row& row : content_rows) {
-    NCDN_ASSERT(protocol_registry::instance().find(row.alg) != nullptr);
-    NCDN_ASSERT(adversary_registry::instance().find(row.adv) != nullptr);
     for (std::size_t ci = 0; ci < content_axis.size(); ++ci) {
       if ((row.contents & (std::size_t{1} << ci)) == 0) continue;
       const content_cell& cc = content_axis[ci];
-      scenario s;
-      s.alg = row.alg;
-      s.adv = row.adv;
+      scenario s = make_cell(row.alg, "", row.params, row.adv,
+                             "content:" + spec_segment(cc.name, cc.variant),
+                             row.n, row.b);
       s.content = cc.name;
-      s.params = row.params;
-      for (const auto& [key, value] : row.adv_params) {
-        NCDN_ASSERT(s.params.count(key) == 0);
-        s.params[key] = value;
-      }
       s.content_params = cc.params;
-      s.prob.n = row.n;
-      s.prob.k = row.n;
-      s.prob.d = 8;
-      s.prob.b = row.b;
-      s.prob.t_stability = 1;
-      s.prob.place = placement::one_per_node;
-      s.tier = tier_for(row.n);
-      s.name = std::string(row.alg) + "/" +
-               spec_segment(row.adv, row.adv_variant) + "/content:" +
-               spec_segment(cc.name, cc.variant) + "/n" +
-               std::to_string(row.n);
       out.push_back(std::move(s));
     }
   }
@@ -372,9 +334,7 @@ std::vector<scenario> build_registry() {
     const char* alg_variant;
     param_map params;      // includes the sched=/dec= spelling
     const char* seg;       // name segment, e.g. "sched:systematic"
-    const char* adv;
-    const char* adv_variant;
-    param_map adv_params;
+    adv_cell adv;
     std::size_t n;
     std::size_t b;
     const char* link = "";           // optional channel under the cell
@@ -383,83 +343,65 @@ std::vector<scenario> build_registry() {
   };
   const param_map gen8{{"gen_size", "8"}, {"band_overlap", "2"}};
   const param_map gen16{{"gen_size", "16"}, {"band_overlap", "4"}};
-  const param_map churn_p{{"rate", "0.1"}, {"max_down", "4"}};
   const std::vector<sched_cell> sched_cells = {
       // Systematic first pass: every token rides uncoded once before the
       // sender switches to dense rows — early decode-delay mass, same
       // completion guarantee.
       {"rlnc-direct", "", {{"sched", "systematic"}}, "sched:systematic",
-       "permuted-path", "", {}, 16, 32},
+       permuted_path, 16, 32},
       {"rlnc-direct", "", {{"sched", "systematic"}}, "sched:systematic",
-       "static-star", "", {}, 16, 32},
+       {"static-star", "", {}}, 16, 32},
       {"rlnc-direct", "", {{"sched", "systematic"}}, "sched:systematic",
-       "adaptive-min-cut", "", {}, 16, 32},
+       {"adaptive-min-cut", "", {}}, 16, 32},
       // ... crossed with iid loss: lost uncoded tokens are covered by the
       // coded tail, and the delay histogram shows the cost.
       {"rlnc-direct", "", {{"sched", "systematic"}}, "sched:systematic",
-       "permuted-path", "", {}, 16, 32, "bernoulli", "p=0.1",
+       permuted_path, 16, 32, "bernoulli", "p=0.1",
        {{"p", "0.1"}}},
       {"rlnc-direct", "", {{"sched", "systematic"}}, "sched:systematic",
-       "permuted-path", "", {}, 16, 32, "bernoulli", "p=0.3",
+       permuted_path, 16, 32, "bernoulli", "p=0.3",
        {{"p", "0.3"}}},
       {"rlnc-gen", "", merged(gen8, {{"sched", "systematic"}}),
-       "sched:systematic", "permuted-path", "", {}, 16, 32},
+       "sched:systematic", permuted_path, 16, 32},
       // Feedback-steered generation picks: receivers' piggybacked rank
       // deficits steer the sender's draws toward starved generations.
       {"rlnc-gen", "", merged(gen8, {{"sched", "feedback"}}),
-       "sched:feedback", "permuted-path", "", {}, 16, 32},
+       "sched:feedback", permuted_path, 16, 32},
       {"rlnc-gen", "", merged(gen8, {{"sched", "feedback"}}),
-       "sched:feedback", "t-interval-random", "", {{"t", "4"}}, 16, 32},
+       "sched:feedback", {"t-interval-random", "", {{"t", "4"}}}, 16, 32},
       {"rlnc-gen", "", merged(gen8, {{"sched", "feedback"}}),
-       "sched:feedback", "churn", "", churn_p, 16, 32},
+       "sched:feedback", churn, 16, 32},
       {"rlnc-gen", "", merged(gen8, {{"sched", "feedback"}}),
-       "sched:feedback", "churn", "heavy",
-       {{"rate", "0.25"}, {"max_down", "4"}}, 16, 32},
+       "sched:feedback",
+       {"churn", "heavy", {{"rate", "0.25"}, {"max_down", "4"}}}, 16, 32},
       {"rlnc-gen", "", merged(gen8, {{"sched", "feedback"}}),
-       "sched:feedback", "permuted-path", "", {}, 32, 32},
+       "sched:feedback", permuted_path, 32, 32},
       // Generic grouped rref as the banded eliminator's baseline: same
       // draws, same wire bytes, full-width elimination XORs.
       {"rlnc-gen", "", merged(gen8, {{"dec", "rref"}}), "dec:rref",
-       "permuted-path", "", {}, 16, 32},
+       permuted_path, 16, 32},
       {"rlnc-gen", "g=16,w=4", merged(gen16, {{"dec", "rref"}}), "dec:rref",
-       "permuted-path", "", {}, 64, 48},
+       permuted_path, 64, 48},
       {"rlnc-gen", "g=16,w=4", merged(gen16, {{"dec", "banded"}}),
-       "dec:banded", "permuted-path", "", {}, 64, 48},
+       "dec:banded", permuted_path, 64, 48},
       {"rlnc-gen", "g=16,w=4", merged(gen16, {{"dec", "banded"}}),
-       "dec:banded", "random-connected", "", {}, 64, 48},
+       "dec:banded", {"random-connected", "", {}}, 64, 48},
       // The sparse schedule spelled through the matrix surface on the
       // dense entry (the rlnc-sparse default cell, reached the new way).
       {"rlnc-direct", "", {{"sched", "sparse"}, {"rho", "0.1"}},
-       "sched:sparse[rho=0.1]", "permuted-path", "", {}, 16, 32},
+       "sched:sparse[rho=0.1]", permuted_path, 16, 32},
       {"rlnc-direct", "", {{"sched", "systematic"}, {"dec", "rref"}},
-       "sched:systematic/dec:rref", "sorted-path", "", {}, 16, 32},
+       "sched:systematic/dec:rref", {"sorted-path", "", {}}, 16, 32},
   };
   for (const sched_cell& c : sched_cells) {
-    NCDN_ASSERT(protocol_registry::instance().find(c.alg) != nullptr);
-    NCDN_ASSERT(adversary_registry::instance().find(c.adv) != nullptr);
-    scenario s;
-    s.alg = c.alg;
-    s.adv = c.adv;
-    s.params = c.params;
-    for (const auto& [key, value] : c.adv_params) {
-      NCDN_ASSERT(s.params.count(key) == 0);
-      s.params[key] = value;
-    }
-    s.prob.n = c.n;
-    s.prob.k = c.n;
-    s.prob.d = 8;
-    s.prob.b = c.b;
-    s.prob.t_stability = 1;
-    s.prob.place = placement::one_per_node;
-    s.tier = tier_for(c.n);
-    s.name = spec_segment(c.alg, c.alg_variant) + "/" +
-             spec_segment(c.adv, c.adv_variant) + "/" + c.seg;
+    std::string axes = c.seg;
     if (c.link[0] != '\0') {
-      s.link = c.link;
-      s.link_params = c.link_params;
-      s.name += std::string("/link:") + spec_segment(c.link, c.link_variant);
+      axes += "/link:" + spec_segment(c.link, c.link_variant);
     }
-    s.name += "/n" + std::to_string(c.n);
+    scenario s =
+        make_cell(c.alg, c.alg_variant, c.params, c.adv, axes, c.n, c.b);
+    s.link = c.link;
+    s.link_params = c.link_params;
     out.push_back(std::move(s));
   }
   return out;

@@ -39,6 +39,15 @@ sweep_result run_sweep(std::vector<scenario> scenarios,
   }
 
   const std::size_t trials = result.options.trials;
+  // The cell count must not wrap: a wrapped product would size `cells`
+  // smaller than the loops below index it.
+  if (trials != 0 &&
+      result.scenarios.size() > result.cells.max_size() / trials) {
+    throw std::invalid_argument(
+        "ncdn: sweep of " + std::to_string(result.scenarios.size()) +
+        " scenarios x " + std::to_string(trials) +
+        " seeds exceeds the cell limit");
+  }
   result.cells.resize(result.scenarios.size() * trials);
   // More workers than cooperative pops only burns thread spawns (and can
   // make std::thread throw under a thread ulimit); clamp to the work

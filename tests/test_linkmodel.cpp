@@ -162,6 +162,29 @@ TEST(linkmodel, uniform_delay_conserves_and_spreads) {
   EXPECT_GE(populated, 2u);
 }
 
+// Delays near 2^64: delay_max = 2^64 - 1 makes the uniform span wrap to
+// 0, and a fixed delay that large would wrap the due round to an early
+// one.  Neither may crash or deliver a copy; every copy stays in flight.
+TEST(linkmodel, delays_near_two_to_the_64_never_arrive) {
+  const problem prob = small_problem(6, 32);
+  for (const char* key : {"delay_max", "delay"}) {
+    link_spec spec;
+    spec.name = "perfect";
+    spec.params[key] = "18446744073709551615";
+    const run_report rep =
+        run_cell(prob, protocol_spec{"rlnc-direct", {}},
+                 adversary_spec{"static-path", {}}, spec, 1);
+    const session_metrics& m = rep.metrics;
+    EXPECT_FALSE(rep.complete) << key;
+    EXPECT_GT(m.total_messages_sent, 0u) << key;
+    EXPECT_EQ(m.total_messages_delivered, 0u) << key;
+    EXPECT_EQ(m.total_messages_sent, m.total_messages_delivered +
+                                         m.total_messages_dropped +
+                                         m.messages_in_flight)
+        << key;
+  }
+}
+
 // An all-transmit protocol on a clique broadcast medium with collisions:
 // every receiver is either busy transmitting or hears >= 2 neighbours, so
 // nothing is ever delivered and the run caps out incomplete.

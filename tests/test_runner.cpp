@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -210,6 +211,26 @@ TEST(sweep, parallel_sweep_emits_valid_complete_json) {
     ASSERT_NE(rounds, nullptr);
     EXPECT_LE(rounds->find("min")->as_number(),
               rounds->find("max")->as_number());
+  }
+}
+
+// A seed count whose product with the scenario count wraps 64 bits is
+// rejected before any cell is sized, naming both counts.
+TEST(sweep, wrapping_cell_count_is_rejected) {
+  std::vector<scenario> scens = cheap_scenarios();
+  ASSERT_GE(scens.size(), 2u);
+  scens.resize(2);
+  sweep_options opts;
+  opts.trials = std::size_t{1} << 63;
+  opts.threads = 1;
+  try {
+    (void)run_sweep(scens, opts);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("2 scenarios"), std::string::npos) << what;
+    EXPECT_NE(what.find("9223372036854775808 seeds"), std::string::npos)
+        << what;
   }
 }
 
