@@ -1,7 +1,7 @@
 // E20 — the scale ladder: rounds/sec and peak RSS as n climbs
 // 256 -> 65536 under the delta-topology + pooled-storage representation
-// (CSR graphs, per-round edge diffs, arena-recycled coded rows, lazy
-// token-state masks).
+// (per-round edge diffs, arena-recycled coded rows, lazy token-state
+// masks).
 //
 // Two protocols ride the ladder: rlnc-gen (generation-coded broadcast —
 // the decoder-heavy end) and token-forwarding-pipelined (the
@@ -75,7 +75,7 @@ void assert_bfs_steady_state(std::size_t n) {
 int main() {
   print_experiment_header(
       "E20", "scale ladder — rounds/sec and peak RSS vs n under delta "
-             "topologies, CSR storage, and arena-pooled coded rows");
+             "topologies and arena-pooled coded rows");
   json_recorder rec("E20");
   const double scale = scale_from_env();
   const std::size_t trials = trials_from_env(1);
@@ -146,7 +146,7 @@ int main() {
   t.print();
 
   // The memory acceptance gate: a quadratic per-node footprint would grow
-  // the top 4x-n rung by 16x; the pooled/CSR representation must stay
+  // the top 4x-n rung by 16x; the pooled representation must stay
   // well under that.  (VmHWM is monotone, so the ratio can only be
   // understated — fine for an upper-bound gate.)
   if (gen_rss.size() >= 2) {

@@ -20,22 +20,4 @@ coded_budget block_budget(std::size_t b_bits, std::size_t d_bits) {
   return out;
 }
 
-coded_budget direct_budget(std::size_t items, std::size_t item_bits,
-                           std::size_t coeff_bits) {
-  NCDN_EXPECTS(items >= 1 && item_bits >= 1 && coeff_bits >= 1);
-  coded_budget out;
-  out.items = items;
-  out.item_bits = item_bits;
-  out.tokens_per_item = 1;
-  out.tokens_total = items;
-  out.message_bits = items * coeff_bits + item_bits;
-  return out;
-}
-
-std::size_t max_coded_items(std::size_t b_bits, std::size_t item_bits,
-                            std::size_t coeff_bits) {
-  if (b_bits <= item_bits) return 0;
-  return (b_bits - item_bits) / coeff_bits;
-}
-
 }  // namespace ncdn

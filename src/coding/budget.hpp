@@ -27,14 +27,4 @@ struct coded_budget {
 /// whole tokens), tokens_total ~ b^2 / 4d.
 coded_budget block_budget(std::size_t b_bits, std::size_t d_bits);
 
-/// Budget for coding k' items of s bits each with coeff_bits-bit
-/// coefficients; message_bits reports the wire size.
-coded_budget direct_budget(std::size_t items, std::size_t item_bits,
-                           std::size_t coeff_bits);
-
-/// Max items of size item_bits codeable in a b-bit message with
-/// coeff_bits-bit coefficients (0 if even one does not fit).
-std::size_t max_coded_items(std::size_t b_bits, std::size_t item_bits,
-                            std::size_t coeff_bits);
-
 }  // namespace ncdn

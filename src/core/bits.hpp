@@ -19,11 +19,6 @@ constexpr unsigned log2ceil(std::uint64_t x) noexcept {
                 : static_cast<unsigned>(64 - std::countl_zero(x - 1));
 }
 
-/// floor(log2(x)) for x >= 1.
-constexpr unsigned log2floor(std::uint64_t x) noexcept {
-  return x == 0 ? 0u : static_cast<unsigned>(63 - std::countl_zero(x));
-}
-
 /// Number of bits needed to represent values in [0, n), at least 1.
 constexpr unsigned bits_for(std::uint64_t n) noexcept {
   return n <= 2 ? 1u : log2ceil(n);

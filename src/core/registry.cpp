@@ -612,6 +612,20 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream) {
   return splitmix64(state);
 }
 
+// The random-connected generators draw once per extra edge, so a count
+// past the n(n-1)/2 node pairs cannot add edges and, near 2^64, never ends.
+std::size_t extra_edges_param(const problem& prob, param_reader& params) {
+  const std::size_t extra = params.size("extra_edges", prob.n / 2);
+  const std::size_t pairs = prob.n % 2 == 0 ? prob.n / 2 * (prob.n - 1)
+                                            : (prob.n - 1) / 2 * prob.n;
+  if (extra > pairs) {
+    throw std::invalid_argument("ncdn: " + params.context() +
+                                " needs extra_edges <= n(n-1)/2 = " +
+                                std::to_string(pairs));
+  }
+  return extra;
+}
+
 std::unique_ptr<adversary> edge_markov_factory(const std::string& context,
                                                const problem& prob,
                                                param_reader& params,
@@ -677,9 +691,8 @@ void register_builtins(adversary_registry& reg) {
            "fresh sparse random connected graph every round [extra_edges]",
            topology_kind::random_connected,
            [](const problem& prob, param_reader& params, std::uint64_t seed) {
-             const std::size_t extra =
-                 params.size("extra_edges", prob.n / 2);
-             return make_random_connected(prob.n, extra, seed);
+             return make_random_connected(
+                 prob.n, extra_edges_param(prob, params), seed);
            }});
   reg.add({"random-geometric",
            "fresh geometric graph every round (ad-hoc mesh) [radius]",
@@ -687,6 +700,12 @@ void register_builtins(adversary_registry& reg) {
            [](const problem& prob, param_reader& params, std::uint64_t seed) {
              const double radius = params.real(
                  "radius", 1.8 / std::sqrt(static_cast<double>(prob.n)));
+             // The generator compares squared distances, so a negative
+             // radius would silently act as its absolute value.
+             if (!(radius >= 0.0)) {
+               throw std::invalid_argument("ncdn: " + params.context() +
+                                           " needs radius >= 0");
+             }
              return make_random_geometric(prob.n, radius, seed);
            }});
   reg.add({"sorted-path",
@@ -707,9 +726,8 @@ void register_builtins(adversary_registry& reg) {
              if (t < 1) {
                throw std::invalid_argument("ncdn: t-interval needs t >= 1");
              }
-             const std::size_t extra =
-                 params.size("extra_edges", prob.n / 2);
-             return make_t_interval(prob.n, t, extra, seed);
+             return make_t_interval(prob.n, t,
+                                    extra_edges_param(prob, params), seed);
            }});
   // The dynamic-adversary engine (PR5): the paper's worst-case model class
   // and the evolving/ad-hoc graph families of the related RLNC evaluations
@@ -731,10 +749,10 @@ void register_builtins(adversary_registry& reg) {
                throw std::invalid_argument(
                    "ncdn: t-interval-random needs t >= 1");
              }
-             const std::size_t extra =
-                 params.size("extra_edges", prob.n / 2);
              return make_t_stable(
-                 make_random_connected(prob.n, extra, seed), t);
+                 make_random_connected(prob.n,
+                                       extra_edges_param(prob, params), seed),
+                 t);
            }});
   reg.add({"edge-markov",
            "per-edge on/off Markov chains over a base edge set "

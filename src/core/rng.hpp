@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "core/contracts.hpp"
 
@@ -88,26 +87,6 @@ class rng {
   /// A uniformly random double in [0, 1).
   double uniform01() noexcept {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  }
-
-  /// Sample m distinct indices from [0, pool) (Floyd's algorithm, unordered).
-  std::vector<std::size_t> sample_without_replacement(std::size_t pool,
-                                                      std::size_t m) {
-    NCDN_EXPECTS(m <= pool);
-    std::vector<std::size_t> chosen;
-    chosen.reserve(m);
-    for (std::size_t j = pool - m; j < pool; ++j) {
-      std::size_t t = static_cast<std::size_t>(below(j + 1));
-      bool seen = false;
-      for (std::size_t c : chosen) {
-        if (c == t) {
-          seen = true;
-          break;
-        }
-      }
-      chosen.push_back(seen ? j : t);
-    }
-    return chosen;
   }
 
   /// Fisher-Yates shuffle.

@@ -7,7 +7,6 @@ namespace ncdn {
 
 static_adversary::static_adversary(graph g) : g_(std::move(g)) {
   NCDN_EXPECTS(g_.is_connected());
-  g_.compact();  // session-lifetime base: immutable CSR storage
 }
 
 generator_adversary::generator_adversary(std::string name, generator_fn fn,

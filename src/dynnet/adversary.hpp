@@ -106,9 +106,7 @@ class adversary {
   virtual const std::vector<char>* live_mask() const { return nullptr; }
 };
 
-/// Fixed topology every round (the static-network degenerate case).  The
-/// graph is compacted to CSR storage at construction: base topologies live
-/// for the whole session, so they get the dense immutable representation.
+/// Fixed topology every round (the static-network degenerate case).
 class static_adversary final : public adversary {
  public:
   explicit static_adversary(graph g);

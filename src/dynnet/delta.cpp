@@ -84,7 +84,7 @@ std::size_t topology_delta::apply(graph& out, const graph& base,
   const std::size_t n = base.order();
 
   if (all_dirty_) {
-    if (out.order() != n || out.csr_) {
+    if (out.order() != n) {
       out = graph(n);
     } else {
       for (auto& list : out.adj_) list.clear();  // keep capacity
@@ -97,7 +97,7 @@ std::size_t topology_delta::apply(graph& out, const graph& base,
     }
     all_dirty_ = false;
   } else {
-    NCDN_EXPECTS(out.order() == n && !out.csr_);
+    NCDN_EXPECTS(out.order() == n);
     // The repair edges were appended after every candidate edge, so
     // reverse-order tail pops remove exactly them and nothing else.
     for (auto it = forced_.rbegin(); it != forced_.rend(); ++it) {

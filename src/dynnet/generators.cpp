@@ -13,15 +13,6 @@ graph path(std::size_t n) {
   return g;
 }
 
-graph ring(std::size_t n) {
-  NCDN_EXPECTS(n >= 3);
-  graph g(n);
-  for (node_id u = 0; u < n; ++u) {
-    g.add_edge(u, static_cast<node_id>((u + 1) % n));
-  }
-  return g;
-}
-
 graph star(std::size_t n) {
   NCDN_EXPECTS(n >= 2);
   graph g(n);
@@ -50,13 +41,6 @@ graph grid(std::size_t width, std::size_t height) {
       if (y + 1 < height) g.add_edge(id(x, y), id(x, y + 1));
     }
   }
-  return g;
-}
-
-graph binary_tree(std::size_t n) {
-  NCDN_EXPECTS(n >= 1);
-  graph g(n);
-  for (node_id u = 1; u < n; ++u) g.add_edge(u, (u - 1) / 2);
   return g;
 }
 

@@ -3,17 +3,17 @@
 // network model requires (paper §4.1).
 #pragma once
 
+#include <utility>
+
 #include "core/rng.hpp"
 #include "dynnet/graph.hpp"
 
 namespace ncdn::gen {
 
 graph path(std::size_t n);
-graph ring(std::size_t n);
 graph star(std::size_t n);
 graph clique(std::size_t n);
 graph grid(std::size_t width, std::size_t height);
-graph binary_tree(std::size_t n);
 
 /// Two cliques of ~n/2 nodes joined by a single bridge edge: a classic
 /// bottleneck topology (one-bit-per-round cut).

@@ -1,32 +1,8 @@
 #include "dynnet/graph.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 namespace ncdn {
-
-graph graph::from_edges(std::size_t n,
-                        std::span<const std::pair<node_id, node_id>> edges) {
-  graph g;
-  g.n_ = n;
-  g.csr_ = true;
-  g.edges_ = edges.size();
-  g.rev_ = detail::next_graph_revision();
-  g.offsets_.assign(n + 1, 0);
-  for (const auto& [u, v] : edges) {
-    NCDN_EXPECTS(u < n && v < n && u != v);
-    ++g.offsets_[u + 1];
-    ++g.offsets_[v + 1];
-  }
-  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
-  g.targets_.resize(2 * edges.size());
-  std::vector<std::uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const auto& [u, v] : edges) {
-    g.targets_[cursor[u]++] = v;
-    g.targets_[cursor[v]++] = u;
-  }
-  return g;
-}
 
 bool graph::has_edge(node_id u, node_id v) const noexcept {
   NCDN_EXPECTS(u < order() && v < order());
@@ -35,36 +11,6 @@ bool graph::has_edge(node_id u, node_id v) const noexcept {
   const std::span<const node_id> smaller = nu.size() <= nv.size() ? nu : nv;
   const node_id target = nu.size() <= nv.size() ? v : u;
   return std::find(smaller.begin(), smaller.end(), target) != smaller.end();
-}
-
-void graph::normalize() {
-  NCDN_EXPECTS(!csr_);
-  std::size_t edges = 0;
-  for (auto& list : adj_) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    edges += list.size();
-  }
-  edges_ = edges / 2;
-  rev_ = detail::next_graph_revision();
-}
-
-void graph::compact() {
-  if (csr_) return;
-  offsets_.assign(n_ + 1, 0);
-  for (node_id u = 0; u < n_; ++u) {
-    offsets_[u + 1] =
-        offsets_[u] + static_cast<std::uint32_t>(adj_[u].size());
-  }
-  targets_.resize(offsets_[n_]);
-  for (node_id u = 0; u < n_; ++u) {
-    std::copy(adj_[u].begin(), adj_[u].end(),
-              targets_.begin() + offsets_[u]);
-  }
-  adj_.clear();
-  adj_.shrink_to_fit();
-  csr_ = true;
-  rev_ = detail::next_graph_revision();
 }
 
 bool graph::operator==(const graph& other) const noexcept {

@@ -3,27 +3,19 @@
 // connected; `is_connected` backs that contract, and powers/BFS serve the
 // patching construction of §8.1.
 //
-// Storage comes in two modes with identical observable adjacency order:
-//
-//   * dynamic — one vector per node, grown by `add_edge`.  This is the
-//     construction mode every generator uses and the only mode that can be
-//     mutated (it also backs the per-round delta path, see dynnet/delta.hpp).
-//   * CSR — a compact offsets/targets pair built in one pass by
-//     `from_edges` or by `compact()`-ing a dynamic graph.  Immutable, two
-//     allocations total, cache-dense iteration: the mode long-lived base
-//     topologies use at large n.
+// Storage is one vector per node, grown by `add_edge`: every generator
+// builds with it, and the per-round delta path edits it in place (see
+// dynnet/delta.hpp).
 //
 // Neighbor order is behavior-relevant repo-wide (the network builds inboxes
 // in `neighbors(u)` order, which feeds decoder insertion order and hence
-// the byte-identical sweep contract), so both modes preserve exactly the
-// order an equivalent `add_edge` sequence would produce, and `operator==`
-// compares that order, not just the edge set.
+// the byte-identical sweep contract), so `operator==` compares that order,
+// not just the edge set.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -65,17 +57,8 @@ class graph {
   graph() = default;
   explicit graph(std::size_t n) : n_(n), adj_(n) {}
 
-  /// Bulk CSR construction.  Edges are laid out in input order via one
-  /// counting-sort pass, so the adjacency order equals what the same
-  /// `add_edge` sequence would build — just without n per-node vectors.
-  static graph from_edges(std::size_t n,
-                          std::span<const std::pair<node_id, node_id>> edges);
-
   std::size_t order() const noexcept { return n_; }
   std::size_t edge_count() const noexcept { return edges_; }
-
-  /// True once the graph is in immutable CSR storage.
-  bool compacted() const noexcept { return csr_; }
 
   /// Bumped by every mutation; (address, revision) identifies a topology
   /// snapshot, which is how delta consumers detect that a base graph they
@@ -83,7 +66,6 @@ class graph {
   std::uint64_t revision() const noexcept { return rev_; }
 
   void add_edge(node_id u, node_id v) {
-    NCDN_EXPECTS(!csr_);
     NCDN_EXPECTS(u < order() && v < order() && u != v);
     adj_[u].push_back(v);
     adj_[v].push_back(u);
@@ -92,11 +74,10 @@ class graph {
   }
 
   /// Removes edge (u,v), which must be the most recently appended entry at
-  /// BOTH endpoints (dynamic mode).  Delta consumers append repair/extra
-  /// edges at the adjacency tails each round and undo them here next round,
-  /// restoring the exact pre-append neighbor order.
+  /// BOTH endpoints.  Delta consumers append repair/extra edges at the
+  /// adjacency tails each round and undo them here next round, restoring
+  /// the exact pre-append neighbor order.
   void pop_edge_tail(node_id u, node_id v) {
-    NCDN_EXPECTS(!csr_);
     NCDN_EXPECTS(u < order() && v < order());
     NCDN_ASSERT(!adj_[u].empty() && adj_[u].back() == v);
     NCDN_ASSERT(!adj_[v].empty() && adj_[v].back() == u);
@@ -108,9 +89,6 @@ class graph {
 
   std::span<const node_id> neighbors(node_id u) const noexcept {
     NCDN_EXPECTS(u < order());
-    if (csr_) {
-      return {targets_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
-    }
     return adj_[u];
   }
 
@@ -118,15 +96,8 @@ class graph {
 
   bool has_edge(node_id u, node_id v) const noexcept;
 
-  /// Sorts adjacency lists and removes duplicate edges (dynamic mode only).
-  void normalize();
-
-  /// Converts dynamic storage to CSR in place, preserving adjacency order
-  /// and releasing the per-node vectors.  No-op when already compact.
-  void compact();
-
   /// Exact structural equality: same order and the same neighbor sequence
-  /// at every node (storage mode does not matter).  Deliberately stricter
+  /// at every node.  Deliberately stricter
   /// than set-equality — it is the delta-vs-rebuild cross-check.
   bool operator==(const graph& other) const noexcept;
 
@@ -157,11 +128,8 @@ class graph {
   friend class topology_delta;
 
   std::size_t n_ = 0;
-  std::vector<std::vector<node_id>> adj_;   // dynamic mode
-  std::vector<std::uint32_t> offsets_;      // CSR mode: n_ + 1 entries
-  std::vector<node_id> targets_;            // CSR mode: 2 * edges_ entries
+  std::vector<std::vector<node_id>> adj_;
   std::size_t edges_ = 0;
-  bool csr_ = false;
   std::uint64_t rev_ = 0;
 };
 

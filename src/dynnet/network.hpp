@@ -111,6 +111,7 @@ class network {
   void set_link_model(std::unique_ptr<link_model> link) {
     NCDN_EXPECTS(round_ == 0);
     link_ = std::move(link);
+    flight_.resize(n_);
   }
   bool link_active() const noexcept { return link_ != nullptr; }
 
@@ -121,7 +122,7 @@ class network {
   void set_arena(word_arena* pool) noexcept { arena_ = pool; }
   word_arena* arena() const noexcept { return arena_; }
   /// Copies currently sitting in the delivery queue.
-  std::size_t messages_in_flight() const noexcept { return flight_.size(); }
+  std::size_t messages_in_flight() const noexcept { return in_flight_; }
 
   /// Runs one synchronized round.
   ///
@@ -169,7 +170,7 @@ class network {
         deliver(u, static_cast<const std::vector<const Msg*>&>(inbox));
       }
     } else {
-      step_channel<Msg>(g, digest, msgs, deliver);
+      step_channel<Msg>(g, view.view_id(), digest, msgs, deliver);
     }
     // All receivers are served; recycle the round's message buffers into
     // the session arena (delayed channel copies hold their own shared
@@ -205,7 +206,7 @@ class network {
       digest.silent = true;
       if (link_ != nullptr) {
         digest.link_active = true;
-        digest.link_in_flight = flight_.size();
+        digest.link_in_flight = in_flight_;
       }
       round_hook_(digest);
     }
@@ -215,15 +216,15 @@ class network {
   template <class Msg>
   using messages_of_round = std::vector<std::optional<Msg>>;
 
-  /// One delayed directed copy.  The payload is type-erased so the queue
-  /// survives protocol phases that switch message types; a copy whose type
-  /// no longer matches the stepping phase when it comes due is expired
-  /// (counted dropped) — it can never be delivered.
+  /// One delayed directed copy, queued at its receiver.  The payload is
+  /// type-erased so the queue survives protocol phases that switch message
+  /// types.  A copy that comes due while a different view or message type
+  /// is stepping is expired (counted dropped): it belongs to a phase or
+  /// epoch that has ended, and can never be delivered.
   struct flight_entry {
-    round_t due = 0;   // first send-round index eligible for delivery
-    round_t sent = 0;  // send-round index (actual latency = now - sent)
-    node_id dst = 0;
-    bool consumed = false;  // delivered or expired this round; compacted
+    round_t due = 0;         // first send-round index eligible for delivery
+    round_t sent = 0;        // send-round index (actual latency = now - sent)
+    std::uint64_t view = 0;  // view_id() of the step that sent it
     std::shared_ptr<const void> payload;
     const std::type_info* type = nullptr;
   };
@@ -233,8 +234,9 @@ class network {
   /// digest; cumulative conservation (sent == delivered + dropped +
   /// in flight) is audited after every round.
   template <class Msg, class Deliver>
-  void step_channel(const graph& g, round_digest& digest,
-                    messages_of_round<Msg>& msgs, Deliver&& deliver) {
+  void step_channel(const graph& g, std::uint64_t view_id,
+                    round_digest& digest, messages_of_round<Msg>& msgs,
+                    Deliver&& deliver) {
     digest.link_active = true;
     const round_t send_round = round_;
     std::vector<char> transmit(n_, 0);
@@ -260,19 +262,17 @@ class network {
 
     // Delayed copies of one sender share a single heap copy of its message.
     std::vector<std::shared_ptr<const Msg>> shared(n_);
-    // Entries past this index were enqueued this round (drawn delays are
-    // >= 1, so none of them can be due yet).
-    const std::size_t flight_before = flight_.size();
     std::vector<const Msg*> inbox;
     for (node_id u = 0; u < n_; ++u) {
       inbox.clear();
       // In-flight copies that came due, in enqueue order (FIFO per
       // receiver): they arrive "before" this round's transmissions.
-      for (std::size_t i = 0; i < flight_before; ++i) {
-        flight_entry& e = flight_[i];
-        if (e.consumed || e.dst != u || e.due > send_round) continue;
-        e.consumed = true;
-        if (*e.type == typeid(Msg)) {
+      std::vector<flight_entry>& queue = flight_[u];
+      std::size_t came_due = 0;
+      for (const flight_entry& e : queue) {
+        if (e.due > send_round) continue;
+        ++came_due;
+        if (e.view == view_id && *e.type == typeid(Msg)) {
           inbox.push_back(static_cast<const Msg*>(e.payload.get()));
           ++digest.link_delivered;
           record_latency(send_round - e.sent);
@@ -309,22 +309,29 @@ class network {
           if (shared[v] == nullptr) {
             shared[v] = std::make_shared<const Msg>(*msgs[v]);
           }
-          flight_.push_back({send_round + d, send_round, u, false, shared[v],
-                             &typeid(Msg)});
+          // Drawn delays are >= 1, so this copy is not due this round.
+          queue.push_back(
+              {send_round + d, send_round, view_id, shared[v], &typeid(Msg)});
+          ++in_flight_;
         }
       }
       deliver(u, static_cast<const std::vector<const Msg*>&>(inbox));
+      // Last, since the inbox points into the due copies' payloads.
+      if (came_due != 0) {
+        std::erase_if(queue, [send_round](const flight_entry& e) {
+          return e.due <= send_round;
+        });
+        in_flight_ -= came_due;
+      }
     }
-
-    std::erase_if(flight_, [](const flight_entry& e) { return e.consumed; });
-    digest.link_in_flight = flight_.size();
+    digest.link_in_flight = in_flight_;
     link_sent_total_ += digest.link_sent;
     link_delivered_total_ += digest.link_delivered;
     link_dropped_total_ += digest.link_dropped;
     // Conservation: every copy that ever entered the channel has exactly
     // one fate — delivered, dropped, or still in flight.
     NCDN_AUDIT(link_sent_total_ ==
-               link_delivered_total_ + link_dropped_total_ + flight_.size());
+               link_delivered_total_ + link_dropped_total_ + in_flight_);
   }
 
   std::size_t n_;
@@ -337,7 +344,10 @@ class network {
   std::function<void(const round_digest&)> round_hook_;
   word_arena* arena_ = nullptr;            // session pool; null = no pooling
   std::unique_ptr<link_model> link_;       // null = reliable default
-  std::vector<flight_entry> flight_;       // delayed copies, enqueue order
+  // Delayed copies, one queue per receiver in enqueue order (sized n by
+  // set_link_model), and their total.
+  std::vector<std::vector<flight_entry>> flight_;
+  std::size_t in_flight_ = 0;
   std::uint64_t link_sent_total_ = 0;      // cumulative copy accounting
   std::uint64_t link_delivered_total_ = 0;
   std::uint64_t link_dropped_total_ = 0;

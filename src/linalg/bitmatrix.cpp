@@ -92,12 +92,4 @@ std::size_t gf2_rank(std::vector<bitvec> rows) {
   return gf2_rref(rows).size();
 }
 
-bool gf2_in_span(const std::vector<bitvec>& basis, const bitvec& v) {
-  std::vector<bitvec> rows = basis;
-  const std::size_t r0 = gf2_rank(rows);
-  rows = basis;
-  rows.push_back(v);
-  return gf2_rank(rows) == r0;
-}
-
 }  // namespace ncdn

@@ -1,8 +1,8 @@
 // Batch Gaussian elimination over GF(2) on word-packed rows.
 // The library's decoders all eliminate online (linalg/decoder.hpp, the
 // generation strategies of coding/matrix.cpp); gf2_rref is the batch
-// reference their tests check against, and it backs the one-shot rank and
-// span helpers below.
+// reference their tests check against, and it backs the one-shot rank
+// helper below.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +32,5 @@ bool is_canonical_rref(const std::vector<bitvec>& rows,
                        const std::vector<std::size_t>& pivots);
 bool is_canonical_rref(const row_block& rows,
                        const std::vector<std::size_t>& pivots);
-
-/// True iff `v` lies in the span of `basis` (basis need not be reduced).
-bool gf2_in_span(const std::vector<bitvec>& basis, const bitvec& v);
 
 }  // namespace ncdn

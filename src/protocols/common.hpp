@@ -83,10 +83,6 @@ class token_state final : public knowledge_view {
       // The running counters must agree with their masks (the masks are
       // authoritative; the counters exist to keep knowledge() O(1)).
       NCDN_AUDIT(known_[u].popcount() == known_count_[u]);
-      // retired_ is sized k at construction, so learning a globally
-      // retired token is a single bit probe — O(1), never an allocation.
-      NCDN_ASSERT(!retired_.empty());
-      if (retired_.get(t)) return;
       remaining_[u].set(t);
       ++remaining_count_[u];
       NCDN_AUDIT(remaining_[u].popcount() == remaining_count_[u]);
@@ -115,14 +111,6 @@ class token_state final : public knowledge_view {
     }
   }
 
-  /// Marks t retired for all *future* learners too (call when every node
-  /// confirmed decoding).
-  void retire_everywhere(std::size_t t) {
-    ensure_materialized();
-    retired_.set(t);
-    for (node_id u = 0; u < dist_->n; ++u) retire(u, t);
-  }
-
   /// Puts a known token back into u's consideration set (failure-recovery
   /// path: a missed coded broadcast vetoes the epoch's retirement, §7 /
   /// Las Vegas guarantee).
@@ -143,16 +131,6 @@ class token_state final : public knowledge_view {
     return true;
   }
 
-  /// Number of nodes that know token t (the paper's c_i, Lemma 7.4).
-  std::size_t knowers(std::size_t t) const {
-    ensure_materialized();
-    std::size_t c = 0;
-    for (node_id u = 0; u < dist_->n; ++u) {
-      if (known_[u].get(t)) ++c;
-    }
-    return c;
-  }
-
  private:
   /// Builds the per-node masks from the initial distribution.  Every
   /// mutator materializes before touching anything, so at this point the
@@ -161,7 +139,6 @@ class token_state final : public knowledge_view {
   void ensure_materialized() const {
     if (materialized_) return;
     materialized_ = true;
-    retired_ = bitvec(dist_->k());
     known_.reserve(dist_->n);
     remaining_.reserve(dist_->n);
     for (node_id u = 0; u < dist_->n; ++u) {
@@ -183,7 +160,6 @@ class token_state final : public knowledge_view {
   // may be the first mask touch).
   mutable std::vector<bitvec> known_;      // node -> k-bit membership
   mutable std::vector<bitvec> remaining_;  // known-or-not, still in play
-  mutable bitvec retired_;  // globally retired (sized k on materialize)
   mutable bool materialized_ = false;
   std::vector<std::size_t> known_count_;
   std::vector<std::size_t> remaining_count_;

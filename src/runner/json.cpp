@@ -103,272 +103,4 @@ std::string value::dump_pretty() const {
   return out;
 }
 
-namespace {
-
-class parser {
- public:
-  explicit parser(const std::string& text) : s_(text) {}
-
-  parse_result run() {
-    parse_result res;
-    skip_ws();
-    res.root = parse_value(res);
-    if (res.error.empty()) {
-      skip_ws();
-      if (pos_ != s_.size()) fail(res, "trailing characters after document");
-    }
-    res.ok = res.error.empty();
-    return res;
-  }
-
- private:
-  void fail(parse_result& res, const std::string& why) {
-    if (res.error.empty()) {
-      res.error =
-          "json parse error at byte " + std::to_string(pos_) + ": " + why;
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool literal(const char* word) {
-    std::size_t i = 0;
-    while (word[i] != '\0') {
-      if (pos_ + i >= s_.size() || s_[pos_ + i] != word[i]) return false;
-      ++i;
-    }
-    pos_ += i;
-    return true;
-  }
-
-  value parse_value(parse_result& res) {
-    if (pos_ >= s_.size()) {
-      fail(res, "unexpected end of input");
-      return {};
-    }
-    switch (s_[pos_]) {
-      case '{': return parse_object(res);
-      case '[': return parse_array(res);
-      case '"': return value{parse_string(res)};
-      case 't':
-        if (literal("true")) return value{true};
-        break;
-      case 'f':
-        if (literal("false")) return value{false};
-        break;
-      case 'n':
-        if (literal("null")) return value{nullptr};
-        break;
-      default: return parse_number(res);
-    }
-    fail(res, "unrecognized token");
-    return {};
-  }
-
-  value parse_object(parse_result& res) {
-    ++pos_;  // '{'
-    object o;
-    skip_ws();
-    if (consume('}')) return value{std::move(o)};
-    while (true) {
-      skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != '"') {
-        fail(res, "expected object key");
-        return {};
-      }
-      std::string key = parse_string(res);
-      skip_ws();
-      if (!consume(':')) {
-        fail(res, "expected ':' after key");
-        return {};
-      }
-      skip_ws();
-      value v = parse_value(res);
-      if (!res.error.empty()) return {};
-      o.emplace_back(std::move(key), std::move(v));
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume('}')) return value{std::move(o)};
-      fail(res, "expected ',' or '}' in object");
-      return {};
-    }
-  }
-
-  value parse_array(parse_result& res) {
-    ++pos_;  // '['
-    array a;
-    skip_ws();
-    if (consume(']')) return value{std::move(a)};
-    while (true) {
-      skip_ws();
-      value v = parse_value(res);
-      if (!res.error.empty()) return {};
-      a.push_back(std::move(v));
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume(']')) return value{std::move(a)};
-      fail(res, "expected ',' or ']' in array");
-      return {};
-    }
-  }
-
-  /// Reads 4 hex digits of a \u escape; sets ok=false (and the error) on
-  /// truncation or a bad digit.
-  unsigned hex4(parse_result& res, bool& ok) {
-    ok = false;
-    if (pos_ + 4 > s_.size()) {
-      fail(res, "truncated \\u escape");
-      return 0;
-    }
-    unsigned cp = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char h = s_[pos_++];
-      cp <<= 4;
-      if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
-      else if (h >= 'a' && h <= 'f') cp |= static_cast<unsigned>(h - 'a' + 10);
-      else if (h >= 'A' && h <= 'F') cp |= static_cast<unsigned>(h - 'A' + 10);
-      else {
-        fail(res, "bad hex digit in \\u escape");
-        return 0;
-      }
-    }
-    ok = true;
-    return cp;
-  }
-
-  std::string parse_string(parse_result& res) {
-    ++pos_;  // opening quote
-    std::string out;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= s_.size()) break;
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          bool ok = false;
-          unsigned cp = hex4(res, ok);
-          if (!ok) return out;
-          // UTF-16 surrogate halves are not code points: a high surrogate
-          // must pair with an immediately following \uDC00..\uDFFF low
-          // surrogate (RFC 8259 §7), and an unpaired half of either kind
-          // is an error — the old code emitted it as an invalid 3-byte
-          // UTF-8 sequence.
-          if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            fail(res, "unpaired low surrogate in \\u escape");
-            return out;
-          }
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            if (pos_ + 2 > s_.size() || s_[pos_] != '\\' ||
-                s_[pos_ + 1] != 'u') {
-              fail(res, "unpaired high surrogate in \\u escape");
-              return out;
-            }
-            pos_ += 2;
-            const unsigned lo = hex4(res, ok);
-            if (!ok) return out;
-            if (lo < 0xDC00 || lo > 0xDFFF) {
-              fail(res, "high surrogate not followed by a low surrogate");
-              return out;
-            }
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-          }
-          // Encode the code point as UTF-8.
-          if (cp < 0x80) {
-            out.push_back(static_cast<char>(cp));
-          } else if (cp < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          } else if (cp < 0x10000) {
-            out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
-            out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          }
-          break;
-        }
-        default:
-          fail(res, "unknown escape");
-          return out;
-      }
-    }
-    fail(res, "unterminated string");
-    return out;
-  }
-
-  value parse_number(parse_result& res) {
-    // Strict JSON grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-    // — strtod alone would also accept "+5", ".5", and "01".
-    const std::size_t start = pos_;
-    const auto digit = [&]() {
-      return pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9';
-    };
-    consume('-');
-    if (!digit()) {
-      fail(res, "expected number");
-      return {};
-    }
-    if (s_[pos_] == '0') {
-      ++pos_;  // no leading zeros
-    } else {
-      while (digit()) ++pos_;
-    }
-    if (consume('.')) {
-      if (!digit()) {
-        fail(res, "expected fraction digits");
-        return {};
-      }
-      while (digit()) ++pos_;
-    }
-    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-      if (!consume('+')) consume('-');
-      if (!digit()) {
-        fail(res, "expected exponent digits");
-        return {};
-      }
-      while (digit()) ++pos_;
-    }
-    const std::string tok = s_.substr(start, pos_ - start);
-    return value{std::strtod(tok.c_str(), nullptr)};
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-parse_result parse(const std::string& text) { return parser(text).run(); }
-
 }  // namespace ncdn::json

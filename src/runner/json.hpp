@@ -1,8 +1,8 @@
-// Minimal JSON tree + deterministic serializer + strict parser.
+// Minimal JSON tree + deterministic serializer.
 //
 // The sweep runner and the bench binaries emit machine-readable results
-// (ncdn-run --out, BENCH_*.json); tests parse them back to spot-check
-// structure.  Design constraints, in order:
+// (ncdn-run --out, BENCH_*.json); tests inspect the tree before it is
+// dumped.  Design constraints, in order:
 //   1. determinism — objects keep insertion order and numbers format
 //      identically across runs, so equal sweeps dump byte-identical files;
 //   2. zero dependencies — the container bakes no JSON library;
@@ -103,15 +103,5 @@ void escape_string(const std::string& s, std::string& out);
 /// Deterministic number formatting: integral doubles in [-2^53, 2^53] print
 /// with no fraction; everything else uses shortest round-trip formatting.
 std::string format_number(double d);
-
-struct parse_result {
-  value root;
-  bool ok = false;
-  std::string error;  // human-readable position + reason when !ok
-};
-
-/// Strict recursive-descent parser for the subset we emit (full JSON minus
-/// \uXXXX surrogate pairs, which are passed through unvalidated).
-parse_result parse(const std::string& text);
 
 }  // namespace ncdn::json

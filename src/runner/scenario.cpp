@@ -223,7 +223,7 @@ std::vector<scenario> build_registry() {
       {"rlnc-direct", "", {}, 32, 32, 0x1 | 0x4},
   };
   // Scale cells (PR8): the nightly-xl tier exercises the representation
-  // stack — CSR bases, delta topologies, arena rows — at n = 4096.  The
+  // stack — delta topologies, arena rows — at n = 4096.  The
   // spread placement keeps k at 64 (one-per-node would make the coded rows
   // n bits wide), and the adversaries are the sparse small-diameter
   // families, so each cell completes in O(k + diameter) rounds instead of

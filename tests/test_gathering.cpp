@@ -217,20 +217,6 @@ TEST(token_state, retire_and_reinstate_bookkeeping) {
   EXPECT_TRUE(st.knows(0, 1));
   st.reinstate(0, 1);
   EXPECT_EQ(st.remaining_count(0), 2u);
-  st.retire_everywhere(2);
-  st.learn(0, 2);
-  EXPECT_TRUE(st.knows(0, 2));
-  EXPECT_FALSE(st.in_consideration(0, 2));  // retired before learning
-}
-
-TEST(token_state, knowers_counts_nodes) {
-  rng r(79);
-  const auto dist = make_distribution(5, 5, 8, placement::one_per_node, r);
-  token_state st(dist);
-  EXPECT_EQ(st.knowers(0), 1u);
-  st.learn(1, 0);
-  st.learn(2, 0);
-  EXPECT_EQ(st.knowers(0), 3u);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // Link-model subsystem tests (src/linkmodel + the network's channel path):
 // the no-channel equivalence contract, per-edge draw-stream independence,
-// delay/conservation semantics, the recoding-buffer node mode, the
-// loss-tolerance pairing guard, spec parsing/validation, and the sweep's
-// byte-identity and JSON-shape guarantees over the "link:" cell axis.
+// delay/conservation semantics, in-flight expiry across views, the
+// recoding-buffer node mode, the loss-tolerance pairing guard, spec
+// parsing/validation, and the sweep's byte-identity and JSON-shape
+// guarantees over the "link:" cell axis.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/session.hpp"
+#include "dynnet/network.hpp"
 #include "linkmodel/linkmodel.hpp"
 #include "runner/sweep.hpp"
 
@@ -183,6 +186,64 @@ TEST(linkmodel, delays_near_two_to_the_64_never_arrive) {
                                          m.messages_in_flight)
         << key;
   }
+}
+
+// A delayed copy belongs to the view that sent it.  A fresh view stepping
+// the same message type (the next content epoch's coding session) must not
+// receive the previous view's copies: they expire as drops when they come
+// due, and the queue drains.
+TEST(linkmodel, in_flight_copies_expire_when_the_view_changes) {
+  struct probe_msg {
+    std::size_t bit_size() const { return 8; }
+  };
+  const std::size_t n = 4;
+  const auto adv = make_static_path(n);
+  network net(n, 32, *adv, 1);
+  net.set_link_model(
+      build_link_model(link_spec{"perfect", {{"delay", "2"}}}, 1));
+  std::size_t sent = 0;
+  std::size_t delivered = 0;
+  std::size_t dropped = 0;
+  net.set_round_hook([&](const round_digest& digest) {
+    sent += digest.link_sent;
+    delivered += digest.link_delivered;
+    dropped += digest.link_dropped;
+  });
+  const auto speak = [](node_id, rng&) { return std::optional(probe_msg{}); };
+  const auto hush = [](node_id, rng&) { return std::optional<probe_msg>(); };
+  std::size_t received = 0;
+  const auto count = [&](node_id, const std::vector<const probe_msg*>& in) {
+    received += in.size();
+  };
+
+  {
+    opaque_view first(n);
+    net.step<probe_msg>(first, speak, count);
+  }
+  EXPECT_EQ(net.messages_in_flight(), 2 * (n - 1));  // one per path arc
+  opaque_view second(n);
+  net.step<probe_msg>(second, hush, count);
+  net.step<probe_msg>(second, hush, count);  // the first view's copies due
+  EXPECT_EQ(received, 0u);
+  EXPECT_EQ(net.messages_in_flight(), 0u);
+  EXPECT_EQ(sent, 2 * (n - 1));
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(sent, delivered + dropped + net.messages_in_flight());
+}
+
+// Each content epoch codes its delta set in a fresh session; over a delayed
+// link the previous epoch's rows are still in flight when it starts.
+TEST(linkmodel, content_epochs_over_a_delayed_link_complete) {
+  const link_spec delayed{"perfect", {{"delay", "2"}}};
+  session s(small_problem(), protocol_spec{"rlnc-direct", {}},
+            adversary_spec{"permuted-path", {}}, delayed,
+            content_spec{"steady", {}}, 1);
+  const run_report rep = s.run_to_completion();
+  EXPECT_TRUE(rep.complete);
+  const session_metrics& m = rep.metrics;
+  EXPECT_EQ(m.total_messages_sent, m.total_messages_delivered +
+                                       m.total_messages_dropped +
+                                       m.messages_in_flight);
 }
 
 // An all-transmit protocol on a clique broadcast medium with collisions:

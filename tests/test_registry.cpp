@@ -1,12 +1,12 @@
 // Registry + session tests: every registered protocol x adversary pair
 // constructs and completes a tiny session through the string API, stepping
 // is bit-identical to the inline run, and the observer stream / parameter
-// machinery behave.  Also holds the token_state micro-asserts
-// for the pre-reserved retirement storage.
+// machinery behave.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "core/session.hpp"
 
@@ -359,6 +359,57 @@ TEST(session, bad_window_and_round_budget_params_are_rejected_up_front) {
   }
 }
 
+// A random-connected family draws once per extra edge, so a count past the
+// n(n-1)/2 node pairs would run for ever; a negative radius would act as
+// its absolute value.  Each is rejected with a message naming the key,
+// also as the base of a composite family.
+TEST(session, out_of_range_topology_params_are_rejected_naming_the_key) {
+  struct bad_input {
+    const char* adversary;
+    const char* base;  // "" = no base= param
+    const char* key;
+    const char* value;
+  };
+  const char* const huge = "18446744073709551615";
+  const bad_input inputs[] = {
+      {"random-connected", "", "extra_edges", huge},
+      {"random-connected", "", "extra_edges", "29"},
+      {"t-interval", "", "extra_edges", huge},
+      {"t-interval", "", "extra_edges", "1000000000000"},
+      {"t-interval-random", "", "extra_edges", huge},
+      {"compose", "random-connected", "extra_edges", huge},
+      {"compose", "t-interval", "extra_edges", huge},
+      {"random-geometric", "", "radius", "-1"},
+      {"compose", "random-geometric", "radius", "-1"},
+  };
+  const problem prob = tiny_problem("rlnc-direct");  // n = 8: 28 node pairs
+  for (const bad_input& in : inputs) {
+    param_map params = {{in.key, in.value}};
+    if (in.base[0] != '\0') params["base"] = in.base;
+    const std::string what =
+        std::string(in.adversary) + " " + in.key + "=" + in.value;
+    try {
+      session s(prob, protocol_spec{"rlnc-direct", {}},
+                adversary_spec{in.adversary, params}, 1);
+      ADD_FAILURE() << "expected std::invalid_argument: " << what;
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find(in.key), std::string::npos)
+          << what << ": " << err.what();
+    }
+  }
+  // The bounds themselves are accepted.
+  const adversary_spec at_the_bound[] = {
+      {"random-connected", {{"extra_edges", "28"}}},
+      {"t-interval", {{"extra_edges", "28"}}},
+      {"t-interval-random", {{"extra_edges", "28"}}},
+      {"random-geometric", {{"radius", "0"}}},
+  };
+  for (const adversary_spec& adv : at_the_bound) {
+    EXPECT_NO_THROW(session(prob, protocol_spec{"rlnc-direct", {}}, adv, 1))
+        << adv.name;
+  }
+}
+
 TEST(session, coded_rows_within_the_framing_allowance_complete) {
   // The coded broadcasts admit any k + d up to message_bit_limit (slack * b
   // plus framing), the bound network::step asserts — not just 2 * b.  Here
@@ -449,36 +500,6 @@ TEST(session, adversary_params_reshape_the_topology) {
   EXPECT_TRUE(rd.complete);
   EXPECT_LE(rd.metrics.observed_completion_round,
             rs.metrics.observed_completion_round);
-}
-
-TEST(token_state, learn_on_retired_token_stays_constant_time) {
-  // The retirement mask is pre-reserved from dist.k() at construction, so
-  // learning a globally retired token is a bit probe + counter bump and
-  // never touches the remaining_/consideration bookkeeping.
-  rng r(3);
-  const token_distribution dist =
-      make_distribution(8, 8, 8, placement::one_per_node, r);
-  token_state st(dist);
-
-  st.retire_everywhere(3);
-  const node_id u = 5;
-  ASSERT_FALSE(st.knows(u, 3));
-  const std::size_t remaining_before = st.remaining_count(u);
-
-  st.learn(u, 3);
-  EXPECT_TRUE(st.knows(u, 3));
-  EXPECT_FALSE(st.in_consideration(u, 3));  // retired stays retired
-  EXPECT_EQ(st.remaining_count(u), remaining_before);
-
-  // Re-learning is idempotent.
-  st.learn(u, 3);
-  EXPECT_EQ(st.remaining_count(u), remaining_before);
-
-  // A non-retired token still enters consideration normally.
-  if (!st.knows(u, 2)) {
-    st.learn(u, 2);
-    EXPECT_TRUE(st.in_consideration(u, 2));
-  }
 }
 
 }  // namespace

@@ -70,20 +70,6 @@ TEST(rng, uniform01_range_and_mean) {
   EXPECT_NEAR(sum / 10000, 0.5, 0.02);
 }
 
-TEST(rng, sample_without_replacement_properties) {
-  rng r(8);
-  for (std::size_t pool : {5u, 20u, 100u}) {
-    for (std::size_t m : {0u, 1u, 3u}) {
-      if (m > pool) continue;
-      const auto s = r.sample_without_replacement(pool, m);
-      EXPECT_EQ(s.size(), m);
-      std::set<std::size_t> uniq(s.begin(), s.end());
-      EXPECT_EQ(uniq.size(), m);  // distinct
-      for (std::size_t v : s) EXPECT_LT(v, pool);
-    }
-  }
-}
-
 TEST(rng, shuffle_is_permutation) {
   rng r(9);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};

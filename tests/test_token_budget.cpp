@@ -98,18 +98,6 @@ TEST(block_budget, message_always_within_2b) {
   }
 }
 
-TEST(direct_budget, arithmetic) {
-  const coded_budget q = direct_budget(10, 100, 8);
-  EXPECT_EQ(q.message_bits, 180u);
-  EXPECT_EQ(q.tokens_total, 10u);
-}
-
-TEST(max_coded_items, boundaries) {
-  EXPECT_EQ(max_coded_items(100, 50, 1), 50u);
-  EXPECT_EQ(max_coded_items(100, 100, 1), 0u);
-  EXPECT_EQ(max_coded_items(100, 20, 16), 5u);
-}
-
 TEST(token_id, packing_preserves_order) {
   const token_id a{1, 5};
   const token_id b{2, 0};
