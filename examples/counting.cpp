@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
     ncdn::counting_config cfg;
     cfg.b_bits = 128;
     cfg.engine = engine;
-    const ncdn::counting_result res = ncdn::run_counting(net, cfg);
+    const ncdn::counting_result res =
+        ncdn::run_rounds(ncdn::counting_machine(net, cfg));
     std::printf("  engine=%-9s  count=%zu  correct=%s  attempts=%zu "
                 "(final estimate %zu)  rounds=%llu\n",
                 engine == ncdn::counting_engine::flooding ? "flooding"

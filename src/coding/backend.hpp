@@ -1,19 +1,15 @@
-// Coding backends: pluggable strategies for how a node combines its
-// received basis into outgoing coded packets and how it eliminates
-// arrivals (paper §5.1 codes densely over everything; practical RLNC
-// systems trade a few extra rounds for far cheaper elimination — see
-// sparsenc's sparse/GG/BD decoders, Firooz & Roy, Costa et al.).
+// Coding backends: the per-node coder every coded engine steps
+// (protocols/coded_nodes.hpp) and the factory that builds it.  The one
+// backend is the coding matrix of coding/matrix.hpp, an encoder schedule
+// over a decoder layout; make_matrix_backend(matrix_spec{}) is the paper's
+// dense GF(2) code (§5.1), and the other cells trade a few extra rounds for
+// far cheaper elimination (sparsenc's sparse/GG/BD decoders, Firooz & Roy,
+// Costa et al.).
 //
-// The concrete strategies live in the (encoder schedule × decoder
-// strategy) matrix of coding/matrix.hpp: what a node sends (dense coin,
-// sparse-rho, systematic first pass, feedback-steered generation pick) is
-// composed with how arrivals are eliminated (generic rref, banded-pivot);
-// `make_matrix_backend(matrix_spec{})` is the paper's dense GF(2) code.
-//
-// The wire format is shared: every backend emits full-width rows
+// The wire format is shared: every coder emits full-width rows
 // [k coefficients | payload], so message sizing, the network budget, and
 // the session metrics are backend-independent; only who XORs what changes.
-// All backends report cumulative 64-bit XOR word-operations — the
+// Every coder reports cumulative 64-bit XOR word-operations — the
 // decode-cost axis sweeps trade rounds against (round_metrics
 // elimination_xors).
 #pragma once
@@ -68,7 +64,7 @@ class node_coder {
 
   /// Feedback surface (matrix cells with sched=feedback): the node's
   /// per-generation rank deficits to piggyback on its outgoing row, and
-  /// the fold of a neighbor's piggybacked report.  Backends without a
+  /// the fold of a neighbor's piggybacked report.  Coders without a
   /// feedback schedule return nullptr / ignore.
   virtual const std::vector<std::uint32_t>* deficit_report() {
     return nullptr;
@@ -84,17 +80,5 @@ class coding_backend {
   virtual std::unique_ptr<node_coder> make_node_coder(
       std::size_t items, std::size_t item_bits) const = 0;
 };
-
-/// Recoding-buffer node mode (the `buf=B` axis under lossy links): wraps
-/// `inner` so each node's outgoing combination is a coin-XOR over a
-/// bounded FIFO of its `capacity` most recent wire rows — received or
-/// seeded — instead of the inner backend's full reduced state.  On
-/// overflow the oldest (evict_oldest) or the most recently buffered row
-/// is dropped.  rank/complete/decode still delegate to the inner coder:
-/// the buffer constrains only what a node can *send*, modelling
-/// memory-limited relays that recode in place without decoding first.
-std::unique_ptr<coding_backend> make_buffered_backend(
-    std::unique_ptr<coding_backend> inner, std::size_t capacity,
-    bool evict_oldest);
 
 }  // namespace ncdn

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <deque>
+#include <optional>
 #include <stdexcept>
 
 #include "linalg/bitmatrix.hpp"
@@ -32,16 +34,105 @@ bitvec make_row(word_arena* pool, std::size_t bits) {
   return pool != nullptr ? pool->make(bits) : bitvec(bits);
 }
 
-// --- decoder strategies -----------------------------------------------------
+// --- the node coder ---------------------------------------------------------
+
+class matrix_coder;
+
+/// What a node sends.  Schedules are per-node (they may carry state: the
+/// systematic queue, accumulated feedback deficits, the recoding FIFO);
+/// `emit` draws one wire row from the coder's reduced groups, charging
+/// combination XOR word-ops to *xor_words.
+class encoder_schedule {
+ public:
+  virtual ~encoder_schedule() = default;
+
+  /// Sees every arrival after the layout has eliminated it.
+  virtual void note_arrival(const matrix_coder&, const bitvec&) {}
+
+  /// Feedback surface (sched=feedback): the deficits to piggyback on the
+  /// node's outgoing row, and a neighbor's piggybacked deficits folded
+  /// into the sender-side steering state.
+  virtual const std::vector<std::uint32_t>* deficit_report(
+      const matrix_coder&) {
+    return nullptr;
+  }
+  virtual void observe_feedback(const std::vector<std::uint32_t>&) {}
+
+  virtual std::optional<bitvec> emit(const matrix_coder& coder, rng& r,
+                                     word_arena* pool,
+                                     std::uint64_t* xor_words) = 0;
+};
+
+/// One node's coder: a decoder layout (span_coder or grouped_coder)
+/// eliminates every arrival and answers the queries; the encoder schedule
+/// it owns draws what the node sends.  The emission surface (group)
+/// exposes the reduced basis as windowed groups so a schedule can draw
+/// combinations without knowing the storage layout: the full span is one
+/// group spanning all tokens, a generation layout one group per
+/// generation.
+class matrix_coder : public node_coder {
+ public:
+  struct group_ref {
+    std::size_t start = 0;  // first token of the window
+    std::size_t width = 0;  // window width in tokens
+    // Rows stored narrow ([width | payload], banded) or full wire width
+    // ([items | payload]).
+    bool narrow = false;
+    const row_block* rows = nullptr;  // reduced basis rows
+  };
+
+  matrix_coder(std::size_t items, std::size_t item_bits,
+               std::unique_ptr<encoder_schedule> sched)
+      : items_(items), item_bits_(item_bits), sched_(std::move(sched)) {}
+
+  void insert(const bitvec& row) override {
+    eliminate(row);
+    sched_->note_arrival(*this, row);
+  }
+  std::optional<bitvec> make_combination(rng& r, word_arena* pool) override {
+    return sched_->emit(*this, r, pool, &emit_xors_);
+  }
+  std::uint64_t xor_word_ops() const override {
+    return elimination_xors() + emit_xors_;
+  }
+  const std::vector<std::uint32_t>* deficit_report() override {
+    return sched_->deficit_report(*this);
+  }
+  void observe_feedback(const std::vector<std::uint32_t>& deficits) override {
+    sched_->observe_feedback(deficits);
+  }
+
+  std::size_t items() const noexcept { return items_; }
+  std::size_t item_bits() const noexcept { return item_bits_; }
+
+  /// Emission surface: the groups are valid until the next insert.
+  virtual bool grouped() const = 0;
+  virtual std::size_t group_count() const = 0;
+  virtual group_ref group(std::size_t gi) const = 0;
+
+ protected:
+  /// Folds one arrival into the reduced basis.
+  virtual void eliminate(const bitvec& row) = 0;
+  virtual std::uint64_t elimination_xors() const = 0;
+
+ private:
+  std::size_t items_;
+  std::size_t item_bits_;
+  std::unique_ptr<encoder_schedule> sched_;
+  std::uint64_t emit_xors_ = 0;
+};
+
+// --- decoder layouts --------------------------------------------------------
 
 // Full-span generic elimination: one incremental RREF decoder, one group
-// covering every token (the dense/sparse storage of PR 3).
-class span_strategy final : public decoder_strategy {
+// covering every token.
+class span_coder final : public matrix_coder {
  public:
-  span_strategy(std::size_t items, std::size_t item_bits)
-      : dec_(items, item_bits) {}
+  span_coder(std::size_t items, std::size_t item_bits,
+             std::unique_ptr<encoder_schedule> sched)
+      : matrix_coder(items, item_bits, std::move(sched)),
+        dec_(items, item_bits) {}
 
-  void insert(const bitvec& row) override { dec_.insert(row); }
   std::size_t rank() const override { return dec_.rank(); }
   bool complete() const override { return dec_.complete(); }
   bool can_decode(std::size_t i) const override { return dec_.can_decode(i); }
@@ -49,28 +140,30 @@ class span_strategy final : public decoder_strategy {
   std::size_t decode_progress() const override {
     return dec_.decodable_count();
   }
-  std::uint64_t xor_word_ops() const override { return dec_.xor_word_ops(); }
-
-  std::size_t items() const override { return dec_.coeff_dim(); }
-  std::size_t item_bits() const override { return dec_.payload_bits(); }
 
   bool grouped() const override { return false; }
   std::size_t group_count() const override { return 1; }
   group_ref group(std::size_t gi) const override {
     NCDN_EXPECTS(gi == 0);
-    return {0, dec_.coeff_dim(), /*narrow=*/false, &dec_.basis()};
+    return {0, items(), /*narrow=*/false, &dec_.basis()};
   }
 
  private:
+  void eliminate(const bitvec& row) override { dec_.insert(row); }
+  std::uint64_t elimination_xors() const override {
+    return dec_.xor_word_ops();
+  }
+
   bit_decoder dec_;
 };
 
 // Generation-windowed elimination.  Generation j owns the token window
-// [j*g, min(j*g + g + w, k)).  insert() eliminates each arrival into every
+// [j*g, min(j*g + g + w, k)).  eliminate() reduces each arrival into every
 // generation whose window holds its support, one online Gaussian
 // elimination step per generation, so each basis is a canonical RREF
 // sorted by pivot after every insert and the rank and decode queries are
-// reads.
+// reads.  rank() is the decodable token count (monotone; == items iff
+// complete).
 //
 // narrow_ == true is the banded-pivot eliminator: rows are stored
 // [window | payload] and pivots never leave the g+w window, so every
@@ -78,13 +171,12 @@ class span_strategy final : public decoder_strategy {
 // rref baseline over the same generation structure: identical row spaces,
 // identical draws, but rows stay full wire width and every XOR pays k+d
 // bits — the comparison BENCH_E22 quantifies.
-class grouped_strategy final : public decoder_strategy {
+class grouped_coder final : public matrix_coder {
  public:
-  grouped_strategy(std::size_t items, std::size_t item_bits,
-                   std::size_t gen_size, std::size_t band_overlap,
-                   bool narrow)
-      : items_(items),
-        item_bits_(item_bits),
+  grouped_coder(std::size_t items, std::size_t item_bits,
+                std::size_t gen_size, std::size_t band_overlap, bool narrow,
+                std::unique_ptr<encoder_schedule> sched)
+      : matrix_coder(items, item_bits, std::move(sched)),
         narrow_(narrow),
         decoded_(items),
         decoded_gen_(items, 0) {
@@ -103,41 +195,10 @@ class grouped_strategy final : public decoder_strategy {
     }
   }
 
-  void insert(const bitvec& row) override {
-    NCDN_EXPECTS(row.size() == items_ + item_bits_);
-    const std::size_t lo = row.first_set();
-    if (lo >= items_) {
-      // Zero coefficients: either the all-zero draw (harmless) or a
-      // corrupted row with payload but no coefficients (contract).
-      NCDN_ASSERT(lo == row.size());
-      return;
-    }
-    const std::size_t hi = last_set_below(row, items_);
-    const std::size_t words = row.words().size();
-    for (std::size_t gi = 0; gi < gens_.size(); ++gi) {
-      generation& g = gens_[gi];
-      if (g.start <= lo && hi < g.start + g.width) {
-        // A generation's rank never exceeds its width: reserve once.
-        if (g.rows.empty()) {
-          g.rows.reserve(g.width);
-          g.pivots.reserve(g.width);
-        }
-        if (narrow_) {
-          std::uint64_t* slim = g.rows.stage();
-          copy_bits(slim, 0, row.data(), words, g.start, g.width);
-          copy_bits(slim, g.width, row.data(), words, items_, item_bits_);
-        } else {
-          g.rows.stage(row.data());
-        }
-        eliminate(gi);
-      }
-    }
-  }
-
   std::size_t rank() const override { return decoded_count_; }
-  bool complete() const override { return decoded_count_ == items_; }
+  bool complete() const override { return decoded_count_ == items(); }
   bool can_decode(std::size_t i) const override {
-    NCDN_EXPECTS(i < items_);
+    NCDN_EXPECTS(i < items());
     return decoded_.get(i);
   }
 
@@ -153,19 +214,15 @@ class grouped_strategy final : public decoder_strategy {
     NCDN_ASSERT(it != g.pivots.end() && *it == local);
     const std::size_t r =
         static_cast<std::size_t>(it - g.pivots.begin());
-    const std::size_t coeff_bits = narrow_ ? g.width : items_;
+    const std::size_t coeff_bits = narrow_ ? g.width : items();
     NCDN_ASSERT(no_bits_after(g.rows.row(r), local, coeff_bits));
-    bitvec out(item_bits_);
+    bitvec out(item_bits());
     copy_bits(out.data(), 0, g.rows.row(r), g.rows.row_words(), coeff_bits,
-              item_bits_);
+              item_bits());
     return out;
   }
 
   std::size_t decode_progress() const override { return decoded_count_; }
-  std::uint64_t xor_word_ops() const override { return xor_words_; }
-
-  std::size_t items() const override { return items_; }
-  std::size_t item_bits() const override { return item_bits_; }
 
   bool grouped() const override { return true; }
   std::size_t group_count() const override { return gens_.size(); }
@@ -183,6 +240,40 @@ class grouped_strategy final : public decoder_strategy {
     std::vector<std::size_t> pivots;
   };
 
+  void eliminate(const bitvec& row) override {
+    const std::size_t items = this->items();
+    NCDN_EXPECTS(row.size() == items + item_bits());
+    const std::size_t lo = row.first_set();
+    if (lo >= items) {
+      // Zero coefficients: either the all-zero draw (harmless) or a
+      // corrupted row with payload but no coefficients (contract).
+      NCDN_ASSERT(lo == row.size());
+      return;
+    }
+    const std::size_t hi = last_set_below(row, items);
+    const std::size_t words = row.words().size();
+    for (std::size_t gi = 0; gi < gens_.size(); ++gi) {
+      generation& g = gens_[gi];
+      if (g.start <= lo && hi < g.start + g.width) {
+        // A generation's rank never exceeds its width: reserve once.
+        if (g.rows.empty()) {
+          g.rows.reserve(g.width);
+          g.pivots.reserve(g.width);
+        }
+        if (narrow_) {
+          std::uint64_t* slim = g.rows.stage();
+          copy_bits(slim, 0, row.data(), words, g.start, g.width);
+          copy_bits(slim, g.width, row.data(), words, items, item_bits());
+        } else {
+          g.rows.stage(row.data());
+        }
+        eliminate_into(gi);
+      }
+    }
+  }
+
+  std::uint64_t elimination_xors() const override { return xor_words_; }
+
   // One online elimination step into generation gi: forward-reduce the
   // arrival staged in its block, drop it if it reduces to zero, clear its
   // pivot from the other rows, and commit it at its pivot's position.  The
@@ -192,9 +283,9 @@ class grouped_strategy final : public decoder_strategy {
   // XORs of a batch elimination over (basis, arrival), and re-reducing the
   // resulting basis would cost none.  Both passes mark their rows 64 at a
   // time and then XOR them, with no branch per row.
-  void eliminate(std::size_t gi) {
+  void eliminate_into(std::size_t gi) {
     generation& g = gens_[gi];
-    const std::size_t coeff_bits = narrow_ ? g.width : items_;
+    const std::size_t coeff_bits = narrow_ ? g.width : items();
     const std::size_t w = g.rows.row_words();
     std::uint64_t* base = g.rows.data();
     std::uint64_t* s = base + g.rows.size() * w;
@@ -236,11 +327,11 @@ class grouped_strategy final : public decoder_strategy {
   }
 
   /// Audit rebuild of the decodable set: the tokens with a singleton row in
-  /// some generation are exactly the ones eliminate() counted.
+  /// some generation are exactly the ones eliminate_into() counted.
   bool audit_decoded() const {
-    bitvec fresh(items_);
+    bitvec fresh(items());
     for (const generation& g : gens_) {
-      const std::size_t coeff_bits = narrow_ ? g.width : items_;
+      const std::size_t coeff_bits = narrow_ ? g.width : items();
       for (std::size_t r = 0; r < g.rows.size(); ++r) {
         if (no_bits_after(g.rows.row(r), g.pivots[r], coeff_bits)) {
           fresh.set(narrow_ ? g.start + g.pivots[r] : g.pivots[r]);
@@ -250,8 +341,6 @@ class grouped_strategy final : public decoder_strategy {
     return fresh == decoded_ && fresh.popcount() == decoded_count_;
   }
 
-  std::size_t items_;
-  std::size_t item_bits_;
   bool narrow_;
   std::vector<generation> gens_;
   bitvec decoded_;
@@ -274,12 +363,10 @@ bool include_row(rng& r, bool dense, double rho) {
 // Narrow groups combine narrow then widen (every combination XOR is window
 // wide — the generation coder's draw and accounting, verbatim); full-width
 // groups XOR wire rows directly.
-bitvec combine_group(const decoder_strategy& dec,
-                     const decoder_strategy::group_ref& g, rng& r,
+bitvec combine_group(const matrix_coder& coder,
+                     const matrix_coder::group_ref& g, rng& r,
                      word_arena* pool, std::uint64_t* xor_words, bool dense,
                      double rho) {
-  const std::size_t items = dec.items();
-  const std::size_t item_bits = dec.item_bits();
   const row_block& rows = *g.rows;
   const std::size_t w = rows.row_words();
   const std::uint64_t* base = rows.data();
@@ -294,9 +381,9 @@ bitvec combine_group(const decoder_strategy& dec,
   for_each_marked(rows.size(), coin, add);
   *xor_words += picked * w;
   if (!g.narrow) return sum;
-  bitvec out = make_row(pool, items + item_bits);
+  bitvec out = make_row(pool, coder.items() + coder.item_bits());
   out.copy_bits_from(sum, 0, g.width, g.start);
-  out.copy_bits_from(sum, g.width, item_bits, items);
+  out.copy_bits_from(sum, g.width, coder.item_bits(), coder.items());
   if (pool != nullptr) pool->recycle(std::move(sum));
   return out;
 }
@@ -305,26 +392,26 @@ bitvec combine_group(const decoder_strategy& dec,
 // no group pick; generation layouts draw one uniform pick over the live
 // generations first (always consumed, even with one candidate — keeps the
 // draw stream identical to the historical generation coder).
-std::optional<bitvec> coin_emit(const decoder_strategy& dec, rng& r,
+std::optional<bitvec> coin_emit(const matrix_coder& coder, rng& r,
                                 word_arena* pool, std::uint64_t* xor_words,
                                 bool dense, double rho) {
-  if (!dec.grouped()) {
-    const decoder_strategy::group_ref g = dec.group(0);
+  if (!coder.grouped()) {
+    const matrix_coder::group_ref g = coder.group(0);
     if (g.rows->empty()) return std::nullopt;
-    return combine_group(dec, g, r, pool, xor_words, dense, rho);
+    return combine_group(coder, g, r, pool, xor_words, dense, rho);
   }
-  const std::size_t gc = dec.group_count();
+  const std::size_t gc = coder.group_count();
   std::size_t live = 0;
   for (std::size_t gi = 0; gi < gc; ++gi) {
-    if (!dec.group(gi).rows->empty()) ++live;
+    if (!coder.group(gi).rows->empty()) ++live;
   }
   if (live == 0) return std::nullopt;
   std::size_t pick = r.below(live);
   for (std::size_t gi = 0; gi < gc; ++gi) {
-    const decoder_strategy::group_ref g = dec.group(gi);
+    const matrix_coder::group_ref g = coder.group(gi);
     if (g.rows->empty()) continue;
     if (pick-- == 0) {
-      return combine_group(dec, g, r, pool, xor_words, dense, rho);
+      return combine_group(coder, g, r, pool, xor_words, dense, rho);
     }
   }
   NCDN_ASSERT(false);  // pick < live
@@ -336,10 +423,10 @@ std::optional<bitvec> coin_emit(const decoder_strategy& dec, rng& r,
 class coin_schedule final : public encoder_schedule {
  public:
   coin_schedule(bool dense, double rho) : dense_(dense), rho_(rho) {}
-  std::optional<bitvec> emit(const decoder_strategy& dec, rng& r,
+  std::optional<bitvec> emit(const matrix_coder& coder, rng& r,
                              word_arena* pool,
                              std::uint64_t* xor_words) override {
-    return coin_emit(dec, r, pool, xor_words, dense_, rho_);
+    return coin_emit(coder, r, pool, xor_words, dense_, rho_);
   }
 
  private:
@@ -355,36 +442,41 @@ class coin_schedule final : public encoder_schedule {
 // sum) and consumes no draws.
 class systematic_schedule final : public encoder_schedule {
  public:
-  bool wants_seed_notes() const override { return true; }
-  void note_seed(std::size_t index) override {
-    if (std::find(queue_.begin(), queue_.end(), index) == queue_.end()) {
-      queue_.push_back(index);
+  // Arrivals before the first emission are the node's own seeds; a
+  // singleton coefficient row names the token it carries.
+  void note_arrival(const matrix_coder& coder, const bitvec& row) override {
+    if (emitted_) return;
+    const std::size_t lo = row.first_set();
+    if (lo < coder.items() && no_bits_after(row.data(), lo, coder.items()) &&
+        std::find(queue_.begin(), queue_.end(), lo) == queue_.end()) {
+      queue_.push_back(lo);
     }
   }
 
-  std::optional<bitvec> emit(const decoder_strategy& dec, rng& r,
+  std::optional<bitvec> emit(const matrix_coder& coder, rng& r,
                              word_arena* pool,
                              std::uint64_t* xor_words) override {
+    emitted_ = true;
     if (next_ < queue_.size()) {
       const std::size_t i = queue_[next_++];
-      const std::size_t items = dec.items();
-      bitvec out = make_row(pool, items + dec.item_bits());
+      bitvec out = make_row(pool, coder.items() + coder.item_bits());
       out.set(i);
       // A pre-emission singleton insert keeps token i decodable forever
       // (RREF singletons are stable), so this decode cannot fail.
-      const bitvec payload = dec.decode(i);
-      out.copy_bits_from(payload, 0, dec.item_bits(), items);
+      const bitvec payload = coder.decode(i);
+      out.copy_bits_from(payload, 0, coder.item_bits(), coder.items());
       return out;
     }
-    return coin_emit(dec, r, pool, xor_words, /*dense=*/true, 0.5);
+    return coin_emit(coder, r, pool, xor_words, /*dense=*/true, 0.5);
   }
 
  private:
   std::vector<std::size_t> queue_;  // seeded tokens, in seeding order
   std::size_t next_ = 0;
+  bool emitted_ = false;
 };
 
-// Feedback-scheduled generation pick: every received row carries the
+// Feedback-scheduled generation pick: every outgoing row carries the
 // sender's per-generation rank deficits (observe_feedback accumulates a
 // round's reports; the next emit consumes the batch).  The sender then
 // combines within the live generation carrying the largest reported
@@ -392,7 +484,19 @@ class systematic_schedule final : public encoder_schedule {
 // positive deficit on record it falls back to the uniform dense pick.
 class feedback_schedule final : public encoder_schedule {
  public:
-  bool wants_feedback() const override { return true; }
+  const std::vector<std::uint32_t>* deficit_report(
+      const matrix_coder& coder) override {
+    const std::size_t gc = coder.group_count();
+    report_.assign(gc, 0);
+    for (std::size_t gi = 0; gi < gc; ++gi) {
+      const matrix_coder::group_ref g = coder.group(gi);
+      const std::size_t have = g.rows->size();
+      report_[gi] =
+          static_cast<std::uint32_t>(g.width > have ? g.width - have : 0);
+    }
+    return &report_;
+  }
+
   void observe_feedback(const std::vector<std::uint32_t>& deficits) override {
     if (pending_.size() < deficits.size()) pending_.resize(deficits.size(), 0);
     for (std::size_t gi = 0; gi < deficits.size(); ++gi) {
@@ -401,7 +505,7 @@ class feedback_schedule final : public encoder_schedule {
     fresh_ = true;
   }
 
-  std::optional<bitvec> emit(const decoder_strategy& dec, rng& r,
+  std::optional<bitvec> emit(const matrix_coder& coder, rng& r,
                              word_arena* pool,
                              std::uint64_t* xor_words) override {
     if (fresh_) {
@@ -409,103 +513,74 @@ class feedback_schedule final : public encoder_schedule {
       std::fill(pending_.begin(), pending_.end(), 0);
       fresh_ = false;
     }
-    const std::size_t gc = dec.group_count();
-    std::size_t live = 0;
+    const std::size_t gc = coder.group_count();
     std::size_t best = npos;
     std::uint64_t best_deficit = 0;
     for (std::size_t gi = 0; gi < gc; ++gi) {
-      if (dec.group(gi).rows->empty()) continue;
-      ++live;
+      if (coder.group(gi).rows->empty()) continue;
       const std::uint64_t d = gi < active_.size() ? active_[gi] : 0;
       if (d > best_deficit) {
         best_deficit = d;
         best = gi;
       }
     }
-    if (live == 0) return std::nullopt;
-    if (best != npos) {
-      return combine_group(dec, dec.group(best), r, pool, xor_words,
-                           /*dense=*/true, 0.5);
+    if (best == npos) {
+      return coin_emit(coder, r, pool, xor_words, /*dense=*/true, 0.5);
     }
-    std::size_t pick = r.below(live);
-    for (std::size_t gi = 0; gi < gc; ++gi) {
-      const decoder_strategy::group_ref g = dec.group(gi);
-      if (g.rows->empty()) continue;
-      if (pick-- == 0) {
-        return combine_group(dec, g, r, pool, xor_words, /*dense=*/true, 0.5);
-      }
-    }
-    NCDN_ASSERT(false);
-    return std::nullopt;
+    return combine_group(coder, coder.group(best), r, pool, xor_words,
+                         /*dense=*/true, 0.5);
   }
 
  private:
+  std::vector<std::uint32_t> report_;   // deficit_report's refresh buffer
   std::vector<std::uint64_t> pending_;  // reports since the last emit
   std::vector<std::uint64_t> active_;   // the batch steering this emit
   bool fresh_ = false;
 };
 
-// --- the composed coder -----------------------------------------------------
-
-class matrix_coder final : public node_coder {
+// Recoding buffer (buf=B): a FIFO of the node's B most recent nonzero
+// arrivals, received or seeded.  Each emission is a coin-XOR over the
+// buffered rows in FIFO order, one coin per row.  On overflow the oldest
+// (evict_oldest) or the most recently buffered row is dropped.  The
+// all-zero arrival carries no information and would only dilute the
+// coin-XOR, so it is never buffered.
+class buffer_schedule final : public encoder_schedule {
  public:
-  matrix_coder(std::unique_ptr<decoder_strategy> dec,
-               std::unique_ptr<encoder_schedule> sched)
-      : dec_(std::move(dec)), sched_(std::move(sched)) {}
+  buffer_schedule(std::size_t capacity, bool evict_oldest)
+      : capacity_(capacity), evict_oldest_(evict_oldest) {
+    NCDN_EXPECTS(capacity_ >= 1);
+  }
 
-  void insert(const bitvec& row) override {
-    if (!emitted_ && sched_->wants_seed_notes()) {
-      // Pre-emission inserts are the node's own seeds; a singleton
-      // coefficient row names the token it carries.
-      const std::size_t lo = row.first_set();
-      const std::size_t items = dec_->items();
-      if (lo < items && no_bits_after(row.data(), lo, items)) {
-        sched_->note_seed(lo);
+  void note_arrival(const matrix_coder&, const bitvec& row) override {
+    if (row.first_set() == row.size()) return;
+    if (buffer_.size() == capacity_) {
+      if (evict_oldest_) {
+        buffer_.pop_front();
+      } else {
+        buffer_.pop_back();
       }
     }
-    dec_->insert(row);
+    buffer_.push_back(row);
+    NCDN_AUDIT(buffer_.size() <= capacity_);  // recoder buffer bound
   }
 
-  std::optional<bitvec> make_combination(rng& r, word_arena* pool) override {
-    emitted_ = true;
-    return sched_->emit(*dec_, r, pool, &emit_xors_);
-  }
-
-  std::size_t rank() const override { return dec_->rank(); }
-  bool complete() const override { return dec_->complete(); }
-  bool can_decode(std::size_t i) const override {
-    return dec_->can_decode(i);
-  }
-  bitvec decode(std::size_t i) const override { return dec_->decode(i); }
-  std::size_t decode_progress() const override {
-    return dec_->decode_progress();
-  }
-  std::uint64_t xor_word_ops() const override {
-    return dec_->xor_word_ops() + emit_xors_;
-  }
-
-  const std::vector<std::uint32_t>* deficit_report() override {
-    if (!sched_->wants_feedback()) return nullptr;
-    const std::size_t gc = dec_->group_count();
-    report_.assign(gc, 0);
-    for (std::size_t gi = 0; gi < gc; ++gi) {
-      const decoder_strategy::group_ref g = dec_->group(gi);
-      const std::size_t have = g.rows->size();
-      report_[gi] =
-          static_cast<std::uint32_t>(g.width > have ? g.width - have : 0);
+  std::optional<bitvec> emit(const matrix_coder&, rng& r, word_arena* pool,
+                             std::uint64_t* xor_words) override {
+    if (buffer_.empty()) return std::nullopt;
+    bitvec out = make_row(pool, buffer_.front().size());
+    for (const bitvec& row : buffer_) {
+      if (r.coin()) {
+        out.xor_with(row);
+        *xor_words += out.words().size();
+      }
     }
-    return &report_;
-  }
-  void observe_feedback(const std::vector<std::uint32_t>& deficits) override {
-    sched_->observe_feedback(deficits);
+    return out;
   }
 
  private:
-  std::unique_ptr<decoder_strategy> dec_;
-  std::unique_ptr<encoder_schedule> sched_;
-  std::vector<std::uint32_t> report_;  // deficit_report's refresh buffer
-  std::uint64_t emit_xors_ = 0;
-  bool emitted_ = false;
+  std::size_t capacity_;
+  bool evict_oldest_;
+  std::deque<bitvec> buffer_;
 };
 
 std::string recognized(const std::vector<matrix_axis_info>& axis) {
@@ -522,33 +597,15 @@ class matrix_backend final : public coding_backend {
   explicit matrix_backend(matrix_spec spec) : spec_(std::move(spec)) {}
 
   std::string name() const override {
-    const bool grouped = spec_.gen_size >= 1;
-    // The registry's default cells keep their historical backend names.
-    if (!grouped && spec_.sched == "dense" && spec_.dec == "rref") {
-      return "dense";
-    }
-    if (!grouped && spec_.sched == "sparse" && spec_.dec == "rref") {
-      return "sparse";
-    }
-    if (grouped && spec_.sched == "dense" && spec_.dec == "banded") {
-      return "generation";
-    }
     return "sched:" + spec_.sched + "/dec:" + spec_.dec;
   }
 
   std::unique_ptr<node_coder> make_node_coder(
       std::size_t items, std::size_t item_bits) const override {
-    std::unique_ptr<decoder_strategy> dec;
-    if (spec_.gen_size == 0) {
-      dec = std::make_unique<span_strategy>(items, item_bits);
-    } else {
-      dec = std::make_unique<grouped_strategy>(items, item_bits,
-                                               spec_.gen_size,
-                                               spec_.band_overlap,
-                                               spec_.dec == "banded");
-    }
     std::unique_ptr<encoder_schedule> sched;
-    if (spec_.sched == "dense") {
+    if (spec_.buf >= 1) {
+      sched = std::make_unique<buffer_schedule>(spec_.buf, spec_.evict_oldest);
+    } else if (spec_.sched == "dense") {
       sched = std::make_unique<coin_schedule>(/*dense=*/true, 0.5);
     } else if (spec_.sched == "sparse") {
       sched = std::make_unique<coin_schedule>(/*dense=*/false, spec_.rho);
@@ -557,7 +614,13 @@ class matrix_backend final : public coding_backend {
     } else {
       sched = std::make_unique<feedback_schedule>();
     }
-    return std::make_unique<matrix_coder>(std::move(dec), std::move(sched));
+    if (spec_.gen_size == 0) {
+      return std::make_unique<span_coder>(items, item_bits, std::move(sched));
+    }
+    return std::make_unique<grouped_coder>(items, item_bits, spec_.gen_size,
+                                           spec_.band_overlap,
+                                           spec_.dec == "banded",
+                                           std::move(sched));
   }
 
  private:

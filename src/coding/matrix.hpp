@@ -1,13 +1,12 @@
-// The (encoder schedule × decoder strategy) coding matrix.
+// The (encoder schedule × decoder layout) coding matrix.
 //
-// PR 3's backends coupled *what a node sends* to *how it eliminates*: the
-// dense/sparse coders emitted from one full-span RREF basis, and the
-// generation coder both stored narrow rows and drew banded combinations.
-// This header splits the two concerns (sparsenc keeps five decoders and a
-// generation scheduler orthogonal; Costa et al. schedule transmissions for
-// minimum decoding delay):
+// Every coded node runs the paper's one step (§5.1, Lemma 5.3): keep what
+// arrived and send a random GF(2) combination of it.  A matrix cell names
+// the two choices inside that step (sparsenc keeps its decoders and its
+// generation scheduler orthogonal the same way; Costa et al. schedule
+// transmissions for minimum decoding delay):
 //
-//   encoder_schedule — what a node puts on the air each round:
+//   encoder schedule — what a node puts on the air each round:
 //     dense       coin per basis row (the paper's §5.1 draw)
 //     sparse      Bernoulli(rho) per basis row (Firooz & Roy density knob)
 //     systematic  first pass emits the node's own seeded tokens uncoded,
@@ -19,34 +18,38 @@
 //                 control plane), and senders steer their generation pick
 //                 toward the largest deficit their neighbors reported
 //                 instead of drawing uniformly
+//     buffer      buf=B: a coin-XOR over a bounded FIFO of the node's B
+//                 most recent nonzero arrivals instead of its reduced
+//                 basis — the memory-limited relays of practical RLNC
+//                 (Firooz & Roy), which recode in place without decoding.
+//                 It replaces the sched= schedule, which is still
+//                 validated; a buffered node is silent until its first
+//                 row is buffered.
 //
-//   decoder_strategy — how arrivals are eliminated and queried:
-//     rref        generic gf2 elimination.  Full-span layouts keep one
-//                 incremental bit_decoder; generation layouts store rows
-//                 full-width per generation (pivots may sit anywhere,
-//                 every XOR is k+d bits wide — the generic baseline banded
-//                 elimination is judged against).
-//     banded      generation layouts only: rows are stored narrow
-//                 ([g+w window | payload]) and pivots never leave the
-//                 window, so every elimination XOR touches g+w+d bits
-//                 instead of k+d (PR 3's generation coder, now one cell of
-//                 the matrix).
+//   decoder layout — how arrivals are stored, eliminated and queried:
+//     span        full span (gen_size = 0, dec=rref): one incremental
+//                 bit_decoder, one group covering every token.
+//     grouped     generation windows (gen_size >= 1).  dec=rref stores rows
+//                 full-width per generation (pivots may sit anywhere, every
+//                 XOR is k+d bits wide — the generic baseline banded
+//                 elimination is judged against); dec=banded stores them
+//                 narrow ([g+w window | payload]) with pivots confined to
+//                 the window, so every elimination XOR touches g+w+d bits.
 //
-// Every strategy eliminates each arrival on insert, one online Gaussian
-// elimination step per basis it lands in, so rank, completion and decode
-// queries are reads and the basis a schedule draws from is always reduced.
+// Each node's coder is one object: the layout eliminates each arrival on
+// insert, one online Gaussian elimination step per basis it lands in, so
+// rank, completion and decode queries are reads and the basis a schedule
+// draws from is always reduced.
 //
 // A matrix_spec names one cell; make_matrix_backend builds it.  The default
 // spec is the paper's dense GF(2) code (sched=dense, dec=rref, full span).
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "coding/backend.hpp"
-#include "linalg/row_block.hpp"
 
 namespace ncdn {
 
@@ -60,67 +63,10 @@ struct matrix_spec {
   double rho = 0.5;             // sparse inclusion density (sched=sparse)
   std::size_t gen_size = 0;     // 0 = full span
   std::size_t band_overlap = 0;
-};
-
-/// How arrivals are stored, eliminated, and queried.  The emission surface
-/// (group) exposes the reduced basis as windowed groups so a schedule can
-/// draw combinations without knowing the storage layout: full-span
-/// strategies report one group spanning all tokens, generation strategies
-/// one group per generation.
-class decoder_strategy {
- public:
-  struct group_ref {
-    std::size_t start = 0;  // first token of the window
-    std::size_t width = 0;  // window width in tokens
-    // Rows stored narrow ([width | payload], banded) or full wire width
-    // ([items | payload]).
-    bool narrow = false;
-    const row_block* rows = nullptr;  // reduced basis rows
-  };
-
-  virtual ~decoder_strategy() = default;
-
-  virtual void insert(const bitvec& row) = 0;
-  /// Adversary-visible knowledge: span rank for full-span rref, decodable
-  /// token count for generation layouts (monotone; == items iff complete).
-  virtual std::size_t rank() const = 0;
-  virtual bool complete() const = 0;
-  virtual bool can_decode(std::size_t i) const = 0;
-  virtual bitvec decode(std::size_t i) const = 0;
-  /// Number of tokens currently decodable (monotone).
-  virtual std::size_t decode_progress() const = 0;
-  virtual std::uint64_t xor_word_ops() const = 0;
-
-  virtual std::size_t items() const = 0;
-  virtual std::size_t item_bits() const = 0;
-
-  /// Emission surface: the groups are valid until the next insert.
-  virtual bool grouped() const = 0;
-  virtual std::size_t group_count() const = 0;
-  virtual group_ref group(std::size_t gi) const = 0;
-};
-
-/// What a node sends.  Schedules are per-node (they may carry state: the
-/// systematic queue, accumulated feedback deficits); `emit` draws one wire
-/// row from the decoder's reduced groups, charging combination XOR
-/// word-ops to *xor_words.
-class encoder_schedule {
- public:
-  virtual ~encoder_schedule() = default;
-
-  /// True if the schedule wants note_seed for pre-emission singleton
-  /// inserts (a node's own seeded tokens).
-  virtual bool wants_seed_notes() const { return false; }
-  virtual void note_seed(std::size_t /*index*/) {}
-
-  /// Feedback surface (sched=feedback): deficits a neighbor piggybacked on
-  /// a received row, folded into the sender-side steering state.
-  virtual bool wants_feedback() const { return false; }
-  virtual void observe_feedback(const std::vector<std::uint32_t>&) {}
-
-  virtual std::optional<bitvec> emit(const decoder_strategy& dec, rng& r,
-                                     word_arena* pool,
-                                     std::uint64_t* xor_words) = 0;
+  // Recoding-buffer rows (0 = the sched= schedule emits); a full buffer
+  // drops its oldest row, or else its most recently buffered one.
+  std::size_t buf = 0;
+  bool evict_oldest = true;
 };
 
 /// Builds the backend for one matrix cell.  Throws std::invalid_argument

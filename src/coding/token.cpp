@@ -1,6 +1,7 @@
 #include "coding/token.hpp"
 
 #include <algorithm>
+#include <set>
 
 #include "core/contracts.hpp"
 
@@ -51,26 +52,16 @@ token_distribution make_distribution(std::size_t n, std::size_t k,
   NCDN_EXPECTS(d_bits >= 64 || k < (std::size_t{1} << std::min<std::size_t>(
                                         d_bits, 63)));
   std::vector<std::uint32_t> seq_of_origin(n, 0);
-  std::vector<bitvec> seen;
+  std::set<std::vector<std::uint64_t>> seen;  // payload words drawn so far
   dist.tokens.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
     token t;
     t.id.origin = origin_of_token[i];
     t.id.seq = seq_of_origin[origin_of_token[i]]++;
     t.payload = bitvec(d_bits);
-    for (;;) {
+    do {
       t.payload.randomize(r);
-      if (!t.payload.any()) continue;
-      bool dup = false;
-      for (const bitvec& s : seen) {
-        if (s == t.payload) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) break;
-    }
-    seen.push_back(t.payload);
+    } while (!t.payload.any() || !seen.insert(t.payload.words()).second);
     dist.tokens.push_back(std::move(t));
   }
   std::sort(dist.tokens.begin(), dist.tokens.end(),

@@ -177,15 +177,45 @@ std::shared_ptr<const content_schedule> build_content_schedule(
   std::vector<content_patch> patches;
   std::vector<std::size_t> superseded(prob.k, content_schedule::none);
   std::vector<std::size_t> epoch_first;
+  std::vector<std::vector<std::size_t>> targets;
+  targets.reserve(plan.epochs + 1);
+  // Every epoch's wire working set (target closure plus that epoch's fresh
+  // patches) must fit the O(b) message budget the coded broadcast needs:
+  // coefficient vectors carry one bit per in-flight version.  Each epoch is
+  // checked as soon as its closure exists, so an oversized schedule fails
+  // at its first oversized epoch without expanding the rest.
+  const double limit = message_bit_limit(prob.n, prob.b, prob.slack);
+  const auto check_working_set = [&](std::size_t e) {
+    const std::vector<std::size_t>& target = targets[e];
+    std::size_t working = target.size();
+    for (std::size_t v = epoch_first[e]; v < epoch_first[e + 1]; ++v) {
+      if (!std::binary_search(target.begin(), target.end(), v)) ++working;
+    }
+    if (static_cast<double>(working + prob.d) > limit) {
+      throw std::invalid_argument(
+          "ncdn: " + context + " puts " + std::to_string(working) +
+          " versions on the wire at epoch " + std::to_string(e) +
+          ", over the message budget slack * b + framing = " +
+          std::to_string(static_cast<std::size_t>(limit)) +
+          " bits for (versions + d)-bit coded rows; raise b or slack");
+    }
+  };
+
+  // The base epoch is the classic instance: every base item is required,
+  // not just the dependency closure of the newest one.
   epoch_first.push_back(0);
+  std::vector<std::size_t> base_target(prob.k);
   for (std::size_t t = 0; t < prob.k; ++t) {
     content_patch base;
     base.version = t;
     base.epoch = 0;
     base.supersedes = content_schedule::none;
     patches.push_back(std::move(base));
+    base_target[t] = t;
   }
   epoch_first.push_back(patches.size());
+  targets.push_back(std::move(base_target));
+  check_working_set(0);
   for (std::size_t e = 1; e <= plan.epochs; ++e) {
     for (std::size_t i = 0; i < plan.batches[e - 1]; ++i) {
       const std::size_t existing = patches.size();
@@ -217,38 +247,10 @@ std::shared_ptr<const content_schedule> build_content_schedule(
       patches.push_back(std::move(p));
     }
     epoch_first.push_back(patches.size());
-  }
-
-  std::vector<std::vector<std::size_t>> targets;
-  targets.reserve(plan.epochs + 1);
-  // The base epoch is the classic instance: every base item is required,
-  // not just the dependency closure of the newest one.
-  std::vector<std::size_t> base_target(prob.k);
-  for (std::size_t t = 0; t < prob.k; ++t) base_target[t] = t;
-  targets.push_back(std::move(base_target));
-  for (std::size_t e = 1; e <= plan.epochs; ++e) {
-    targets.push_back(closure_of(patches, superseded, epoch_first[e + 1] - 1));
-  }
-
-  // Every epoch's wire working set (target closure plus that epoch's fresh
-  // patches) must fit the O(b) message budget the coded broadcast needs:
-  // coefficient vectors carry one bit per in-flight version.
-  for (std::size_t e = 0; e <= plan.epochs; ++e) {
-    std::vector<char> in_target(patches.size(), 0);
-    for (std::size_t v : targets[e]) in_target[v] = 1;
-    std::size_t working = targets[e].size();
-    for (std::size_t v = epoch_first[e]; v < epoch_first[e + 1]; ++v) {
-      if (in_target[v] == 0) ++working;
-    }
-    const double limit = message_bit_limit(prob.n, prob.b, prob.slack);
-    if (static_cast<double>(working + prob.d) > limit) {
-      throw std::invalid_argument(
-          "ncdn: " + context + " puts " + std::to_string(working) +
-          " versions on the wire at epoch " + std::to_string(e) +
-          ", over the message budget slack * b + framing = " +
-          std::to_string(static_cast<std::size_t>(limit)) +
-          " bits for (versions + d)-bit coded rows; raise b or slack");
-    }
+    // Later epochs only add superseders past this head, where closure_of
+    // never looks, so this closure is already final.
+    targets.push_back(closure_of(patches, superseded, patches.size() - 1));
+    check_working_set(e);
   }
 
   return std::make_shared<const content_schedule>(

@@ -280,22 +280,17 @@ round_task<protocol_result> coded_broadcast_run(session_env& env,
 // The recoding-buffer node mode (shared by the rlnc-* entries): buf=B
 // bounds each node's recoding window to its B most recent wire rows,
 // evict=oldest|newest picks which buffered row overflow drops.  buf=0
-// (the default) leaves the inner backend untouched.
-std::function<std::unique_ptr<coding_backend>()> maybe_buffered(
-    param_reader& params, const char* name,
-    std::function<std::unique_ptr<coding_backend>()> inner) {
-  const std::size_t buf = params.size("buf", 0);
+// (the default) leaves the sched= schedule in charge.
+void read_buffer_params(param_reader& params, const char* name,
+                        matrix_spec& spec) {
+  spec.buf = params.size("buf", 0);
   const std::string evict = params.str("evict", "oldest");
   if (evict != "oldest" && evict != "newest") {
     throw std::invalid_argument(std::string("ncdn: ") + name +
                                 " needs evict=oldest|newest, got '" + evict +
                                 "'");
   }
-  if (buf == 0) return inner;
-  const bool evict_oldest = evict == "oldest";
-  return [inner = std::move(inner), buf, evict_oldest] {
-    return make_buffered_backend(inner(), buf, evict_oldest);
-  };
+  spec.evict_oldest = evict == "oldest";
 }
 
 std::unique_ptr<protocol_machine> coded_broadcast_factory(
@@ -321,7 +316,7 @@ std::unique_ptr<protocol_machine> coded_broadcast_factory(
 // read order matches the historical entries exactly.
 coded_backend_plan rlnc_direct_plan(const problem&, param_reader& params) {
   // Full-span matrix cell; sched=/dec= open the (encoder schedule x
-  // decoder strategy) matrix of coding/matrix.hpp.  Defaults reproduce
+  // decoder layout) matrix of coding/matrix.hpp.  Defaults reproduce
   // the historical dense entry bit-for-bit.
   matrix_spec spec;
   spec.sched = params.str("sched", "dense");
@@ -330,8 +325,8 @@ coded_backend_plan rlnc_direct_plan(const problem&, param_reader& params) {
   make_matrix_backend(spec);  // validate the combo at parse time
   const double cap_factor = cap_factor_param(params, "cap_factor", 16.0);
   coded_backend_plan plan;
-  plan.make_backend = maybe_buffered(
-      params, "rlnc-direct", [spec] { return make_matrix_backend(spec); });
+  read_buffer_params(params, "rlnc-direct", spec);
+  plan.make_backend = [spec] { return make_matrix_backend(spec); };
   // Whp bound is O(n + k); the cap only guards the 2^-n tail.
   plan.cap = [cap_factor](std::size_t n, std::size_t k) {
     return round_cap(cap_factor * static_cast<double>(n + k), 64);
@@ -352,8 +347,8 @@ coded_backend_plan rlnc_sparse_plan(const problem&, param_reader& params) {
   // accordingly so small densities still finish.
   const double stretch = std::max(1.0, 0.5 / rho);
   coded_backend_plan plan;
-  plan.make_backend = maybe_buffered(
-      params, "rlnc-sparse", [spec] { return make_matrix_backend(spec); });
+  read_buffer_params(params, "rlnc-sparse", spec);
+  plan.make_backend = [spec] { return make_matrix_backend(spec); };
   plan.cap = [cap_factor, stretch](std::size_t n, std::size_t k) {
     return round_cap(cap_factor * stretch * static_cast<double>(n + k), 64);
   };
@@ -380,8 +375,8 @@ coded_backend_plan rlnc_gen_plan(const problem&, param_reader& params) {
   make_matrix_backend(spec);  // validate the combo at parse time
   const double cap_factor = cap_factor_param(params, "cap_factor", 16.0);
   coded_backend_plan plan;
-  plan.make_backend = maybe_buffered(
-      params, "rlnc-gen", [spec] { return make_matrix_backend(spec); });
+  read_buffer_params(params, "rlnc-gen", spec);
+  plan.make_backend = [spec] { return make_matrix_backend(spec); };
   plan.cap = [cap_factor, gen_size, overlap](std::size_t n, std::size_t k) {
     // Bandwidth splits across G generations; each needs its own
     // O(n + g + w) broadcast worth of rounds.  Sizes clamp to k (as the

@@ -1,7 +1,7 @@
 // Contiguous block of equal-width GF(2) rows, and the raw-word row kernels.
 //
 // Every reduced basis the GF(2) engines keep (bit_decoder's full span, each
-// generation of the grouped strategies in coding/matrix.cpp) is a
+// generation of the grouped layout in coding/matrix.cpp) is a
 // row_block: rows of row_words() 64-bit words stored back to back in one
 // std::vector, so elimination and combination walk one allocation instead
 // of chasing a heap pointer per row.  One more slot sits past the last
@@ -16,7 +16,7 @@
 // member read inside the loop: std::size_t is std::uint64_t here, so a
 // count loaded through `this` could alias the stores and would keep the
 // loop from vectorizing.  back_substitute is the one back-substitution
-// step, shared by bit_decoder and the grouped strategies.
+// step, shared by bit_decoder and the grouped layout.
 #pragma once
 
 #include <algorithm>

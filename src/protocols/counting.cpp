@@ -5,9 +5,8 @@
 #include <vector>
 
 #include "coding/budget.hpp"
-#include "coding/matrix.hpp"
 #include "core/bits.hpp"
-#include "protocols/coded_nodes.hpp"
+#include "protocols/rlnc_broadcast.hpp"
 
 namespace ncdn {
 
@@ -35,11 +34,6 @@ struct verify_msg {
   std::size_t bit_size() const noexcept { return wire; }
 };
 
-struct coded_msg_c {
-  bitvec row;
-  std::size_t bit_size() const noexcept { return row.size(); }
-};
-
 std::uint64_t set_checksum(const std::set<uid_t>& s) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (uid_t u : s) {
@@ -52,7 +46,8 @@ std::uint64_t set_checksum(const std::set<uid_t>& s) {
 
 }  // namespace
 
-counting_result run_counting(network& net, const counting_config& cfg) {
+round_task<counting_result> counting_machine(network& net,
+                                             counting_config cfg) {
   const std::size_t n = net.node_count();
   const std::size_t ub = cfg.uid_bits;
   NCDN_EXPECTS(cfg.b_bits >= ub);
@@ -105,6 +100,7 @@ counting_result run_counting(network& net, const counting_config& cfg) {
                   }
                 }
               });
+          co_await next_round;
         }
         for (node_id u = 0; u < n; ++u) {
           auto it = active[u].begin();
@@ -146,6 +142,7 @@ counting_result run_counting(network& net, const counting_config& cfg) {
                   }
                 }
               });
+          co_await next_round;
         }
         // Max-count identification flood.
         std::vector<max_msg> best(n);
@@ -167,6 +164,7 @@ counting_result run_counting(network& net, const counting_config& cfg) {
                   }
                 }
               });
+          co_await next_round;
         }
         // Coded block broadcast from the identified leader.  Leader and
         // item count are only *locally believed* (floods may not have
@@ -188,8 +186,7 @@ counting_result run_counting(network& net, const counting_config& cfg) {
         }
         const std::size_t k_items =
             ceil_div(chosen.size(), budget.tokens_per_item);
-        coded_nodes nodes(n, k_items, budget.item_bits,
-                          make_matrix_backend(matrix_spec{}));
+        rlnc_session session(n, k_items, budget.item_bits);
         for (std::size_t i = 0; i < k_items; ++i) {
           bitvec block(budget.item_bits);
           for (std::size_t j = 0; j < budget.tokens_per_item; ++j) {
@@ -199,28 +196,15 @@ counting_result run_counting(network& net, const counting_config& cfg) {
               if ((chosen[idx] >> bit) & 1u) block.set(j * ub + bit);
             }
           }
-          nodes.seed(leader, i, block);
+          session.seed(leader, i, block);
         }
-        const round_t bc_rounds = 2 * (phase_len + static_cast<round_t>(
-                                                       k_items));
-        for (round_t r = 0; r < bc_rounds; ++r) {
-          net.step<coded_msg_c>(
-              view,
-              [&](node_id u, rng& prng) -> std::optional<coded_msg_c> {
-                auto combo = nodes.coder(u).make_combination(prng);
-                if (!combo) return std::nullopt;
-                return coded_msg_c{std::move(*combo)};
-              },
-              [&](node_id u, const std::vector<const coded_msg_c*>& inbox) {
-                for (const coded_msg_c* m : inbox) {
-                  nodes.coder(u).insert(m->row);
-                }
-              });
-        }
+        co_await session.run_stepped(
+            net, 2 * (phase_len + static_cast<round_t>(k_items)),
+            /*stop_early=*/false);
         for (node_id u = 0; u < n; ++u) {
-          if (!nodes.node_complete(u)) continue;
+          if (!session.node_complete(u)) continue;
           for (std::size_t i = 0; i < k_items; ++i) {
-            const bitvec block = nodes.decode(u, i);
+            const bitvec block = session.decode(u, i);
             for (std::size_t j = 0; j < budget.tokens_per_item; ++j) {
               uid_t id = 0;
               for (std::size_t bit = 0; bit < ub; ++bit) {
@@ -256,6 +240,7 @@ counting_result run_counting(network& net, const counting_config& cfg) {
               }
             }
           });
+      co_await next_round;
     }
     const bool all_ok =
         std::none_of(bad.begin(), bad.end(), [](bool b) { return b; });
@@ -271,7 +256,7 @@ counting_result run_counting(network& net, const counting_config& cfg) {
   for (node_id u = 0; u < n; ++u) {
     res.correct = res.correct && seen[u].size() == n;
   }
-  return res;
+  co_return res;
 }
 
 }  // namespace ncdn

@@ -14,7 +14,9 @@
 // inherits the coding speedup:
 //   flooding — batched UID min-flood, O(n̂^2 d / b) rounds per attempt;
 //   coding   — gather + network-coded block broadcast (greedy-forward
-//              structure), O(n̂^2 d / b^2 + n̂ b) rounds per attempt.
+//              structure), O(n̂^2 d / b^2 + n̂ b) rounds per attempt; the
+//              broadcast is an rlnc_session, so adaptive adversaries see
+//              its ranks.
 //
 // Substitution (README): verification compares 64-bit set checksums,
 // a with-high-probability equality test standing in for the paper's exact
@@ -24,6 +26,7 @@
 
 #include <cstdint>
 
+#include "core/machine.hpp"
 #include "dynnet/network.hpp"
 
 namespace ncdn {
@@ -46,6 +49,10 @@ struct counting_result {
   std::size_t final_estimate = 0;
 };
 
-counting_result run_counting(network& net, const counting_config& cfg);
+/// The guess-and-double protocol as a round machine: every flood round and
+/// every coded-broadcast round ends at a round boundary.  Drive it with
+/// `run_rounds(counting_machine(net, cfg))`.
+round_task<counting_result> counting_machine(network& net,
+                                             counting_config cfg);
 
 }  // namespace ncdn

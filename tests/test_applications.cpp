@@ -67,7 +67,7 @@ TEST_P(counting_suite, counts_exactly) {
   counting_config cfg;
   cfg.b_bits = 128;
   cfg.engine = engine;
-  const counting_result res = run_counting(net, cfg);
+  const counting_result res = run_rounds(counting_machine(net, cfg));
   EXPECT_TRUE(res.correct);
   EXPECT_EQ(res.count, n);
   // Estimates double from 2; the winning estimate is in [n, 2n).
@@ -92,7 +92,7 @@ TEST(counting, works_on_static_and_geometric_topologies) {
     network net(n, 128, *adv, 41);
     counting_config cfg;
     cfg.b_bits = 128;
-    const counting_result res = run_counting(net, cfg);
+    const counting_result res = run_rounds(counting_machine(net, cfg));
     EXPECT_TRUE(res.correct) << "topology " << which;
   }
 }
@@ -103,7 +103,7 @@ TEST(counting, attempts_grow_logarithmically) {
   network net(n, 128, *adv, 47);
   counting_config cfg;
   cfg.b_bits = 128;
-  const counting_result res = run_counting(net, cfg);
+  const counting_result res = run_rounds(counting_machine(net, cfg));
   ASSERT_TRUE(res.correct);
   // 2 -> 4 -> 8 -> 16 -> 32: five attempts for n = 29.
   EXPECT_EQ(res.attempts, 5u);

@@ -310,6 +310,39 @@ TEST(linkmodel, undersized_buffer_caps_out_honestly) {
   EXPECT_GT(rep.metrics.final_total_knowledge, prob.n);  // progress happened
 }
 
+// A buffered node emits only from its recoding buffer, so the sched=
+// schedule it was validated with stays inert: a feedback or systematic
+// schedule must not change a draw, a wire bit or an XOR.
+TEST(linkmodel, buffered_node_schedule_is_inert) {
+  const problem prob = small_problem();
+  link_spec lossy;
+  lossy.name = "bernoulli";
+  lossy.params["p"] = "0.1";
+  const auto run = [&](const char* alg, param_map params, const char* sched) {
+    params["buf"] = "8";
+    params["sched"] = sched;
+    return run_cell(prob, protocol_spec{alg, std::move(params)},
+                    adversary_spec{"permuted-path", {}}, lossy, 1);
+  };
+  const auto expect_same = [&](const run_report& a, const run_report& b) {
+    // Decoding spread past the seeds, so the runs did real work.
+    EXPECT_GT(a.metrics.decode_delay_events, prob.n);
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.complete, b.complete);
+    EXPECT_EQ(a.metrics.total_message_bits, b.metrics.total_message_bits);
+    EXPECT_EQ(a.metrics.total_elimination_xors,
+              b.metrics.total_elimination_xors);
+    EXPECT_EQ(a.metrics.decode_delay_p50, b.metrics.decode_delay_p50);
+    EXPECT_EQ(a.metrics.decode_delay_p90, b.metrics.decode_delay_p90);
+    EXPECT_EQ(a.metrics.decode_delay_max, b.metrics.decode_delay_max);
+  };
+  const param_map gen = {{"gen_size", "8"}, {"band_overlap", "2"}};
+  expect_same(run("rlnc-gen", gen, "dense"), run("rlnc-gen", gen, "feedback"));
+  const run_report direct = run("rlnc-direct", {}, "dense");
+  EXPECT_TRUE(direct.complete);
+  expect_same(direct, run("rlnc-direct", {}, "systematic"));
+}
+
 TEST(linkmodel, buffered_recoder_rejects_bad_eviction_policy) {
   const problem prob = small_problem();
   EXPECT_THROW(
