@@ -1,6 +1,8 @@
 #include "content/content.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -97,38 +99,44 @@ void register_builtins(content_registry& reg) {
 
 namespace {
 
-/// Dependency closure of `head` with supersede shortcuts applied: walk
-/// versions descending (every superseder of v has a larger id, so it is
-/// decided before v); a wanted version is cut when some already-included
-/// version supersedes it (transitively), and an included version wants its
-/// parents except the one it supersedes itself.
+/// Dependency closure of `head` with supersede shortcuts applied: walk the
+/// wanted versions in descending order (every superseder of v has a larger
+/// id, so it is decided before v); a wanted version is cut when some
+/// already-included version supersedes it (transitively), and an included
+/// version wants its parents except the one it supersedes itself.  The
+/// walk visits only wanted versions, so its cost follows the closure's
+/// size, not the schedule's length.
 std::vector<std::size_t> closure_of(const std::vector<content_patch>& patches,
                                     const std::vector<std::size_t>& sup_by,
                                     std::size_t head) {
-  std::vector<char> wanted(head + 1, 0);
-  std::vector<char> included(head + 1, 0);
-  wanted[head] = 1;
-  for (std::size_t v = head + 1; v-- > 0;) {
-    if (wanted[v] == 0) continue;
+  std::priority_queue<std::size_t> wanted;  // may repeat a version
+  wanted.push(head);
+  std::vector<std::size_t> included;  // descending
+  const auto is_included = [&](std::size_t w) {
+    return std::binary_search(included.begin(), included.end(), w,
+                              std::greater<>());
+  };
+  std::size_t last = content_schedule::none;
+  while (!wanted.empty()) {
+    const std::size_t v = wanted.top();
+    wanted.pop();
+    if (v == last) continue;
+    last = v;
     bool cut = false;
     for (std::size_t w = sup_by[v];
          w != content_schedule::none && w <= head; w = sup_by[w]) {
-      if (included[w] != 0) {
+      if (is_included(w)) {
         cut = true;
         break;
       }
     }
     if (cut) continue;
-    included[v] = 1;
+    included.push_back(v);
     for (std::size_t p : patches[v].parents) {
-      if (p != patches[v].supersedes) wanted[p] = 1;
+      if (p != patches[v].supersedes) wanted.push(p);
     }
   }
-  std::vector<std::size_t> target;
-  for (std::size_t v = 0; v <= head; ++v) {
-    if (included[v] != 0) target.push_back(v);
-  }
-  return target;
+  return {included.rbegin(), included.rend()};
 }
 
 }  // namespace

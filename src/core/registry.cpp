@@ -42,17 +42,6 @@ namespace {
                               "' for " + context + " is not a valid " + want);
 }
 
-// Leftover keys go to the caller's audit when it asks for one (the session
-// accepts a key that either spec consumed); otherwise they are rejected.
-void settle_params(const param_reader& params, param_audit* audit) {
-  if (audit == nullptr) {
-    params.expect_fully_consumed();
-    return;
-  }
-  audit->unconsumed = params.unconsumed();
-  audit->recognized = params.recognized();
-}
-
 }  // namespace
 
 std::uint64_t param_reader::u64(const std::string& key,
@@ -277,12 +266,21 @@ round_task<protocol_result> coded_broadcast_run(session_env& env,
   co_return res;
 }
 
-// The recoding-buffer node mode (shared by the rlnc-* entries): buf=B
-// bounds each node's recoding window to its B most recent wire rows,
-// evict=oldest|newest picks which buffered row overflow drops.  buf=0
-// (the default) leaves the sched= schedule in charge.
-void read_buffer_params(param_reader& params, const char* name,
-                        matrix_spec& spec) {
+// The plan reader's tail, shared by the rlnc-* entries once each entry's
+// head has filled its part of `spec` (rlnc-sparse's rho, rlnc-gen's window)
+// and its sched/dec defaults.  sched= and dec= pick the matrix cell of
+// coding/matrix.hpp, validated here; cap_factor= scales the entry's
+// Las-Vegas cap `cap(cap_factor, n, items)`; buf=B keeps each node's B most
+// recent wire rows as its recoding window (0, the default, leaves sched= in
+// charge), and evict=oldest|newest picks the row a full buffer drops.
+coded_backend_plan read_coded_plan(
+    param_reader& params, const char* name, matrix_spec spec,
+    std::function<round_t(double, std::size_t, std::size_t)> cap) {
+  spec.sched = params.str("sched", spec.sched);
+  spec.dec = params.str("dec", spec.dec);
+  if (spec.sched == "sparse") spec.rho = params.real("rho", 0.2);
+  make_matrix_backend(spec);  // validate the combo at parse time
+  const double cap_factor = cap_factor_param(params, "cap_factor", 16.0);
   spec.buf = params.size("buf", 0);
   const std::string evict = params.str("evict", "oldest");
   if (evict != "oldest" && evict != "newest") {
@@ -291,68 +289,38 @@ void read_buffer_params(param_reader& params, const char* name,
                                 "'");
   }
   spec.evict_oldest = evict == "oldest";
-}
-
-std::unique_ptr<protocol_machine> coded_broadcast_factory(
-    const problem& prob, const char* name, coded_backend_plan plan) {
-  // Messages cost k + d bits, which must fit the network's message budget.
-  const double limit = message_bit_limit(prob.n, prob.b, prob.slack);
-  if (static_cast<double>(prob.k + prob.d) > limit) {
-    throw std::invalid_argument(
-        std::string("ncdn: ") + name + " sends " +
-        std::to_string(prob.k + prob.d) +
-        "-bit coded rows (k + d), over the message budget slack * b + " +
-        "framing = " + std::to_string(static_cast<std::size_t>(limit)) +
-        " bits; raise b or slack");
-  }
-  return make_protocol_machine([plan = std::move(plan)](session_env& env) {
-    return coded_broadcast_run(env, plan);
-  });
-}
-
-// The rlnc-* param surfaces, factored as plans so the one registration
-// serves both the standalone broadcast (`make`) and the per-epoch
-// re-instantiation of the versioned-content driver (`coded_plan`).  The
-// read order matches the historical entries exactly.
-coded_backend_plan rlnc_direct_plan(const problem&, param_reader& params) {
-  // Full-span matrix cell; sched=/dec= open the (encoder schedule x
-  // decoder layout) matrix of coding/matrix.hpp.  Defaults reproduce
-  // the historical dense entry bit-for-bit.
-  matrix_spec spec;
-  spec.sched = params.str("sched", "dense");
-  spec.dec = params.str("dec", "rref");
-  if (spec.sched == "sparse") spec.rho = params.real("rho", 0.2);
-  make_matrix_backend(spec);  // validate the combo at parse time
-  const double cap_factor = cap_factor_param(params, "cap_factor", 16.0);
   coded_backend_plan plan;
-  read_buffer_params(params, "rlnc-direct", spec);
   plan.make_backend = [spec] { return make_matrix_backend(spec); };
-  // Whp bound is O(n + k); the cap only guards the 2^-n tail.
-  plan.cap = [cap_factor](std::size_t n, std::size_t k) {
-    return round_cap(cap_factor * static_cast<double>(n + k), 64);
+  plan.cap = [cap_factor, cap = std::move(cap)](std::size_t n,
+                                                std::size_t k) {
+    return cap(cap_factor, n, k);
   };
   return plan;
+}
+
+coded_backend_plan rlnc_direct_plan(const problem&, param_reader& params) {
+  // Whp bound is O(n + k); the cap only guards the 2^-n tail.
+  return read_coded_plan(
+      params, "rlnc-direct", matrix_spec{},
+      [](double cap_factor, std::size_t n, std::size_t k) {
+        return round_cap(cap_factor * static_cast<double>(n + k), 64);
+      });
 }
 
 coded_backend_plan rlnc_sparse_plan(const problem&, param_reader& params) {
-  const double rho = checked_probability("rlnc-sparse", "rho",
-                                         params.real("rho", 0.2), false);
   matrix_spec spec;
-  spec.sched = params.str("sched", "sparse");
-  spec.dec = params.str("dec", "rref");
-  spec.rho = rho;
-  make_matrix_backend(spec);  // validate the combo at parse time
-  const double cap_factor = cap_factor_param(params, "cap_factor", 16.0);
+  spec.sched = "sparse";
+  spec.rho = checked_probability("rlnc-sparse", "rho",
+                                 params.real("rho", 0.2), false);
   // Per-round mixing slows by roughly rho / (1/2); widen the Las-Vegas cap
   // accordingly so small densities still finish.
-  const double stretch = std::max(1.0, 0.5 / rho);
-  coded_backend_plan plan;
-  read_buffer_params(params, "rlnc-sparse", spec);
-  plan.make_backend = [spec] { return make_matrix_backend(spec); };
-  plan.cap = [cap_factor, stretch](std::size_t n, std::size_t k) {
-    return round_cap(cap_factor * stretch * static_cast<double>(n + k), 64);
-  };
-  return plan;
+  const double stretch = std::max(1.0, 0.5 / spec.rho);
+  return read_coded_plan(
+      params, "rlnc-sparse", spec,
+      [stretch](double cap_factor, std::size_t n, std::size_t k) {
+        return round_cap(cap_factor * stretch * static_cast<double>(n + k),
+                         64);
+      });
 }
 
 coded_backend_plan rlnc_gen_plan(const problem&, param_reader& params) {
@@ -367,27 +335,21 @@ coded_backend_plan rlnc_gen_plan(const problem&, param_reader& params) {
                                 "gen_size");
   }
   matrix_spec spec;
-  spec.sched = params.str("sched", "dense");
-  spec.dec = params.str("dec", "banded");
+  spec.dec = "banded";
   spec.gen_size = gen_size;
   spec.band_overlap = overlap;
-  if (spec.sched == "sparse") spec.rho = params.real("rho", 0.2);
-  make_matrix_backend(spec);  // validate the combo at parse time
-  const double cap_factor = cap_factor_param(params, "cap_factor", 16.0);
-  coded_backend_plan plan;
-  read_buffer_params(params, "rlnc-gen", spec);
-  plan.make_backend = [spec] { return make_matrix_backend(spec); };
-  plan.cap = [cap_factor, gen_size, overlap](std::size_t n, std::size_t k) {
-    // Bandwidth splits across G generations; each needs its own
-    // O(n + g + w) broadcast worth of rounds.  Sizes clamp to k (as the
-    // decoder's windows do) so sizes near 2^64 cannot wrap.
-    const std::size_t g = std::min(gen_size, std::max<std::size_t>(k, 1));
-    const std::size_t w = std::min(overlap, k);
-    const std::size_t gens = (k + g - 1) / g;
-    return round_cap(
-        cap_factor * static_cast<double>(gens * (n + g + w) + k), 64);
-  };
-  return plan;
+  return read_coded_plan(
+      params, "rlnc-gen", spec,
+      [gen_size, overlap](double cap_factor, std::size_t n, std::size_t k) {
+        // Bandwidth splits across G generations; each needs its own
+        // O(n + g + w) broadcast worth of rounds.  Sizes clamp to k (as the
+        // decoder's windows do) so sizes near 2^64 cannot wrap.
+        const std::size_t g = std::min(gen_size, std::max<std::size_t>(k, 1));
+        const std::size_t w = std::min(overlap, k);
+        const std::size_t gens = (k + g - 1) / g;
+        return round_cap(
+            cap_factor * static_cast<double>(gens * (n + g + w) + k), 64);
+      });
 }
 
 std::unique_ptr<protocol_machine> tstable_factory(const problem& prob,
@@ -542,34 +504,24 @@ void register_builtins(protocol_registry& reg) {
              });
            },
            /*needs_full_connectivity=*/false});
+  // The coded broadcasts register a plan and no `make`: build_protocol runs
+  // the plan standalone, run_versioned_content once per epoch.
   reg.add({"rlnc-direct",
            "Lemma 5.3 indexed broadcast standalone (indexing granted)",
-           algorithm::rlnc_direct,
-           [](const problem& prob, param_reader& params) {
-             return coded_broadcast_factory(prob, "rlnc-direct",
-                                            rlnc_direct_plan(prob, params));
-           },
+           algorithm::rlnc_direct, {},
            /*needs_full_connectivity=*/false,
            /*loss_tolerant=*/true, rlnc_direct_plan});
   // Registry-only backends (no legacy enum): the density/delay trade-offs
   // of practical RLNC (sparsenc; Firooz & Roy; Costa et al.).
   reg.add({"rlnc-sparse",
            "indexed broadcast, sparse combinations (Bernoulli rho) [rho]",
-           std::nullopt,
-           [](const problem& prob, param_reader& params) {
-             return coded_broadcast_factory(prob, "rlnc-sparse",
-                                            rlnc_sparse_plan(prob, params));
-           },
+           std::nullopt, {},
            /*needs_full_connectivity=*/false,
            /*loss_tolerant=*/true, rlnc_sparse_plan});
   reg.add({"rlnc-gen",
            "indexed broadcast, generation/band coding [gen_size, "
            "band_overlap]",
-           std::nullopt,
-           [](const problem& prob, param_reader& params) {
-             return coded_broadcast_factory(prob, "rlnc-gen",
-                                            rlnc_gen_plan(prob, params));
-           },
+           std::nullopt, {},
            /*needs_full_connectivity=*/false,
            /*loss_tolerant=*/true, rlnc_gen_plan});
 }
@@ -814,51 +766,75 @@ void register_builtins(adversary_registry& reg) {
 
 // --- spec -> object builders ------------------------------------------------
 
+// The spec forms: the spec's own map is the whole namespace, so its problem
+// keys apply here and a key the entry did not read is rejected.
 std::unique_ptr<protocol_machine> build_protocol(const problem& prob,
-                                                 const protocol_spec& spec,
-                                                 param_audit* audit) {
-  const protocol_entry& entry =
-      protocol_registry::instance().at(spec.name, "protocol");
+                                                 const protocol_spec& spec) {
   param_reader params(spec.params, "protocol '" + spec.name + "'");
-  // Problem-level keys may ride in the same map; apply (idempotently — the
-  // caller already shaped the problem with them) so they count as consumed.
-  const problem effective = apply_problem_params(prob, params);
-  auto machine = entry.make(effective, params);
-  settle_params(params, audit);
+  auto machine =
+      build_protocol(apply_problem_params(prob, params), spec.name, params);
+  params.expect_fully_consumed();
   return machine;
 }
 
-coded_backend_plan build_coded_plan(const problem& prob,
-                                    const protocol_spec& spec,
-                                    param_audit* audit) {
+std::unique_ptr<protocol_machine> build_protocol(const problem& prob,
+                                                 const std::string& name,
+                                                 param_reader& params) {
   const protocol_entry& entry =
-      protocol_registry::instance().at(spec.name, "protocol");
+      protocol_registry::instance().at(name, "protocol");
+  params.set_context("protocol '" + name + "'");
+  if (entry.make) return entry.make(prob, params);
+  coded_backend_plan plan = entry.coded_plan(prob, params);
+  // Messages cost k + d bits, which must fit the network's message budget.
+  const double limit = message_bit_limit(prob.n, prob.b, prob.slack);
+  if (static_cast<double>(prob.k + prob.d) > limit) {
+    throw std::invalid_argument(
+        "ncdn: " + name + " sends " + std::to_string(prob.k + prob.d) +
+        "-bit coded rows (k + d), over the message budget slack * b + " +
+        "framing = " + std::to_string(static_cast<std::size_t>(limit)) +
+        " bits; raise b or slack");
+  }
+  return make_protocol_machine([plan = std::move(plan)](session_env& env) {
+    return coded_broadcast_run(env, plan);
+  });
+}
+
+coded_backend_plan build_coded_plan(const problem& prob,
+                                    const std::string& name,
+                                    param_reader& params) {
+  const protocol_entry& entry =
+      protocol_registry::instance().at(name, "protocol");
   if (!entry.coded_plan) {
     throw std::invalid_argument(
-        "ncdn: protocol '" + spec.name +
+        "ncdn: protocol '" + name +
         "' cannot drive a versioned-content workload; the epoch driver "
         "re-seeds a coding backend per delta set, so pick a coded-broadcast "
         "protocol (rlnc-direct, rlnc-sparse, rlnc-gen)");
   }
-  param_reader params(spec.params, "protocol '" + spec.name + "'");
-  const problem effective = apply_problem_params(prob, params);
-  coded_backend_plan plan = entry.coded_plan(effective, params);
-  settle_params(params, audit);
-  return plan;
+  params.set_context("protocol '" + name + "'");
+  return entry.coded_plan(prob, params);
 }
 
 std::unique_ptr<adversary> build_adversary(const problem& prob,
                                            const adversary_spec& spec,
-                                           std::uint64_t seed,
-                                           param_audit* audit) {
-  const adversary_entry& entry =
-      adversary_registry::instance().at(spec.name, "adversary");
+                                           std::uint64_t seed) {
   param_reader params(spec.params, "adversary '" + spec.name + "'");
-  const problem effective = apply_problem_params(prob, params);
-  auto adv = entry.make(effective, params, seed);
-  settle_params(params, audit);
-  if (effective.t_stability > 1) {
-    adv = make_t_stable(std::move(adv), effective.t_stability);
+  auto adv = build_adversary(apply_problem_params(prob, params), spec.name,
+                             params, seed);
+  params.expect_fully_consumed();
+  return adv;
+}
+
+std::unique_ptr<adversary> build_adversary(const problem& prob,
+                                           const std::string& name,
+                                           param_reader& params,
+                                           std::uint64_t seed) {
+  const adversary_entry& entry =
+      adversary_registry::instance().at(name, "adversary");
+  params.set_context("adversary '" + name + "'");
+  auto adv = entry.make(prob, params, seed);
+  if (prob.t_stability > 1) {
+    adv = make_t_stable(std::move(adv), prob.t_stability);
   }
   return adv;
 }

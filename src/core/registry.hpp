@@ -34,6 +34,10 @@
 //              });
 //        }});
 //
+// A coded broadcast registers a `coded_plan` and no `make`: build_protocol
+// runs the plan as one standalone broadcast, and a versioned-content run
+// (run_versioned_content) runs it once per epoch.
+//
 // User-input errors (unknown name, unknown or malformed parameter) throw
 // std::invalid_argument; contract macros stay reserved for programmer
 // error.
@@ -165,7 +169,9 @@ class param_reader {
       : params_(&params), context_(std::move(context)) {}
 
   /// What the map configures ("protocol 'rlnc-gen'"), for error messages.
+  /// A reader shared by several factories switches it before each one.
   const std::string& context() const noexcept { return context_; }
+  void set_context(std::string context) { context_ = std::move(context); }
 
   std::size_t size(const std::string& key, std::size_t fallback);
   std::uint64_t u64(const std::string& key, std::uint64_t fallback);
@@ -197,10 +203,11 @@ class param_reader {
 class coding_backend;  // coding/backend.hpp
 
 /// How a coded-broadcast entry instantiates its coding: a backend factory
-/// plus the Las-Vegas round cap for a (nodes, items) instance.  The rlnc-*
-/// registrations are built from a plan, and the versioned-content epoch
-/// driver (src/content) re-invokes the same plan once per epoch so every
-/// delta set is coded exactly like a standalone broadcast of that size.
+/// plus the Las-Vegas round cap for a (nodes, items) instance.  A standalone
+/// run of an rlnc-* entry is one broadcast from its plan, and a
+/// versioned-content run (src/content) re-invokes the same plan once per
+/// epoch so every delta set is coded exactly like a standalone broadcast of
+/// that size.
 struct coded_backend_plan {
   std::function<std::unique_ptr<coding_backend>()> make_backend;
   std::function<round_t(std::size_t n, std::size_t items)> cap;
@@ -210,6 +217,7 @@ struct protocol_entry {
   std::string name;     // e.g. "greedy-forward", "tstable/patch"
   std::string summary;  // one line for `ncdn-run list-algorithms`
   std::optional<algorithm> legacy;  // enum tag, if any
+  // Empty for a coded broadcast, which registers only `coded_plan` below.
   std::function<std::unique_ptr<protocol_machine>(const problem&,
                                                   param_reader&)>
       make;
@@ -225,9 +233,10 @@ struct protocol_entry {
   // the session rejects pairing them with a non-empty link spec.
   bool loss_tolerant = false;
   // Non-null only for the coded-broadcast family (rlnc-direct/sparse/gen):
-  // the backend+cap plan the versioned-content epoch driver re-instantiates
-  // per delta set.  The plan reads the same spec params as `make`, so a
-  // content session recognizes exactly the vocabulary the protocol does.
+  // the backend+cap plan.  An entry with a plan and no `make` runs
+  // standalone as one coded broadcast from the plan, and a
+  // versioned-content run re-instantiates the plan per delta set, so both
+  // runs read the same vocabulary.
   std::function<coded_backend_plan(const problem&, param_reader&)> coded_plan =
       {};
 };
@@ -255,33 +264,39 @@ void register_builtins(adversary_registry& reg);
 /// adversary wrapper and every protocol config derived from the problem.
 problem apply_problem_params(problem prob, param_reader& params);
 
-/// What a factory did with its spec's param_map: the keys it never read
-/// (typos, or keys meant for the other spec) and the vocabulary it actually
-/// queried, for error messages that name the valid keys.
-struct param_audit {
-  std::vector<std::string> unconsumed;
-  std::vector<std::string> recognized;
-};
-
-/// Builds a parameterized machine / adversary from a spec.  Throws
-/// std::invalid_argument on unknown names; unknown parameters throw too,
-/// unless `audit` is non-null, in which case leftover keys are reported
-/// there instead (the session uses this to accept a shared param_map where
-/// each key only needs to be consumed by one side).  The adversary builder
-/// applies the T-stability wrapper when prob.t_stability > 1.
+/// Builds a parameterized machine / plan / adversary, in one of two forms.
+///
+///  - Spec form (build_protocol, build_adversary): the spec's own map is the
+///    whole namespace.  Its problem-level keys reshape `prob`, the entry
+///    reads its keys, and any key left unread throws std::invalid_argument
+///    naming the valid keys.
+///  - Reader form (all three): the entry reads its keys from `params`, a
+///    reader the caller shares across several factories (the session's one
+///    namespace).  Each call switches the reader's context to
+///    "protocol '<name>'" or "adversary '<name>'" for error messages;
+///    `prob` must already carry the problem-level keys, and the caller
+///    rejects keys no factory read once all of them have run.
+///
+/// Unknown names throw std::invalid_argument.  A protocol entry with a
+/// coded plan and no `make` is built as its standalone broadcast, after
+/// checking that its (k + d)-bit rows fit the message budget.
+/// build_coded_plan throws when the protocol has no plan (only the rlnc-*
+/// family codes arbitrary delta sets).  build_adversary applies the
+/// T-stability wrapper when prob.t_stability > 1.
 std::unique_ptr<protocol_machine> build_protocol(const problem& prob,
-                                                 const protocol_spec& spec,
-                                                 param_audit* audit = nullptr);
-/// The coded-backend plan of a protocol spec, for the versioned-content
-/// epoch driver.  Throws std::invalid_argument when the protocol has no
-/// plan (only the rlnc-* family codes arbitrary delta sets) or on unknown
-/// names/params, with the same audit contract as build_protocol.
+                                                 const protocol_spec& spec);
+std::unique_ptr<protocol_machine> build_protocol(const problem& prob,
+                                                 const std::string& name,
+                                                 param_reader& params);
 coded_backend_plan build_coded_plan(const problem& prob,
-                                    const protocol_spec& spec,
-                                    param_audit* audit = nullptr);
+                                    const std::string& name,
+                                    param_reader& params);
 std::unique_ptr<adversary> build_adversary(const problem& prob,
                                            const adversary_spec& spec,
-                                           std::uint64_t seed,
-                                           param_audit* audit = nullptr);
+                                           std::uint64_t seed);
+std::unique_ptr<adversary> build_adversary(const problem& prob,
+                                           const std::string& name,
+                                           param_reader& params,
+                                           std::uint64_t seed);
 
 }  // namespace ncdn

@@ -12,8 +12,38 @@ namespace ncdn {
 
 namespace {
 
-bool contains(const std::vector<std::string>& keys, const std::string& key) {
-  return std::find(keys.begin(), keys.end(), key) != keys.end();
+// The session's one parameter namespace: both specs' maps merged.  A key
+// given in both must carry one value in both.
+param_map merged_params(const protocol_spec& proto,
+                        const adversary_spec& adv) {
+  param_map params = proto.params;
+  for (const auto& [key, value] : adv.params) {
+    const auto [it, added] = params.emplace(key, value);
+    if (!added && it->second != value) {
+      throw std::invalid_argument(
+          "ncdn: conflicting values for parameter '" + key +
+          "': protocol spec says '" + it->second +
+          "', adversary spec says '" + value + "'");
+    }
+  }
+  return params;
+}
+
+// Strips a session-level representation toggle from the namespace, so no
+// factory sees it.
+bool take_toggle(param_map& params, const char* key, bool fallback) {
+  const auto it = params.find(key);
+  if (it == params.end()) return fallback;
+  bool on = false;
+  if (it->second == "1" || it->second == "true") {
+    on = true;
+  } else if (it->second != "0" && it->second != "false") {
+    throw std::invalid_argument(std::string("ncdn: session parameter '") +
+                                key + "' must be 0 or 1 (got '" +
+                                it->second + "')");
+  }
+  params.erase(it);
+  return on;
 }
 
 }  // namespace
@@ -34,65 +64,15 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
       link_spec_(std::move(link)),
       content_spec_(std::move(content)),
       seed_(seed) {
-  // Problem-level overrides may ride in either spec's param_map (the CLI
-  // hands both the same map); factory-level keys are consumed later by
-  // build_protocol / build_adversary, which also reject leftovers.  The
-  // two maps must agree on problem-level keys: build_protocol /
-  // build_adversary each re-apply their own spec's values, so a conflict
-  // would silently configure the driver and the network from different
-  // problems.
-  for (const char* key :
-       {"n", "k", "d", "b", "t_stability", "slack", "placement"}) {
-    const auto p = proto_spec_.params.find(key);
-    const auto a = adv_spec_.params.find(key);
-    if (p != proto_spec_.params.end() && a != adv_spec_.params.end() &&
-        p->second != a->second) {
-      throw std::invalid_argument(
-          std::string("ncdn: conflicting values for problem parameter '") +
-          key + "': protocol spec says '" + p->second +
-          "', adversary spec says '" + a->second + "'");
-    }
-  }
-  // Session-level representation toggles ride the same way (both specs see
-  // the same CLI map, so check agreement, parse, and strip them before the
-  // factories reject leftovers).
-  for (const char* key : {"pool", "rebuild"}) {
-    const auto p = proto_spec_.params.find(key);
-    const auto a = adv_spec_.params.find(key);
-    if (p != proto_spec_.params.end() && a != adv_spec_.params.end() &&
-        p->second != a->second) {
-      throw std::invalid_argument(
-          std::string("ncdn: conflicting values for session parameter '") +
-          key + "'");
-    }
-    const std::string* value = nullptr;
-    if (p != proto_spec_.params.end()) value = &p->second;
-    if (a != adv_spec_.params.end()) value = &a->second;
-    if (value == nullptr) continue;
-    bool on = false;
-    if (*value == "1" || *value == "true") {
-      on = true;
-    } else if (*value == "0" || *value == "false") {
-      on = false;
-    } else {
-      throw std::invalid_argument(
-          std::string("ncdn: session parameter '") + key +
-          "' must be 0 or 1 (got '" + *value + "')");
-    }
-    (key == std::string("pool") ? pool_ : rebuild_) = on;
-    proto_spec_.params.erase(key);
-    adv_spec_.params.erase(key);
-  }
-  {
-    param_reader params(proto_spec_.params,
-                        "protocol '" + proto_spec_.name + "'");
-    prob_ = apply_problem_params(prob, params);
-  }
-  {
-    param_reader params(adv_spec_.params,
-                        "adversary '" + adv_spec_.name + "'");
-    prob_ = apply_problem_params(prob_, params);
-  }
+  // One namespace for both factories: problem-level keys reshape `prob`
+  // once, the adversary and then the protocol (or content plan) read their
+  // keys from the same reader, and a key none of them read is rejected at
+  // the end.
+  param_map params = merged_params(proto_spec_, adv_spec_);
+  pool_ = take_toggle(params, "pool", pool_);
+  rebuild_ = take_toggle(params, "rebuild", rebuild_);
+  param_reader reader(params, "protocol '" + proto_spec_.name + "'");
+  prob_ = apply_problem_params(prob, reader);
   if (!(prob_.n >= 2 && prob_.k >= 1 && prob_.d >= 1 && prob_.b >= prob_.d &&
         prob_.t_stability >= 1)) {
     throw std::invalid_argument(
@@ -132,9 +112,7 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
   std::uint64_t seed_state = seed_;
   rng dist_rng(splitmix64(seed_state));
   dist_ = make_distribution(prob_.n, prob_.k, prob_.d, prob_.place, dist_rng);
-  param_audit adv_audit;
-  param_audit proto_audit;
-  adv_ = build_adversary(prob_, adv_spec_, seed_ * 7919 + 11, &adv_audit);
+  adv_ = build_adversary(prob_, adv_spec_.name, reader, seed_ * 7919 + 11);
   adv_->set_rebuild_mode(rebuild_);
   // Protocols specified against the §4.1 model (every round's topology
   // connected over all nodes) must not run under adversaries that only
@@ -177,53 +155,27 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
     // The versioned-content workload: its own seed stream (distinct prime
     // multiplier, same scheme as dist / adversary / network / link), then
     // the multi-epoch driver in place of the one-shot protocol run.  The
-    // plan factory consumes the protocol spec's params exactly like
-    // build_protocol would, so the audit contract below is unchanged.
+    // plan reads the same keys a standalone run of the protocol reads.
     schedule_ =
         build_content_schedule(content_spec_, prob_, seed_ * 32452843 + 19);
-    coded_backend_plan plan =
-        build_coded_plan(prob_, proto_spec_, &proto_audit);
+    coded_backend_plan plan = build_coded_plan(prob_, proto_spec_.name, reader);
     machine_ = make_protocol_machine(
         [this, plan = std::move(plan)](session_env& env) {
           return run_versioned_content(env, schedule_, plan, adv_.get(),
                                        &content_);
         });
   } else {
-    machine_ = build_protocol(prob_, proto_spec_, &proto_audit);
+    machine_ = build_protocol(prob_, proto_spec_.name, reader);
   }
-
-  // The CLI hands both specs the same --param map, so a key is fine as
-  // long as *one* side consumed it ("radius" belongs to the adversary,
-  // "epoch_cap" to the protocol).  A key neither side knows is an error —
-  // reported with the vocabulary both sides actually understand.
-  auto consumed_by_other = [](const param_map& other_params,
-                              const param_audit& other_audit,
-                              const std::string& key) {
-    return other_params.count(key) != 0 &&
-           !contains(other_audit.unconsumed, key);
-  };
-  auto reject_unknown = [&](const std::string& key) {
-    std::vector<std::string> known = proto_audit.recognized;
-    known.insert(known.end(), adv_audit.recognized.begin(),
-                 adv_audit.recognized.end());
-    std::sort(known.begin(), known.end());
-    known.erase(std::unique(known.begin(), known.end()), known.end());
-    std::string msg = "ncdn: unknown parameter '" + key +
+  const std::vector<std::string> unread = reader.unconsumed();
+  if (!unread.empty()) {
+    std::string msg = "ncdn: unknown parameter '" + unread.front() +
                       "' (neither protocol '" + proto_spec_.name +
                       "' nor adversary '" + adv_spec_.name + "' takes it";
+    const std::vector<std::string> known = reader.recognized();
     if (!known.empty()) msg += "; valid keys: " + join_keys(known);
     msg += ")";
     throw std::invalid_argument(msg);
-  };
-  for (const std::string& key : proto_audit.unconsumed) {
-    if (!consumed_by_other(adv_spec_.params, adv_audit, key)) {
-      reject_unknown(key);
-    }
-  }
-  for (const std::string& key : adv_audit.unconsumed) {
-    if (!consumed_by_other(proto_spec_.params, proto_audit, key)) {
-      reject_unknown(key);
-    }
   }
 
   net_->set_round_hook(

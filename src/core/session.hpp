@@ -37,11 +37,14 @@ namespace ncdn {
 
 class session {
  public:
-  /// Builds the full instance.  Problem-level keys in either spec's params
-  /// (n, k, d, b, t_stability, slack, placement) override `prob` first;
-  /// remaining keys parameterize the protocol / adversary factories.
-  /// Throws std::invalid_argument on unknown names, unknown or malformed
-  /// params, or an infeasible problem.
+  /// Builds the full instance.  The two specs' params form one namespace:
+  /// a key may sit in either map, or in both with the same value (differing
+  /// values are rejected), and it reaches every factory that reads it.
+  /// Problem-level keys (n, k, d, b, t_stability, slack, placement)
+  /// override `prob` first, `pool` and `rebuild` set the toggles below, and
+  /// the remaining keys parameterize the adversary and protocol factories.
+  /// Throws std::invalid_argument on unknown names, on a key no factory
+  /// reads, on malformed or conflicting params, or on an infeasible problem.
   session(const problem& prob, protocol_spec proto, adversary_spec adv,
           std::uint64_t seed);
   /// Same, with a per-edge channel (src/linkmodel) between the adversary's
@@ -124,7 +127,7 @@ class session {
   content_spec content_spec_;
   std::uint64_t seed_ = 0;
 
-  // Session-level representation toggles, consumed from either spec's
+  // Session-level representation toggles, stripped from the session's
   // params before the factories see them.  Both are byte-identity-neutral:
   // `pool=0` disables the row arena (plain heap rows), `rebuild=1` makes
   // every adversary rebuild its topology from scratch instead of applying

@@ -14,12 +14,11 @@ double message_bit_limit(std::size_t n, std::size_t b_bits, double slack) {
 network::network(std::size_t n, std::size_t b_bits, adversary& adv,
                  std::uint64_t seed, double slack)
     : n_(n),
-      b_bits_(b_bits),
       bit_limit_(message_bit_limit(n, b_bits, slack)),
       adv_(adv) {
   NCDN_EXPECTS(n >= 1);
   // The model requires b >= log n (§4.1).
-  NCDN_EXPECTS(b_bits_ >= bits_for(n));
+  NCDN_EXPECTS(b_bits >= bits_for(n));
   rng master(seed);
   node_rngs_.reserve(n);
   for (node_id u = 0; u < n; ++u) node_rngs_.push_back(master.fork(u));

@@ -84,12 +84,10 @@ class network {
           std::uint64_t seed, double slack = 2.0);
 
   std::size_t node_count() const noexcept { return n_; }
-  std::size_t message_budget_bits() const noexcept { return b_bits_; }
   round_t rounds_elapsed() const noexcept { return round_; }
   std::size_t max_observed_message_bits() const noexcept {
     return max_message_bits_;
   }
-  adversary& current_adversary() noexcept { return adv_; }
 
   rng& node_rng(node_id u) noexcept {
     NCDN_EXPECTS(u < n_);
@@ -335,7 +333,6 @@ class network {
   }
 
   std::size_t n_;
-  std::size_t b_bits_;
   double bit_limit_;  // message_bit_limit(n, b, slack)
   adversary& adv_;
   round_t round_ = 0;

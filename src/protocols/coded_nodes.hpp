@@ -10,7 +10,11 @@
 //
 // coded_nodes is also the knowledge_view those engines step with, so
 // adaptive adversaries see each node's rank and the session's metrics read
-// every engine's elimination work and decode delays the same way.
+// every engine's elimination work and decode delays the same way.  The
+// session reads those counters only after a round the view steps, so an
+// engine changes its coders only inside its view's rounds (its make and
+// deliver callbacks) or before one of them: a change after the view's last
+// round is never counted.
 #pragma once
 
 #include <memory>

@@ -137,12 +137,12 @@ bitvec chunk_of(const bitvec& row, std::size_t c, std::size_t b_bits) {
 }
 
 // Idea (1): every node ships its vector to all neighbours one b-bit chunk
-// per round over t_vec rounds (an empty vector is a silent node), then
-// inserts the vectors that arrived whole, in sender-id order, and records
-// decode progress.  Under full T-stability every neighbour's vector
-// completes; under the weaker T-interval connectivity only the stable-tree
-// neighbours are guaranteed to, and partial vectors from churning edges
-// are dropped.
+// per round over t_vec rounds (an empty vector is a silent node).  In the
+// last round's deliver each node inserts the vectors that arrived whole, in
+// sender-id order, and records decode progress.  Under full T-stability
+// every neighbour's vector completes; under the weaker T-interval
+// connectivity only the stable-tree neighbours are guaranteed to, and
+// partial vectors from churning edges are dropped.
 round_task<void> exchange_vectors(network& net, coded_nodes& nodes,
                                   const std::vector<bitvec>& outgoing,
                                   std::size_t b_bits, round_t t_vec) {
@@ -179,16 +179,16 @@ round_task<void> exchange_vectors(network& net, coded_nodes& nodes,
                                    static_cast<std::size_t>(m->index) * b_bits);
             }
           }
+          if (c + 1 < t_vec) return;
+          for (auto& [from, p] : reassembly[u]) {
+            if (p.count == static_cast<std::uint32_t>(t_vec)) {
+              nodes.coder(u).insert(p.row);
+            }
+          }
+          nodes.note_progress(u,
+                              nodes.delay_bucket(net.rounds_elapsed() + 1));
         });
     co_await next_round;
-  }
-  for (node_id u = 0; u < n; ++u) {
-    for (auto& [from, p] : reassembly[u]) {
-      if (p.count == static_cast<std::uint32_t>(t_vec)) {
-        nodes.coder(u).insert(p.row);
-      }
-    }
-    nodes.note_progress(u, nodes.delay_bucket(net.rounds_elapsed()));
   }
 }
 
@@ -454,7 +454,8 @@ round_task<void> tstable_patch_session::share_stepped(network& net,
   }
 
   // Downcast: leader (depth 0) sends chunk c at round c; depth j relays at
-  // round j + c.  Everyone assembles the patch sum.
+  // round j + c.  Everyone assembles the patch sum and inserts it in the
+  // last round's deliver.
   wp.patch_sum.assign(n, bitvec(row_bits));
   wp.got_chunks.assign(n, 0);
   for (node_id u = 0; u < n; ++u) {
@@ -463,7 +464,8 @@ round_task<void> tstable_patch_session::share_stepped(network& net,
       wp.got_chunks[u] = static_cast<std::uint32_t>(t_vec);
     }
   }
-  for (round_t r = 0; r < static_cast<round_t>(d) + t_vec; ++r) {
+  const round_t down_rounds = static_cast<round_t>(d) + t_vec;
+  for (round_t r = 0; r < down_rounds; ++r) {
     net.step<chunk_msg>(
         *this,
         [&](node_id u, rng&) -> std::optional<chunk_msg> {
@@ -492,13 +494,12 @@ round_task<void> tstable_patch_session::share_stepped(network& net,
             }
             ++wp.got_chunks[u];
           }
+          if (r + 1 < down_rounds) return;
+          NCDN_ASSERT(wp.got_chunks[u] == static_cast<std::uint32_t>(t_vec));
+          coder(u).insert(wp.patch_sum[u]);
+          note_progress(u, delay_bucket(net.rounds_elapsed() + 1));
         });
     co_await next_round;
-  }
-  for (node_id u = 0; u < n; ++u) {
-    NCDN_ASSERT(wp.got_chunks[u] == static_cast<std::uint32_t>(t_vec));
-    coder(u).insert(wp.patch_sum[u]);
-    note_progress(u, delay_bucket(net.rounds_elapsed()));
   }
 }
 

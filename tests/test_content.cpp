@@ -143,6 +143,67 @@ TEST(content, rolling_chain_collapses_target_to_head) {
   }
 }
 
+// The reference closure: every version from head down to 0, with one
+// wanted and one included flag per version.
+std::vector<std::size_t> full_walk_closure(const content_schedule& sched,
+                                           std::size_t head) {
+  std::vector<char> wanted(head + 1, 0);
+  std::vector<char> included(head + 1, 0);
+  wanted[head] = 1;
+  for (std::size_t v = head + 1; v-- > 0;) {
+    if (wanted[v] == 0) continue;
+    bool cut = false;
+    for (std::size_t w = sched.superseded_by(v);
+         w != content_schedule::none && w <= head; w = sched.superseded_by(w)) {
+      if (included[w] != 0) {
+        cut = true;
+        break;
+      }
+    }
+    if (cut) continue;
+    included[v] = 1;
+    for (std::size_t p : sched.patch(v).parents) {
+      if (p != sched.patch(v).supersedes) wanted[p] = 1;
+    }
+  }
+  std::vector<std::size_t> target;
+  for (std::size_t v = 0; v <= head; ++v) {
+    if (included[v] != 0) target.push_back(v);
+  }
+  return target;
+}
+
+TEST(content, targets_match_the_full_descending_walk) {
+  const problem prob = content_problem(16, 64);
+  const std::vector<content_spec> specs = {
+      {"steady",
+       {{"epochs", "12"}, {"batch", "5"}, {"supersede", "0.6"},
+        {"span", "3"}, {"second_parent", "0.5"}}},
+      {"burst",
+       {{"epochs", "9"}, {"period", "2"}, {"batch", "6"},
+        {"supersede", "0.5"}, {"span", "4"}}},
+      {"rolling", {{"epochs", "8"}, {"batch", "3"}}},
+  };
+  std::size_t chained = 0;  // superseded versions whose superseder is too
+  for (const content_spec& spec : specs) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const auto sched = build_content_schedule(spec, prob, seed);
+      for (std::size_t v = 0; v < sched->versions(); ++v) {
+        const std::size_t w = sched->superseded_by(v);
+        if (w != content_schedule::none &&
+            sched->superseded_by(w) != content_schedule::none) {
+          ++chained;
+        }
+      }
+      for (std::size_t e = 1; e < sched->epochs(); ++e) {
+        EXPECT_EQ(sched->target(e), full_walk_closure(*sched, sched->head(e)))
+            << spec.name << " seed " << seed << " epoch " << e;
+      }
+    }
+  }
+  EXPECT_GT(chained, 0u);
+}
+
 TEST(content, errors_name_the_model_and_recognized_keys) {
   const problem prob = content_problem();
   try {

@@ -271,8 +271,8 @@ TEST(session_batch, run_all_and_adopted_sessions) {
 TEST(params, unknown_parameter_error_names_the_valid_keys) {
   const problem prob = tiny_problem("rlnc-sparse");
 
-  // Through the session (shared param_map, both sides audited): the rho
-  // typo must be named AND the real vocabulary listed.
+  // Through the session (one namespace for both factories): the rho typo
+  // must be named AND the real vocabulary listed.
   try {
     session s(prob, protocol_spec{"rlnc-sparse", {{"rh", "0.1"}}},
               adversary_spec{"permuted-path", {}}, 1);
@@ -285,8 +285,8 @@ TEST(params, unknown_parameter_error_names_the_valid_keys) {
     EXPECT_NE(msg.find("cap_factor"), std::string::npos) << msg;
   }
 
-  // Through build_protocol directly (no audit out-param): the
-  // expect_fully_consumed() error carries the same vocabulary.
+  // Through build_protocol's spec form: the expect_fully_consumed() error
+  // carries the same vocabulary.
   try {
     build_protocol(prob, protocol_spec{"rlnc-sparse", {{"rh", "0.1"}}});
     FAIL() << "typo'd parameter was accepted";

@@ -263,6 +263,41 @@ TEST(session, params_override_problem_and_reject_typos) {
                std::invalid_argument);
 }
 
+TEST(session, one_namespace_reaches_the_factory_that_reads_a_key) {
+  // The two specs' params are one namespace: radius given only with the
+  // protocol reaches random-geometric.  Radius 2 spans the unit square, so
+  // every round's topology is the complete graph, and the run equals the
+  // one with radius in the adversary spec.
+  const problem prob = tiny_problem("rlnc-direct");
+  const param_map wide = {{"radius", "2"}};
+  session in_proto(prob, protocol_spec{"rlnc-direct", wide},
+                   adversary_spec{"random-geometric", {}}, 3);
+  const std::size_t clique = prob.n * (prob.n - 1) / 2;
+  std::size_t rounds_seen = 0;
+  in_proto.set_observer([&](const round_metrics& m) {
+    EXPECT_EQ(m.topology_edges, clique) << "round " << m.round;
+    ++rounds_seen;
+  });
+  const run_report rep = in_proto.run_to_completion();
+  EXPECT_GT(rounds_seen, 0u);
+  session in_adv(prob, protocol_spec{"rlnc-direct", {}},
+                 adversary_spec{"random-geometric", wide}, 3);
+  expect_reports_equal(rep, in_adv.run_to_completion(),
+                       "radius in the protocol spec vs the adversary spec");
+}
+
+TEST(session, one_key_with_two_values_is_rejected_naming_it) {
+  const problem prob = tiny_problem("rlnc-direct");
+  try {
+    session s(prob, protocol_spec{"rlnc-direct", {{"radius", "0.5"}}},
+              adversary_spec{"random-geometric", {{"radius", "0.9"}}}, 3);
+    FAIL() << "conflicting radius values were accepted";
+  } catch (const std::invalid_argument& err) {
+    const std::string msg = err.what();
+    EXPECT_NE(msg.find("'radius'"), std::string::npos) << msg;
+  }
+}
+
 TEST(session, bad_window_and_round_budget_params_are_rejected_up_front) {
   // A zero window, a flood too short to reach every node (min-flood
   // agreement would fail mid-run), a negative round-budget factor, a forced

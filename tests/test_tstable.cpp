@@ -3,6 +3,7 @@
 // T-stable dissemination.
 #include <gtest/gtest.h>
 
+#include "core/session.hpp"
 #include "protocols/tstable_dissemination.hpp"
 #include "protocols/tstable_patch.hpp"
 
@@ -263,6 +264,30 @@ TEST(tstable_dissemination, chunked_beats_plain_at_larger_t) {
     (which == 0 ? rounds_plain : rounds_chunked) = res.rounds;
   }
   EXPECT_LT(rounds_chunked, rounds_plain);
+}
+
+TEST(tstable_dissemination, session_counts_the_last_exchange_decodes) {
+  // A tstable/chunked cell that needs one broadcast epoch (then an empty
+  // flood ends the run): every node decodes every block, and the session
+  // must count all n x blocks (node, block) pairs, the ones the last
+  // exchange decodes included.
+  problem prob;
+  prob.n = 16;
+  prob.k = 16;
+  prob.d = 8;
+  prob.b = 32;
+  prob.t_stability = 4;
+  prob.place = placement::one_per_node;
+  session s(prob, protocol_spec{"tstable/chunked", {}},
+            adversary_spec{"static-clique", {}}, 1);
+  const run_report& rep = s.run_to_completion();
+  ASSERT_TRUE(rep.complete);
+  ASSERT_EQ(rep.epochs, 2u);
+  const chunked_plan plan = plan_chunked_broadcast(prob.b, prob.t_stability);
+  const std::size_t per_block = plan.item_bits / prob.d;
+  const std::size_t blocks = (prob.k + per_block - 1) / per_block;
+  EXPECT_EQ(blocks, 4u);
+  EXPECT_EQ(rep.metrics.decode_delay_events, prob.n * blocks);
 }
 
 }  // namespace
