@@ -1,9 +1,8 @@
 #include "protocols/flooding.hpp"
 
 #include <algorithm>
-#include <set>
 
-#include "core/bits.hpp"
+#include "linalg/bitvec.hpp"
 
 namespace ncdn {
 
@@ -15,6 +14,18 @@ struct forward_msg {
   std::size_t d_bits = 0;
   std::size_t bit_size() const noexcept { return tokens.size() * d_bits; }
 };
+
+/// The `batch` lowest set ranks of `mask`, ascending: what a node sends or
+/// finalizes.
+std::vector<std::size_t> lowest_ranks(const bitvec& mask, std::size_t batch) {
+  std::vector<std::size_t> out;
+  out.reserve(std::min(batch, mask.popcount()));
+  for (std::size_t r = mask.first_set(); r < mask.size() && out.size() < batch;
+       r = mask.first_set_from(r + 1)) {
+    out.push_back(r);
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -33,12 +44,12 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
   std::vector<std::size_t> rank_of(k);
   for (std::size_t i = 0; i < k; ++i) rank_of[order[i]] = i;
 
-  // active_[u]: ranks known to u and not yet finalized (sorted).
-  // unsent_[u]: pipelined mode only — active ranks not yet sent this phase.
-  std::vector<std::set<std::size_t>> active(n);
-  std::vector<std::set<std::size_t>> unsent(cfg.pipelined ? n : 0);
+  // active[u]: k-bit mask of the ranks known to u and not yet finalized.
+  // unsent[u]: pipelined mode only — active ranks not yet sent this pass.
+  std::vector<bitvec> active(n, bitvec(k));
+  std::vector<bitvec> unsent;
   for (node_id u = 0; u < n; ++u) {
-    for (std::size_t t : dist.held_by_node[u]) active[u].insert(rank_of[t]);
+    for (std::size_t t : dist.held_by_node[u]) active[u].set(rank_of[t]);
   }
 
   const round_t phase_len = std::max<round_t>(
@@ -51,15 +62,15 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
   auto learn = [&](node_id u, std::size_t t) {
     if (!st.knows(u, t)) {
       st.learn(u, t);
-      active[u].insert(rank_of[t]);
-      if (cfg.pipelined) unsent[u].insert(rank_of[t]);
+      active[u].set(rank_of[t]);
+      if (cfg.pipelined) unsent[u].set(rank_of[t]);
     }
   };
 
   if (cfg.pipelined) {
     // Streaming mode: no finalization schedule (see header); run until the
     // observer sees completion or a generous cap.
-    for (node_id u = 0; u < n; ++u) unsent[u] = active[u];
+    unsent = active;
     const round_t cap = round_cap(
         4.0 * static_cast<double>(phases) * static_cast<double>(phase_len),
         4 * static_cast<round_t>(n));
@@ -67,13 +78,13 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
       net.step<forward_msg>(
           st,
           [&](node_id u, rng&) -> std::optional<forward_msg> {
-            if (unsent[u].empty()) unsent[u] = active[u];  // restart stream
+            if (!unsent[u].any()) unsent[u] = active[u];  // restart stream
             forward_msg m;
             m.d_bits = d;
-            auto it = unsent[u].begin();
-            while (it != unsent[u].end() && m.tokens.size() < batch) {
-              m.tokens.push_back(order[*it]);
-              it = unsent[u].erase(it);
+            m.tokens = lowest_ranks(unsent[u], batch);
+            for (std::size_t& t : m.tokens) {
+              unsent[u].set(t, false);
+              t = order[t];
             }
             if (m.tokens.empty()) return std::nullopt;
             return m;
@@ -97,10 +108,8 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
           [&](node_id u, rng&) -> std::optional<forward_msg> {
             forward_msg m;
             m.d_bits = d;
-            auto it = active[u].begin();
-            for (; it != active[u].end() && m.tokens.size() < batch; ++it) {
-              m.tokens.push_back(order[*it]);
-            }
+            m.tokens = lowest_ranks(active[u], batch);
+            for (std::size_t& t : m.tokens) t = order[t];
             if (m.tokens.empty()) return std::nullopt;
             return m;
           },
@@ -117,18 +126,14 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
     // guarantees all nodes pick the same set; asserted here.
     std::vector<std::size_t> first_choice;
     for (node_id u = 0; u < n; ++u) {
-      std::vector<std::size_t> done;  // ranks
-      auto it = active[u].begin();
-      for (; it != active[u].end() && done.size() < batch; ++it) {
-        done.push_back(*it);
-      }
+      const std::vector<std::size_t> done = lowest_ranks(active[u], batch);
       if (u == 0) {
         first_choice = done;
       } else {
         NCDN_ASSERT(done == first_choice);  // min-flood agreement
       }
       for (std::size_t rk : done) {
-        active[u].erase(rk);
+        active[u].set(rk, false);
         st.retire(u, order[rk]);
       }
     }

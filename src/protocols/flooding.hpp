@@ -19,6 +19,13 @@
 // with free perfect termination detection.  That is the quantity the
 // T-stable comparison (experiment E8) plots, and it can only flatter the
 // baseline the paper's coding algorithms are compared against.
+//
+// Representation: tokens are ranked once by payload, and each node keeps
+// its token sets as k-bit rank masks (`bitvec`, bit r = the r-th smallest
+// token) — `active` (known, not yet finalized) and, pipelined only,
+// `unsent` (not yet streamed this pass, refilled from `active` when it
+// empties).  The lowest B set bits are the tokens a node sends or
+// finalizes.
 #pragma once
 
 #include "core/machine.hpp"

@@ -63,7 +63,10 @@ INSTANTIATE_TEST_SUITE_P(
         flood_case{16, 16, 8, 8, "static-star", false},
         flood_case{16, 16, 8, 8, "static-path", true},
         flood_case{24, 24, 8, 16, "permuted-path", true},
-        flood_case{32, 16, 8, 8, "sorted-path", true}));
+        flood_case{32, 16, 8, 8, "sorted-path", true},
+        // k = 80: the rank masks span two words.
+        flood_case{96, 80, 8, 32, "random-connected", false},
+        flood_case{96, 80, 8, 32, "permuted-path", true}));
 
 TEST(flooding, single_token_floods_in_one_phase) {
   rng r(5);
@@ -132,6 +135,32 @@ TEST(flooding, pipelined_cap_saturates_instead_of_wrapping) {
     const run_report& rep = s.run_to_completion();
     EXPECT_TRUE(rep.complete) << "phase_factor=" << factor;
     EXPECT_EQ(rep.rounds, 1402u) << "phase_factor=" << factor;
+  }
+}
+
+TEST(flooding, two_word_masks_pin_rounds_and_wire_bits) {
+  // Both modes send the B lowest-ranked tokens of a mask, in rank order;
+  // sending other tokens, or the same ones in another order, moves these.
+  struct pinned {
+    const char* alg;
+    const char* adv;
+    round_t rounds;
+    std::size_t bits;
+  };
+  problem prob;
+  prob.n = 96;
+  prob.k = 80;
+  prob.d = 8;
+  prob.b = 32;
+  prob.place = placement::random_spread;
+  for (const pinned& p :
+       {pinned{"token-forwarding", "random-connected", 1920, 5891536},
+        pinned{"token-forwarding-pipelined", "permuted-path", 81, 234000}}) {
+    session s(prob, protocol_spec{p.alg, {}}, adversary_spec{p.adv, {}}, 5);
+    const run_report& rep = s.run_to_completion();
+    EXPECT_TRUE(rep.complete) << p.alg;
+    EXPECT_EQ(rep.rounds, p.rounds) << p.alg;
+    EXPECT_EQ(rep.metrics.total_message_bits, p.bits) << p.alg;
   }
 }
 
