@@ -11,10 +11,22 @@
 // slowdown factor from p=0 to the heaviest loss point stays below the
 // forwarding baseline's.
 //
+// A second section times the Gilbert-Elliott channel itself: lost() per
+// query, at the default and at equal flip probabilities, on a fresh edge
+// per round (what churn gives) and on one edge queried every round.  The
+// chain walks back to its last merging draw, about
+// 1 / |p_good_bad - p_bad_good| draws per query; equal probabilities
+// never merge, so the bench asserts that the persistent equal-probability
+// case stays within 8x of the default one (the per-edge memo's job).
+//
 // Writes BENCH_E19.json under NCDN_BENCH_JSON (one row per loss x
-// protocol: mean rounds, completion rate), the file the nightly
-// trajectory job diffs run over run.
+// protocol: mean rounds, completion rate; one row per chain case:
+// query_time_ns), the file the nightly trajectory job diffs run over run.
+#include <algorithm>
+#include <chrono>
+
 #include "bench_util.hpp"
+#include "linkmodel/linkmodel.hpp"
 
 using namespace ncdn;
 using namespace ncdn::bench;
@@ -43,6 +55,31 @@ outcome measure(const problem& prob, const std::string& alg,
     out.completion_rate += rep.complete ? 1.0 / static_cast<double>(trials) : 0;
   }
   return out;
+}
+
+/// Nanoseconds per lost() query, best of `reps` fresh models, over 4,096
+/// rounds that each query one edge: a new one every round, or always the
+/// same one.
+double ge_query_ns(const param_map& flips, bool fresh_edges,
+                   std::size_t reps) {
+  constexpr round_t rounds = 4096;
+  double best = 0;
+  std::size_t lost = 0;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    auto model = build_link_model({"gilbert-elliott", flips}, 1 + rep);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (round_t r = 1; r <= rounds; ++r) {
+      const auto u = static_cast<node_id>(fresh_edges ? 2 * r : 0);
+      lost += model->lost(r, u, u + 1) ? 1 : 0;
+    }
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count() /
+                      static_cast<double>(rounds);
+    if (best == 0 || ns < best) best = ns;
+  }
+  NCDN_ASSERT(lost > 0);
+  return best;
 }
 
 }  // namespace
@@ -106,5 +143,39 @@ int main() {
       rlnc_slowdown, flood_slowdown);
   NCDN_ASSERT(rlnc_base > 0 && flood_base > 0);
   NCDN_ASSERT(rlnc_slowdown < flood_slowdown);  // graceful degradation
+
+  struct chain_case {
+    const char* flips;
+    param_map params;
+  };
+  const std::vector<chain_case> chains = {
+      {"default", {}},
+      {"equal", {{"p_good_bad", "0.2"}, {"p_bad_good", "0.2"}}},
+  };
+  const std::size_t reps = std::max<std::size_t>(trials, 5);
+  double default_persistent = 0, equal_persistent = 0;
+  text_table g({"flips", "edges", "ns/query"});
+  for (const chain_case& c : chains) {
+    for (const bool fresh : {true, false}) {
+      const double ns = ge_query_ns(c.params, fresh, reps);
+      const char* edges = fresh ? "fresh" : "persistent";
+      g.add_row({c.flips, edges, text_table::num(ns)});
+      rec.row("ge_chain", {{"flips", json::value{c.flips}},
+                           {"edges", json::value{edges}},
+                           {"query_time_ns", json::value{ns}}});
+      if (!fresh) {
+        (std::string(c.flips) == "default" ? default_persistent
+                                           : equal_persistent) = ns;
+      }
+    }
+  }
+  std::printf("\nGilbert-Elliott lost() per query [4096 rounds, best of "
+              "%zu]\n",
+              reps);
+  g.print();
+  std::printf("equal / default flip probabilities, persistent edge: %.2fx "
+              "(gate: below 8x)\n",
+              equal_persistent / default_persistent);
+  NCDN_ASSERT(equal_persistent < 8.0 * default_persistent);
   return 0;
 }

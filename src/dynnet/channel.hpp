@@ -11,9 +11,10 @@
 // reliable zero-latency path, bit for bit.
 //
 // Determinism contract: every answer must be a pure function of
-// (link seed, edge, round) — typically hashed draws, with any lazily
-// advanced per-edge state (the Gilbert-Elliott chain) cached such that
-// querying one edge never perturbs another edge's stream.  Node rngs are
+// (link seed, edge, round) — typically hashed draws.  A model may memoize
+// per-edge results (the Gilbert-Elliott chain keeps a memo for long
+// walks), but only to save work: no answer may depend on which edges or
+// rounds were queried before, or in what order.  Node rngs are
 // off-limits: the channel must not shift protocol draws.
 #pragma once
 
@@ -34,9 +35,9 @@ class link_model {
   virtual ~link_model() = default;
 
   /// True when the directed copy from -> to put on the air in `round` is
-  /// erased by the channel.  May advance lazily cached per-edge state
-  /// (hence non-const), but the answer is still a pure function of
-  /// (seed, edge, round, direction).
+  /// erased by the channel.  May update a per-edge memo (hence
+  /// non-const), but the answer is a pure function of (seed, edge, round,
+  /// direction), whatever the order of queries.
   virtual bool lost(round_t round, node_id from, node_id to) = 0;
 
   /// Rounds the copy spends in flight: 0 delivers within the sending

@@ -1,10 +1,11 @@
 #include "linkmodel/linkmodel.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
+#include "core/det.hpp"
 #include "core/rng.hpp"
 
 namespace ncdn {
@@ -21,20 +22,36 @@ constexpr std::uint64_t stream_chain = 3;
 constexpr std::uint64_t stream_chain_init = 4;
 constexpr std::uint64_t stream_tx = 5;
 
+/// The (seed, stream, a) half of link_draw, mixed once for loops that
+/// vary only b.
+std::uint64_t draw_base(std::uint64_t seed, std::uint64_t stream,
+                        std::uint64_t a) {
+  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL * (stream + 1));
+  state = splitmix64(state);
+  state ^= 0xbf58476d1ce4e5b9ULL * (a + 1);
+  return splitmix64(state);
+}
+
+std::uint64_t draw_at(std::uint64_t base, std::uint64_t b) {
+  std::uint64_t state = base ^ (0x94d049bb133111ebULL * (b + 1));
+  return splitmix64(state);
+}
+
 /// Stateless hash draw: a pure function of its four inputs (the
 /// determinism contract of dynnet/channel.hpp hangs off this).
 std::uint64_t link_draw(std::uint64_t seed, std::uint64_t stream,
                         std::uint64_t a, std::uint64_t b) {
-  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL * (stream + 1));
-  state = splitmix64(state);
-  state ^= 0xbf58476d1ce4e5b9ULL * (a + 1);
-  state = splitmix64(state);
-  state ^= 0x94d049bb133111ebULL * (b + 1);
-  return splitmix64(state);
+  return draw_at(draw_base(seed, stream, a), b);
 }
 
 double unit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/// unit(h) < p exactly when (h >> 11) < below_unit(p): unit scales that
+/// 53-bit integer by 2^-53 without rounding.
+std::uint64_t below_unit(double p) {
+  return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
 }
 
 /// Undirected edge key (node ids are 32-bit).
@@ -51,10 +68,18 @@ std::uint64_t round_slot(round_t round, node_id from, node_id to) {
 
 /// Two-state Gilbert-Elliott erasure chain, one chain per undirected edge.
 /// The chain state at round r is a pure function of (seed, edge, r): the
-/// initial state is a stationary hash draw and every advance step s in
-/// 1..r uses the hashed draw for (edge, s).  The cache only memoizes that
-/// function (queries arrive in nondecreasing round order per edge, so the
-/// advance loop is O(1) amortized); it can never leak state across edges.
+/// initial state is a stationary hash draw, and step s in 1..r maps the
+/// state through the hashed draw u for (edge, s).  Each step swaps the two
+/// states (u < min(p_good_bad, p_bad_good)), keeps them
+/// (u >= max(p_good_bad, p_bad_good)), or sends both to one state (in
+/// between: bad when p_bad_good < p_good_bad).  So state_at walks back
+/// from r, counting swaps, to the last step that merged the states, and
+/// reads the initial draw only when no step did: about
+/// 1 / |p_good_bad - p_bad_good| draws per query, in any round order.
+/// Equal flip probabilities never merge, so a walk also stops at its
+/// edge's memo entry, which only a walk of more than memo_walk steps
+/// creates and every later query of that edge refreshes.  Only the cost
+/// depends on the memo, never the answer.
 class gilbert_elliott_chain {
  public:
   gilbert_elliott_chain(std::uint64_t seed, double p_good_bad,
@@ -62,12 +87,17 @@ class gilbert_elliott_chain {
       : seed_(seed),
         p_good_bad_(p_good_bad),
         p_bad_good_(p_bad_good),
+        swap_below_(below_unit(std::min(p_good_bad, p_bad_good))),
+        merge_width_(below_unit(std::max(p_good_bad, p_bad_good)) -
+                     swap_below_),
+        merge_bad_(p_bad_good < p_good_bad),
         loss_good_(loss_good),
         loss_bad_(loss_bad) {}
 
   bool lost(round_t round, node_id from, node_id to) {
     const std::uint64_t key = edge_key(from, to);
     const bool bad = state_at(key, round);
+    NCDN_AUDIT(bad == replayed_state(key, round));
     const double p = bad ? loss_bad_ : loss_good_;
     if (p <= 0.0) return false;
     return unit(link_draw(seed_, stream_loss, key,
@@ -75,35 +105,66 @@ class gilbert_elliott_chain {
   }
 
  private:
-  struct edge_state {
-    round_t next = 0;  // first advance step not yet applied
-    bool bad = false;
+  struct memo_entry {
+    round_t round;  // the chain state after step `round` ...
+    bool bad;       // ... was this one
   };
 
+  /// A walk back past more than this many steps leaves a memo entry.
+  static constexpr round_t memo_walk = 32;
+
   bool state_at(std::uint64_t key, round_t round) {
-    auto [it, fresh] = states_.try_emplace(key);
-    edge_state& st = it->second;
-    if (fresh) {
-      // Stationary start so the first observed round is not biased good.
-      const double denom = p_good_bad_ + p_bad_good_;
-      const double pi_bad = denom > 0.0 ? p_good_bad_ / denom : 0.0;
-      st.bad = unit(link_draw(seed_, stream_chain_init, key, 0)) < pi_bad;
-      st.next = 1;
+    const auto memo = memo_.find(key);
+    const bool from_memo = memo != memo_.end() && memo->second.round <= round;
+    const round_t floor = from_memo ? memo->second.round : 0;
+    const std::uint64_t base = draw_base(seed_, stream_chain, key);
+    bool swapped = false;
+    round_t s = round;
+    for (; s > floor; --s) {
+      const std::uint64_t u = draw_at(base, s) >> 11;
+      if (u - swap_below_ < merge_width_) break;
+      swapped ^= u < swap_below_;
     }
-    NCDN_ASSERT(st.next <= round + 1);  // queries are nondecreasing per edge
-    for (; st.next <= round; ++st.next) {
-      const double u = unit(link_draw(seed_, stream_chain, key, st.next));
-      st.bad = st.bad ? !(u < p_bad_good_) : u < p_good_bad_;
+    // The state after step s (which merged the states, or is the floor),
+    // then the swaps of steps s+1..round.
+    const bool below = s > floor   ? merge_bad_
+                       : from_memo ? memo->second.bad
+                                   : initial_state(key);
+    const bool bad = below != swapped;
+    if (memo != memo_.end()) {
+      if (memo->second.round < round) memo->second = {round, bad};
+    } else if (round - s > memo_walk) {
+      memo_.emplace(key, memo_entry{round, bad});
     }
-    return st.bad;
+    return bad;
+  }
+
+  /// Stationary start so the first observed round is not biased good.
+  bool initial_state(std::uint64_t key) const {
+    const double denom = p_good_bad_ + p_bad_good_;
+    const double pi_bad = denom > 0.0 ? p_good_bad_ / denom : 0.0;
+    return unit(link_draw(seed_, stream_chain_init, key, 0)) < pi_bad;
+  }
+
+  /// The audit oracle: the chain run forward from its initial draw.
+  bool replayed_state(std::uint64_t key, round_t round) const {
+    bool bad = initial_state(key);
+    for (round_t s = 1; s <= round; ++s) {
+      const double u = unit(link_draw(seed_, stream_chain, key, s));
+      bad = bad ? !(u < p_bad_good_) : u < p_good_bad_;
+    }
+    return bad;
   }
 
   std::uint64_t seed_;
   double p_good_bad_;
   double p_bad_good_;
+  std::uint64_t swap_below_;   // draws below this swap the states
+  std::uint64_t merge_width_;  // the next this many merge them
+  bool merge_bad_;
   double loss_good_;
   double loss_bad_;
-  std::map<std::uint64_t, edge_state> states_;
+  det::hash_map<std::uint64_t, memo_entry> memo_;
 };
 
 /// The full channel: a loss process wrapped with the shared latency and

@@ -21,6 +21,15 @@
 // determinism contract — so perturbing one edge's channel cannot shift any
 // other edge's stream.
 //
+// Cost: a gilbert-elliott query walks back from its round to the last draw
+// that sent both chain states to one state, about
+// 1 / |p_good_bad - p_bad_good| draws (5 at the defaults), in any round
+// order.  Only a walk longer than 32 draws leaves a per-edge memo entry,
+// which later queries of that edge stop at; that keeps equal flip
+// probabilities, whose draws never merge the states, at O(1) per query on
+// a persistent edge.  A fresh edge at equal probabilities still walks back
+// to round 0.
+//
 // `ncdn-run run --link "bernoulli,p=0.1,delay=2"` parses the same spec from
 // the CLI via parse_link_spec.
 #pragma once

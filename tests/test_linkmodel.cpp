@@ -1,16 +1,21 @@
 // Link-model subsystem tests (src/linkmodel + the network's channel path):
 // the no-channel equivalence contract, per-edge draw-stream independence,
-// delay/conservation semantics, in-flight expiry across views, the
-// recoding-buffer node mode, the loss-tolerance pairing guard, spec
-// parsing/validation, and the sweep's byte-identity and JSON-shape
-// guarantees over the "link:" cell axis.
+// the Gilbert-Elliott chain against a forward replay, delay/conservation
+// semantics, in-flight expiry across views, the recoding-buffer node mode,
+// the loss-tolerance pairing guard, spec parsing/validation, and the
+// sweep's byte-identity and JSON-shape guarantees over the "link:" cell
+// axis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "core/session.hpp"
 #include "dynnet/network.hpp"
 #include "linkmodel/linkmodel.hpp"
@@ -74,8 +79,8 @@ TEST(linkmodel, perfect_channel_matches_reliable_path) {
 
 // Channel decisions are pure functions of (seed, edge, round): querying
 // other edges in between must not perturb an edge's loss sequence, for the
-// stateless bernoulli draw and for the lazily-advanced Gilbert-Elliott
-// chain alike.
+// stateless bernoulli draw and for the Gilbert-Elliott chain (whose memo
+// is per edge) alike.
 TEST(linkmodel, per_edge_streams_are_independent) {
   for (const char* model : {"bernoulli", "gilbert-elliott"}) {
     link_spec spec;
@@ -94,6 +99,96 @@ TEST(linkmodel, per_edge_streams_are_independent) {
       (void)interleaved->lost(r, 7, 2);
       EXPECT_EQ(interleaved->lost(r, 2, 3), expect[r - 1])
           << model << " round " << r;
+    }
+  }
+}
+
+// The Gilbert-Elliott chain as it is defined: a stationary initial draw,
+// then one hashed flip draw per round, applied forward from round 1, then
+// the per-copy loss draw.  The hash streams are restated here, so the
+// oracle shares no code with the link model.
+struct gilbert_elliott_replay {
+  std::uint64_t seed;
+  double p_good_bad, p_bad_good, loss_good, loss_bad;
+
+  static std::uint64_t draw(std::uint64_t seed, std::uint64_t stream,
+                            std::uint64_t a, std::uint64_t b) {
+    std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL * (stream + 1));
+    state = splitmix64(state);
+    state ^= 0xbf58476d1ce4e5b9ULL * (a + 1);
+    state = splitmix64(state);
+    state ^= 0x94d049bb133111ebULL * (b + 1);
+    return splitmix64(state);
+  }
+  static double unit(std::uint64_t h) {
+    return static_cast<double>(h >> 11) * 0x1.0p-53;
+  }
+
+  bool lost(round_t round, node_id from, node_id to) const {
+    const std::uint64_t key =
+        (std::uint64_t{std::min(from, to)} << 32) | std::max(from, to);
+    const double denom = p_good_bad + p_bad_good;
+    const double pi_bad = denom > 0.0 ? p_good_bad / denom : 0.0;
+    bool bad = unit(draw(seed, 4, key, 0)) < pi_bad;
+    for (round_t s = 1; s <= round; ++s) {
+      const double u = unit(draw(seed, 3, key, s));
+      bad = bad ? !(u < p_bad_good) : u < p_good_bad;
+    }
+    const double p = bad ? loss_bad : loss_good;
+    const round_t slot = round * 2 + (from < to ? 0 : 1);
+    return p > 0.0 && unit(draw(seed, 1, key, slot)) < p;
+  }
+};
+
+// lost() must agree with the forward replay for every flip-probability
+// regime: unequal (the walk back stops at a merging draw), equal (no draw
+// merges, so long walks leave a memo entry), and the 0 / 1 corners.  Each
+// model answers persistent edges in round order past the memo threshold,
+// then random rounds in any order, repeated, in both directions.
+TEST(linkmodel, gilbert_elliott_matches_forward_replay) {
+  const std::vector<std::pair<double, double>> flips = {
+      {0.1, 0.3}, {0.3, 0.1}, {0.2, 0.2}, {0.5, 0.5},
+      {0.0, 0.0}, {1.0, 1.0}, {0.0, 0.3}, {0.3, 0.0},
+      {1.0, 0.3}, {0.3, 1.0}, {0.0, 1.0}, {1.0, 0.0}};
+  // loss_good = 0, loss_bad = 1 makes every answer the chain state itself;
+  // the default losses add the per-copy draw on top.
+  const std::vector<std::pair<double, double>> losses = {{0.0, 1.0},
+                                                         {0.02, 0.6}};
+  const std::vector<std::pair<node_id, node_id>> persistent = {
+      {2, 3}, {9, 4}, {0, 1}};
+  std::uint64_t seed = 100;
+  for (const auto& [p_gb, p_bg] : flips) {
+    for (const auto& [loss_good, loss_bad] : losses) {
+      ++seed;
+      const link_spec spec{"gilbert-elliott",
+                           {{"p_good_bad", std::to_string(p_gb)},
+                            {"p_bad_good", std::to_string(p_bg)},
+                            {"loss_good", std::to_string(loss_good)},
+                            {"loss_bad", std::to_string(loss_bad)}}};
+      auto model = build_link_model(spec, seed);
+      const gilbert_elliott_replay oracle{seed, p_gb, p_bg, loss_good,
+                                          loss_bad};
+      const auto check = [&](round_t r, node_id from, node_id to) {
+        EXPECT_EQ(model->lost(r, from, to), oracle.lost(r, from, to))
+            << "p_good_bad=" << p_gb << " p_bad_good=" << p_bg
+            << " loss_bad=" << loss_bad << " round " << r << " edge "
+            << from << "->" << to;
+      };
+      for (round_t r = 1; r <= 320; ++r) {
+        for (const auto& [u, v] : persistent) {
+          check(r, u, v);
+          check(r, v, u);
+        }
+      }
+      rng pick(seed);
+      for (int q = 0; q < 400; ++q) {
+        const round_t r = pick.below(641);
+        const auto u = static_cast<node_id>(pick.below(12));
+        const auto v = static_cast<node_id>((u + 1 + pick.below(11)) % 12);
+        check(r, u, v);
+        check(r, v, u);
+        check(r, u, v);
+      }
     }
   }
 }
