@@ -12,6 +12,9 @@ namespace ncdn::detail {
 
 [[noreturn]] inline void contract_failure(const char* kind, const char* expr,
                                           const char* file, int line) {
+  // abort() skips stdio's flush: without this, output a bench printed
+  // before its gate fired is lost whenever stdout is not a terminal.
+  std::fflush(stdout);
   std::fprintf(stderr, "ncdn: %s violation: (%s) at %s:%d\n", kind, expr, file,
                line);
   std::abort();

@@ -44,8 +44,9 @@ struct session_env {
   const token_distribution& dist;
   network& net;
   token_state& state;
-  /// The session's round-scoped row pool (null when pooling is disabled
-  /// via `pool=0`).  Coding protocols hand it to their rlnc_session.
+  /// The session's round-scoped row pool; never null in a session.
+  /// Coding protocols hand it to their rlnc_session.  It stays a pointer
+  /// because `bench/ncdn_bench` passes it to `rlnc_session::set_arena`.
   word_arena* arena = nullptr;
 };
 

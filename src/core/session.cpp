@@ -29,23 +29,6 @@ param_map merged_params(const protocol_spec& proto,
   return params;
 }
 
-// Strips a session-level representation toggle from the namespace, so no
-// factory sees it.
-bool take_toggle(param_map& params, const char* key, bool fallback) {
-  const auto it = params.find(key);
-  if (it == params.end()) return fallback;
-  bool on = false;
-  if (it->second == "1" || it->second == "true") {
-    on = true;
-  } else if (it->second != "0" && it->second != "false") {
-    throw std::invalid_argument(std::string("ncdn: session parameter '") +
-                                key + "' must be 0 or 1 (got '" +
-                                it->second + "')");
-  }
-  params.erase(it);
-  return on;
-}
-
 }  // namespace
 
 session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
@@ -69,8 +52,6 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
   // keys from the same reader, and a key none of them read is rejected at
   // the end.
   param_map params = merged_params(proto_spec_, adv_spec_);
-  pool_ = take_toggle(params, "pool", pool_);
-  rebuild_ = take_toggle(params, "rebuild", rebuild_);
   param_reader reader(params, "protocol '" + proto_spec_.name + "'");
   prob_ = apply_problem_params(prob, reader);
   if (!(prob_.n >= 2 && prob_.k >= 1 && prob_.d >= 1 && prob_.b >= prob_.d &&
@@ -113,7 +94,6 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
   rng dist_rng(splitmix64(seed_state));
   dist_ = make_distribution(prob_.n, prob_.k, prob_.d, prob_.place, dist_rng);
   adv_ = build_adversary(prob_, adv_spec_.name, reader, seed_ * 7919 + 11);
-  adv_->set_rebuild_mode(rebuild_);
   // Protocols specified against the §4.1 model (every round's topology
   // connected over all nodes) must not run under adversaries that only
   // keep a live subset connected: their min-flood agreement steps would
@@ -131,7 +111,7 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
   }
   net_ = std::make_unique<network>(prob_.n, prob_.b, *adv_,
                                    seed_ * 104729 + 13, prob_.slack);
-  net_->set_arena(pool_ ? &arena_ : nullptr);
+  net_->set_arena(&arena_);
   if (!link_spec_.empty()) {
     // A configured channel may erase or delay deliveries, which breaks
     // every protocol whose correctness rests on reliable synchronous
@@ -180,8 +160,7 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
 
   net_->set_round_hook(
       [this](const round_digest& digest) { on_round(digest); });
-  env_.emplace(
-      session_env{prob_, dist_, *net_, *state_, pool_ ? &arena_ : nullptr});
+  env_.emplace(session_env{prob_, dist_, *net_, *state_, &arena_});
 }
 
 void session::set_observer(observer_fn obs) {

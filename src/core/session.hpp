@@ -41,8 +41,8 @@ class session {
   /// a key may sit in either map, or in both with the same value (differing
   /// values are rejected), and it reaches every factory that reads it.
   /// Problem-level keys (n, k, d, b, t_stability, slack, placement)
-  /// override `prob` first, `pool` and `rebuild` set the toggles below, and
-  /// the remaining keys parameterize the adversary and protocol factories.
+  /// override `prob` first, and the remaining keys parameterize the
+  /// adversary and protocol factories.
   /// Throws std::invalid_argument on unknown names, on a key no factory
   /// reads, on malformed or conflicting params, or on an infeasible problem.
   session(const problem& prob, protocol_spec proto, adversary_spec adv,
@@ -97,8 +97,8 @@ class session {
   const session_metrics& metrics() const noexcept { return metrics_; }
 
   round_t rounds_elapsed() const noexcept { return net_->rounds_elapsed(); }
-  /// The session row pool (always constructed; unused when `pool=0`).
-  /// Exposed so tests can assert cross-epoch row recycling.
+  /// The session row pool (see core/arena.hpp).  Exposed so tests can
+  /// assert cross-epoch row recycling.
   const word_arena& arena() const noexcept { return arena_; }
   /// The expanded content schedule, or null for one-shot sessions.
   const content_schedule* schedule() const noexcept { return schedule_.get(); }
@@ -127,13 +127,6 @@ class session {
   content_spec content_spec_;
   std::uint64_t seed_ = 0;
 
-  // Session-level representation toggles, stripped from the session's
-  // params before the factories see them.  Both are byte-identity-neutral:
-  // `pool=0` disables the row arena (plain heap rows), `rebuild=1` makes
-  // every adversary rebuild its topology from scratch instead of applying
-  // per-round deltas.  CI sweeps both off-paths against the same golden.
-  bool pool_ = true;
-  bool rebuild_ = false;
   word_arena arena_;  // round-scoped row pool (see core/arena.hpp)
 
   token_distribution dist_;

@@ -61,41 +61,30 @@ const graph& t_interval_adversary::topology(round_t r,
     window_fresh_ = true;
   }
   if (r != current_round_) {
-    if (rebuild_mode_) {
-      graph g = tree_;  // the stable backbone of this window
-      for (std::size_t e = 0; e < extra_edges_; ++e) {
-        const node_id u = static_cast<node_id>(rng_.below(n_));
-        node_id v = static_cast<node_id>(rng_.below(n_ - 1));
-        if (v >= u) ++v;
-        if (!g.has_edge(u, v)) g.add_edge(u, v);
-      }
-      current_ = std::move(g);
+    // The backbone is copied once per window; per round the previous
+    // extras are popped off the adjacency tails (they were appended last)
+    // and fresh ones appended, so each node's neighbor order is the
+    // window tree's followed by this round's extras.
+    if (window_fresh_) {
+      current_ = tree_;
+      extras_.clear();
+      window_fresh_ = false;
     } else {
-      // Delta path: the backbone is copied once per window; per round the
-      // previous extras are popped off the adjacency tails (they were
-      // appended last) and fresh ones appended — the draw sequence and the
-      // resulting neighbor order match the rebuild loop exactly.
-      if (window_fresh_) {
-        current_ = tree_;
-        extras_.clear();
-        window_fresh_ = false;
-      } else {
-        for (auto it = extras_.rbegin(); it != extras_.rend(); ++it) {
-          current_.pop_edge_tail(it->first, it->second);
-        }
-        extras_.clear();
+      for (auto it = extras_.rbegin(); it != extras_.rend(); ++it) {
+        current_.pop_edge_tail(it->first, it->second);
       }
-      for (std::size_t e = 0; e < extra_edges_; ++e) {
-        const node_id u = static_cast<node_id>(rng_.below(n_));
-        node_id v = static_cast<node_id>(rng_.below(n_ - 1));
-        if (v >= u) ++v;
-        if (!current_.has_edge(u, v)) {
-          current_.add_edge(u, v);
-          extras_.emplace_back(u, v);
-        }
-      }
-      NCDN_AUDIT(current_ == audit_rebuild());  // delta == rebuild
+      extras_.clear();
     }
+    for (std::size_t e = 0; e < extra_edges_; ++e) {
+      const node_id u = static_cast<node_id>(rng_.below(n_));
+      node_id v = static_cast<node_id>(rng_.below(n_ - 1));
+      if (v >= u) ++v;
+      if (!current_.has_edge(u, v)) {
+        current_.add_edge(u, v);
+        extras_.emplace_back(u, v);
+      }
+    }
+    NCDN_AUDIT(current_ == audit_rebuild());  // delta == rebuild
     current_round_ = r;
   }
   return current_;
@@ -125,64 +114,36 @@ const graph& edge_markov_adversary::topology(round_t r,
   if (r == current_round_) return current_;
   const graph& base = base_->topology(r, view);
   const std::size_t n = base.order();
-  if (rebuild_mode_) {
-    graph g(n);
-    // Walk the candidate edges in deterministic adjacency order; each chain
-    // advances at most once per round (parallel base edges share one chain).
-    for (node_id u = 0; u < n; ++u) {
-      for (node_id v : base.neighbors(u)) {
-        if (u >= v) continue;
-        const std::uint64_t key = static_cast<std::uint64_t>(u) * n + v;
-        edge_state& st = states_[key];
-        if (st.last != r) {
-          if (st.last == ~round_t{0}) {
-            // First sighting: stationary distribution of the chain.
-            st.on = rng_.bernoulli(p_on_ / (p_on_ + p_off_));
-          } else if (st.on) {
-            st.on = !rng_.bernoulli(p_off_);
-          } else {
-            st.on = rng_.bernoulli(p_on_);
-          }
-          st.last = r;
-        }
-        if (st.on && !g.has_edge(u, v)) g.add_edge(u, v);
-      }
-    }
-    forced_edges_ = gen::make_connected_over(g, base);
-    current_ = std::move(g);
-  } else {
-    // Delta path.  Slots enumerate the base's unique candidate edges in
-    // the same first-sighting order the rebuild scan visits them, so
-    // advancing one chain per slot reproduces the rebuild's draw sequence
-    // exactly; the map stays the authoritative chain archive across base
-    // changes (chains survive a rebind, like the rebuild path's states_).
-    if (!delta_.bound_to(base)) {
-      delta_.rebind(base);
-      chains_.clear();
-      chains_.reserve(delta_.slots());
-      for (std::size_t s = 0; s < delta_.slots(); ++s) {
-        const std::uint64_t key =
-            static_cast<std::uint64_t>(delta_.slot_u(s)) * n +
-            delta_.slot_v(s);
-        chains_.push_back(&states_[key]);
-      }
-    }
+  // Slots enumerate the base's unique candidate edges in first-sighting
+  // scan order, and each round advances every slot's chain once, in slot
+  // order (parallel base edges share one chain).  The map is the chain
+  // archive across base changes: a chain survives a rebind.
+  if (!delta_.bound_to(base)) {
+    delta_.rebind(base);
+    chains_.clear();
+    chains_.reserve(delta_.slots());
     for (std::size_t s = 0; s < delta_.slots(); ++s) {
-      edge_state& st = *chains_[s];
-      if (st.last != r) {
-        if (st.last == ~round_t{0}) {
-          st.on = rng_.bernoulli(p_on_ / (p_on_ + p_off_));
-        } else if (st.on) {
-          st.on = !rng_.bernoulli(p_off_);
-        } else {
-          st.on = rng_.bernoulli(p_on_);
-        }
-        st.last = r;
-      }
-      delta_.set_on(s, st.on);
+      const std::uint64_t key =
+          static_cast<std::uint64_t>(delta_.slot_u(s)) * n + delta_.slot_v(s);
+      chains_.push_back(&states_[key]);
     }
-    forced_edges_ = delta_.apply(current_, base);
   }
+  for (std::size_t s = 0; s < delta_.slots(); ++s) {
+    edge_state& st = *chains_[s];
+    if (st.last != r) {
+      if (st.last == ~round_t{0}) {
+        // First sighting: stationary distribution of the chain.
+        st.on = rng_.bernoulli(p_on_ / (p_on_ + p_off_));
+      } else if (st.on) {
+        st.on = !rng_.bernoulli(p_off_);
+      } else {
+        st.on = rng_.bernoulli(p_on_);
+      }
+      st.last = r;
+    }
+    delta_.set_on(s, st.on);
+  }
+  forced_edges_ = delta_.apply(current_, base);
   NCDN_ENSURES(current_.is_connected(scratch_));
   current_round_ = r;
   return current_;
@@ -220,7 +181,7 @@ const graph& churn_adversary::topology(round_t r, const knowledge_view& view) {
   }
   // Advance the arrival/departure process in node-id order (deterministic;
   // the live floor is enforced against the running count).  Flips are
-  // recorded so the delta path can refresh only the affected slots.
+  // recorded so only the affected slots are refreshed.
   flipped_.clear();
   for (node_id u = 0; u < n; ++u) {
     if (live_[u] != 0) {
@@ -240,37 +201,23 @@ const graph& churn_adversary::topology(round_t r, const knowledge_view& view) {
       }
     }
   }
-  if (rebuild_mode_) {
-    // The base topology induced on the live set; departed nodes are
-    // isolated.
-    graph g(n);
-    for (node_id u = 0; u < n; ++u) {
-      if (live_[u] == 0) continue;
-      for (node_id v : base.neighbors(u)) {
-        if (u < v && live_[v] != 0 && !g.has_edge(u, v)) g.add_edge(u, v);
-      }
+  // The base topology induced on the live set: a slot is on iff both
+  // endpoints are live, so departed nodes are isolated.  Refreshing
+  // happens after the whole liveness pass (an edge's state depends on both
+  // endpoints' final liveness this round).
+  if (!delta_.bound_to(base)) {
+    delta_.rebind(base);
+    for (std::size_t s = 0; s < delta_.slots(); ++s) {
+      delta_.set_on(s, live_[delta_.slot_u(s)] != 0 &&
+                           live_[delta_.slot_v(s)] != 0);
     }
-    // The live set must stay connected (its own §4.1 contract); the base
-    // may only connect it through departed nodes, so invented links can
-    // appear.
-    gen::make_connected_over(g, base, &live_);
-    current_ = std::move(g);
   } else {
-    // Delta path: a slot is on iff both endpoints are live.  Refreshing
-    // happens after the whole liveness pass (an edge's state depends on
-    // both endpoints' final liveness this round).
-    const bool fresh = !delta_.bound_to(base);
-    if (fresh) {
-      delta_.rebind(base);
-      for (std::size_t s = 0; s < delta_.slots(); ++s) {
-        delta_.set_on(s, live_[delta_.slot_u(s)] != 0 &&
-                             live_[delta_.slot_v(s)] != 0);
-      }
-    } else {
-      for (node_id u : flipped_) delta_.refresh_node(u, live_);
-    }
-    delta_.apply(current_, base, &live_);
+    for (node_id u : flipped_) delta_.refresh_node(u, live_);
   }
+  // The live set must stay connected (its own §4.1 contract); the base
+  // may only connect it through departed nodes, so invented links can
+  // appear.
+  delta_.apply(current_, base, &live_);
   NCDN_AUDIT(audit_live_invariants(current_, r));
   current_round_ = r;
   return current_;

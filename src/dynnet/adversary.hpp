@@ -91,11 +91,9 @@ class adversary {
   /// correctness rests on whole-graph agreement (min-flood consensus).
   virtual bool full_connectivity() const { return true; }
 
-  /// Opts this adversary (and any wrapped inner adversary) out of the
-  /// per-round delta path, forcing the historical full-rebuild loops.
-  /// The two paths are byte-identical by contract — the toggle exists so
-  /// equivalence tests and the `rebuild=1` spec param can prove it, not to
-  /// change behavior.  Families without a delta path ignore it.
+  /// Does nothing: every family has one topology path.  It stays virtual
+  /// only because `bench/ncdn_bench`'s timing decorator overrides it, and
+  /// goes when that harness stops doing so.
   virtual void set_rebuild_mode(bool) {}
 
   /// Per-node liveness on the most recently committed round (1 = live), or
@@ -146,9 +144,6 @@ class t_stable_adversary final : public adversary {
   bool full_connectivity() const override {
     return inner_->full_connectivity();
   }
-  void set_rebuild_mode(bool rebuild) override {
-    inner_->set_rebuild_mode(rebuild);
-  }
   const std::vector<char>* live_mask() const override {
     return inner_->live_mask();
   }
@@ -172,7 +167,6 @@ class t_interval_adversary final : public adversary {
                        std::uint64_t seed);
   const graph& topology(round_t r, const knowledge_view& view) override;
   std::string name() const override;
-  void set_rebuild_mode(bool rebuild) override { rebuild_mode_ = rebuild; }
   round_t interval() const noexcept { return t_; }
 
  private:
@@ -188,10 +182,9 @@ class t_interval_adversary final : public adversary {
   round_t tree_window_ = ~round_t{0};
   graph current_;
   round_t current_round_ = ~round_t{0};
-  bool rebuild_mode_ = false;
   bool window_fresh_ = true;
-  // Extras actually added this round, in add order; delta mode pops them
-  // off the adjacency tails before drawing the next round's extras.
+  // Extras actually added this round, in add order; they are popped off
+  // the adjacency tails before the next round's extras are drawn.
   std::vector<std::pair<node_id, node_id>> extras_;
 };
 
@@ -225,10 +218,6 @@ class edge_markov_adversary final : public adversary {
                         double p_off, std::uint64_t seed);
   const graph& topology(round_t r, const knowledge_view& view) override;
   std::string name() const override;
-  void set_rebuild_mode(bool rebuild) override {
-    rebuild_mode_ = rebuild;
-    base_->set_rebuild_mode(rebuild);
-  }
 
   /// Connectivity-repair edges added on the most recent round (observable
   /// so tests can assert the patching stays minimal).
@@ -248,10 +237,9 @@ class edge_markov_adversary final : public adversary {
   graph current_;
   round_t current_round_ = ~round_t{0};
   std::size_t forced_edges_ = 0;
-  bool rebuild_mode_ = false;
-  // Delta path: slot structure over the base's candidate edges plus one
-  // chain pointer per slot (map nodes are address-stable), so the steady
-  // state advances chains and flips slots without rebuilding the graph.
+  // Slot structure over the base's candidate edges plus one chain pointer
+  // per slot (map nodes are address-stable), so the steady state advances
+  // chains and flips slots without rebuilding the graph.
   topology_delta delta_;
   std::vector<edge_state*> chains_;
   bfs_scratch scratch_;
@@ -272,10 +260,6 @@ class churn_adversary final : public adversary {
   std::string name() const override;
   /// Departed nodes are isolated: only the live set is connected.
   bool full_connectivity() const override { return false; }
-  void set_rebuild_mode(bool rebuild) override {
-    rebuild_mode_ = rebuild;
-    base_->set_rebuild_mode(rebuild);
-  }
 
   /// Liveness of every node on the most recent round (1 = live).
   const std::vector<char>& live() const noexcept { return live_; }
@@ -303,9 +287,8 @@ class churn_adversary final : public adversary {
   std::size_t live_count_ = 0;
   graph current_;
   round_t current_round_ = ~round_t{0};
-  bool rebuild_mode_ = false;
-  // Delta path: slot on-state is live(u) && live(v); only nodes whose
-  // liveness flipped this round refresh their incident slots.
+  // A slot's on-state is live(u) && live(v); only nodes whose liveness
+  // flipped this round refresh their incident slots.
   topology_delta delta_;
   std::vector<node_id> flipped_;
 };

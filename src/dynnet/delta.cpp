@@ -11,8 +11,8 @@ void topology_delta::rebind(const graph& base) {
 
   slot_u_.clear();
   slot_v_.clear();
-  // Unique base edges in the global scan order every rebuild loop uses:
-  // u ascending, then base adjacency order, first sighting wins.
+  // Unique base edges in global scan order: u ascending, then base
+  // adjacency order, first sighting wins.
   std::vector<node_id> seen_this_u;
   for (node_id u = 0; u < n; ++u) {
     seen_this_u.clear();
@@ -20,7 +20,7 @@ void topology_delta::rebind(const graph& base) {
       if (u >= v) continue;
       if (std::find(seen_this_u.begin(), seen_this_u.end(), v) !=
           seen_this_u.end()) {
-        continue;  // parallel base edge: one slot, like the !has_edge guard
+        continue;  // parallel base edge: one slot
       }
       seen_this_u.push_back(v);
       slot_u_.push_back(u);

@@ -1,14 +1,13 @@
 // Per-round topology deltas against a persistent candidate set.
 //
-// Dynamic-adversary families (edge-markov, churn, t-interval windows)
-// historically rebuilt a fresh `graph` every round: O(n + m) allocation and
-// construction even when two or three edges flipped.  `topology_delta`
-// replaces that with a persistent slot structure:
+// The edge-markov and churn families derive each round's graph from a base
+// topology, usually with two or three edges flipped since the last round.
+// Rebuilding a fresh `graph` every round would cost O(n + m) allocation and
+// construction; `topology_delta` keeps a persistent slot structure instead:
 //
 //   * `rebind(base)` enumerates the base topology's unique undirected edges
-//     once, in the exact global scan order the rebuild loops used
-//     (u ascending, then base adjacency order, first sighting wins), and
-//     records which slots touch each node.
+//     once, in global scan order (u ascending, then base adjacency order,
+//     first sighting wins), and records which slots touch each node.
 //   * each round the owning adversary flips slot on-bits (`set_on`); the
 //     delta marks both endpoints dirty.
 //   * `apply(out, base, keep)` then edits `out` in place: the previous

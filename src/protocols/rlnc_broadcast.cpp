@@ -16,10 +16,10 @@ rlnc_session::rlnc_session(std::size_t n, std::size_t items,
 round_task<round_t> rlnc_session::run_stepped(network& net,
                                               round_t max_rounds,
                                               bool stop_early) {
+  start_delays(net.rounds_elapsed());
   round_t used = 0;
   for (; used < max_rounds; ++used) {
     if (stop_early && all_complete()) break;
-    ++delay_round_;  // arrivals this round land in the next delay bucket
     net.step<coded_msg>(
         *this,
         [&](node_id u, rng& r) -> std::optional<coded_msg> {
@@ -35,7 +35,7 @@ round_task<round_t> rlnc_session::run_stepped(network& net,
             if (!m->feedback.empty()) coder(u).observe_feedback(m->feedback);
             coder(u).insert(m->row);
           }
-          note_progress(u, delay_round_);
+          note_progress(u, delay_bucket(net.rounds_elapsed() + 1));
         });
     co_await next_round;
   }

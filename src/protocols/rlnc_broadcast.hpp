@@ -64,7 +64,6 @@ class rlnc_session final : public coded_nodes {
 
  private:
   word_arena* arena_ = nullptr;
-  round_t delay_round_ = 0;  // rounds stepped so far: the delay bucket
 };
 
 /// Bits of payload packed into one field symbol: floor(lg q), so every

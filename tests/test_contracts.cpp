@@ -4,6 +4,11 @@
 // This file builds in BOTH modes — CI runs it from the release and the
 // audit build trees, which is the on/off compile test in itself.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "core/contracts.hpp"
 #include "core/session.hpp"
@@ -22,6 +27,29 @@ TEST(contracts, ensures_aborts_with_postcondition_diagnostic) {
 
 TEST(contracts, assert_aborts_with_invariant_diagnostic) {
   EXPECT_DEATH(NCDN_ASSERT(false), "invariant violation");
+}
+
+// The death-test child: stdout goes to a file, so the line below sits in
+// stdio's buffer when the contract fails.
+void print_then_fail(const std::string& path) {
+  if (std::freopen(path.c_str(), "w", stdout) == nullptr) std::abort();
+  std::printf("table row before the gate\n");
+  NCDN_ASSERT(false);
+}
+
+// A bench whose gate fires after its tables must not lose them when stdout
+// is a file: abort() alone would drop the unflushed stdio buffer.
+TEST(contracts, failure_keeps_what_stdout_already_printed) {
+  std::string path = ::testing::TempDir();
+  path += "ncdn_contract_stdout_" + std::to_string(::getpid()) + ".txt";
+  std::fflush(stdout);
+  EXPECT_DEATH(print_then_fail(path), "invariant violation");
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line, "table row before the gate");
+  in.close();
+  std::remove(path.c_str());
 }
 
 TEST(contracts, passing_contracts_are_silent) {

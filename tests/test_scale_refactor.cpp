@@ -1,18 +1,20 @@
-// Scale-refactor invariants (PR8): the delta-topology path must be
-// indistinguishable from a from-scratch rebuild for every registered
-// adversary family, and the arena/lazy-mask storage toggles must leave
-// sweep JSON byte-identical across thread and batch shapes — the
-// representation changes performance, never bytes.
+// Scale-refactor invariants: each stateful adversary family evolves its
+// topology through per-round deltas, so two instances built from one spec
+// and seed must replay the same graph sequence (adjacency order included),
+// and audit builds check every round against the family's from-scratch
+// oracle.  The session's row arena changes where coded rows live, never
+// the rows themselves.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "coding/matrix.hpp"
 #include "core/arena.hpp"
 #include "core/registry.hpp"
 #include "core/session.hpp"
 #include "dynnet/adversary.hpp"
-#include "runner/sweep.hpp"
+#include "protocols/rlnc_broadcast.hpp"
 
 namespace ncdn {
 namespace {
@@ -33,13 +35,24 @@ class fake_view final : public knowledge_view {
   std::vector<std::size_t> k_;
 };
 
-// Params a family needs to instantiate at all (compose has no defaults for
-// its modifier/base selectors); everything else runs on its defaults.
-param_map family_params(const std::string& name) {
-  if (name == "compose") {
-    return {{"modifier", "edge-markov"}, {"base", "random-geometric"}};
+// One spec per registered family on its defaults, and one per compose
+// modifier (compose has no defaults for its modifier/base selectors).
+std::vector<adversary_spec> family_specs() {
+  std::vector<adversary_spec> out;
+  for (const adversary_entry& entry :
+       adversary_registry::instance().entries()) {
+    if (entry.name != "compose") {
+      out.push_back({entry.name, {}});
+      continue;
+    }
+    for (const char* modifier : {"edge-markov", "churn", "t-stable"}) {
+      param_map params;
+      params["modifier"] = modifier;
+      params["base"] = "random-geometric";
+      out.push_back({entry.name, params});
+    }
   }
-  return {};
+  return out;
 }
 
 std::string dump(const graph& g) {
@@ -56,116 +69,118 @@ std::string dump(const graph& g) {
   return out;
 }
 
-// The delta engine's acceptance oracle, run as a test instead of an audit
-// build: for every family x seed, an instance evolving through per-round
-// edge diffs must emit the exact graph sequence (same adjacency ORDER —
-// inbox order depends on it) as a twin forced to rebuild from scratch.
-TEST(scale_refactor, delta_matches_rebuild_for_every_family) {
+// Every node `live` marks (all nodes when null) reaches every other.
+bool live_set_connected(const graph& g, const std::vector<char>* live) {
+  node_id src = 0;
+  while (live != nullptr && src < g.order() && (*live)[src] == 0) ++src;
+  if (src == g.order()) return true;
+  const std::vector<std::uint32_t> dist = g.bfs_distances(src);
+  for (node_id u = 0; u < g.order(); ++u) {
+    const bool counted = live == nullptr || (*live)[u] != 0;
+    if (counted && dist[u] == infinite_distance) return false;
+  }
+  return true;
+}
+
+// Each family has one topology path.  Its reference is its audit oracle
+// (topology_delta::rebuild_reference, t_interval_adversary::audit_rebuild,
+// churn's live invariants), which every topology() call below runs under
+// -DNCDN_AUDIT=ON.  In every build, a twin built from the same spec and
+// seed must emit the same graphs, adjacency order included (inbox order
+// depends on it), and the connectivity contract must hold every round:
+// over all nodes, or over the live set for families that keep a mask.
+TEST(scale_refactor, every_family_replays_and_passes_its_audit_oracle) {
   problem prob;
   prob.n = 24;
   prob.k = 16;
   prob.d = 8;
   prob.b = 32;
-  for (const adversary_entry& entry :
-       adversary_registry::instance().entries()) {
-    const adversary_spec spec{entry.name, family_params(entry.name)};
-    for (std::uint64_t seed : {3u, 17u, 91u}) {
-      auto delta = build_adversary(prob, spec, seed);
-      auto rebuild = build_adversary(prob, spec, seed);
-      rebuild->set_rebuild_mode(true);
-      for (round_t r = 0; r < 48; ++r) {
-        const fake_view view(prob.n, prob.k, r);
-        const graph& a = delta->topology(r, view);
-        const graph& b = rebuild->topology(r, view);
-        EXPECT_TRUE(a == b) << entry.name << " seed " << seed << " round "
-                            << r << "\ndelta:\n"
-                            << dump(a) << "rebuild:\n"
-                            << dump(b);
+  for (const round_t t : {round_t{1}, round_t{3}}) {
+    prob.t_stability = t;
+    for (const adversary_spec& spec : family_specs()) {
+      for (std::uint64_t seed : {3u, 17u, 91u}) {
+        auto first = build_adversary(prob, spec, seed);
+        auto twin = build_adversary(prob, spec, seed);
+        SCOPED_TRACE(first->name() + " seed " + std::to_string(seed));
+        for (round_t r = 0; r < 48; ++r) {
+          const fake_view view(prob.n, prob.k, r);
+          const graph& a = first->topology(r, view);
+          const graph& b = twin->topology(r, view);
+          ASSERT_TRUE(a == b) << "round " << r << "\nfirst:\n"
+                              << dump(a) << "twin:\n"
+                              << dump(b);
+          ASSERT_EQ(a.order(), prob.n) << "round " << r;
+          const std::vector<char>* live = first->live_mask();
+          EXPECT_EQ(live == nullptr, first->full_connectivity()) << r;
+          EXPECT_TRUE(live_set_connected(a, live)) << "round " << r;
+        }
       }
     }
   }
 }
 
-// The T-stability wrapper composes with the delta path too.
-TEST(scale_refactor, delta_matches_rebuild_under_t_stability) {
-  problem prob;
-  prob.n = 24;
-  prob.k = 16;
-  prob.d = 8;
-  prob.b = 32;
-  prob.t_stability = 3;
-  for (const char* name : {"t-interval-random", "edge-markov", "churn"}) {
-    const adversary_spec spec{name, {}};
-    auto delta = build_adversary(prob, spec, 5);
-    auto rebuild = build_adversary(prob, spec, 5);
-    rebuild->set_rebuild_mode(true);
-    for (round_t r = 0; r < 36; ++r) {
-      const fake_view view(prob.n, prob.k, r);
-      EXPECT_TRUE(delta->topology(r, view) == rebuild->topology(r, view))
-          << name << " round " << r;
+struct coded_run {
+  round_t rounds = 0;
+  std::uint64_t xors = 0;
+  std::vector<std::uint64_t> delays;
+  std::vector<bitvec> decoded;  // every (node, item) pair decodable at the end
+};
+
+coded_run broadcast(const matrix_spec& cell, word_arena* arena) {
+  constexpr std::size_t n = 12;
+  constexpr std::size_t k = 10;
+  constexpr std::size_t d = 16;
+  auto adv = make_permuted_path(n, 41);
+  network net(n, k + d, *adv, 43);
+  net.set_arena(arena);
+  rlnc_session s(n, k, d, make_matrix_backend(cell));
+  s.set_arena(arena);
+  rng payload_rng(47);
+  for (std::size_t i = 0; i < k; ++i) {
+    bitvec p(d);
+    p.randomize(payload_rng);
+    s.seed(static_cast<node_id>(i % n), i, p);
+  }
+  coded_run run;
+  run.rounds = run_rounds(s.run_stepped(net, 200 * (n + k), true));
+  run.xors = s.xor_word_ops();
+  run.delays = *s.decode_delays();
+  for (node_id u = 0; u < n; ++u) {
+    for (std::size_t i = 0; i < k; ++i) {
+      if (s.can_decode(u, i)) run.decoded.push_back(s.decode(u, i));
     }
   }
+  return run;
 }
 
-using runner::find_scenario;
-using runner::run_sweep;
-using runner::scenario;
-using runner::sweep_options;
-using runner::sweep_to_json;
-
-std::vector<scenario> storage_scenarios(const param_map& extra) {
-  std::vector<scenario> out;
-  for (const char* name :
-       {"rlnc-direct/random-connected/n16", "rlnc-gen/t-interval-random/n16",
-        "token-forwarding/static-path/n16",
-        "naive-indexed/static-star/n16"}) {
-    const scenario* s = find_scenario(name);
-    if (s == nullptr) continue;
-    scenario copy = *s;
-    for (const auto& [key, value] : extra) copy.params[key] = value;
-    out.push_back(std::move(copy));
-  }
-  return out;
+// Arena rows only change where a coded row's words live: the draws, the
+// elimination work, the decode delays and the decoded payloads are the
+// heap run's.
+void expect_arena_neutral(const char* name, const matrix_spec& cell) {
+  SCOPED_TRACE(name);
+  const coded_run heap = broadcast(cell, nullptr);
+  word_arena arena;
+  const coded_run pooled = broadcast(cell, &arena);
+  EXPECT_GT(heap.rounds, 0u);
+  EXPECT_EQ(heap.rounds, pooled.rounds);
+  EXPECT_EQ(heap.xors, pooled.xors);
+  EXPECT_EQ(heap.delays, pooled.delays);
+  EXPECT_FALSE(heap.decoded.empty());
+  EXPECT_EQ(heap.decoded, pooled.decoded);
+  EXPECT_GT(arena.reuses(), 0u);
 }
 
-std::string cells_dump(const std::vector<scenario>& scens,
-                       const sweep_options& opts) {
-  const json::value doc = sweep_to_json(run_sweep(scens, opts));
-  const json::value* cells = doc.find("cells");
-  EXPECT_NE(cells, nullptr);
-  return cells == nullptr ? std::string{} : cells->dump();
-}
-
-// Arena-pooled rows and heap rows, delta and rebuilt topologies: four
-// storage configurations, every thread/batch shape — one byte stream.
-// (Comparing the cells subtree: the config echo records the param
-// overrides themselves, which differ by construction.)
-TEST(scale_refactor, storage_toggles_never_change_sweep_bytes) {
-  const std::vector<scenario> pooled = storage_scenarios({});
-  ASSERT_GE(pooled.size(), 3u);
-
-  sweep_options opts;
-  opts.trials = 2;
-  opts.base_seed = 9;
-  opts.threads = 1;
-  const std::string want = cells_dump(pooled, opts);
-
-  const std::vector<param_map> variants = {
-      {{"pool", "0"}},
-      {{"rebuild", "1"}},
-      {{"pool", "0"}, {"rebuild", "1"}},
-  };
-  for (const param_map& extra : variants) {
-    const std::vector<scenario> scens = storage_scenarios(extra);
-    for (const auto& [threads, batch] :
-         {std::pair<std::size_t, std::size_t>{1, 1}, {8, 1}, {1, 32},
-          {8, 32}}) {
-      opts.threads = threads;
-      opts.batch = batch;
-      EXPECT_EQ(want, cells_dump(scens, opts))
-          << "threads=" << threads << " batch=" << batch;
-    }
-  }
+// The full span, a banded generation layout and the recoding buffer.
+TEST(scale_refactor, arena_rows_leave_coded_runs_unchanged) {
+  expect_arena_neutral("dense", matrix_spec{});
+  matrix_spec banded;
+  banded.dec = "banded";
+  banded.gen_size = 4;
+  banded.band_overlap = 1;
+  expect_arena_neutral("banded", banded);
+  matrix_spec buffered;
+  buffered.buf = 8;
+  expect_arena_neutral("buf=8", buffered);
 }
 
 // A recycled row must be bit-for-bit the row a fresh bitvec would hold:

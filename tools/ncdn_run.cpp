@@ -35,9 +35,7 @@
 //     --filter REGEX    ECMAScript regex filter over scenario names,
 //                       applied after --match/--tier (narrow CI slices)
 //     --param K=V       spec override applied to every swept cell,
-//                       repeatable (e.g. --param rebuild=1 --param pool=0
-//                       forces the rebuild/heap representation paths; CI
-//                       byte-compares those sweeps against the goldens)
+//                       repeatable (e.g. --param slack=4)
 //     --seeds N         trials per scenario            (default 3)
 //     --base-seed S     root seed                      (default 1)
 //     --threads N       worker threads; 0 = hardware   (default 0)
@@ -463,9 +461,7 @@ int cmd_sweep(int argc, char** argv) {
     return 2;
   }
   // Uniform overrides: every swept cell gets them, on top of (and
-  // overriding) the cell's pinned params.  This is how CI drives the
-  // byte-identity-neutral toggles (rebuild=1, pool=0) across a whole
-  // sweep without touching the registry.
+  // overriding) the cell's pinned params, without touching the registry.
   for (scenario& s : scens) {
     for (const auto& [key, value] : extra_params) s.params[key] = value;
   }
