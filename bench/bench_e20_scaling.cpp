@@ -9,18 +9,24 @@
 // per-window rebuild exercises the topology_delta path every 4 rounds.
 // k stays fixed at 64 so the curve isolates n.
 //
-// Each (n, protocol) cell runs in a child process of its own, one child at
-// a time, and reports its rounds, seconds and its own VmHWM, so each row's
-// peak_rss is that cell's high-water mark (plus the few MiB of bench
-// process a forked child starts with), never an earlier cell's.  Two
-// gates ride along:
+// A dense section runs the paper's §5.1 code (rlnc-direct) on
+// permuted-path at n = k in {128, 256, 384}, d = 16, b = k + 16, one token
+// per node: each node's basis grows to k rows of k + d bits, so peak RSS
+// tracks the Theta(k(k + d))-bit per-node coding state the ladder's fixed
+// k never shows.
+//
+// Each cell runs in a child process of its own, one child at a time, and
+// reports its rounds, seconds and its own VmHWM, so each row's peak_rss is
+// that cell's high-water mark (plus the few MiB of bench process a forked
+// child starts with), never an earlier cell's.  Two gates ride along:
 //   - sub-quadratic memory: the 16k -> 65k rung must grow peak RSS by
 //     less than the 16x a quadratic per-node footprint would give;
 //   - steady-state BFS allocates nothing: a warmed bfs_scratch must
 //     report zero buffer growths across fresh same-size topologies.
 //
 // Writes BENCH_E20.json under NCDN_BENCH_JSON; bench_diff gates the
-// rounds_per_sec (wall-clock band) and peak_rss_bits (25% band) columns.
+// rounds_per_sec and secs (wall-clock band) and peak_rss_bits (25% band)
+// columns.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -52,6 +58,17 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+problem dense_problem(std::size_t k) {
+  problem prob;
+  prob.n = k;
+  prob.k = k;
+  prob.d = 16;
+  prob.b = k + 16;
+  prob.t_stability = 1;
+  prob.place = placement::one_per_node;
+  return prob;
+}
+
 struct alg_row {
   const char* alg;
   param_map params;
@@ -63,22 +80,20 @@ struct cell_result {
   std::size_t peak_rss = 0;
 };
 
-/// Best of `trials` runs of one ladder cell, in a forked child so that its
-/// peak RSS is its own (a child's VmHWM starts at its own resident set).
-cell_result run_cell_in_child(const alg_row& a, std::size_t n,
-                              std::size_t trials) {
+/// Best of `trials` runs of one cell, in a forked child so that its peak
+/// RSS is its own (a child's VmHWM starts at its own resident set).
+cell_result run_cell_in_child(const problem& prob, const alg_row& a,
+                              const char* adv, std::size_t trials) {
   int fds[2];
   NCDN_ASSERT(pipe(fds) == 0);
   const pid_t pid = fork();
   NCDN_ASSERT(pid >= 0);
   if (pid == 0) {
     close(fds[0]);
-    const problem prob = ladder_problem(n);
     cell_result out;
     for (std::size_t trial = 0; trial < trials; ++trial) {
       const auto t0 = std::chrono::steady_clock::now();
-      const run_report rep =
-          run_cell(prob, a.alg, "t-interval-random", trial + 1, a.params);
+      const run_report rep = run_cell(prob, a.alg, adv, trial + 1, a.params);
       const double secs = seconds_since(t0);
       out.rounds = rep.rounds;
       if (out.best_secs == 0 || secs < out.best_secs) out.best_secs = secs;
@@ -162,7 +177,8 @@ int main() {
   std::vector<double> gen_rss;
   for (const std::size_t n : ladder) {
     for (const alg_row& a : algs) {
-      const cell_result cell = run_cell_in_child(a, n, trials);
+      const cell_result cell =
+          run_cell_in_child(ladder_problem(n), a, "t-interval-random", trials);
       const double rps = static_cast<double>(cell.rounds) / cell.best_secs;
       const double rss_bytes = static_cast<double>(cell.peak_rss);
       if (std::string(a.alg) == "rlnc-gen") gen_rss.push_back(rss_bytes);
@@ -192,10 +208,31 @@ int main() {
     NCDN_ASSERT(ratio < 16.0);
   }
 
+  std::printf("\ndense [rlnc-direct on permuted-path, n = k, d=16 b=k+16, "
+              "one token per node, best of %zu]\n",
+              trials);
+  text_table dt({"n=k", "rounds", "secs", "peak_rss_mb"});
+  const alg_row dense = {"rlnc-direct", {}};
+  for (const std::size_t k : {128u, 256u, 384u}) {
+    const cell_result cell =
+        run_cell_in_child(dense_problem(k), dense, "permuted-path", trials);
+    const double rss_bytes = static_cast<double>(cell.peak_rss);
+    dt.add_row({text_table::num(k), text_table::num(cell.rounds),
+                text_table::num(cell.best_secs),
+                text_table::num(rss_bytes / (1024.0 * 1024.0))});
+    rec.row("dense", {{"alg", json::value{dense.alg}},
+                      {"n", json::value{std::to_string(k)}},
+                      {"rounds", json::value{cell.rounds}},
+                      {"secs", json::value{cell.best_secs}},
+                      {"peak_rss_bits", json::value{rss_bytes * 8.0}}});
+  }
+  dt.print();
+
   std::printf(
       "Reading: rounds/sec decays roughly linearly in n (per-round work is\n"
       "O(edges + coded-row inserts) and the graph stays sparse), while\n"
       "peak RSS grows sub-quadratically because coded rows are recycled\n"
-      "through the session arena and flood-agreement masks stay lazy.\n");
+      "through the session arena and flood-agreement masks stay lazy.  The\n"
+      "dense rows grow with k(k + d): every node's basis ends at k rows.\n");
   return 0;
 }

@@ -81,9 +81,12 @@ class matrix_coder : public node_coder {
     const row_block* rows = nullptr;  // reduced basis rows
   };
 
+  // Layouts index tokens with 32-bit pivots; checked before they allocate.
   matrix_coder(std::size_t items, std::size_t item_bits,
                std::unique_ptr<encoder_schedule> sched)
-      : items_(items), item_bits_(item_bits), sched_(std::move(sched)) {}
+      : items_(items), item_bits_(item_bits), sched_(std::move(sched)) {
+    NCDN_EXPECTS(items < pivot_index_bound);
+  }
 
   void insert(const bitvec& row) override {
     eliminate(row);
@@ -163,7 +166,8 @@ class span_coder final : public matrix_coder {
 // elimination step per generation, so each basis is a canonical RREF
 // sorted by pivot after every insert and the rank and decode queries are
 // reads.  rank() is the decodable token count (monotone; == items iff
-// complete).
+// complete).  A generation's basis holds at most its width in rows; its
+// block is sized to exactly that on the first arrival it keeps.
 //
 // narrow_ == true is the banded-pivot eliminator: rows are stored
 // [window | payload] and pivots never leave the g+w window, so every
@@ -178,19 +182,18 @@ class grouped_coder final : public matrix_coder {
                 std::unique_ptr<encoder_schedule> sched)
       : matrix_coder(items, item_bits, std::move(sched)),
         narrow_(narrow),
-        decoded_(items),
-        decoded_gen_(items, 0) {
+        decoded_(items) {
     NCDN_EXPECTS(gen_size >= 1);
     NCDN_EXPECTS(band_overlap <= gen_size);
     // Clamping to the token count leaves every window unchanged and keeps
     // gen_size + band_overlap from wrapping for sizes near 2^64.
-    gen_size = std::min(gen_size, items);
+    gen_size_ = std::min(gen_size, items);
     band_overlap = std::min(band_overlap, items);
-    for (std::size_t start = 0; start < items; start += gen_size) {
+    for (std::size_t start = 0; start < items; start += gen_size_) {
       generation g;
       g.start = start;
-      g.width = std::min(gen_size + band_overlap, items - start);
-      g.rows = row_block((narrow ? g.width : items) + item_bits);
+      g.width = std::min(gen_size_ + band_overlap, items - start);
+      g.rows = row_block((narrow ? g.width : items) + item_bits, g.width);
       gens_.push_back(std::move(g));
     }
   }
@@ -204,20 +207,16 @@ class grouped_coder final : public matrix_coder {
 
   bitvec decode(std::size_t i) const override {
     NCDN_EXPECTS(can_decode(i));
-    // decoded_gen_ pins the generation that first produced the singleton
-    // (a singleton RREF row is stable under further reduction), so this is
-    // an indexed lookup like bit_decoder's pivot_row_, not a row scan.
-    const generation& g = gens_[decoded_gen_[i]];
-    const std::size_t local = narrow_ ? i - g.start : i;
-    const auto it =
-        std::lower_bound(g.pivots.begin(), g.pivots.end(), local);
-    NCDN_ASSERT(it != g.pivots.end() && *it == local);
-    const std::size_t r =
-        static_cast<std::size_t>(it - g.pivots.begin());
-    const std::size_t coeff_bits = narrow_ ? g.width : items();
-    NCDN_ASSERT(no_bits_after(g.rows.row(r), local, coeff_bits));
+    // Token i lies in its home generation's window and, inside the band
+    // overlap, in the previous one's; one of the two holds its singleton
+    // row (a singleton RREF row is stable under further reduction).
+    std::size_t gi = i / gen_size_;
+    const std::uint64_t* row = singleton_row(gi, i);
+    if (row == nullptr && gi > 0) row = singleton_row(--gi, i);
+    NCDN_ASSERT(row != nullptr);
+    const generation& g = gens_[gi];
     bitvec out(item_bits());
-    copy_bits(out.data(), 0, g.rows.row(r), g.rows.row_words(), coeff_bits,
+    copy_bits(out.data(), 0, row, g.rows.row_words(), coeff_bits(g),
               item_bits());
     return out;
   }
@@ -237,8 +236,25 @@ class grouped_coder final : public matrix_coder {
     std::size_t start = 0;
     std::size_t width = 0;
     row_block rows;  // canonical RREF basis, sorted by pivot
-    std::vector<std::size_t> pivots;
+    std::vector<pivot_index> pivots;
   };
+
+  // Pivot columns of a generation's rows: its window, or every token.
+  std::size_t coeff_bits(const generation& g) const {
+    return narrow_ ? g.width : items();
+  }
+
+  // Generation gi's singleton row for token i, or nullptr if it has none.
+  const std::uint64_t* singleton_row(std::size_t gi, std::size_t i) const {
+    const generation& g = gens_[gi];
+    if (i < g.start || i - g.start >= g.width) return nullptr;
+    const std::size_t local = narrow_ ? i - g.start : i;
+    const auto it = std::lower_bound(g.pivots.begin(), g.pivots.end(), local);
+    if (it == g.pivots.end() || *it != local) return nullptr;
+    const std::uint64_t* row =
+        g.rows.row(static_cast<std::size_t>(it - g.pivots.begin()));
+    return no_bits_after(row, local, coeff_bits(g)) ? row : nullptr;
+  }
 
   void eliminate(const bitvec& row) override {
     const std::size_t items = this->items();
@@ -257,7 +273,7 @@ class grouped_coder final : public matrix_coder {
       if (g.start <= lo && hi < g.start + g.width) {
         // A generation's rank never exceeds its width: reserve once.
         if (g.rows.empty()) {
-          g.rows.reserve(g.width);
+          g.rows.reserve_all();
           g.pivots.reserve(g.width);
         }
         if (narrow_) {
@@ -285,11 +301,10 @@ class grouped_coder final : public matrix_coder {
   // time and then XOR them, with no branch per row.
   void eliminate_into(std::size_t gi) {
     generation& g = gens_[gi];
-    const std::size_t coeff_bits = narrow_ ? g.width : items();
     const std::size_t w = g.rows.row_words();
     std::uint64_t* base = g.rows.data();
     std::uint64_t* s = base + g.rows.size() * w;
-    const std::size_t* pivots = g.pivots.data();
+    const pivot_index* pivots = g.pivots.data();
     std::uint64_t xors = 0;
     const auto meets = [&](std::size_t r) {
       return (s[pivots[r] >> 6] >> (pivots[r] & 63)) & 1;
@@ -300,29 +315,28 @@ class grouped_coder final : public matrix_coder {
     };
     for_each_marked(g.rows.size(), meets, reduce);
     const std::size_t p = first_set_bit(s, g.rows.row_bits());
-    if (p >= coeff_bits) {
+    if (p >= coeff_bits(g)) {
       NCDN_ASSERT(p == g.rows.row_bits());  // no pivot inside the payload
       xor_words_ += xors * w;
       return;
     }
     xors += back_substitute(
-        g.rows, s, p, pivots, coeff_bits,
-        [&](std::size_t pivot) { note_decoded(gi, pivot); });
+        g.rows, s, p, pivots, coeff_bits(g),
+        [&](std::size_t pivot) { note_decoded(g, pivot); });
     xor_words_ += xors * w;
     const auto at = std::lower_bound(g.pivots.begin(), g.pivots.end(), p);
     g.rows.commit(static_cast<std::size_t>(at - g.pivots.begin()));
-    g.pivots.insert(at, p);
+    g.pivots.insert(at, static_cast<pivot_index>(p));
     NCDN_AUDIT(is_canonical_rref(g.rows, g.pivots));
     NCDN_AUDIT(audit_decoded());
   }
 
-  // Token behind generation gi's singleton row with local pivot `pivot`
-  // becomes decodable (first generation to produce it wins).
-  void note_decoded(std::size_t gi, std::size_t pivot) {
-    const std::size_t token = narrow_ ? gens_[gi].start + pivot : pivot;
+  // The token behind generation g's singleton row with pivot `pivot`
+  // becomes decodable (a token two windows hold counts once).
+  void note_decoded(const generation& g, std::size_t pivot) {
+    const std::size_t token = narrow_ ? g.start + pivot : pivot;
     if (decoded_.get(token)) return;
     decoded_.set(token);
-    decoded_gen_[token] = gi;
     ++decoded_count_;
   }
 
@@ -331,9 +345,8 @@ class grouped_coder final : public matrix_coder {
   bool audit_decoded() const {
     bitvec fresh(items());
     for (const generation& g : gens_) {
-      const std::size_t coeff_bits = narrow_ ? g.width : items();
       for (std::size_t r = 0; r < g.rows.size(); ++r) {
-        if (no_bits_after(g.rows.row(r), g.pivots[r], coeff_bits)) {
+        if (no_bits_after(g.rows.row(r), g.pivots[r], coeff_bits(g))) {
           fresh.set(narrow_ ? g.start + g.pivots[r] : g.pivots[r]);
         }
       }
@@ -342,11 +355,9 @@ class grouped_coder final : public matrix_coder {
   }
 
   bool narrow_;
+  std::size_t gen_size_ = 0;  // clamped to the token count
   std::vector<generation> gens_;
-  bitvec decoded_;
-  // For token i with decoded_.get(i): index of the generation whose basis
-  // holds its singleton row (decode's O(1)-ish lookup path).
-  std::vector<std::size_t> decoded_gen_;
+  bitvec decoded_;  // tokens with a singleton row in some generation
   std::size_t decoded_count_ = 0;
   std::uint64_t xor_words_ = 0;
 };

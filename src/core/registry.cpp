@@ -363,9 +363,9 @@ std::unique_ptr<protocol_machine> tstable_factory(const problem& prob,
         ", b=" + std::to_string(prob.b) + ", T=" +
         std::to_string(prob.t_stability) + ", d=" + std::to_string(prob.d) +
         " (its coded item must hold a d-bit token, its sizes must fit in "
-        "64 bits, and the patch engines need a window that fits patching "
-        "plus one share-pass-share cycle); use tstable/auto, or change "
-        "t_stability or b");
+        "64 bits and its item count in 32, and the patch engines need a "
+        "window that fits patching plus one share-pass-share cycle); use "
+        "tstable/auto, or change t_stability or b");
   }
   tstable_config cfg;
   cfg.b_bits = prob.b;

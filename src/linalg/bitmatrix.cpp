@@ -8,10 +8,10 @@ namespace ncdn {
 
 namespace {
 
-// One canonical-RREF check over any row store: `first_set(i)` is row i's
-// first set bit, `get(i, c)` its bit c.
-template <class FirstSet, class Get>
-bool canonical_rref(std::size_t rows, const std::vector<std::size_t>& pivots,
+// One canonical-RREF check over any row store and pivot index type:
+// `first_set(i)` is row i's first set bit, `get(i, c)` its bit c.
+template <class Index, class FirstSet, class Get>
+bool canonical_rref(std::size_t rows, const std::vector<Index>& pivots,
                     FirstSet first_set, Get get) {
   if (rows != pivots.size()) return false;
   for (std::size_t i = 0; i < rows; ++i) {
@@ -34,7 +34,7 @@ bool is_canonical_rref(const std::vector<bitvec>& rows,
 }
 
 bool is_canonical_rref(const row_block& rows,
-                       const std::vector<std::size_t>& pivots) {
+                       const std::vector<pivot_index>& pivots) {
   const auto first_set = [&](std::size_t i) {
     return first_set_bit(rows.row(i), rows.row_bits());
   };

@@ -31,6 +31,6 @@ std::vector<std::size_t> gf2_rref(std::vector<bitvec>& rows,
 bool is_canonical_rref(const std::vector<bitvec>& rows,
                        const std::vector<std::size_t>& pivots);
 bool is_canonical_rref(const row_block& rows,
-                       const std::vector<std::size_t>& pivots);
+                       const std::vector<pivot_index>& pivots);
 
 }  // namespace ncdn

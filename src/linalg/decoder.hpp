@@ -23,7 +23,8 @@
 // rows holding the new pivot 64 at a time into a word, then XORs them.  A
 // row is decodable when no coefficient bit follows its pivot, an OR over
 // words; the popcount it replaces is a libgcc call per word in a build
-// without -mpopcnt.
+// without -mpopcnt.  The basis and its row list stop growing at coeff_dim
+// rows (the rank bound), and both index arrays hold 32-bit entries.
 //
 // Messages in the paper are random linear combinations of *all received
 // messages*; combining the decoder's basis rows spans the same subspace and
@@ -49,10 +50,11 @@ namespace ncdn {
 class bit_decoder {
  public:
   bit_decoder() = default;
+  /// Precondition: coeff_dim < pivot_index_bound (32-bit indices).
   bit_decoder(std::size_t coeff_dim, std::size_t payload_bits)
-      : coeff_dim_(coeff_dim),
+      : coeff_dim_(checked_dim(coeff_dim)),
         payload_bits_(payload_bits),
-        rows_(coeff_dim + payload_bits),
+        rows_(coeff_dim + payload_bits, coeff_dim),
         pivot_row_(coeff_dim, npos),
         pivot_mask_(words_for_bits(coeff_dim), 0) {}
 
@@ -85,9 +87,14 @@ class bit_decoder {
     decodable_ += singletons;
     xor_words_ += xors * w;
     NCDN_AUDIT(pivot_row_[p] == npos);  // pivot columns are claimed once
-    pivot_row_[p] = rows_.size();
+    pivot_row_[p] = static_cast<pivot_index>(rows_.size());
     pivot_mask_[p >> 6] |= 1ULL << (p & 63);
-    pivots_.push_back(p);
+    if (pivots_.size() == pivots_.capacity()) {
+      // Double, but never past the rank bound (push_back would).
+      pivots_.reserve(std::min(std::max<std::size_t>(2 * pivots_.size(), 1),
+                               coeff_dim_));
+    }
+    pivots_.push_back(static_cast<pivot_index>(p));
     rows_.commit(rows_.size());
     NCDN_AUDIT(audit_rref());
     NCDN_AUDIT(audit_decodable());
@@ -112,7 +119,7 @@ class bit_decoder {
   /// found through the pivot->row index — no O(rank) scan, no slice.
   bool can_decode(std::size_t i) const {
     NCDN_EXPECTS(i < coeff_dim_);
-    const std::size_t r = pivot_row_[i];
+    const pivot_index r = pivot_row_[i];
     if (r == npos) return false;
     return no_bits_after(rows_.row(r), i, coeff_dim_);
   }
@@ -160,7 +167,12 @@ class bit_decoder {
   }
 
  private:
-  static constexpr std::size_t npos = ~std::size_t{0};
+  static constexpr pivot_index npos = ~pivot_index{0};
+
+  static std::size_t checked_dim(std::size_t coeff_dim) {
+    NCDN_EXPECTS(coeff_dim < pivot_index_bound);  // before any allocation
+    return coeff_dim;
+  }
 
   /// Forward pass over a row_bits()-bit row: adds the basis rows whose
   /// pivot columns it holds and returns how many.  In RREF no row carries
@@ -170,7 +182,7 @@ class bit_decoder {
   std::uint64_t forward_reduce(std::uint64_t* row) const {
     const std::size_t w = rows_.row_words();
     const std::uint64_t* base = rows_.data();
-    const std::size_t* pivot_row = pivot_row_.data();
+    const pivot_index* pivot_row = pivot_row_.data();
     const std::uint64_t* mask = pivot_mask_.data();
     const std::size_t mask_words = pivot_mask_.size();
     std::uint64_t added = 0;
@@ -220,8 +232,8 @@ class bit_decoder {
   std::size_t coeff_dim_ = 0;
   std::size_t payload_bits_ = 0;
   row_block rows_;  // maintained in RREF (insertion order, not by pivot)
-  std::vector<std::size_t> pivots_;     // row -> pivot column
-  std::vector<std::size_t> pivot_row_;  // pivot column -> row
+  std::vector<pivot_index> pivots_;     // row -> pivot column
+  std::vector<pivot_index> pivot_row_;  // pivot column -> row
   std::vector<std::uint64_t> pivot_mask_;  // bit c set iff c is a pivot
   std::size_t decodable_ = 0;  // singleton rows (decodable tokens)
   std::uint64_t xor_words_ = 0;

@@ -7,8 +7,11 @@
 // of chasing a heap pointer per row.  One more slot sits past the last
 // row: an arrival is copied there (stage), eliminated in place against the
 // rows, and either dropped (the next stage overwrites it) or committed at
-// a chosen position.  The block grows like a std::vector; nothing is
-// reserved up front, since a full-span basis at k = 65536 would be 512 MiB.
+// a chosen position.  A block knows the most rows it can ever hold (a
+// basis's rank bound: coeff_dim for bit_decoder, the window width for a
+// generation).  It grows by doubling from empty, since a full-span basis
+// at k = 65536 would be 512 MiB up front, but the last step lands on
+// exactly that bound plus the staging slot, not the next power of two.
 //
 // xor_row is the one XOR kernel of the packed GF(2) code (bitvec::xor_with
 // calls it too), and dot_words the one dot product (bitvec::dot and
@@ -28,6 +31,11 @@
 #include "core/contracts.hpp"
 
 namespace ncdn {
+
+/// Row and pivot-column index of a GF(2) basis.  32 bits halve the index
+/// arrays; a basis's coefficient width must stay below pivot_index_bound.
+using pivot_index = std::uint32_t;
+inline constexpr std::size_t pivot_index_bound = std::size_t{1} << 32;
 
 /// dst ^= src over `words` 64-bit words (vector addition over GF(2)).
 inline void xor_row(std::uint64_t* dst, const std::uint64_t* src,
@@ -128,14 +136,21 @@ void for_each_marked(std::size_t n, const Mark& mark, const Act& act) {
 class row_block {
  public:
   row_block() = default;
-  explicit row_block(std::size_t row_bits)
-      : row_bits_(row_bits), row_words_(words_for_bits(row_bits)) {}
+  row_block(std::size_t row_bits, std::size_t max_rows)
+      : row_bits_(row_bits),
+        row_words_(words_for_bits(row_bits)),
+        max_rows_(max_rows) {}
 
   std::size_t row_bits() const noexcept { return row_bits_; }
   std::size_t row_words() const noexcept { return row_words_; }
   /// Committed rows (the staging slot is not counted).
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
+  /// Row slots allocated, the staging slot included: never more than
+  /// max_rows + 1.
+  std::size_t capacity() const noexcept {
+    return row_words_ == 0 ? 0 : words_.capacity() / row_words_;
+  }
 
   const std::uint64_t* row(std::size_t i) const noexcept {
     NCDN_EXPECTS(i < size_);
@@ -176,6 +191,7 @@ class row_block {
   /// up by one.  Appending (pos == size()) moves nothing.
   void commit(std::size_t pos) {
     NCDN_EXPECTS(pos <= size_);
+    NCDN_EXPECTS(size_ < max_rows_);
     NCDN_EXPECTS(words_.size() >= (size_ + 1) * row_words_);
     if (pos < size_) {
       const auto base = words_.begin();
@@ -186,18 +202,27 @@ class row_block {
     ++size_;
   }
 
-  /// Capacity for `rows` committed rows plus the staging slot.
-  void reserve(std::size_t rows) { words_.reserve((rows + 1) * row_words_); }
+  /// Allocates all max_rows rows plus the staging slot at once.
+  void reserve_all() { words_.reserve((max_rows_ + 1) * row_words_); }
 
  private:
   std::uint64_t* staging_slot() {
     const std::size_t end = (size_ + 1) * row_words_;
-    if (words_.size() < end) words_.resize(end);
+    if (words_.size() < end) {
+      // Double as std::vector would, but never past the rank bound: a
+      // resize past capacity would pick the doubled size itself.
+      if (words_.capacity() < end) {
+        words_.reserve(std::min(std::max(2 * words_.capacity(), end),
+                                (max_rows_ + 1) * row_words_));
+      }
+      words_.resize(end);
+    }
     return words_.data() + size_ * row_words_;
   }
 
   std::size_t row_bits_ = 0;
   std::size_t row_words_ = 0;
+  std::size_t max_rows_ = 0;
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;  // size_ rows, then the staging slot
 };
@@ -214,7 +239,7 @@ class row_block {
 /// bookkeeping stays exact.  Returns the number of rows XORed.
 template <class OnSingleton>
 std::uint64_t back_substitute(row_block& block, const std::uint64_t* staged,
-                              std::size_t p, const std::size_t* pivots,
+                              std::size_t p, const pivot_index* pivots,
                               std::size_t coeff_bits,
                               const OnSingleton& on_singleton) {
   const std::size_t w = block.row_words();

@@ -6,6 +6,7 @@
 #include <span>
 
 #include "core/bits.hpp"
+#include "linalg/row_block.hpp"
 #include "protocols/greedy_forward.hpp"
 #include "protocols/min_flood.hpp"
 #include "protocols/random_forward.hpp"
@@ -219,12 +220,13 @@ bool tstable_engine_fits(tstable_engine engine, std::size_t n,
   }
   if (b_bits < 2) return false;  // both plans' precondition
   // A vector is b * t_vec bits and an epoch ships items * (item_bits / d)
-  // tokens; on huge windows either product can wrap a size_t.
+  // tokens; on huge windows either product can wrap a size_t.  The coders
+  // index items with 32-bit pivots.
   const auto sized = [&](round_t t_vec, std::size_t items,
                          std::size_t item_bits) {
     const std::size_t top = std::numeric_limits<std::size_t>::max();
     return item_bits >= d && t_vec <= top / b_bits &&
-           item_bits / d <= top / items;
+           item_bits / d <= top / items && items < pivot_index_bound;
   };
   if (engine == tstable_engine::chunked) {
     const chunked_plan plan = plan_chunked_broadcast(b_bits, t_stability);

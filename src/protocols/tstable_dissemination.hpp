@@ -55,8 +55,9 @@ struct tstable_result : protocol_result {
 
 /// True iff `engine`'s sizing fits an (n, b, T, d) instance: the patch
 /// engines need a feasible patch plan, and every coded engine needs an
-/// item that holds a d-bit token and bit and token counts that fit a
-/// size_t.  plain (and auto_select, which falls back to it) always fit.
+/// item that holds a d-bit token, bit and token counts that fit a size_t,
+/// and fewer than 2^32 items (the coders' pivot index width).  plain (and
+/// auto_select, which falls back to it) always fit.
 bool tstable_engine_fits(tstable_engine engine, std::size_t n,
                          std::size_t b_bits, round_t t_stability,
                          std::size_t d);

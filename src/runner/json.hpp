@@ -17,6 +17,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,22 +33,43 @@ enum class kind { null, boolean, number, string, array, object };
 using array = std::vector<value>;
 using object = std::vector<std::pair<std::string, value>>;
 
+/// A value holds exactly one alternative (a tagged union, 40 bytes), so a
+/// report tree of many small objects costs a fraction of one that carries
+/// every alternative in every node.
 class value {
  public:
-  value() : kind_(kind::null) {}
-  value(std::nullptr_t) : kind_(kind::null) {}
-  value(bool b) : kind_(kind::boolean), bool_(b) {}
-  value(double d) : kind_(kind::number), num_(d) {}
+  value() noexcept {}
+  value(std::nullptr_t) noexcept {}
+  value(bool b) noexcept : kind_(kind::boolean), bool_(b) {}
+  value(double d) noexcept : kind_(kind::number), num_(d) {}
   // One constrained template instead of per-type overloads: int, size_t,
   // uint64_t, round_t, ... all land here without ambiguity on platforms
   // where size_t is a distinct type from uint64_t (e.g. macOS).
   template <class T>
     requires(std::integral<T> && !std::same_as<T, bool>)
-  value(T v) : kind_(kind::number), num_(static_cast<double>(v)) {}
+  value(T v) noexcept : kind_(kind::number), num_(static_cast<double>(v)) {}
   value(const char* s) : kind_(kind::string), str_(s) {}
   value(std::string s) : kind_(kind::string), str_(std::move(s)) {}
   value(array a) : kind_(kind::array), arr_(std::move(a)) {}
   value(object o) : kind_(kind::object), obj_(std::move(o)) {}
+
+  value(const value& other) : kind_(other.kind_) { construct_from(other); }
+  value(value&& other) noexcept : kind_(other.kind_) {
+    construct_from(std::move(other));
+  }
+  value& operator=(const value& other) {
+    if (this != &other) *this = value(other);
+    return *this;
+  }
+  value& operator=(value&& other) noexcept {
+    if (this != &other) {
+      destroy();
+      kind_ = other.kind_;
+      construct_from(std::move(other));
+    }
+    return *this;
+  }
+  ~value() { destroy(); }
 
   json::kind type() const noexcept { return kind_; }
   bool is_null() const noexcept { return kind_ == kind::null; }
@@ -57,18 +79,25 @@ class value {
   bool is_array() const noexcept { return kind_ == kind::array; }
   bool is_object() const noexcept { return kind_ == kind::object; }
 
-  bool as_bool() const noexcept { return bool_; }
-  double as_number() const noexcept { return num_; }
-  const std::string& as_string() const noexcept { return str_; }
-  const array& items() const noexcept { return arr_; }
-  const object& members() const noexcept { return obj_; }
-  array& items() noexcept { return arr_; }
-  object& members() noexcept { return obj_; }
+  // On a value of another kind these read false, 0 or empty.
+  bool as_bool() const noexcept { return is_bool() && bool_; }
+  double as_number() const noexcept { return is_number() ? num_ : 0.0; }
+  const std::string& as_string() const noexcept {
+    static const std::string none;
+    return is_string() ? str_ : none;
+  }
+  const array& items() const noexcept {
+    static const array none;
+    return is_array() ? arr_ : none;
+  }
+  const object& members() const noexcept {
+    static const object none;
+    return is_object() ? obj_ : none;
+  }
 
   /// Object member lookup; nullptr when absent or not an object.
   const value* find(const std::string& key) const noexcept {
-    if (kind_ != kind::object) return nullptr;
-    for (const auto& [k, v] : obj_) {
+    for (const auto& [k, v] : members()) {
       if (k == key) return &v;
     }
     return nullptr;
@@ -83,12 +112,41 @@ class value {
  private:
   void write(std::string& out, int indent, int depth) const;
 
-  json::kind kind_;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  array arr_;
-  object obj_;
+  // Builds the alternative kind_ names from other's (copied or moved).
+  template <class Other>
+  void construct_from(Other&& other) {
+    switch (kind_) {
+      case kind::null: break;
+      case kind::boolean: bool_ = other.bool_; break;
+      case kind::number: num_ = other.num_; break;
+      case kind::string:
+        std::construct_at(&str_, std::forward<Other>(other).str_);
+        break;
+      case kind::array:
+        std::construct_at(&arr_, std::forward<Other>(other).arr_);
+        break;
+      case kind::object:
+        std::construct_at(&obj_, std::forward<Other>(other).obj_);
+        break;
+    }
+  }
+  void destroy() noexcept {
+    switch (kind_) {
+      case kind::string: std::destroy_at(&str_); break;
+      case kind::array: std::destroy_at(&arr_); break;
+      case kind::object: std::destroy_at(&obj_); break;
+      default: break;
+    }
+  }
+
+  json::kind kind_ = kind::null;
+  union {
+    bool bool_;
+    double num_ = 0.0;
+    std::string str_;
+    array arr_;
+    object obj_;
+  };
 };
 
 /// Appends a member to an object under construction (builder sugar).

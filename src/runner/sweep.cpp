@@ -169,7 +169,10 @@ json::value sweep_to_json(const sweep_result& result) {
   cells.reserve(result.cells.size());
   for (const cell_result& cell : result.cells) {
     const scenario& scen = result.scenarios[cell.scenario_index];
+    // Sized for every optional key at once: a tree of a thousand cells
+    // would otherwise keep each object's doubling slack until the dump.
     json::object c;
+    c.reserve(20);
     json::put(c, "scenario", scen.name);
     json::put(c, "algorithm", scen.alg);
     json::put(c, "adversary", scen.adv);
@@ -203,6 +206,7 @@ json::value sweep_to_json(const sweep_result& result) {
     // v2: the session's per-round observer aggregates.
     const session_metrics& m = cell.report.metrics;
     json::object mo;
+    mo.reserve(16);
     if (cell.report.complete) {
       json::put(mo, "observed_completion_round",
                 std::uint64_t{m.observed_completion_round});

@@ -155,6 +155,72 @@ TEST(generation_backend, decode_progress_is_uniform_across_backends) {
       {.dec = "banded", .gen_size = 2, .band_overlap = 1}));
 }
 
+TEST(generation_backend, every_decodable_token_decodes_from_either_window) {
+  // decode(i) looks for token i's singleton row in the at most two windows
+  // holding it: its home generation's and, inside the band overlap, the
+  // previous one's.  g = 4, w = 2 gives windows [0, 6), [4, 10), [8, 12).
+  const std::size_t k = 12, d = 24;
+  rng r(613);
+  std::vector<bitvec> payloads;
+  for (std::size_t i = 0; i < k; ++i) {
+    bitvec p(d);
+    p.randomize(r);
+    payloads.push_back(p);
+  }
+  // The wire row of the sum of `tokens`.
+  const auto wire = [&](std::initializer_list<std::size_t> tokens) {
+    bitvec row(k + d);
+    for (const std::size_t t : tokens) {
+      bitvec one(k + d);
+      one.set(t);
+      one.copy_bits_from(payloads[t], 0, d, k);
+      row.xor_with(one);
+    }
+    return row;
+  };
+  const auto expect_decodes = [&](const node_coder& coder) {
+    for (std::size_t i = 0; i < k; ++i) {
+      if (coder.can_decode(i)) {
+        EXPECT_EQ(coder.decode(i), payloads[i]) << "token " << i;
+      }
+    }
+  };
+  for (const char* dec : {"banded", "rref"}) {
+    SCOPED_TRACE(dec);
+    const auto backend = make_matrix_backend(
+        {.dec = dec, .gen_size = 4, .band_overlap = 2});
+    auto coder = backend->make_node_coder(k, d);
+    // Token 4's home is generation 1, but these rows reach generation 0
+    // alone: its singleton exists only in the overlap of window 0.
+    coder->insert(wire({0, 4}));
+    coder->insert(wire({0}));
+    // Token 9 sits in window 1's overlap too, but these rows reach
+    // generation 2 alone; token 8 reaches both windows.
+    coder->insert(wire({9, 11}));
+    coder->insert(wire({11}));
+    coder->insert(wire({8}));
+    coder->insert(wire({1, 2}));  // no singleton
+    for (std::size_t i = 0; i < k; ++i) {
+      const bool want = i == 0 || i == 4 || i == 8 || i == 9 || i == 11;
+      EXPECT_EQ(coder->can_decode(i), want) << "token " << i;
+    }
+    EXPECT_EQ(coder->rank(), 5u);
+    expect_decodes(*coder);
+    // Random sums inside one window at a time, checked after every insert,
+    // until every token decodes.
+    for (std::size_t step = 0; step < 400 && !coder->complete(); ++step) {
+      const std::size_t start = 4 * r.below(3);
+      bitvec row(k + d);
+      for (std::size_t t = start; t < std::min(start + 6, k); ++t) {
+        if (r.coin()) row.xor_with(wire({t}));
+      }
+      coder->insert(row);
+      expect_decodes(*coder);
+    }
+    EXPECT_TRUE(coder->complete());
+  }
+}
+
 // --- bit-identity: dense must not move --------------------------------------
 
 TEST(dense_bit_identity, explicit_dense_backend_equals_default_ctor) {

@@ -144,7 +144,7 @@ TEST(row_block, commit_places_the_staged_row_and_keeps_tails_masked) {
   rng r(31);
   for (const std::size_t bits : {37u, 64u, 65u, 130u}) {
     SCOPED_TRACE("bits " + std::to_string(bits));
-    row_block block(bits);
+    row_block block(bits, /*max_rows=*/5);
     const std::size_t words = block.row_words();
     EXPECT_EQ(words, words_for_bits(bits));
     std::vector<bitvec> expect;  // the block's rows, in order
@@ -167,6 +167,9 @@ TEST(row_block, commit_places_the_staged_row_and_keeps_tails_masked) {
     (void)stage_random();
     const std::uint64_t* zero = block.stage();
     for (std::size_t w = 0; w < words; ++w) EXPECT_EQ(zero[w], 0u);
+    // Doubling (1, 2, 4 slots) stops at the five rows plus the staging
+    // slot, not at 8.
+    EXPECT_EQ(block.capacity(), 6u);
     ASSERT_EQ(block.size(), expect.size());
     for (std::size_t i = 0; i < block.size(); ++i) {
       for (std::size_t bit = 0; bit < bits; ++bit) {
@@ -449,6 +452,41 @@ TEST(bit_decoder, can_decode_tracks_singletons_via_pivot_index) {
   dec.reset(k, d);
   EXPECT_EQ(dec.rank(), 0u);
   for (std::size_t i = 0; i < k; ++i) EXPECT_FALSE(dec.can_decode(i));
+}
+
+TEST(bit_decoder, basis_never_allocates_past_its_rank_bound) {
+  // At k = 256 doubling used to give the basis 512 row slots for the
+  // k + 1 it can use (k rows plus the staging slot).
+  const std::size_t k = 256, d = 16;
+  rng r(27);
+  const auto source = dense_coder(k, d);
+  std::vector<bitvec> payloads;
+  for (std::size_t i = 0; i < k; ++i) {
+    bitvec p(d);
+    p.randomize(r);
+    payloads.push_back(p);
+    bitvec row(k + d);
+    row.set(i);
+    row.copy_bits_from(p, 0, d, k);
+    source->insert(row);
+  }
+  bit_decoder sink(k, d);
+  EXPECT_EQ(sink.basis().capacity(), 0u);  // nothing allocated up front
+  std::size_t fed = 0;
+  while (!sink.complete()) {
+    auto combo = source->make_combination(r);
+    ASSERT_TRUE(combo.has_value());
+    sink.insert(*combo);
+    ASSERT_LE(sink.basis().capacity(), k + 1) << "after " << fed << " rows";
+    ASSERT_LT(++fed, 4 * k);
+  }
+  // A full basis still stages and drops an arrival: the staging slot is
+  // the last of the k + 1.
+  EXPECT_FALSE(sink.insert(*source->make_combination(r)));
+  EXPECT_EQ(sink.basis().capacity(), k + 1);
+  for (std::size_t i = 0; i < k; ++i) {
+    EXPECT_EQ(sink.decode(i), payloads[i]) << "token " << i;
+  }
 }
 
 TEST(bit_decoder, counts_elimination_xor_word_ops) {

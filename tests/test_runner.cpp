@@ -62,6 +62,46 @@ TEST(json, non_finite_numbers_degrade_to_null) {
   EXPECT_EQ(text, "{\"inf\":null,\"ninf\":null,\"nan\":null}");
 }
 
+// A value holds one alternative, not all six (96 bytes when it did).
+static_assert(sizeof(json::value) <= 48);
+
+TEST(json, accessors_of_another_kind_read_empty) {
+  json::object o;
+  json::put(o, "k", 1);
+  std::vector<json::value> all;
+  all.emplace_back();
+  all.emplace_back(true);
+  all.emplace_back(2.5);
+  all.emplace_back("text");
+  all.emplace_back(json::array{json::value{1}});
+  all.emplace_back(o);
+  for (const json::value& v : all) {
+    SCOPED_TRACE(v.dump());
+    EXPECT_TRUE(v.is_bool() || !v.as_bool());
+    EXPECT_TRUE(v.is_number() || v.as_number() == 0.0);
+    EXPECT_TRUE(v.is_string() || v.as_string().empty());
+    EXPECT_TRUE(v.is_array() || v.items().empty());
+    if (!v.is_object()) {
+      EXPECT_TRUE(v.members().empty());
+      EXPECT_EQ(v.find("k"), nullptr);
+    }
+  }
+  EXPECT_TRUE(all[1].as_bool());
+  EXPECT_EQ(all[2].as_number(), 2.5);
+  EXPECT_EQ(all[3].as_string(), "text");
+  EXPECT_EQ(all[4].items().size(), 1u);
+  EXPECT_EQ(all[5].find("k")->as_number(), 1.0);
+  // Copies and moves carry the one alternative; a reassigned value
+  // changes kind.
+  json::value copy = all[5];
+  json::value moved = std::move(copy);
+  EXPECT_EQ(moved.dump(), "{\"k\":1}");
+  moved = all[3];
+  EXPECT_EQ(moved.dump(), "\"text\"");
+  moved = json::value{json::array{all[0], all[2]}};
+  EXPECT_EQ(moved.dump(), "[null,2.5]");
+}
+
 TEST(scenario_registry, meets_sweep_coverage_floors) {
   const std::vector<scenario>& all = scenario_registry();
   // The PR5 acceptance gate: the generated matrix spans >= 400 cells

@@ -36,6 +36,31 @@ TEST(patch_plan, small_windows_are_infeasible_large_ones_feasible) {
   EXPECT_GT(p2.d_patch, p1.d_patch);
 }
 
+TEST(patch_plan, engines_fit_only_below_2_32_items) {
+  // At T = 2^32 and b = 32 the patch plan is feasible and its sizes fit
+  // 64 bits, but it has 2^33 items: more than the coders' 32-bit pivots
+  // index, in rows of 2^34 bits.
+  const round_t t = round_t{1} << 32;
+  const patch_plan plan = plan_patch_broadcast(16, 32, t);
+  ASSERT_TRUE(plan.feasible);
+  EXPECT_EQ(plan.items, std::size_t{1} << 33);
+  for (const tstable_engine e :
+       {tstable_engine::patch, tstable_engine::patch_gather,
+        tstable_engine::chunked}) {
+    EXPECT_FALSE(tstable_engine_fits(e, 16, 32, t, 8));
+  }
+  EXPECT_TRUE(tstable_engine_fits(tstable_engine::auto_select, 16, 32, t, 8));
+  // The bound is on the item count: 2^32 - 16 items fit, 2^32 do not.
+  const round_t under = (round_t{1} << 31) - 8;
+  ASSERT_EQ(plan_patch_broadcast(16, 32, under).items,
+            (std::size_t{1} << 32) - 16);
+  EXPECT_TRUE(tstable_engine_fits(tstable_engine::patch, 16, 32, under, 8));
+  ASSERT_EQ(plan_patch_broadcast(16, 32, round_t{1} << 31).items,
+            std::size_t{1} << 32);
+  EXPECT_FALSE(
+      tstable_engine_fits(tstable_engine::patch, 16, 32, round_t{1} << 31, 8));
+}
+
 TEST(chunked_meta, decodes_on_t_stable_network) {
   const std::size_t n = 16, b = 16;
   for (round_t t : {1u, 2u, 8u, 16u}) {
