@@ -6,17 +6,18 @@
 // round cost two context switches, and N concurrently-stepped sessions
 // cost N kernel threads.  Machines invert the loop, so stepping is an
 // inline resume on the caller's thread and a single thread can interleave
-// hundreds of live sessions (core/batch.hpp).
+// hundreds of live sessions by calling step() on each in turn.
 //
 // This bench steps the same N-cell workload four ways —
 //   inline       run_to_completion per session (upper bound, no stepping)
 //   stepped      while (s.step()) per session, thread-free machines
-//   batch        session_batch, N sessions interleaved on one thread
+//   batch        N live sessions stepped round-robin on one thread
 //   rendezvous   a faithful re-enactment of the deleted thread-per-step
-//                design (observer-parked worker thread + cv handshake)
+//                design (observer-parked worker thread + cv handshake),
+//                stepped round-robin the same way
 // — and reports sessions/sec and stepped rounds/sec.  It asserts that the
 // three thread-free modes produce bit-identical reports, and (at full
-// scale) that batch stepping beats the rendezvous baseline.
+// scale) that round-robin stepping beats the rendezvous baseline.
 //
 // Writes BENCH_E17.json under NCDN_BENCH_JSON.
 #include <chrono>
@@ -25,7 +26,6 @@
 #include <thread>
 
 #include "bench_util.hpp"
-#include "core/batch.hpp"
 
 using namespace ncdn;
 using namespace ncdn::bench;
@@ -121,7 +121,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main() {
   print_experiment_header(
       "E17", "session stepping throughput — thread-free machines + "
-             "in-thread batching vs the old thread-per-step rendezvous");
+             "round-robin stepping vs the old thread-per-step rendezvous");
   json_recorder rec("E17");
   const double scale = scale_from_env();
   const std::size_t trials = trials_from_env(3);
@@ -181,20 +181,26 @@ int main() {
     }
   });
 
+  // N live cells stepped round-robin on the calling thread, one round
+  // each per pass.
   const mode_out batch_mode = measure([&] {
-    session_batch batch;
+    std::vector<std::unique_ptr<session>> live;
     for (std::uint64_t seed = 1; seed <= cells; ++seed) {
-      batch.add(make_cell(prob, seed));
+      live.push_back(make_cell(prob, seed));
     }
-    batch.run_all();
+    bool any = true;
+    while (any) {
+      any = false;
+      for (auto& s : live) any = s->step() || any;
+    }
     for (std::size_t i = 0; i < cells; ++i) {
-      expect_same(batch.at(i).report(), reference[i]);
+      expect_same(live[i]->report(), reference[i]);
     }
   });
 
-  // The baseline interleaves the same way the batch does — N live cells
-  // stepped round-robin — but pays a kernel thread and a cv handshake per
-  // cell, exactly like the pre-machine session did.
+  // The baseline interleaves the same way the batch mode does — N live
+  // cells stepped round-robin — but pays a kernel thread and a cv
+  // handshake per cell, exactly like the pre-machine session did.
   const mode_out rendezvous_mode = measure([&] {
     std::vector<std::unique_ptr<rendezvous_session>> live;
     for (std::uint64_t seed = 1; seed <= cells; ++seed) {
@@ -238,7 +244,7 @@ int main() {
                          rendezvous_mode.sessions_per_sec});
 
   if (scale >= 1.0) {
-    // The acceptance gate: in-thread batch stepping must beat the old
+    // The acceptance gate: in-thread round-robin stepping must beat the old
     // thread-per-step design (it typically does by an order of magnitude —
     // two context switches per round against one inline resume).
     NCDN_ASSERT(batch_mode.sessions_per_sec >
@@ -251,7 +257,6 @@ int main() {
       "Reading: stepping a machine is an inline coroutine resume, so the\n"
       "stepped and batch modes track the no-observer inline run, while\n"
       "the re-enacted rendezvous baseline pays two context switches per\n"
-      "round and one kernel thread per live cell.  threads x batch cells\n"
-      "now run cooperatively in sweeps (ncdn-run sweep --batch).\n");
+      "round and one kernel thread per live cell.\n");
   return 0;
 }

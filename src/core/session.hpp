@@ -16,9 +16,9 @@
 // one communication round *on the calling thread* — no rendezvous thread,
 // no locks — and run_to_completion() is nothing but step() in a loop, so
 // the two modes are the same execution, bit for bit.  That makes sessions
-// cheap enough to interleave by the hundreds on one thread (core/batch.hpp)
-// and to fan out across a sweep pool without costing a kernel thread per
-// stepped cell.
+// cheap enough to interleave by the hundreds on one thread (call step() on
+// each live session in turn) and to fan out across a sweep pool without
+// costing a kernel thread per stepped cell.
 //
 // Both modes feed the same `round_metrics` stream (via the network round
 // hook) and fold it into `session_metrics`, which centrally subsumes the

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/batch.hpp"
 #include "core/bits.hpp"
 #include "core/rng.hpp"
 #include "core/session.hpp"
@@ -49,14 +48,10 @@ sweep_result run_sweep(std::vector<scenario> scenarios,
         " seeds exceeds the cell limit");
   }
   result.cells.resize(result.scenarios.size() * trials);
-  // More workers than cooperative pops only burns thread spawns (and can
-  // make std::thread throw under a thread ulimit); clamp to the work
-  // available — with batching, one pop covers `batch` cells.
-  const std::size_t pops =
-      (result.cells.size() + std::max<std::size_t>(1, opts.batch) - 1) /
-      std::max<std::size_t>(1, opts.batch);
-  result.options.threads =
-      std::min(result.options.threads, std::max<std::size_t>(1, pops));
+  // More workers than cells only burns thread spawns (and can make
+  // std::thread throw under a thread ulimit); clamp to the work available.
+  result.options.threads = std::min(
+      result.options.threads, std::max<std::size_t>(1, result.cells.size()));
   for (std::size_t si = 0; si < result.scenarios.size(); ++si) {
     for (std::size_t t = 0; t < trials; ++t) {
       cell_result& cell = result.cells[si * trials + t];
@@ -68,63 +63,25 @@ sweep_result run_sweep(std::vector<scenario> scenarios,
   }
 
   // A malformed scenario (unknown spec name, bad param, infeasible
-  // problem) throws std::invalid_argument from the session ctor.  Workers
+  // problem) throws std::invalid_argument from the session ctor, and a
+  // machine that throws mid-run fails its cell the same way.  Workers
   // must not let that escape (an exception leaving a std::thread is
   // std::terminate); capture per-cell and rethrow deterministically —
   // lowest cell index wins regardless of scheduling.
   std::vector<std::string> cell_errors(result.cells.size());
   std::atomic<std::size_t> next{0};
-  const std::size_t stride = std::max<std::size_t>(1, result.options.batch);
-  result.options.batch = stride;
   auto worker = [&]() {
     for (;;) {
-      const std::size_t begin =
-          next.fetch_add(stride, std::memory_order_relaxed);
-      if (begin >= result.cells.size()) return;
-      const std::size_t end = std::min(begin + stride, result.cells.size());
-
-      // Cooperative pop: the claimed cells run interleaved round-robin on
-      // this worker's thread.  Sessions are thread-free state machines, so
-      // a worker holds `stride` live simulations at the cost of zero extra
-      // kernel threads, and the per-cell seeding keeps the reports
-      // independent of how they interleave.
-      session_batch batch;
-      std::vector<std::size_t> cell_of;  // batch slot -> cell index
-      cell_of.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        cell_result& cell = result.cells[i];
-        const scenario& scen = result.scenarios[cell.scenario_index];
-        try {
-          batch.add(std::make_unique<session>(
-              scen.prob, scen.protocol(), scen.adversary(), scen.linkspec(),
-              scen.contentspec(), cell.seed));
-          cell_of.push_back(i);
-        } catch (const std::exception& err) {
-          cell_errors[i] = err.what();
-        }
-      }
-      // Mid-run protocol failures are programmer error (contracts abort,
-      // they do not throw), so this loop is defensive: a throwing session
-      // is finished-but-failed and leaves the live set, its error is
-      // charged to its cell alone, and the healthy survivors keep running
-      // — batch results must not depend on who they shared a pop with.
-      for (;;) {
-        try {
-          batch.run_all();
-          break;
-        } catch (const std::exception& err) {
-          for (std::size_t slot = 0; slot < cell_of.size(); ++slot) {
-            if (batch.at(slot).failed() && cell_errors[cell_of[slot]].empty()) {
-              cell_errors[cell_of[slot]] = err.what();
-            }
-          }
-        }
-      }
-      for (std::size_t slot = 0; slot < cell_of.size(); ++slot) {
-        const session& cell_session = batch.at(slot);
-        if (cell_session.finished() && !cell_session.failed()) {
-          result.cells[cell_of[slot]].report = cell_session.report();
-        }
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= result.cells.size()) return;
+      cell_result& cell = result.cells[i];
+      const scenario& scen = result.scenarios[cell.scenario_index];
+      try {
+        session s(scen.prob, scen.protocol(), scen.adversary(),
+                  scen.linkspec(), scen.contentspec(), cell.seed);
+        cell.report = s.run_to_completion();
+      } catch (const std::exception& err) {
+        cell_errors[i] = err.what();
       }
     }
   };

@@ -20,12 +20,9 @@ struct sweep_options {
   std::size_t trials = 3;       // seeds per scenario
   std::uint64_t base_seed = 1;  // root of all per-cell seeds
   std::size_t threads = 0;      // worker count; 0 = hardware concurrency
-  // Cells per cooperative pop: each worker claims `batch` cells at a time
-  // and interleaves them round-robin on its own thread via session_batch,
-  // so a sweep keeps threads x batch simulations live with exactly
-  // `threads` kernel threads.  Results are byte-identical for any batch
-  // value (cells are seeded independently of scheduling).  1 = the classic
-  // one-cell-per-pop engine.
+  // Unread: every worker runs one cell at a time.  The benchmark harness
+  // (bench/ncdn_bench) is its only writer (`opts.batch = 1`); the field
+  // goes once the harness stops setting it.
   std::size_t batch = 1;
 };
 

@@ -2,8 +2,8 @@
 // the new families (connectivity contracts, bounded churn downtime,
 // single-bridge frontier cuts), registry parameter round-trips through the
 // error/recognized-keys path, the scenario-matrix generator's tier labels
-// and coverage floors, and sweep determinism across worker/batch counts
-// for the new cells.
+// and coverage floors, and sweep determinism across worker counts for the
+// new cells.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -431,8 +431,8 @@ TEST(scenario_matrix, every_smoke_cell_constructs_through_the_registries) {
 
 TEST(dyn_sweep, new_family_cells_are_byte_identical_across_workers) {
   // The engine-level determinism contract for the new families: the same
-  // slice swept with different worker and batch shapes dumps identical
-  // bytes.  (The CI smoke job re-checks this through the CLI.)
+  // slice swept with different worker counts dumps identical bytes.  (The
+  // CI smoke job re-checks this through the CLI.)
   std::vector<rn::scenario> scens;
   for (const char* name :
        {"rlnc-direct/edge-markov/n16", "rlnc-direct/churn/n16",
@@ -447,15 +447,12 @@ TEST(dyn_sweep, new_family_cells_are_byte_identical_across_workers) {
   opts.trials = 2;
   opts.base_seed = 7;
   std::vector<std::string> dumps;
-  for (const auto& [threads, batch] :
-       std::vector<std::pair<std::size_t, std::size_t>>{
-           {1, 1}, {8, 1}, {1, 32}, {8, 32}}) {
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     opts.threads = threads;
-    opts.batch = batch;
     dumps.push_back(rn::sweep_to_json(rn::run_sweep(scens, opts)).dump());
   }
   for (std::size_t i = 1; i < dumps.size(); ++i) {
-    EXPECT_EQ(dumps[0], dumps[i]) << "shape " << i << " diverged";
+    EXPECT_EQ(dumps[0], dumps[i]) << "worker count " << i << " diverged";
   }
   // Tier labels travel into the JSON rows.
   EXPECT_NE(dumps[0].find("\"tier\":\"smoke\""), std::string::npos);

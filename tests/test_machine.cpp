@@ -1,21 +1,23 @@
-// protocol_machine / session / session_batch tests for the round-driven
-// execution redesign:
+// protocol_machine / session tests for the round-driven execution
+// redesign:
 //
 //   * stepping is thread-free (asserted against /proc/self/status) and
 //     bit-identical to the inline run for EVERY registered protocol name
 //     crossed with an oblivious and an adaptive adversary;
 //   * step() after completion (or after run_to_completion()) returns false
 //     deterministically and leaves the report untouched;
-//   * session_batch interleaving >= 64 sessions on one thread yields
-//     reports bit-identical to running them sequentially;
+//   * 64 sessions stepped round-robin on one thread yield reports
+//     bit-identical to running them sequentially, and a session that
+//     throws mid-run leaves the sessions stepped beside it intact;
 //   * unknown-parameter errors name the valid keys the factories queried.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
-#include "core/batch.hpp"
 #include "core/session.hpp"
 
 namespace ncdn {
@@ -201,9 +203,9 @@ TEST(machine, abandoned_mid_run_session_unwinds_cleanly) {
   }
 }
 
-TEST(session_batch, interleaved_batch_matches_sequential_bit_for_bit) {
-  // >= 64 live sessions on ONE thread, mixed protocols, interleaved
-  // round-robin; every report must equal the sequentially-run session at
+TEST(machine, round_robin_stepping_matches_sequential_bit_for_bit) {
+  // 64 live sessions on ONE thread, mixed protocols, each stepped one
+  // round in turn; every report must equal the sequentially-run session at
   // the same (spec, seed).
   const std::vector<std::string> protos = {"rlnc-direct", "token-forwarding",
                                            "greedy-forward", "naive-indexed"};
@@ -221,51 +223,30 @@ TEST(session_batch, interleaved_batch_matches_sequential_bit_for_bit) {
 #ifdef __linux__
   const std::size_t before = os_thread_count();
 #endif
-  session_batch batch;
+  std::vector<std::unique_ptr<session>> live;
   for (const std::string& proto : protos) {
     for (std::uint64_t seed = 1; seed <= seeds_per_proto; ++seed) {
-      batch.add(std::make_unique<session>(tiny_problem(proto),
-                                          protocol_spec{proto, {}},
-                                          adversary_spec{"permuted-path", {}},
-                                          seed));
+      live.push_back(std::make_unique<session>(
+          tiny_problem(proto), protocol_spec{proto, {}},
+          adversary_spec{"permuted-path", {}}, seed));
     }
   }
-  ASSERT_EQ(batch.size(), 64u);
-  ASSERT_EQ(batch.live(), 64u);
+  ASSERT_EQ(live.size(), 64u);
   std::size_t passes = 0;
-  while (batch.step_all() != 0) ++passes;
-  EXPECT_TRUE(batch.all_finished());
-  EXPECT_GT(passes, 0u);
+  for (bool any = true; any; ++passes) {
+    any = false;
+    for (const auto& s : live) any = s->step() || any;
+  }
+  EXPECT_GT(passes, 1u);
 #ifdef __linux__
-  EXPECT_EQ(os_thread_count(), before);  // the whole batch ran in-thread
+  EXPECT_EQ(os_thread_count(), before);  // every session ran in-thread
 #endif
 
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_reports_equal(sequential[i], batch.at(i).report(),
-                         "batch slot " + std::to_string(i));
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    ASSERT_TRUE(live[i]->finished()) << "session " << i;
+    expect_reports_equal(sequential[i], live[i]->report(),
+                         "round-robin session " + std::to_string(i));
   }
-}
-
-TEST(session_batch, run_all_and_adopted_sessions) {
-  const problem prob = tiny_problem("rlnc-direct");
-  session_batch batch;
-  // Mix a fresh session with an already-finished one.
-  auto done = std::make_unique<session>(prob, protocol_spec{"rlnc-direct", {}},
-                                        adversary_spec{"permuted-path", {}},
-                                        5);
-  const run_report done_rep = done->run_to_completion();
-  const std::size_t done_index = batch.add(std::move(done));
-  batch.add(std::make_unique<session>(prob, protocol_spec{"rlnc-direct", {}},
-                                      adversary_spec{"permuted-path", {}}, 6));
-  EXPECT_EQ(batch.live(), 1u);  // the adopted session was already finished
-  batch.run_all();
-  EXPECT_TRUE(batch.all_finished());
-  expect_reports_equal(done_rep, batch.at(done_index).report(), "adopted");
-
-  session lone(prob, protocol_spec{"rlnc-direct", {}},
-               adversary_spec{"permuted-path", {}}, 6);
-  expect_reports_equal(lone.run_to_completion(), batch.at(1).report(),
-                       "fresh");
 }
 
 TEST(params, unknown_parameter_error_names_the_valid_keys) {
@@ -341,28 +322,42 @@ TEST(machine, throwing_machine_marks_the_session_failed_not_reported) {
   EXPECT_TRUE(s.failed());
   EXPECT_FALSE(s.step());
 
-  // In a batch: the throw propagates out of the pass, the thrower is
-  // culled from the live set, and the surviving sessions still run to
-  // completion with intact reports.
-  session_batch batch;
+  // Stepped round-robin beside two healthy sessions: the thrower's step()
+  // throws and marks it failed, and the healthy sessions still finish
+  // with the reports they produce alone.
+  std::vector<std::unique_ptr<session>> live;
   for (const auto& [proto, seed] :
        {std::pair{"token-forwarding", 2}, std::pair{"test/throws-mid-run", 2},
         std::pair{"token-forwarding", 3}}) {
-    batch.add(std::make_unique<session>(prob, protocol_spec{proto, {}},
-                                        adversary_spec{"permuted-path", {}},
-                                        seed));
+    live.push_back(std::make_unique<session>(
+        prob, protocol_spec{proto, {}}, adversary_spec{"permuted-path", {}},
+        seed));
   }
-  EXPECT_THROW(batch.run_all(), std::runtime_error);
-  EXPECT_TRUE(batch.at(1).failed());
-  batch.run_all();  // the two healthy sessions finish
-  EXPECT_TRUE(batch.all_finished());
+  bool threw = false;
+  for (bool any = true; any;) {
+    any = false;
+    for (const auto& t : live) {
+      try {
+        any = t->step() || any;
+      } catch (const std::runtime_error&) {
+        EXPECT_FALSE(threw) << "a second throw";
+        EXPECT_EQ(t.get(), live[1].get()) << "a healthy session threw";
+        threw = true;
+      }
+    }
+  }
+  EXPECT_TRUE(threw);
+  EXPECT_TRUE(live[1]->finished());
+  EXPECT_TRUE(live[1]->failed());
   session lone2(prob, protocol_spec{"token-forwarding", {}},
                 adversary_spec{"permuted-path", {}}, 2);
   session lone3(prob, protocol_spec{"token-forwarding", {}},
                 adversary_spec{"permuted-path", {}}, 3);
-  expect_reports_equal(lone2.run_to_completion(), batch.at(0).report(),
+  ASSERT_FALSE(live[0]->failed());
+  ASSERT_FALSE(live[2]->failed());
+  expect_reports_equal(lone2.run_to_completion(), live[0]->report(),
                        "survivor before the thrower");
-  expect_reports_equal(lone3.run_to_completion(), batch.at(2).report(),
+  expect_reports_equal(lone3.run_to_completion(), live[2]->report(),
                        "survivor after the thrower");
 }
 

@@ -1,6 +1,7 @@
 // Runner subsystem tests: the JSON emitter, the scenario registry's
 // coverage floors, and the parallel sweep engine's determinism contract
-// (byte-identical output for any worker count).
+// (byte-identical output for any worker count) and error rule (the lowest
+// failing cell is rethrown).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -212,6 +213,35 @@ TEST(sweep, wrapping_cell_count_is_rejected) {
     EXPECT_NE(what.find("2 scenarios"), std::string::npos) << what;
     EXPECT_NE(what.find("9223372036854775808 seeds"), std::string::npos)
         << what;
+  }
+}
+
+// Cells that fail to build are charged to their cell, and run_sweep
+// rethrows the lowest failing cell's error whatever the worker count, so
+// the message a user sees does not depend on scheduling.
+TEST(sweep, lowest_failing_cell_is_rethrown_at_any_worker_count) {
+  const std::vector<scenario> cheap = cheap_scenarios();
+  ASSERT_EQ(cheap.size(), 4u);
+  std::vector<scenario> scens;
+  for (std::size_t i = 0; i < 8; ++i) scens.push_back(cheap[i % 4]);
+  for (const std::size_t bad : {std::size_t{2}, std::size_t{5}}) {
+    scens[bad].name = "bad-cell-" + std::to_string(bad);
+    scens[bad].params["no_such_param"] = "1";
+  }
+  sweep_options opts;
+  opts.trials = 1;  // cell index == scenario index
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    opts.threads = threads;
+    try {
+      (void)run_sweep(scens, opts);
+      ADD_FAILURE() << "threads=" << threads << ": expected a throw";
+    } catch (const std::invalid_argument& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find("'bad-cell-2' trial 0"), std::string::npos)
+          << "threads=" << threads << ": " << what;
+      EXPECT_NE(what.find("no_such_param"), std::string::npos) << what;
+      EXPECT_EQ(what.find("bad-cell-5"), std::string::npos) << what;
+    }
   }
 }
 

@@ -2,8 +2,7 @@
 """ncdn determinism linter.
 
 The simulator's headline contract is byte-identical sweep output for a
-fixed seed, across worker counts, batch sizes, and standard-library
-releases.  clang-tidy cannot see contract-level hazards, so this linter
+fixed seed, across worker counts and standard-library releases.  clang-tidy cannot see contract-level hazards, so this linter
 bans the constructs that historically break that contract:
 
   random-device    std::random_device — nondeterministic entropy source.

@@ -39,9 +39,6 @@
 //     --seeds N         trials per scenario            (default 3)
 //     --base-seed S     root seed                      (default 1)
 //     --threads N       worker threads; 0 = hardware   (default 0)
-//     --batch N         cells interleaved per worker pop (default 1);
-//                       each worker runs N sessions cooperatively on one
-//                       thread, so threads x batch cells stay live
 //     --out PATH        write JSON to PATH             (default stdout)
 //     --pretty          indent the JSON
 //
@@ -78,7 +75,7 @@ int usage(const char* argv0) {
                "[--param K=V]... [--link SPEC] [--content SPEC] [--trace]\n"
                "       %s sweep [--match PATTERN]... [--tier NAME] "
                "[--filter REGEX] [--param K=V]... "
-               "[--seeds N] [--base-seed S] [--threads N] [--batch N] "
+               "[--seeds N] [--base-seed S] [--threads N] "
                "[--out PATH] [--pretty]\n",
                argv0, argv0, argv0, argv0, argv0);
   return 2;
@@ -373,15 +370,6 @@ int cmd_sweep(int argc, char** argv) {
         return 2;
       }
       extra_params[std::string(p, eq)] = std::string(eq + 1);
-    } else if (arg == "--batch") {
-      const char* p = next("--batch");
-      if (p == nullptr) return 2;
-      if (!parse_u64(p, v) || v == 0) {
-        std::fprintf(stderr, "ncdn-run: --batch needs a positive integer, "
-                             "got '%s'\n", p);
-        return 2;
-      }
-      opts.batch = static_cast<std::size_t>(v);
     } else if (arg == "--seeds") {
       const char* p = next("--seeds");
       if (p == nullptr) return 2;
