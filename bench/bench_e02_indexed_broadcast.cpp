@@ -1,5 +1,8 @@
 // E2 — Lemma 5.3: RLNC k-indexed-broadcast delivers k items to all n nodes
-// in O(n + k) rounds against any (including adaptive) adversary.
+// in O(n + k) rounds against any (including adaptive) adversary.  Asserts
+// that each adversary's power-fit exponent of rounds against n + k lies in
+// a band around 1.
+#include <cmath>
 #include <memory>
 
 #include "bench_util.hpp"
@@ -31,6 +34,15 @@ double broadcast_rounds(std::size_t n, std::size_t k, std::size_t d,
   NCDN_ASSERT(s.all_complete());
   return static_cast<double>(used);
 }
+
+// How far each adversary's power-fit exponent may sit from Lemma 5.3's 1.
+// On a path, rounds also grow at least linearly (tokens cross up to n - 1
+// hops, and a node gains at most two ranks a round), so the exponent over
+// n + k = 64..640 reads 1 up to additive overheads, which bend it by at
+// most 0.14 here (0.86 to 1.10 at one and three trials).  Growth of
+// quadratic order, like token forwarding's Θ(nk), reads near 2.  A single
+// log factor (about +0.19 over this range) is not separable at these sizes.
+constexpr double exponent_band = 0.2;
 
 }  // namespace
 
@@ -74,9 +86,11 @@ int main() {
                 fit.exponent);
     rec.row("power_fits",
             {{"adversary", adv_kind}, {"exponent", fit.exponent}});
+    NCDN_ASSERT(std::abs(fit.exponent - 1.0) <= exponent_band);
   }
-  std::printf("\nPaper check: rounds/(n+k) is a flat constant and the "
-              "power-fit exponent is ~1 — linear time, even against the "
-              "adaptive sorted-path adversary.\n");
+  std::printf("\nPaper check: rounds/(n+k) is a flat constant and every "
+              "power-fit exponent is within %.1f of 1 (asserted) — linear "
+              "time, even against the adaptive sorted-path adversary.\n",
+              exponent_band);
   return 0;
 }

@@ -1,12 +1,12 @@
 // Per-round and whole-run measurement records for the steppable session.
 //
-// A `round_metrics` snapshot is handed to the session observer after every
-// communication round (including silent/waiting rounds): structured
-// progress — per-node knowledge counts (token counts for forwarding
-// protocols, decoder rank for coding protocols), the message bits the round
-// actually used, and the consideration-set bookkeeping of §7.  The session
-// folds the stream into a `session_metrics` aggregate, which subsumes the
-// observer-measured completion round the protocols used to track by hand.
+// Each communication round (silent/waiting rounds included) yields one
+// `round_metrics`: the network's `round_traffic` record (messages, bits,
+// |E(t)|, channel copies) plus the round's knowledge_view readings
+// (per-node knowledge, §7 retirements, decode work and decode events).
+// The session folds the stream into a `session_metrics` aggregate, which
+// subsumes the observer-measured completion round the protocols used to
+// track by hand.
 #pragma once
 
 #include <cstddef>
@@ -17,8 +17,9 @@
 
 namespace ncdn {
 
-/// Snapshot of one communication round, taken after delivery.
-struct round_metrics {
+/// What the round engine (network::step, network::silent_rounds) records
+/// about one communication round: the traffic half of `round_metrics`.
+struct round_traffic {
   round_t round = 0;      // 1-based round index within the session
   bool silent = false;    // protocol-internal waiting round (no messages)
   std::size_t messages = 0;          // nodes that broadcast this round
@@ -29,6 +30,26 @@ struct round_metrics {
                                      // dynamic families' evolution visible
                                      // to observers/--trace
 
+  // Channel accounting (src/linkmodel), zero with link_active false under
+  // the reliable default.  Counts are directed copies: one (sender ->
+  // receiver) traversal each, so a broadcast reaching 3 neighbours is 3
+  // copies, and each copy entering the channel is eventually delivered,
+  // dropped (erased, collided or expired) or still in flight.
+  // messages_in_flight is the delivery-queue size after the round;
+  // delivery_latency buckets this round's deliveries by how many rounds
+  // they spent in flight (index 0 = same-round; empty when nothing was
+  // delivered).
+  bool link_active = false;
+  std::size_t messages_sent = 0;
+  std::size_t messages_delivered = 0;
+  std::size_t messages_dropped = 0;
+  std::size_t messages_in_flight = 0;
+  std::vector<std::size_t> delivery_latency;
+};
+
+/// Snapshot of one communication round, taken after delivery: the round
+/// engine's traffic record plus the readings of the round's knowledge_view.
+struct round_metrics : round_traffic {
   // Per-node knowledge after the round: tokens known for forwarding
   // protocols, received-span rank for coding protocols (the same quantity
   // the adaptive adversary inspects).  For silent rounds this carries the
@@ -45,32 +66,20 @@ struct round_metrics {
   // Decode cost this round: XOR word-operations spent in Gaussian
   // elimination and combination generation, summed over nodes (the
   // knowledge_view's coding_work delta).  This is the axis the sparse and
-  // generation coding backends trade rounds against.  Exact for protocols
-  // with one long-lived coding view (the rlnc-* family); for multi-phase
-  // protocols that swap views, each fresh view's accumulated work lands on
-  // the round it first appears.
+  // generation coding backends trade rounds against.  The counters are
+  // cumulative per view, so this is the delta against the same view's
+  // last reading, even when a protocol steps other views in between; work
+  // a view does between its stepped rounds (seeding, say) lands on its
+  // next one.
   std::uint64_t elimination_xors = 0;
 
   // Decode-delay accounting (coded sessions only; decode_delay_active
   // false for token-forwarding protocols).  newly_decodable counts the
   // (node, token) pairs that first became decodable this round — the
-  // session folds the view's cumulative delay histogram into per-round
-  // deltas the same way it diffs coding_work.
+  // session diffs the view's cumulative delay histogram against the same
+  // view's last reading, as it does coding_work.
   bool decode_delay_active = false;
   std::uint64_t newly_decodable = 0;
-
-  // Channel accounting (src/linkmodel), zero with link_active false under
-  // the reliable default.  Counts are directed copies: one (sender ->
-  // receiver) traversal each, so a broadcast reaching 3 neighbours is 3
-  // copies.  messages_in_flight is the delivery-queue size after the
-  // round; delivery_latency buckets this round's deliveries by how many
-  // rounds they spent in flight (index 0 = same-round).
-  bool link_active = false;
-  std::size_t messages_sent = 0;
-  std::size_t messages_delivered = 0;
-  std::size_t messages_dropped = 0;
-  std::size_t messages_in_flight = 0;
-  std::vector<std::size_t> delivery_latency;
 
   bool all_complete(std::size_t k) const noexcept {
     return !knowledge.empty() && min_knowledge >= k;

@@ -362,10 +362,12 @@ std::unique_ptr<protocol_machine> tstable_factory(const problem& prob,
         "ncdn: this T-stable engine does not fit n=" + std::to_string(prob.n) +
         ", b=" + std::to_string(prob.b) + ", T=" +
         std::to_string(prob.t_stability) + ", d=" + std::to_string(prob.d) +
-        " (its coded item must hold a d-bit token, its sizes must fit in "
-        "64 bits and its item count in 32, and the patch engines need a "
-        "window that fits patching plus one share-pass-share cycle); use "
-        "tstable/auto, or change t_stability or b");
+        " (its coded item must hold a d-bit token, one coded vector of "
+        "b * t_vec bits must stay within " +
+        std::to_string(tstable_max_vector_bits) +
+        " bits, and the patch engines need a window that fits patching "
+        "plus one share-pass-share cycle); use tstable/auto, or change "
+        "t_stability or b");
   }
   tstable_config cfg;
   cfg.b_bits = prob.b;

@@ -159,7 +159,10 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
   }
 
   net_->set_round_hook(
-      [this](const round_digest& digest) { on_round(digest); });
+      [this](const round_traffic& traffic, const knowledge_view* view) {
+        collect(traffic, view);
+        if (observer_) observer_(scratch_);
+      });
   env_.emplace(session_env{prob_, dist_, *net_, *state_, &arena_});
 }
 
@@ -173,30 +176,38 @@ const run_report& session::report() const {
   return report_;
 }
 
-void session::collect(const round_digest& digest) {
-  scratch_.round = digest.round;
-  scratch_.silent = digest.silent;
-  scratch_.messages = digest.messages;
-  scratch_.message_bits = digest.message_bits;
-  scratch_.max_message_bits = digest.max_message_bits;
-  scratch_.topology_edges = digest.topology_edges;
+void session::collect(const round_traffic& traffic,
+                      const knowledge_view* view) {
+  static_cast<round_traffic&>(scratch_) = traffic;
+  scratch_.elimination_xors = 0;
+  scratch_.decode_delay_active = false;
+  scratch_.newly_decodable = 0;
 
-  if (digest.view != nullptr) {
-    const std::size_t n = digest.view->node_count();
+  // A silent round (no view) changes nothing while everyone stays quiet:
+  // scratch_ keeps the previous round's knowledge snapshot and aggregates,
+  // so long T-stable waits stay O(1) per round, not O(n).
+  if (view != nullptr) {
+    const std::size_t n = view->node_count();
+    const std::uint64_t id = view->view_id();
+    // Per-node knowledge may only grow within one view (tokens are never
+    // lost).  Multi-phase protocols hand the engine fresh views whose
+    // rank-based knowledge restarts at zero, so the audit binds only when
+    // the previous stepped round had the same view, whose counts
+    // scratch_.knowledge still holds.
+    const bool same_view = id == last_view_id_;
     scratch_.knowledge.resize(n);
     std::size_t lo = std::numeric_limits<std::size_t>::max();
     std::size_t hi = 0;
     std::size_t total = 0;
     for (node_id u = 0; u < n; ++u) {
-      const std::size_t v = digest.view->knowledge(u);
+      const std::size_t v = view->knowledge(u);
+      NCDN_AUDIT(!same_view || v >= scratch_.knowledge[u]);
       scratch_.knowledge[u] = v;
       lo = std::min(lo, v);
       hi = std::max(hi, v);
       total += v;
     }
-    NCDN_AUDIT(
-        audit_knowledge_monotone(scratch_.knowledge, digest.view->view_id()));
-    last_knowledge_ = scratch_.knowledge;
+    last_view_id_ = id;
     scratch_.min_knowledge = n == 0 ? 0 : lo;
     scratch_.max_knowledge = hi;
     scratch_.total_knowledge = total;
@@ -207,109 +218,75 @@ void session::collect(const round_digest& digest) {
     }
     scratch_.tokens_retired = retired;
 
-    // Decode-cost delta.  Work counters are cumulative per view, and a
-    // protocol may step other views between two rounds of one coding view
-    // (the patch session builds each window's patches under its own), so
-    // the delta is against that view's last reading.  Keyed on view_id —
-    // per-object counters are monotone, so the delta is exact; views that
-    // have done no work never enter the table.
-    const std::uint64_t w = digest.view->coding_work();
-    const std::uint64_t id = digest.view->view_id();
-    scratch_.elimination_xors = 0;
-    if (w != 0) {
-      std::uint64_t& seen = work_seen_[id];
-      scratch_.elimination_xors = w - seen;
-      seen = w;
-    }
-    last_view_id_ = id;
-    metrics_.total_elimination_xors += scratch_.elimination_xors;
-
-    // Decode-delay delta, same cumulative-per-view discipline.  Coded
-    // views expose a histogram of (node, token) first-decodable rounds;
-    // this round's newly decodable pairs are the bucket-wise diff against
-    // the last snapshot of the same view.  Tracked under its own view-id
-    // key so the fold stays independent of the work delta above.
-    const auto* delays = digest.view->decode_delays();
+    // Decode cost and decode events: the view's cumulative counters, diffed
+    // against its own last readings (see readings_).  Both counters are
+    // monotone per view, so the deltas are exact.
+    const std::uint64_t work = view->coding_work();
+    const std::vector<std::uint64_t>* delays = view->decode_delays();
     scratch_.decode_delay_active = delays != nullptr;
-    scratch_.newly_decodable = 0;
-    if (delays != nullptr) {
-      metrics_.decode_delay_active = true;
-      const bool fresh = id != last_delay_view_id_;
-      if (metrics_.decode_delay_hist.size() < delays->size()) {
-        metrics_.decode_delay_hist.resize(delays->size());
+    if (work != 0 || delays != nullptr) {
+      view_readings& seen = readings_[id];
+      scratch_.elimination_xors = work - seen.work;
+      seen.work = work;
+      if (delays != nullptr) {
+        // This round's newly decodable pairs: the bucket-wise growth.
+        metrics_.decode_delay_active = true;
+        seen.delays.resize(delays->size());
+        if (metrics_.decode_delay_hist.size() < delays->size()) {
+          metrics_.decode_delay_hist.resize(delays->size());
+        }
+        for (std::size_t b = 0; b < delays->size(); ++b) {
+          const std::uint64_t d = (*delays)[b] - seen.delays[b];
+          seen.delays[b] = (*delays)[b];
+          scratch_.newly_decodable += d;
+          metrics_.decode_delay_hist[b] += d;
+        }
+        metrics_.decode_delay_events += scratch_.newly_decodable;
       }
-      for (std::size_t b = 0; b < delays->size(); ++b) {
-        const std::uint64_t prev =
-            (fresh || b >= last_delay_hist_.size()) ? 0 : last_delay_hist_[b];
-        const std::uint64_t d = (*delays)[b] - prev;
-        scratch_.newly_decodable += d;
-        metrics_.decode_delay_hist[b] += d;
-      }
-      metrics_.decode_delay_events += scratch_.newly_decodable;
-      last_delay_hist_ = *delays;
-      last_delay_view_id_ = id;
     }
-  } else {
-    // Silent round: nothing can change while everyone stays quiet, so
-    // scratch_ keeps the previous round's knowledge snapshot and
-    // aggregates untouched — long T-stable waits stay O(1) per round, not
-    // O(n).  No elimination happens either.
-    scratch_.elimination_xors = 0;
-    scratch_.decode_delay_active = false;
-    scratch_.newly_decodable = 0;
+    metrics_.total_elimination_xors += scratch_.elimination_xors;
   }
 
   // Traffic conservation, per round: at most one message per node, and
   // the per-round bit total must sit between the largest message and
   // messages * largest (every message is at most max_message_bits).
-  NCDN_AUDIT(digest.messages <= prob_.n);
-  NCDN_AUDIT(digest.message_bits <=
-             digest.messages * digest.max_message_bits);
-  NCDN_AUDIT(digest.messages == 0 ||
-             digest.message_bits >= digest.max_message_bits);
+  NCDN_AUDIT(traffic.messages <= prob_.n);
+  NCDN_AUDIT(traffic.message_bits <=
+             traffic.messages * traffic.max_message_bits);
+  NCDN_AUDIT(traffic.messages == 0 ||
+             traffic.message_bits >= traffic.max_message_bits);
 
-  // Channel accounting (zero and inactive under the reliable default).
-  scratch_.link_active = digest.link_active;
-  scratch_.messages_sent = digest.link_sent;
-  scratch_.messages_delivered = digest.link_delivered;
-  scratch_.messages_dropped = digest.link_dropped;
-  scratch_.messages_in_flight = digest.link_in_flight;
-  scratch_.delivery_latency = digest.link_latency;
-  if (digest.link_active) {
+  // Channel aggregates (zero and inactive under the reliable default).
+  if (traffic.link_active) {
     metrics_.link_active = true;
-    metrics_.total_messages_sent += digest.link_sent;
-    metrics_.total_messages_delivered += digest.link_delivered;
-    metrics_.total_messages_dropped += digest.link_dropped;
-    metrics_.messages_in_flight = digest.link_in_flight;
-    if (metrics_.delivery_latency.size() < digest.link_latency.size()) {
-      metrics_.delivery_latency.resize(digest.link_latency.size());
+    metrics_.total_messages_sent += traffic.messages_sent;
+    metrics_.total_messages_delivered += traffic.messages_delivered;
+    metrics_.total_messages_dropped += traffic.messages_dropped;
+    metrics_.messages_in_flight = traffic.messages_in_flight;
+    if (metrics_.delivery_latency.size() < traffic.delivery_latency.size()) {
+      metrics_.delivery_latency.resize(traffic.delivery_latency.size());
     }
-    for (std::size_t i = 0; i < digest.link_latency.size(); ++i) {
-      metrics_.delivery_latency[i] += digest.link_latency[i];
+    for (std::size_t i = 0; i < traffic.delivery_latency.size(); ++i) {
+      metrics_.delivery_latency[i] += traffic.delivery_latency[i];
     }
     // In-flight queue conservation, cumulative over the session: every
     // copy that entered the channel is delivered, dropped, or in flight.
     NCDN_AUDIT(metrics_.total_messages_sent ==
                metrics_.total_messages_delivered +
                    metrics_.total_messages_dropped +
-                   digest.link_in_flight);
+                   traffic.messages_in_flight);
   }
 
-  metrics_.rounds = digest.round;
-  if (digest.messages > 0) ++metrics_.rounds_with_traffic;
-  metrics_.total_messages += digest.messages;
-  metrics_.total_message_bits += digest.message_bits;
+  metrics_.rounds = traffic.round;
+  if (traffic.messages > 0) ++metrics_.rounds_with_traffic;
+  metrics_.total_messages += traffic.messages;
+  metrics_.total_message_bits += traffic.message_bits;
   metrics_.peak_round_bits =
-      std::max(metrics_.peak_round_bits, digest.message_bits);
+      std::max(metrics_.peak_round_bits, traffic.message_bits);
   if (metrics_.observed_completion_round == 0 &&
       scratch_.all_complete(dist_.k())) {
-    metrics_.observed_completion_round = digest.round;
+    metrics_.observed_completion_round = traffic.round;
   }
-}
-
-void session::on_round(const round_digest& digest) {
-  collect(digest);
-  if (observer_) observer_(scratch_);
 }
 
 void session::finish(protocol_result res) {
@@ -327,15 +304,17 @@ void session::finish(protocol_result res) {
         report_.completion_round != 0 ? report_.completion_round
                                       : report_.rounds;
   }
-  if (last_knowledge_.empty()) {
-    last_knowledge_.resize(prob_.n);
+  // The last stepped round's knowledge, or token_state's when no round was
+  // stepped.
+  if (scratch_.knowledge.empty()) {
+    scratch_.knowledge.resize(prob_.n);
     for (node_id u = 0; u < prob_.n; ++u) {
-      last_knowledge_[u] = state_->known_count(u);
+      scratch_.knowledge[u] = state_->known_count(u);
     }
   }
   std::size_t lo = std::numeric_limits<std::size_t>::max();
   std::size_t total = 0;
-  for (const std::size_t v : last_knowledge_) {
+  for (const std::size_t v : scratch_.knowledge) {
     lo = std::min(lo, v);
     total += v;
   }
@@ -382,19 +361,6 @@ void session::finish(protocol_result res) {
   NCDN_AUDIT(audit_final_consistency());
   report_.metrics = metrics_;
   finished_ = true;
-}
-
-bool session::audit_knowledge_monotone(const std::vector<std::size_t>& now,
-                                       std::uint64_t view_id) const {
-  // Multi-phase protocols hand the engine fresh views whose rank-based
-  // knowledge restarts at zero, so monotonicity only binds within one
-  // view epoch (same id as the previous observed round).
-  if (view_id != last_view_id_) return true;
-  if (last_knowledge_.size() != now.size()) return last_knowledge_.empty();
-  for (std::size_t u = 0; u < now.size(); ++u) {
-    if (now[u] < last_knowledge_[u]) return false;  // tokens are never lost
-  }
-  return true;
 }
 
 bool session::audit_final_consistency() const {

@@ -20,9 +20,11 @@
 // each live session in turn) and to fan out across a sweep pool without
 // costing a kernel thread per stepped cell.
 //
-// Both modes feed the same `round_metrics` stream (via the network round
-// hook) and fold it into `session_metrics`, which centrally subsumes the
-// protocols' hand-rolled observer-measured completion tracking.
+// Both modes feed the same `round_metrics` stream: the network's round
+// hook hands the session each round's traffic record and view, and the
+// session adds the view's readings, calls the observer, and folds the
+// record into `session_metrics`, which centrally subsumes the protocols'
+// hand-rolled observer-measured completion tracking.
 #pragma once
 
 #include <map>
@@ -108,16 +110,13 @@ class session {
   network& net() noexcept { return *net_; }
 
  private:
-  void on_round(const round_digest& digest);  // network round hook target
-  void collect(const round_digest& digest);   // digest -> scratch_/metrics_
-  void finish(protocol_result res);           // builds report_
+  // The round hook's target: one round into scratch_ and metrics_.
+  void collect(const round_traffic& traffic, const knowledge_view* view);
+  void finish(protocol_result res);  // builds report_
 
-  // Audit-build invariants (see core/contracts.hpp): per-node knowledge
-  // may only grow round over round within one view epoch, and the final
-  // report must agree with the authoritative token_state and conserve
-  // the traffic aggregates.
-  bool audit_knowledge_monotone(const std::vector<std::size_t>& now,
-                                std::uint64_t view_id) const;
+  // Audit-build invariant (see core/contracts.hpp): the final report
+  // conserves the traffic aggregates and bounds its completion round.
+  // (collect() audits knowledge monotonicity within each view.)
   bool audit_final_consistency() const;
 
   problem prob_;
@@ -145,19 +144,22 @@ class session {
   bool begun_ = false;  // machine_->begin() has run
 
   observer_fn observer_;
-  round_metrics scratch_;  // reused snapshot buffer
-  std::vector<std::size_t> last_knowledge_;
+  // The observer's snapshot; its knowledge is the last stepped round's,
+  // which the monotonicity audit and finish() read.
+  round_metrics scratch_;
   std::uint64_t last_view_id_ = 0;  // last stepped view; 0 = none yet
-  // coding_work delta tracking (see round_metrics::elimination_xors): the
-  // counters are cumulative per view, so remember each view's last reading
-  // — by view_id, not address, so a phase's fresh view reusing a freed
-  // view's storage cannot inherit its counter.
-  std::map<std::uint64_t, std::uint64_t> work_seen_;
-  // Decode-delay delta tracking: the view's histogram is cumulative, so
-  // per-round newly_decodable is the bucket-wise diff against the last
-  // snapshot of the same view (fresh views start from zero).
-  std::uint64_t last_delay_view_id_ = 0;  // 0 = none yet
-  std::vector<std::uint64_t> last_delay_hist_;
+  // Each view's last cumulative readings, for the per-round
+  // elimination_xors and newly_decodable deltas.  A protocol may step
+  // other views between two rounds of one coding view (the patch session
+  // builds each window's patches under its own), so the delta is against
+  // that view's own last reading.  Keyed by view_id, not address, so a
+  // phase's fresh view reusing a freed view's storage cannot inherit its
+  // readings.  Only views that report work or delays enter.
+  struct view_readings {
+    std::uint64_t work = 0;             // coding_work()
+    std::vector<std::uint64_t> delays;  // decode_delays() histogram
+  };
+  std::map<std::uint64_t, view_readings> readings_;
   session_metrics metrics_;
   run_report report_;
   bool finished_ = false;

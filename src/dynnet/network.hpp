@@ -14,6 +14,12 @@
 // experiment tables.  Protocols are free-running state machines that call
 // step() once per round — multi-phase algorithms (gather, flood,
 // broadcast, ...) read naturally as sequential code.
+//
+// Each round, stepped or silent, the engine fills one `round_traffic`
+// record (core/metrics.hpp): messages and bits on the air, |E(t)| and the
+// channel's copy accounting.  The round hook receives it with the view
+// the protocol stepped with; the session extends it into the
+// `round_metrics` its observer sees.
 #pragma once
 
 #include <functional>
@@ -24,41 +30,13 @@
 
 #include "core/arena.hpp"
 #include "core/contracts.hpp"
+#include "core/metrics.hpp"
 #include "core/rng.hpp"
 #include "dynnet/adversary.hpp"
 #include "dynnet/channel.hpp"
 #include "dynnet/graph.hpp"
 
 namespace ncdn {
-
-/// What the round hook sees after each round's delivery: the round index,
-/// the knowledge_view the protocol stepped with (null for silent rounds),
-/// and the message bits the round used.  This is the engine-level feed the
-/// session turns into `round_metrics` for its observer.
-struct round_digest {
-  round_t round = 0;                     // rounds_elapsed() after the round
-  const knowledge_view* view = nullptr;  // post-delivery state; null = silent
-  std::size_t messages = 0;              // nodes that broadcast
-  std::size_t message_bits = 0;          // total bits this round
-  std::size_t max_message_bits = 0;      // largest single message this round
-  std::size_t topology_edges = 0;        // |E| of the round's graph (0 when
-                                         // silent: no topology committed)
-  bool silent = false;
-
-  // Channel accounting, populated only when a link model is installed (the
-  // reliable default leaves them zero with link_active false).  A "copy"
-  // is one directed (sender -> receiver) traversal: each copy entering the
-  // channel is eventually delivered, dropped, or still in flight — the
-  // conservation invariant the audit tier checks cumulatively.
-  bool link_active = false;
-  std::size_t link_sent = 0;       // copies entering the channel this round
-  std::size_t link_delivered = 0;  // copies handed to receivers this round
-  std::size_t link_dropped = 0;    // erased / collided / expired this round
-  std::size_t link_in_flight = 0;  // delivery-queue size after the round
-  // This round's deliveries bucketed by latency in rounds (index 0 =
-  // same-round delivery); empty when nothing was delivered.
-  std::vector<std::size_t> link_latency;
-};
 
 /// The largest message, in bits, the round model admits for n nodes and
 /// message parameter b: slack * b, the constant hidden in the paper's
@@ -94,13 +72,15 @@ class network {
     return node_rngs_[u];
   }
 
-  /// Installs a hook invoked after every round (including each silent
-  /// round).  The hook observes but must not mutate protocol state; it is
-  /// how the session drives per-round observers without the protocols
-  /// knowing.  Pass an empty function to remove it.
-  void set_round_hook(std::function<void(const round_digest&)> hook) {
-    round_hook_ = std::move(hook);
-  }
+  /// A hook invoked after every round (including each silent round) with
+  /// the round's traffic record and the knowledge_view the protocol
+  /// stepped with (post-delivery state; null for silent rounds).  It
+  /// observes but must not mutate protocol state; it is how the session
+  /// drives per-round observers without the protocols knowing.
+  using round_hook =
+      std::function<void(const round_traffic&, const knowledge_view*)>;
+  /// Installs the hook; pass an empty function to remove it.
+  void set_round_hook(round_hook hook) { round_hook_ = std::move(hook); }
 
   /// Installs a per-edge channel (src/linkmodel) between the adversary's
   /// topology and the protocol: erasures, in-flight latency, medium
@@ -136,8 +116,8 @@ class network {
     // set connected and audit that themselves).
     NCDN_AUDIT(!adv_.full_connectivity() || g.is_connected());
 
-    round_digest digest;
-    digest.topology_edges = g.edge_count();
+    round_traffic traffic;
+    traffic.topology_edges = g.edge_count();
     messages_of_round<Msg> msgs;
     msgs.reserve(n_);
     for (node_id u = 0; u < n_; ++u) {
@@ -155,9 +135,9 @@ class network {
       for (node_id u = 0; u < n_; ++u) {
         if (!msgs[u].has_value()) continue;
         const std::size_t bits = msgs[u]->bit_size();
-        ++digest.messages;
-        digest.message_bits += bits;
-        digest.max_message_bits = std::max(digest.max_message_bits, bits);
+        ++traffic.messages;
+        traffic.message_bits += bits;
+        traffic.max_message_bits = std::max(traffic.max_message_bits, bits);
       }
       std::vector<const Msg*> inbox;
       for (node_id u = 0; u < n_; ++u) {
@@ -168,7 +148,7 @@ class network {
         deliver(u, static_cast<const std::vector<const Msg*>&>(inbox));
       }
     } else {
-      step_channel<Msg>(g, view.view_id(), digest, msgs, deliver);
+      step_channel<Msg>(g, view.view_id(), traffic, msgs, deliver);
     }
     // All receivers are served; recycle the round's message buffers into
     // the session arena (delayed channel copies hold their own shared
@@ -182,9 +162,8 @@ class network {
     }
     ++round_;
     if (round_hook_) {
-      digest.round = round_;
-      digest.view = &view;
-      round_hook_(digest);
+      traffic.round = round_;
+      round_hook_(traffic, &view);
     }
   }
 
@@ -199,14 +178,14 @@ class network {
     }
     for (round_t i = 0; i < count; ++i) {
       ++round_;
-      round_digest digest;
-      digest.round = round_;
-      digest.silent = true;
+      round_traffic traffic;
+      traffic.round = round_;
+      traffic.silent = true;
       if (link_ != nullptr) {
-        digest.link_active = true;
-        digest.link_in_flight = in_flight_;
+        traffic.link_active = true;
+        traffic.messages_in_flight = in_flight_;
       }
-      round_hook_(digest);
+      round_hook_(traffic, nullptr);
     }
   }
 
@@ -229,22 +208,22 @@ class network {
 
   /// The channel path of step(): transmit gating, medium discipline,
   /// erasures, and the in-flight delivery queue.  Copy accounting feeds the
-  /// digest; cumulative conservation (sent == delivered + dropped +
-  /// in flight) is audited after every round.
+  /// round's traffic record; cumulative conservation (sent == delivered +
+  /// dropped + in flight) is audited after every round.
   template <class Msg, class Deliver>
   void step_channel(const graph& g, std::uint64_t view_id,
-                    round_digest& digest, messages_of_round<Msg>& msgs,
+                    round_traffic& traffic, messages_of_round<Msg>& msgs,
                     Deliver&& deliver) {
-    digest.link_active = true;
+    traffic.link_active = true;
     const round_t send_round = round_;
     std::vector<char> transmit(n_, 0);
     for (node_id u = 0; u < n_; ++u) {
       if (!msgs[u].has_value() || !link_->transmits(send_round, u)) continue;
       transmit[u] = 1;
       const std::size_t bits = msgs[u]->bit_size();
-      ++digest.messages;
-      digest.message_bits += bits;
-      digest.max_message_bits = std::max(digest.max_message_bits, bits);
+      ++traffic.messages;
+      traffic.message_bits += bits;
+      traffic.max_message_bits = std::max(traffic.max_message_bits, bits);
     }
     const medium_mode medium = link_->medium();
     const bool collide =
@@ -252,10 +231,10 @@ class network {
 
     auto record_latency = [&](round_t latency) {
       const auto slot = static_cast<std::size_t>(latency);
-      if (digest.link_latency.size() <= slot) {
-        digest.link_latency.resize(slot + 1);
+      if (traffic.delivery_latency.size() <= slot) {
+        traffic.delivery_latency.resize(slot + 1);
       }
-      ++digest.link_latency[slot];
+      ++traffic.delivery_latency[slot];
     };
 
     // Delayed copies of one sender share a single heap copy of its message.
@@ -272,10 +251,10 @@ class network {
         ++came_due;
         if (e.view == view_id && *e.type == typeid(Msg)) {
           inbox.push_back(static_cast<const Msg*>(e.payload.get()));
-          ++digest.link_delivered;
+          ++traffic.messages_delivered;
           record_latency(send_round - e.sent);
         } else {
-          ++digest.link_dropped;  // expired: the phase moved on
+          ++traffic.messages_dropped;  // expired: the phase moved on
         }
       }
 
@@ -292,16 +271,16 @@ class network {
       }
       for (node_id v : g.neighbors(u)) {
         if (transmit[v] == 0) continue;
-        ++digest.link_sent;
+        ++traffic.messages_sent;
         if (rx_busy || (collide && tx_neighbors >= 2) ||
             link_->lost(send_round, v, u)) {
-          ++digest.link_dropped;
+          ++traffic.messages_dropped;
           continue;
         }
         const round_t d = link_->delay(send_round, v, u);
         if (d == 0) {
           inbox.push_back(&*msgs[v]);
-          ++digest.link_delivered;
+          ++traffic.messages_delivered;
           record_latency(0);
         } else {
           if (shared[v] == nullptr) {
@@ -322,10 +301,10 @@ class network {
         in_flight_ -= came_due;
       }
     }
-    digest.link_in_flight = in_flight_;
-    link_sent_total_ += digest.link_sent;
-    link_delivered_total_ += digest.link_delivered;
-    link_dropped_total_ += digest.link_dropped;
+    traffic.messages_in_flight = in_flight_;
+    link_sent_total_ += traffic.messages_sent;
+    link_delivered_total_ += traffic.messages_delivered;
+    link_dropped_total_ += traffic.messages_dropped;
     // Conservation: every copy that ever entered the channel has exactly
     // one fate — delivered, dropped, or still in flight.
     NCDN_AUDIT(link_sent_total_ ==
@@ -338,7 +317,7 @@ class network {
   round_t round_ = 0;
   std::size_t max_message_bits_ = 0;
   std::vector<rng> node_rngs_;
-  std::function<void(const round_digest&)> round_hook_;
+  round_hook round_hook_;
   word_arena* arena_ = nullptr;            // session pool; null = no pooling
   std::unique_ptr<link_model> link_;       // null = reliable default
   // Delayed copies, one queue per receiver in enqueue order (sized n by

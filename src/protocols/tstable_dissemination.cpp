@@ -1,7 +1,6 @@
 #include "protocols/tstable_dissemination.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <set>
 #include <span>
 
@@ -211,6 +210,10 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
 
 }  // namespace
 
+// Items and item bits each stay below one vector's bits, so bounding the
+// vector keeps the item count under the coders' pivot indices.
+static_assert(tstable_max_vector_bits <= pivot_index_bound);
+
 bool tstable_engine_fits(tstable_engine engine, std::size_t n,
                          std::size_t b_bits, round_t t_stability,
                          std::size_t d) {
@@ -219,21 +222,17 @@ bool tstable_engine_fits(tstable_engine engine, std::size_t n,
     return true;
   }
   if (b_bits < 2) return false;  // both plans' precondition
-  // A vector is b * t_vec bits and an epoch ships items * (item_bits / d)
-  // tokens; on huge windows either product can wrap a size_t.  The coders
-  // index items with 32-bit pivots.
-  const auto sized = [&](round_t t_vec, std::size_t items,
-                         std::size_t item_bits) {
-    const std::size_t top = std::numeric_limits<std::size_t>::max();
-    return item_bits >= d && t_vec <= top / b_bits &&
-           item_bits / d <= top / items && items < pivot_index_bound;
+  // A vector is b * t_vec bits, checked without forming the product (it
+  // wraps a size_t on huge windows, as the plans' own sizes then do).
+  const auto sized = [&](round_t t_vec, std::size_t item_bits) {
+    return item_bits >= d && t_vec <= tstable_max_vector_bits / b_bits;
   };
   if (engine == tstable_engine::chunked) {
     const chunked_plan plan = plan_chunked_broadcast(b_bits, t_stability);
-    return sized(plan.t_vec, plan.items, plan.item_bits);
+    return sized(plan.t_vec, plan.item_bits);
   }
   const patch_plan plan = plan_patch_broadcast(n, b_bits, t_stability);
-  return plan.feasible && sized(plan.t_vec, plan.items, plan.item_bits);
+  return plan.feasible && sized(plan.t_vec, plan.item_bits);
 }
 
 round_task<tstable_result> tstable_machine(network& net, token_state& st,

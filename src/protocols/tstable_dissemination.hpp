@@ -53,11 +53,23 @@ struct tstable_result : protocol_result {
   std::size_t tokens_per_epoch = 0;  // broadcast capacity of one epoch
 };
 
+/// The widest coded vector, in bits, a T-stable coded engine may send: one
+/// vector is b * t_vec bits (coefficients plus payload), where t_vec grows
+/// with the window (T / 8 for patch, T / 2 for chunked).  Each node's coder
+/// and share buffer hold rows of this width, so an unbounded window sizes
+/// rows of gigabytes (patch at b = 32 and T just under 2^31 has rows of
+/// 2^33 bits, 1 GiB, even for a single item).  2^20 bits (128 KiB) is 256
+/// times the widest committed configuration (chunked at b = 32, T = 256,
+/// 4,096 bits), and it bounds every other size as well: an engine's item
+/// count and item width are each below it, so neither reaches the coders'
+/// 32-bit pivot indices and their product cannot wrap a size_t.
+inline constexpr std::size_t tstable_max_vector_bits = std::size_t{1} << 20;
+
 /// True iff `engine`'s sizing fits an (n, b, T, d) instance: the patch
 /// engines need a feasible patch plan, and every coded engine needs an
-/// item that holds a d-bit token, bit and token counts that fit a size_t,
-/// and fewer than 2^32 items (the coders' pivot index width).  plain (and
-/// auto_select, which falls back to it) always fit.
+/// item that holds a d-bit token and a vector of at most
+/// tstable_max_vector_bits.  plain (and auto_select, which falls back to
+/// it) always fit.
 bool tstable_engine_fits(tstable_engine engine, std::size_t n,
                          std::size_t b_bits, round_t t_stability,
                          std::size_t d);

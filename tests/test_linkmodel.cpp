@@ -299,10 +299,10 @@ TEST(linkmodel, in_flight_copies_expire_when_the_view_changes) {
   std::size_t sent = 0;
   std::size_t delivered = 0;
   std::size_t dropped = 0;
-  net.set_round_hook([&](const round_digest& digest) {
-    sent += digest.link_sent;
-    delivered += digest.link_delivered;
-    dropped += digest.link_dropped;
+  net.set_round_hook([&](const round_traffic& traffic, const knowledge_view*) {
+    sent += traffic.messages_sent;
+    delivered += traffic.messages_delivered;
+    dropped += traffic.messages_dropped;
   });
   const auto speak = [](node_id, rng&) { return std::optional(probe_msg{}); };
   const auto hush = [](node_id, rng&) { return std::optional<probe_msg>(); };

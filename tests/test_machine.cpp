@@ -9,13 +9,17 @@
 //   * 64 sessions stepped round-robin on one thread yield reports
 //     bit-identical to running them sequentially, and a session that
 //     throws mid-run leaves the sessions stepped beside it intact;
-//   * unknown-parameter errors name the valid keys the factories queried.
+//   * unknown-parameter errors name the valid keys the factories queried;
+//   * the observer's per-round stream sums to the session's totals, with
+//     each view's deltas taken against its own last reading.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/session.hpp"
@@ -359,6 +363,179 @@ TEST(machine, throwing_machine_marks_the_session_failed_not_reported) {
                        "survivor before the thrower");
   expect_reports_equal(lone3.run_to_completion(), live[2]->report(),
                        "survivor after the thrower");
+}
+
+// The observer's stream is the session's one per-round record: summed over
+// the run, it must give the report's totals.  The cells step several views:
+// tstable/patch alternates opaque patch-building views with its coded
+// session's, greedy-forward steps token_state and a fresh RLNC view per
+// epoch, and rlnc-direct runs over a lossy link with in-flight delays.
+TEST(session, per_round_stream_folds_to_the_session_totals) {
+  struct stream_cell {
+    const char* protocol;
+    const char* adversary;
+    param_map params;
+    link_spec link;
+  };
+  const stream_cell cells[] = {
+      {"tstable/patch",
+       "permuted-path",
+       {{"n", "32"}, {"k", "32"}, {"b", "16"}, {"t_stability", "256"}},
+       {}},
+      {"greedy-forward", "sorted-path", {{"n", "32"}, {"k", "32"}}, {}},
+      {"rlnc-direct",
+       "permuted-path",
+       {{"n", "16"}, {"k", "16"}},
+       parse_link_spec("bernoulli,p=0.1,delay_max=2")},
+  };
+  for (const stream_cell& c : cells) {
+    session s(tiny_problem(c.protocol), protocol_spec{c.protocol, c.params},
+              adversary_spec{c.adversary, c.params}, c.link, 3);
+    round_t rounds = 0;
+    std::size_t messages = 0;
+    std::size_t message_bits = 0;
+    std::uint64_t xors = 0;
+    std::uint64_t decodable = 0;
+    std::uint64_t sent = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t dropped = 0;
+    std::vector<std::size_t> latency;
+    s.set_observer([&](const round_metrics& m) {
+      ++rounds;
+      messages += m.messages;
+      message_bits += m.message_bits;
+      xors += m.elimination_xors;
+      decodable += m.newly_decodable;
+      sent += m.messages_sent;
+      delivered += m.messages_delivered;
+      dropped += m.messages_dropped;
+      if (latency.size() < m.delivery_latency.size()) {
+        latency.resize(m.delivery_latency.size());
+      }
+      for (std::size_t i = 0; i < m.delivery_latency.size(); ++i) {
+        latency[i] += m.delivery_latency[i];
+      }
+    });
+    const run_report& rep = s.run_to_completion();
+    const session_metrics& m = rep.metrics;
+    const std::string what = c.protocol;
+    ASSERT_TRUE(rep.complete) << what;
+    EXPECT_EQ(rounds, m.rounds) << what;
+    EXPECT_EQ(messages, m.total_messages) << what;
+    EXPECT_EQ(message_bits, m.total_message_bits) << what;
+    EXPECT_GT(xors, 0u) << what;
+    EXPECT_EQ(xors, m.total_elimination_xors) << what;
+    EXPECT_EQ(decodable, m.decode_delay_events) << what;
+    EXPECT_EQ(sent, m.total_messages_sent) << what;
+    EXPECT_EQ(delivered, m.total_messages_delivered) << what;
+    EXPECT_EQ(dropped, m.total_messages_dropped) << what;
+    EXPECT_EQ(latency, m.delivery_latency) << what;
+    EXPECT_EQ(sent, delivered + dropped + m.messages_in_flight) << what;
+    if (!c.link.empty()) {
+      EXPECT_GT(dropped, 0u) << what;
+      EXPECT_EQ(latency.size(), 3u) << what;  // delays 0, 1 and 2
+    }
+  }
+}
+
+// A view whose cumulative counters the protocol below sets by hand.
+class scripted_view final : public knowledge_view {
+ public:
+  explicit scripted_view(std::size_t n) : n_(n) {}
+  std::size_t node_count() const override { return n_; }
+  std::size_t knowledge(node_id) const override { return 0; }
+  std::uint64_t coding_work() const override { return work; }
+  const std::vector<std::uint64_t>* decode_delays() const override {
+    return &delays;
+  }
+
+  // Each round this view steps adds `work_per_round` XORs and
+  // `pairs_per_round` decodable pairs, in the bucket of its own round.
+  void advance(std::uint64_t work_per_round, std::uint64_t pairs_per_round) {
+    work += work_per_round;
+    delays.push_back(pairs_per_round);
+  }
+
+  std::uint64_t work = 0;
+  std::vector<std::uint64_t> delays;
+
+ private:
+  std::size_t n_;
+};
+
+// Which view steps each round of the scripted protocol: 'a' and 'b' are
+// two coding views, 'o' an opaque one, and 's' a silent round.
+constexpr std::string_view view_script = "aaoabbaosbaoa";
+
+struct scripted_msg {
+  std::size_t bit_size() const { return 8; }
+};
+
+round_task<protocol_result> scripted_views_machine(session_env& env) {
+  const std::size_t n = env.prob.n;
+  scripted_view a(n);
+  scripted_view b(n);
+  opaque_view quiet(n);
+  const auto speak = [](node_id, rng&) {
+    return std::optional(scripted_msg{});
+  };
+  const auto ignore = [](node_id, const std::vector<const scripted_msg*>&) {};
+  for (const char which : view_script) {
+    if (which == 's') {
+      env.net.silent_rounds(1);
+    } else if (which == 'o') {
+      env.net.step<scripted_msg>(quiet, speak, ignore);
+    } else {
+      scripted_view& v = which == 'a' ? a : b;
+      v.advance(which == 'a' ? 10 : 7, which == 'a' ? 3 : 2);
+      env.net.step<scripted_msg>(v, speak, ignore);
+    }
+    co_await next_round;
+  }
+  protocol_result res;
+  res.rounds = env.net.rounds_elapsed();
+  co_return res;
+}
+
+// Each view's per-round deltas are taken against its own last reading, so
+// however a protocol interleaves its views, the totals are the views' final
+// counters: 10 XORs and 3 pairs per 'a' round, 7 XORs and 2 pairs per 'b'
+// round.  Diffing against the last stepped view instead would charge a
+// returning view its whole history again.
+TEST(session, per_view_deltas_survive_interleaved_views) {
+  static const bool registered = [] {
+    protocol_registry::instance().add(
+        {"test/scripted-views",
+         "steps two coding views and an opaque one in turn (test-only entry)",
+         std::nullopt, [](const problem&, param_reader&) {
+           return make_protocol_machine(
+               [](session_env& env) { return scripted_views_machine(env); });
+         }});
+    return true;
+  }();
+  ASSERT_TRUE(registered);
+  const auto count = [](char which) {
+    return static_cast<std::uint64_t>(
+        std::count(view_script.begin(), view_script.end(), which));
+  };
+  const std::uint64_t want_xors = 10 * count('a') + 7 * count('b');
+  const std::uint64_t want_pairs = 3 * count('a') + 2 * count('b');
+
+  session s(tiny_problem("token-forwarding"),
+            protocol_spec{"test/scripted-views", {}},
+            adversary_spec{"static-path", {}}, 1);
+  std::uint64_t xors = 0;
+  std::uint64_t pairs = 0;
+  s.set_observer([&](const round_metrics& m) {
+    xors += m.elimination_xors;
+    pairs += m.newly_decodable;
+  });
+  const run_report& rep = s.run_to_completion();
+  EXPECT_EQ(rep.metrics.rounds, view_script.size());
+  EXPECT_EQ(xors, want_xors);
+  EXPECT_EQ(rep.metrics.total_elimination_xors, want_xors);
+  EXPECT_EQ(pairs, want_pairs);
+  EXPECT_EQ(rep.metrics.decode_delay_events, want_pairs);
 }
 
 }  // namespace

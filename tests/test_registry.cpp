@@ -355,6 +355,10 @@ TEST(session, bad_window_and_round_budget_params_are_rejected_up_front) {
       {"tstable/patch-gather",
        "static-path",
        {{"t_stability", "18446744073709551615"}}},
+      // Plans under 2^32 items whose coded vectors are gigabits wide.
+      {"tstable/patch", "static-path", {{"t_stability", "2147483640"}}},
+      {"tstable/patch-gather", "static-path", {{"t_stability", "2147483640"}}},
+      {"tstable/chunked", "static-path", {{"t_stability", "268435456"}}},
       // Coded rows of k + d = 272 bits over the slack * b + framing =
       // 264-bit budget network::step asserts.
       {"rlnc-direct",
@@ -391,6 +395,15 @@ TEST(session, bad_window_and_round_budget_params_are_rejected_up_front) {
                          adversary_spec{in.adversary, in.params}, 1),
                  std::invalid_argument)
         << what;
+  }
+  // tstable/auto falls back to an engine that fits those windows and
+  // completes.
+  for (const char* t : {"2147483640", "268435456"}) {
+    const param_map params = {{"t_stability", t}};
+    session s(tiny_problem("tstable/auto"),
+              protocol_spec{"tstable/auto", params},
+              adversary_spec{"static-path", params}, 1);
+    EXPECT_TRUE(s.run_to_completion().complete) << "T=" << t;
   }
 }
 

@@ -50,15 +50,28 @@ TEST(patch_plan, engines_fit_only_below_2_32_items) {
     EXPECT_FALSE(tstable_engine_fits(e, 16, 32, t, 8));
   }
   EXPECT_TRUE(tstable_engine_fits(tstable_engine::auto_select, 16, 32, t, 8));
-  // The bound is on the item count: 2^32 - 16 items fit, 2^32 do not.
+  // 2^32 - 16 items stay under the pivot indices, but each vector is
+  // 2^33 - 32 bits wide (rows of 1 GiB at every node), so they do not fit
+  // either: the bound that binds first is one vector's width.
   const round_t under = (round_t{1} << 31) - 8;
   ASSERT_EQ(plan_patch_broadcast(16, 32, under).items,
             (std::size_t{1} << 32) - 16);
-  EXPECT_TRUE(tstable_engine_fits(tstable_engine::patch, 16, 32, under, 8));
+  EXPECT_FALSE(tstable_engine_fits(tstable_engine::patch, 16, 32, under, 8));
   ASSERT_EQ(plan_patch_broadcast(16, 32, round_t{1} << 31).items,
             std::size_t{1} << 32);
   EXPECT_FALSE(
       tstable_engine_fits(tstable_engine::patch, 16, 32, round_t{1} << 31, 8));
+  // A vector is b * t_vec bits, with t_vec = T / 8 for patch and T / 2 for
+  // chunked: both engines fit up to tstable_max_vector_bits and not past.
+  const round_t widest = tstable_max_vector_bits / 32;  // t_vec at b = 32
+  EXPECT_TRUE(
+      tstable_engine_fits(tstable_engine::patch, 16, 32, 8 * widest, 8));
+  EXPECT_FALSE(
+      tstable_engine_fits(tstable_engine::patch, 16, 32, 8 * widest + 8, 8));
+  EXPECT_TRUE(
+      tstable_engine_fits(tstable_engine::chunked, 16, 32, 2 * widest, 8));
+  EXPECT_FALSE(
+      tstable_engine_fits(tstable_engine::chunked, 16, 32, 2 * widest + 2, 8));
 }
 
 TEST(chunked_meta, decodes_on_t_stable_network) {
