@@ -10,13 +10,48 @@
 // rlnc-direct beats naive-indexed on t-interval-random, the model class the
 // guarantees are stated against.
 //
-// Writes BENCH_E18.json under NCDN_BENCH_JSON (one row per adversary x
-// protocol: mean completion rounds, mean elimination XORs, completion
-// rate), the file the nightly trajectory job diffs run over run.
+// The `topology` section times the dynnet layer alone: each family's
+// `topology()` per call and its heap allocations per call, after a
+// warm-up, at n = 16 (the sweep's size) and n = 1024.  Every family
+// rebuilds one graph in place, so a steady-state call allocates only when
+// a node passes its previous degree record.
+//
+// Writes BENCH_E18.json under NCDN_BENCH_JSON (one frontier row per
+// adversary x protocol: mean completion rounds, mean elimination XORs,
+// completion rate; one topology row per family x n), the file the nightly
+// trajectory job diffs run over run.
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <new>
+
 #include "bench_util.hpp"
+#include "core/registry.hpp"
 
 using namespace ncdn;
 using namespace ncdn::bench;
+
+namespace {
+
+// Every global operator new in this binary bumps the counter; the
+// topology section reads it around topology() calls only.
+std::atomic<std::uint64_t> allocations{0};
+
+// Out of line, so a caller that inlines the replaced operators does not
+// see a malloc/free pair behind a new/delete pair (GCC's
+// -Wmismatched-new-delete).
+[[gnu::noinline]] void* acquire(std::size_t size) {
+  allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t size) { return acquire(size); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
 
 namespace {
 
@@ -53,6 +88,95 @@ outcome measure(const problem& prob, const std::string& alg,
   return out;
 }
 
+// Knowledge that grows like a protocol's: each call, every node gains a
+// unit with probability 1/2, so the adaptive families re-sort every round.
+class drifting_view final : public knowledge_view {
+ public:
+  explicit drifting_view(std::size_t n) : k_(n, 0) {}
+  std::size_t node_count() const override { return k_.size(); }
+  std::size_t knowledge(node_id u) const override { return k_[u]; }
+  void advance(rng& r) {
+    for (std::size_t& k : k_) k += r.coin() ? 1 : 0;
+  }
+
+ private:
+  std::vector<std::size_t> k_;
+};
+
+struct topology_cost {
+  double secs_per_call = 0;
+  double allocations_per_call = 0;
+};
+
+topology_cost time_topology(const family& fam, std::size_t n,
+                            std::size_t calls) {
+  problem prob;
+  prob.n = n;
+  prob.k = n;
+  prob.d = 8;
+  prob.b = n;
+  std::unique_ptr<adversary> adv =
+      build_adversary(prob, adversary_spec{fam.adv, fam.params}, 7);
+  drifting_view view(n);
+  rng drift(11);
+  const std::size_t warmup = 100;
+  round_t r = 0;
+  double secs = 0;
+  std::uint64_t allocs = 0;
+  for (std::size_t i = 0; i < warmup + calls; ++i, ++r) {
+    view.advance(drift);
+    const std::uint64_t a0 = allocations.load(std::memory_order_relaxed);
+    const auto t0 = std::chrono::steady_clock::now();
+    const graph& g = adv->topology(r, view);
+    const auto t1 = std::chrono::steady_clock::now();
+    const std::uint64_t a1 = allocations.load(std::memory_order_relaxed);
+    NCDN_ASSERT(g.order() == n);
+    if (i >= warmup) {
+      secs += std::chrono::duration<double>(t1 - t0).count();
+      allocs += a1 - a0;
+    }
+  }
+  return {secs / static_cast<double>(calls),
+          static_cast<double>(allocs) / static_cast<double>(calls)};
+}
+
+void topology_section(json_recorder& rec, double scale) {
+  const std::vector<family> families = {
+      {"permuted-path", "permuted-path", {}, false},
+      {"random-connected", "random-connected", {}, false},
+      {"random-geometric", "random-geometric", {}, false},
+      {"sorted-path", "sorted-path", {}, false},
+      {"adaptive-min-cut", "adaptive-min-cut", {}, false},
+      {"t-interval", "t-interval", {}, false},
+      {"t-interval-random", "t-interval-random", {{"t", "4"}}, false},
+      {"edge-markov", "edge-markov",
+       {{"p_on", "0.15"}, {"p_off", "0.3"}}, false},
+      {"churn", "churn", {{"rate", "0.1"}, {"max_down", "4"}}, true},
+      {"compose[markov-geo]", "compose",
+       {{"modifier", "edge-markov"}, {"base", "random-geometric"}}, false},
+  };
+  text_table t({"family", "n", "us/call", "allocs/call"});
+  for (const std::size_t n : {std::size_t{16}, std::size_t{1024}}) {
+    // About 0.2 s per family at n = 16; the n = 1024 calls cost up to a
+    // few ms each (a 1024-node clique base has 523,776 slots).
+    const auto calls = static_cast<std::size_t>(
+        std::max(20.0, scale * (n == 16 ? 20000.0 : 100.0)));
+    for (const family& fam : families) {
+      const topology_cost c = time_topology(fam, n, calls);
+      t.add_row({fam.label, std::to_string(n),
+                 text_table::num(c.secs_per_call * 1e6),
+                 text_table::num(c.allocations_per_call)});
+      rec.row("topology", {{"family", json::value{fam.label}},
+                           {"n", json::value{std::to_string(n)}},
+                           {"calls", json::value{calls}},
+                           {"topology_secs", json::value{c.secs_per_call}},
+                           {"allocations_per_call",
+                            json::value{c.allocations_per_call}}});
+    }
+  }
+  t.print();
+}
+
 }  // namespace
 
 int main() {
@@ -77,6 +201,11 @@ int main() {
   rec.config("k", json::value{k});
   rec.config("d", json::value{d});
   rec.config("b", json::value{prob.b});
+
+  std::printf("\nTopology layer: topology() per call after a 100-call "
+              "warm-up\n");
+  topology_section(rec, scale);
+  std::printf("\n");
 
   const std::vector<family> families = {
       {"permuted-path", "permuted-path", {}, false},

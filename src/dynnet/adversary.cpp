@@ -1,7 +1,6 @@
 #include "dynnet/adversary.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 namespace ncdn {
 
@@ -15,8 +14,8 @@ generator_adversary::generator_adversary(std::string name, generator_fn fn,
 
 const graph& generator_adversary::topology(round_t r, const knowledge_view&) {
   if (r != current_round_) {
-    current_ = fn_(rng_);
-    NCDN_ENSURES(current_.is_connected(scratch_));
+    fn_(current_, rng_, scratch_);
+    NCDN_ENSURES(current_.is_connected(scratch_.bfs));
     current_round_ = r;
   }
   return current_;
@@ -50,31 +49,28 @@ t_interval_adversary::t_interval_adversary(std::size_t n, round_t t,
                                            std::uint64_t seed)
     : n_(n), t_(t), extra_edges_(extra_edges), rng_(seed) {
   NCDN_EXPECTS(n >= 2 && t >= 1);
+  extras_.reserve(extra_edges_);
 }
 
 const graph& t_interval_adversary::topology(round_t r,
                                             const knowledge_view&) {
-  const round_t window = r / t_;
-  if (window != tree_window_) {
-    tree_ = gen::random_tree(n_, rng_);
-    tree_window_ = window;
-    window_fresh_ = true;
-  }
   if (r != current_round_) {
-    // The backbone is copied once per window; per round the previous
-    // extras are popped off the adjacency tails (they were appended last)
-    // and fresh ones appended, so each node's neighbor order is the
-    // window tree's followed by this round's extras.
-    if (window_fresh_) {
-      current_ = tree_;
-      extras_.clear();
-      window_fresh_ = false;
+    // The window's first round draws the backbone tree straight into
+    // `current_`; later rounds pop the previous extras off the adjacency
+    // tails (they were appended last) and append fresh ones, so each
+    // node's neighbor order is the window tree's followed by this round's
+    // extras.
+    const round_t window = r / t_;
+    if (window != tree_window_) {
+      window_rng_ = rng_;
+      gen::random_tree(current_, n_, rng_, scratch_);
+      tree_window_ = window;
     } else {
       for (auto it = extras_.rbegin(); it != extras_.rend(); ++it) {
         current_.pop_edge_tail(it->first, it->second);
       }
-      extras_.clear();
     }
+    extras_.clear();
     for (std::size_t e = 0; e < extra_edges_; ++e) {
       const node_id u = static_cast<node_id>(rng_.below(n_));
       node_id v = static_cast<node_id>(rng_.below(n_ - 1));
@@ -91,7 +87,8 @@ const graph& t_interval_adversary::topology(round_t r,
 }
 
 graph t_interval_adversary::audit_rebuild() const {
-  graph g = tree_;
+  rng replay = window_rng_;
+  graph g = gen::random_tree(n_, replay);
   for (const auto& [u, v] : extras_) g.add_edge(u, v);
   return g;
 }
@@ -113,36 +110,38 @@ const graph& edge_markov_adversary::topology(round_t r,
                                              const knowledge_view& view) {
   if (r == current_round_) return current_;
   const graph& base = base_->topology(r, view);
-  const std::size_t n = base.order();
   // Slots enumerate the base's unique candidate edges in first-sighting
   // scan order, and each round advances every slot's chain once, in slot
-  // order (parallel base edges share one chain).  The map is the chain
-  // archive across base changes: a chain survives a rebind.
+  // order (parallel base edges share one chain).  The archive outlives
+  // base changes: a chain survives a rebind.
   if (!delta_.bound_to(base)) {
     delta_.rebind(base);
-    chains_.clear();
-    chains_.reserve(delta_.slots());
+    slot_chain_.resize(delta_.slots());
     for (std::size_t s = 0; s < delta_.slots(); ++s) {
       const std::uint64_t key =
-          static_cast<std::uint64_t>(delta_.slot_u(s)) * n + delta_.slot_v(s);
-      chains_.push_back(&states_[key]);
+          (static_cast<std::uint64_t>(delta_.slot_u(s)) << 32) |
+          delta_.slot_v(s);
+      const auto fresh = static_cast<std::uint32_t>(archive_.size());
+      slot_chain_[s] = index_.find_or_insert(key, fresh);
+      if (slot_chain_[s] == fresh) archive_.push_back(edge_unseen);
     }
   }
-  for (std::size_t s = 0; s < delta_.slots(); ++s) {
-    edge_state& st = *chains_[s];
-    if (st.last != r) {
-      if (st.last == ~round_t{0}) {
-        // First sighting: stationary distribution of the chain.
-        st.on = rng_.bernoulli(p_on_ / (p_on_ + p_off_));
-      } else if (st.on) {
-        st.on = !rng_.bernoulli(p_off_);
-      } else {
-        st.on = rng_.bernoulli(p_on_);
-      }
-      st.last = r;
-    }
-    delta_.set_on(s, st.on);
-  }
+  // One draw per slot: bernoulli(p_on) from off, !bernoulli(p_off) from
+  // on, bernoulli(stationary) at first sighting.  Indexing the threshold
+  // by state and flipping the on-state's outcome takes no state branch.
+  // The generator runs on a local copy, which the byte stores of the loop
+  // cannot alias, so its state stays in registers.
+  const double threshold[3] = {p_on_, p_off_, p_on_ / (p_on_ + p_off_)};
+  rng draws = rng_;
+  edge_state* const chain = archive_.data();
+  const std::uint32_t* const slot_chain = slot_chain_.data();
+  delta_.assign([&](std::size_t s) {
+    edge_state& st = chain[slot_chain[s]];
+    const bool on = (draws.uniform01() < threshold[st]) != (st == edge_on);
+    st = on ? edge_on : edge_off;
+    return on;
+  });
+  rng_ = draws;
   forced_edges_ = delta_.apply(current_, base);
   NCDN_ENSURES(current_.is_connected(scratch_));
   current_round_ = r;
@@ -151,6 +150,41 @@ const graph& edge_markov_adversary::topology(round_t r,
 
 std::string edge_markov_adversary::name() const {
   return "edge-markov(" + base_->name() + ")";
+}
+
+std::uint32_t edge_markov_adversary::pair_index::find_or_insert(
+    std::uint64_t key, std::uint32_t fresh) {
+  if (keys_.empty()) grow();
+  const std::size_t i = probe(key);
+  if (keys_[i] == key) return positions_[i];
+  keys_[i] = key;
+  positions_[i] = fresh;
+  if (2 * ++size_ > keys_.size()) grow();
+  return fresh;
+}
+
+std::size_t edge_markov_adversary::pair_index::probe(
+    std::uint64_t key) const {
+  // Fibonacci hashing picks the home slot; linear probing from there
+  // stops at the key or at the first empty slot.
+  const std::size_t mask = keys_.size() - 1;
+  std::size_t i = ((key * 0x9e3779b97f4a7c15ULL) >> 32) & mask;
+  while (keys_[i] != key && keys_[i] != 0) i = (i + 1) & mask;
+  return i;
+}
+
+void edge_markov_adversary::pair_index::grow() {
+  const std::vector<std::uint64_t> old_keys = std::move(keys_);
+  const std::vector<std::uint32_t> old_positions = std::move(positions_);
+  const std::size_t capacity = std::max<std::size_t>(64, 2 * old_keys.size());
+  keys_.assign(capacity, 0);
+  positions_.assign(capacity, 0);
+  for (std::size_t j = 0; j < old_keys.size(); ++j) {
+    if (old_keys[j] == 0) continue;
+    const std::size_t i = probe(old_keys[j]);
+    keys_[i] = old_keys[j];
+    positions_[i] = old_positions[j];
+  }
 }
 
 churn_adversary::churn_adversary(std::unique_ptr<adversary> base, double rate,
@@ -178,6 +212,7 @@ const graph& churn_adversary::topology(round_t r, const knowledge_view& view) {
     live_.assign(n, 1);
     down_since_.assign(n, 0);
     live_count_ = n;
+    flipped_.reserve(n);
   }
   // Advance the arrival/departure process in node-id order (deterministic;
   // the live floor is enforced against the running count).  Flips are
@@ -207,10 +242,9 @@ const graph& churn_adversary::topology(round_t r, const knowledge_view& view) {
   // endpoints' final liveness this round).
   if (!delta_.bound_to(base)) {
     delta_.rebind(base);
-    for (std::size_t s = 0; s < delta_.slots(); ++s) {
-      delta_.set_on(s, live_[delta_.slot_u(s)] != 0 &&
-                           live_[delta_.slot_v(s)] != 0);
-    }
+    delta_.assign([&](std::size_t s) {
+      return live_[delta_.slot_u(s)] != 0 && live_[delta_.slot_v(s)] != 0;
+    });
   } else {
     for (node_id u : flipped_) delta_.refresh_node(u, live_);
   }
@@ -252,22 +286,40 @@ std::string churn_adversary::name() const {
   return "churn(" + base_->name() + ")";
 }
 
+namespace {
+
+// Orders the nodes by knowledge, ties by node id: the order a stable sort
+// of the identity permutation gives, without its merge buffer.  Each
+// node's knowledge is read into `key` once.
+void sort_by_knowledge(const knowledge_view& view, bool ascending,
+                       std::vector<std::size_t>& key,
+                       std::vector<node_id>& order) {
+  const std::size_t n = view.node_count();
+  key.resize(n);
+  order.resize(n);
+  for (node_id u = 0; u < n; ++u) {
+    key[u] = view.knowledge(u);
+    order[u] = u;
+  }
+  std::sort(order.begin(), order.end(), [&](node_id a, node_id b) {
+    if (key[a] != key[b]) return ascending ? key[a] < key[b] : key[a] > key[b];
+    return a < b;
+  });
+}
+
+}  // namespace
+
 const graph& adaptive_min_cut_adversary::topology(round_t,
                                                   const knowledge_view& view) {
   const std::size_t n = view.node_count();
-  std::vector<node_id> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](node_id a, node_id b) {
-    return view.knowledge(a) < view.knowledge(b);
-  });
+  sort_by_knowledge(view, /*ascending=*/true, key_, order_);
   // Split at the widest knowledge gap: the frontier the protocol most
   // needs to cross.  Uniform knowledge has no frontier to attack; fall
   // back to a balanced split.
   std::size_t split = n / 2;
   std::size_t best_gap = 0;
   for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t gap =
-        view.knowledge(order[i]) - view.knowledge(order[i - 1]);
+    const std::size_t gap = key_[order_[i]] - key_[order_[i - 1]];
     if (gap > best_gap) {
       best_gap = gap;
       split = i;
@@ -275,17 +327,17 @@ const graph& adaptive_min_cut_adversary::topology(round_t,
   }
   if (split == 0 || split == n) split = n / 2;
 
-  graph g(n);
+  current_.reset(n);
   auto side = [&](std::size_t begin, std::size_t end) {
     if (clique_sides_) {
       for (std::size_t i = begin; i < end; ++i) {
         for (std::size_t j = i + 1; j < end; ++j) {
-          g.add_edge(order[i], order[j]);
+          current_.add_edge(order_[i], order_[j]);
         }
       }
     } else {
       for (std::size_t i = begin; i + 1 < end; ++i) {
-        g.add_edge(order[i], order[i + 1]);
+        current_.add_edge(order_[i], order_[i + 1]);
       }
     }
   };
@@ -293,27 +345,23 @@ const graph& adaptive_min_cut_adversary::topology(round_t,
   side(split, n);
   // The single bridge joins the two knowledge-adjacent boundary nodes —
   // the pair whose exchange is least informative.
-  if (split < n && split > 0) g.add_edge(order[split - 1], order[split]);
+  if (split < n && split > 0) {
+    current_.add_edge(order_[split - 1], order_[split]);
+  }
 
   low_side_.assign(n, 0);
-  for (std::size_t i = 0; i < split; ++i) low_side_[order[i]] = 1;
-  current_ = std::move(g);
+  for (std::size_t i = 0; i < split; ++i) low_side_[order_[i]] = 1;
   return current_;
 }
 
 const graph& sorted_path_adversary::topology(round_t,
                                              const knowledge_view& view) {
   const std::size_t n = view.node_count();
-  std::vector<node_id> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](node_id a, node_id b) {
-    const std::size_t ka = view.knowledge(a);
-    const std::size_t kb = view.knowledge(b);
-    return ascending_ ? ka < kb : ka > kb;
-  });
-  graph g(n);
-  for (std::size_t i = 0; i + 1 < n; ++i) g.add_edge(order[i], order[i + 1]);
-  current_ = std::move(g);
+  sort_by_knowledge(view, ascending_, key_, order_);
+  current_.reset(n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    current_.add_edge(order_[i], order_[i + 1]);
+  }
   return current_;
 }
 
@@ -328,7 +376,11 @@ std::unique_ptr<adversary> make_static_star(std::size_t n) {
 std::unique_ptr<adversary> make_permuted_path(std::size_t n,
                                               std::uint64_t seed) {
   return std::make_unique<generator_adversary>(
-      "permuted-path", [n](rng& r) { return gen::permuted_path(n, r); }, seed);
+      "permuted-path",
+      [n](graph& out, rng& r, gen::scratch& s) {
+        gen::permuted_path(out, n, r, s);
+      },
+      seed);
 }
 
 std::unique_ptr<adversary> make_random_connected(std::size_t n,
@@ -336,8 +388,8 @@ std::unique_ptr<adversary> make_random_connected(std::size_t n,
                                                  std::uint64_t seed) {
   return std::make_unique<generator_adversary>(
       "random-connected",
-      [n, extra_edges](rng& r) {
-        return gen::random_connected(n, extra_edges, r);
+      [n, extra_edges](graph& out, rng& r, gen::scratch& s) {
+        gen::random_connected(out, n, extra_edges, r, s);
       },
       seed);
 }
@@ -346,7 +398,9 @@ std::unique_ptr<adversary> make_random_geometric(std::size_t n, double radius,
                                                  std::uint64_t seed) {
   return std::make_unique<generator_adversary>(
       "random-geometric",
-      [n, radius](rng& r) { return gen::random_geometric(n, radius, r); },
+      [n, radius](graph& out, rng& r, gen::scratch& s) {
+        gen::random_geometric(out, n, radius, r, s);
+      },
       seed);
 }
 

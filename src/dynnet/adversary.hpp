@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -80,7 +79,10 @@ class opaque_view final : public knowledge_view {
 class adversary {
  public:
   virtual ~adversary() = default;
-  /// The connected communication graph for round `r`.
+  /// The connected communication graph for round `r`.  The reference is
+  /// valid until the next call: every family rebuilds one graph in place,
+  /// so a steady-state round allocates only when a node passes its previous
+  /// degree record (or, for edge-markov, a never-seen pair gets a chain).
   virtual const graph& topology(round_t r, const knowledge_view& view) = 0;
   virtual std::string name() const = 0;
 
@@ -117,10 +119,11 @@ class static_adversary final : public adversary {
   graph g_;
 };
 
-/// A fresh graph from a generator function every round (oblivious).
+/// A fresh graph from an in-place generator every round (oblivious).
 class generator_adversary final : public adversary {
  public:
-  using generator_fn = std::function<graph(rng&)>;
+  /// Refills `out` from the rng, using the scratch for working memory.
+  using generator_fn = std::function<void(graph&, rng&, gen::scratch&)>;
   generator_adversary(std::string name, generator_fn fn, std::uint64_t seed);
   const graph& topology(round_t r, const knowledge_view&) override;
   std::string name() const override { return name_; }
@@ -131,7 +134,7 @@ class generator_adversary final : public adversary {
   rng rng_;
   graph current_;
   round_t current_round_ = ~round_t{0};
-  bfs_scratch scratch_;  // per-round connectivity contract check
+  gen::scratch scratch_;  // also serves the connectivity contract's BFS
 };
 
 /// T-stability wrapper (§8): delegates to an inner adversary but only lets
@@ -171,18 +174,20 @@ class t_interval_adversary final : public adversary {
 
  private:
   /// Audit oracle: the window tree plus the recorded extras, rebuilt from
-  /// scratch (no RNG) — must equal the delta-maintained `current_`.
+  /// scratch (the tree replayed from a copy of the window's generator
+  /// state, so the adversary's own stream is not consumed) — must equal
+  /// the delta-maintained `current_`.
   graph audit_rebuild() const;
 
   std::size_t n_;
   round_t t_;
   std::size_t extra_edges_;
   rng rng_;
-  graph tree_;
+  rng window_rng_;  // rng_ as it stood before drawing the window tree
+  gen::scratch scratch_;
   round_t tree_window_ = ~round_t{0};
   graph current_;
   round_t current_round_ = ~round_t{0};
-  bool window_fresh_ = true;
   // Extras actually added this round, in add order; they are popped off
   // the adjacency tails before the next round's extras are drawn.
   std::vector<std::pair<node_id, node_id>> extras_;
@@ -202,6 +207,8 @@ class sorted_path_adversary final : public adversary {
  private:
   bool ascending_;
   graph current_;
+  std::vector<std::size_t> key_;  // each node's knowledge, read once
+  std::vector<node_id> order_;
 };
 
 /// Per-edge on/off Markov chains over a base adversary's edge set
@@ -223,25 +230,49 @@ class edge_markov_adversary final : public adversary {
   /// so tests can assert the patching stays minimal).
   std::size_t last_forced_edges() const noexcept { return forced_edges_; }
 
+  /// Chains in the archive: every pair the base has ever offered.
+  std::size_t chains() const noexcept { return archive_.size(); }
+
  private:
-  struct edge_state {
-    bool on = false;
-    round_t last = ~round_t{0};  // last round this chain advanced
+  /// A chain's state; a pair not yet sighted draws its first state from
+  /// the stationary distribution.
+  enum edge_state : std::uint8_t { edge_off = 0, edge_on = 1, edge_unseen = 2 };
+
+  /// Lookup-only index from a pair key (u << 32 | v, u < v, so never 0) to
+  /// its chain's archive position: open addressing over a power-of-two
+  /// table at most half full.  It is never iterated.
+  class pair_index {
+   public:
+    /// The position recorded for `key`; an unseen key is recorded at
+    /// `fresh`, which is returned.
+    std::uint32_t find_or_insert(std::uint64_t key, std::uint32_t fresh);
+
+   private:
+    /// The slot holding `key`, or the empty slot where it would go.
+    std::size_t probe(std::uint64_t key) const;
+    void grow();
+
+    std::vector<std::uint64_t> keys_;  // 0 = empty
+    std::vector<std::uint32_t> positions_;
+    std::size_t size_ = 0;
   };
 
   std::unique_ptr<adversary> base_;
   double p_on_;
   double p_off_;
   rng rng_;
-  std::map<std::uint64_t, edge_state> states_;  // key u * n + v, u < v
+  // The chain archive, in first-sighting order.  A chain survives a
+  // rebind: a pair that leaves the base and returns resumes its state.
+  std::vector<edge_state> archive_;
+  pair_index index_;
   graph current_;
   round_t current_round_ = ~round_t{0};
   std::size_t forced_edges_ = 0;
-  // Slot structure over the base's candidate edges plus one chain pointer
-  // per slot (map nodes are address-stable), so the steady state advances
-  // chains and flips slots without rebuilding the graph.
+  // Slot structure over the base's candidate edges plus each slot's
+  // archive position, so the steady state advances chains and flips slots
+  // without rebuilding the graph.
   topology_delta delta_;
-  std::vector<edge_state*> chains_;
+  std::vector<std::uint32_t> slot_chain_;
   bfs_scratch scratch_;
 };
 
@@ -317,6 +348,8 @@ class adaptive_min_cut_adversary final : public adversary {
   bool clique_sides_;
   graph current_;
   std::vector<char> low_side_;
+  std::vector<std::size_t> key_;  // each node's knowledge, read once
+  std::vector<node_id> order_;
 };
 
 /// Convenience factories for the standard adversaries used by tests and

@@ -3,9 +3,11 @@
 // connected; `is_connected` backs that contract, and powers/BFS serve the
 // patching construction of §8.1.
 //
-// Storage is one vector per node, grown by `add_edge`: every generator
-// builds with it, and the per-round delta path edits it in place (see
-// dynnet/delta.hpp).
+// Storage is one vector per node, grown by `add_edge`.  Adversaries keep
+// one graph each and rebuild it in place every round: `reset` empties the
+// lists but keeps their capacity, the generators refill them, and the
+// per-round delta path edits them (see dynnet/delta.hpp), so a steady-state
+// round allocates only when a node passes its previous degree record.
 //
 // Neighbor order is behavior-relevant repo-wide (the network builds inboxes
 // in `neighbors(u)` order, which feeds decoder insertion order and hence
@@ -30,11 +32,11 @@ constexpr std::uint32_t infinite_distance = 0xffffffffu;
 namespace detail {
 
 /// Process-unique graph revision stamps.  Per-object counters would
-/// collide when a graph object is rebuilt wholesale (move-assigned) with
-/// the same mutation count — two different windows of a generator base
-/// could then masquerade as "unchanged" to a delta consumer.  The stamp is
-/// compared for equality only and never emitted, so the global counter
-/// cannot perturb any output.
+/// collide when a graph object is rebuilt in place with the same mutation
+/// count — two different windows of a generator base could then masquerade
+/// as "unchanged" to a delta consumer.  The stamp is compared for equality
+/// only and never emitted, so the global counter cannot perturb any
+/// output.
 inline std::uint64_t next_graph_revision() noexcept {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -60,17 +62,33 @@ class graph {
   std::size_t order() const noexcept { return n_; }
   std::size_t edge_count() const noexcept { return edges_; }
 
-  /// Bumped by every mutation; (address, revision) identifies a topology
-  /// snapshot, which is how delta consumers detect that a base graph they
-  /// bound to has been rebuilt in place.
-  std::uint64_t revision() const noexcept { return rev_; }
+  /// Changes after every mutation; (address, revision) identifies a
+  /// topology snapshot, which is how delta consumers detect that a base
+  /// graph they bound to has been rebuilt in place.  A mutation only clears
+  /// the stamp and the next read draws a fresh process-unique one, so a
+  /// batch of edits costs one atomic increment.  Like every other member,
+  /// the lazy stamp assumes one thread uses the graph at a time.
+  std::uint64_t revision() const noexcept {
+    if (rev_ == 0) rev_ = detail::next_graph_revision();
+    return rev_;
+  }
+
+  /// Empties the graph to `n` isolated nodes, keeping each adjacency
+  /// list's capacity.
+  void reset(std::size_t n) {
+    n_ = n;
+    adj_.resize(n);
+    for (auto& list : adj_) list.clear();
+    edges_ = 0;
+    rev_ = 0;
+  }
 
   void add_edge(node_id u, node_id v) {
     NCDN_EXPECTS(u < order() && v < order() && u != v);
     adj_[u].push_back(v);
     adj_[v].push_back(u);
     ++edges_;
-    rev_ = detail::next_graph_revision();
+    rev_ = 0;
   }
 
   /// Removes edge (u,v), which must be the most recently appended entry at
@@ -84,7 +102,7 @@ class graph {
     adj_[u].pop_back();
     adj_[v].pop_back();
     --edges_;
-    rev_ = detail::next_graph_revision();
+    rev_ = 0;
   }
 
   std::span<const node_id> neighbors(node_id u) const noexcept {
@@ -130,7 +148,7 @@ class graph {
   std::size_t n_ = 0;
   std::vector<std::vector<node_id>> adj_;
   std::size_t edges_ = 0;
-  std::uint64_t rev_ = 0;
+  mutable std::uint64_t rev_ = 0;  // 0: not stamped since the last mutation
 };
 
 }  // namespace ncdn

@@ -82,11 +82,10 @@ class omniscient_chain_adversary final : public adversary {
       chain.push_back(best);
       used[best] = true;
     }
-    graph g(n);
+    current_.reset(n);
     for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-      g.add_edge(chain[i], chain[i + 1]);
+      current_.add_edge(chain[i], chain[i + 1]);
     }
-    current_ = std::move(g);
     return current_;
   }
 

@@ -1,6 +1,7 @@
 // Graph library and topology generator tests (systems S3/S4).
 #include <gtest/gtest.h>
 
+#include "dynnet/delta.hpp"
 #include "dynnet/generators.hpp"
 #include "dynnet/graph.hpp"
 
@@ -149,6 +150,73 @@ TEST(graph_csr, revision_advances_on_every_mutation) {
   a.add_edge(0, 1);
   b.add_edge(0, 1);
   EXPECT_NE(a.revision(), b.revision());
+}
+
+// Adversaries rebuild their graphs in place, so a base keeps its address
+// across rounds: the revision alone must tell a delta consumer to rebind,
+// even when the rebuild commits the identical edge set.
+TEST(graph_csr, rebuild_in_place_at_same_address_forces_a_rebind) {
+  graph base = gen::path(6);
+  topology_delta delta;
+  delta.rebind(base);
+  EXPECT_TRUE(delta.bound_to(base));
+  base.reset(6);
+  for (node_id u = 0; u + 1 < 6; ++u) base.add_edge(u, u + 1);
+  EXPECT_TRUE(base == gen::path(6));
+  EXPECT_FALSE(delta.bound_to(base));
+  delta.rebind(base);
+  EXPECT_TRUE(delta.bound_to(base));
+
+  // The same through a generator refill from the same rng state.
+  rng r(21);
+  const rng again = r;
+  gen::scratch s;
+  graph g;
+  gen::random_connected(g, 12, 6, r, s);
+  const graph first = g;
+  delta.rebind(g);
+  r = again;
+  gen::random_connected(g, 12, 6, r, s);
+  EXPECT_TRUE(g == first);
+  EXPECT_FALSE(delta.bound_to(g));
+  // A reset with no edges added is a mutation too.
+  delta.rebind(g);
+  g.reset(12);
+  EXPECT_FALSE(delta.bound_to(g));
+}
+
+// The in-place generators refill one graph with one scratch; each round
+// must equal the by-value form's fresh graph (neighbor order included) and
+// leave the rng where the by-value form does.  The order varies so reset
+// both grows and shrinks the graph.
+TEST(generators, in_place_matches_by_value_over_500_rounds) {
+  rng a(31);
+  rng b(31);
+  gen::scratch s;
+  graph g;
+  for (int round = 0; round < 500; ++round) {
+    const std::size_t n = 2 + static_cast<std::size_t>(round % 37);
+    switch (round % 4) {
+      case 0:
+        gen::permuted_path(g, n, a, s);
+        EXPECT_TRUE(g == gen::permuted_path(n, b)) << round;
+        break;
+      case 1:
+        gen::random_tree(g, n, a, s);
+        EXPECT_TRUE(g == gen::random_tree(n, b)) << round;
+        break;
+      case 2:
+        gen::random_connected(g, n, n / 2, a, s);
+        EXPECT_TRUE(g == gen::random_connected(n, n / 2, b)) << round;
+        break;
+      default:
+        gen::random_geometric(g, n, 0.3, a, s);
+        EXPECT_TRUE(g == gen::random_geometric(n, 0.3, b)) << round;
+        break;
+    }
+    EXPECT_TRUE(g.is_connected()) << round;
+    ASSERT_EQ(a(), b()) << round;
+  }
 }
 
 // Scratch-reusing traversals must agree with the allocating ones and stop
