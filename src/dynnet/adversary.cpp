@@ -113,16 +113,21 @@ const graph& edge_markov_adversary::topology(round_t r,
   // Slots enumerate the base's unique candidate edges in first-sighting
   // scan order, and each round advances every slot's chain once, in slot
   // order (parallel base edges share one chain).  The archive outlives
-  // base changes: a chain survives a rebind.
+  // base changes: a chain survives a rebind.  The first binding's slots
+  // take archive positions 0, 1, ... unindexed; the old binding's slots
+  // enter the index just before a rebind finds it empty.
   if (!delta_.bound_to(base)) {
+    if (index_.empty()) {
+      for (std::size_t s = 0; s < slot_chain_.size(); ++s) {
+        index_.find_or_insert(slot_key(s), slot_chain_[s]);
+      }
+    }
     delta_.rebind(base);
     slot_chain_.resize(delta_.slots());
     for (std::size_t s = 0; s < delta_.slots(); ++s) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(delta_.slot_u(s)) << 32) |
-          delta_.slot_v(s);
       const auto fresh = static_cast<std::uint32_t>(archive_.size());
-      slot_chain_[s] = index_.find_or_insert(key, fresh);
+      slot_chain_[s] =
+          index_.empty() ? fresh : index_.find_or_insert(slot_key(s), fresh);
       if (slot_chain_[s] == fresh) archive_.push_back(edge_unseen);
     }
   }
@@ -150,41 +155,6 @@ const graph& edge_markov_adversary::topology(round_t r,
 
 std::string edge_markov_adversary::name() const {
   return "edge-markov(" + base_->name() + ")";
-}
-
-std::uint32_t edge_markov_adversary::pair_index::find_or_insert(
-    std::uint64_t key, std::uint32_t fresh) {
-  if (keys_.empty()) grow();
-  const std::size_t i = probe(key);
-  if (keys_[i] == key) return positions_[i];
-  keys_[i] = key;
-  positions_[i] = fresh;
-  if (2 * ++size_ > keys_.size()) grow();
-  return fresh;
-}
-
-std::size_t edge_markov_adversary::pair_index::probe(
-    std::uint64_t key) const {
-  // Fibonacci hashing picks the home slot; linear probing from there
-  // stops at the key or at the first empty slot.
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t i = ((key * 0x9e3779b97f4a7c15ULL) >> 32) & mask;
-  while (keys_[i] != key && keys_[i] != 0) i = (i + 1) & mask;
-  return i;
-}
-
-void edge_markov_adversary::pair_index::grow() {
-  const std::vector<std::uint64_t> old_keys = std::move(keys_);
-  const std::vector<std::uint32_t> old_positions = std::move(positions_);
-  const std::size_t capacity = std::max<std::size_t>(64, 2 * old_keys.size());
-  keys_.assign(capacity, 0);
-  positions_.assign(capacity, 0);
-  for (std::size_t j = 0; j < old_keys.size(); ++j) {
-    if (old_keys[j] == 0) continue;
-    const std::size_t i = probe(old_keys[j]);
-    keys_[i] = old_keys[j];
-    positions_[i] = old_positions[j];
-  }
 }
 
 churn_adversary::churn_adversary(std::unique_ptr<adversary> base, double rate,

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/pair_index.hpp"
 #include "core/rng.hpp"
 #include "dynnet/delta.hpp"
 #include "dynnet/generators.hpp"
@@ -238,24 +239,11 @@ class edge_markov_adversary final : public adversary {
   /// the stationary distribution.
   enum edge_state : std::uint8_t { edge_off = 0, edge_on = 1, edge_unseen = 2 };
 
-  /// Lookup-only index from a pair key (u << 32 | v, u < v, so never 0) to
-  /// its chain's archive position: open addressing over a power-of-two
-  /// table at most half full.  It is never iterated.
-  class pair_index {
-   public:
-    /// The position recorded for `key`; an unseen key is recorded at
-    /// `fresh`, which is returned.
-    std::uint32_t find_or_insert(std::uint64_t key, std::uint32_t fresh);
-
-   private:
-    /// The slot holding `key`, or the empty slot where it would go.
-    std::size_t probe(std::uint64_t key) const;
-    void grow();
-
-    std::vector<std::uint64_t> keys_;  // 0 = empty
-    std::vector<std::uint32_t> positions_;
-    std::size_t size_ = 0;
-  };
+  /// Slot s's pair key, u << 32 | v with u < v.
+  std::uint64_t slot_key(std::size_t s) const {
+    return (static_cast<std::uint64_t>(delta_.slot_u(s)) << 32) |
+           delta_.slot_v(s);
+  }
 
   std::unique_ptr<adversary> base_;
   double p_on_;
@@ -264,6 +252,9 @@ class edge_markov_adversary final : public adversary {
   // The chain archive, in first-sighting order.  A chain survives a
   // rebind: a pair that leaves the base and returns resumes its state.
   std::vector<edge_state> archive_;
+  // Each pair's archive position.  The first binding's chains are its
+  // slots in slot order and need no index; it is filled just before the
+  // second rebind, the first that can meet a pair again.
   pair_index index_;
   graph current_;
   round_t current_round_ = ~round_t{0};

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/det.hpp"
+#include "core/pair_index.hpp"
 #include "core/rng.hpp"
 
 namespace ncdn {
@@ -114,9 +114,10 @@ class gilbert_elliott_chain {
   static constexpr round_t memo_walk = 32;
 
   bool state_at(std::uint64_t key, round_t round) {
-    const auto memo = memo_.find(key);
-    const bool from_memo = memo != memo_.end() && memo->second.round <= round;
-    const round_t floor = from_memo ? memo->second.round : 0;
+    const std::uint32_t at = memo_index_.find(key);
+    memo_entry* const memo = at == pair_index::npos ? nullptr : &memo_[at];
+    const bool from_memo = memo != nullptr && memo->round <= round;
+    const round_t floor = from_memo ? memo->round : 0;
     const std::uint64_t base = draw_base(seed_, stream_chain, key);
     bool swapped = false;
     round_t s = round;
@@ -128,13 +129,15 @@ class gilbert_elliott_chain {
     // The state after step s (which merged the states, or is the floor),
     // then the swaps of steps s+1..round.
     const bool below = s > floor   ? merge_bad_
-                       : from_memo ? memo->second.bad
+                       : from_memo ? memo->bad
                                    : initial_state(key);
     const bool bad = below != swapped;
-    if (memo != memo_.end()) {
-      if (memo->second.round < round) memo->second = {round, bad};
+    if (memo != nullptr) {
+      if (memo->round < round) *memo = {round, bad};
     } else if (round - s > memo_walk) {
-      memo_.emplace(key, memo_entry{round, bad});
+      memo_index_.find_or_insert(key,
+                                 static_cast<std::uint32_t>(memo_.size()));
+      memo_.push_back({round, bad});
     }
     return bad;
   }
@@ -164,7 +167,9 @@ class gilbert_elliott_chain {
   bool merge_bad_;
   double loss_good_;
   double loss_bad_;
-  det::hash_map<std::uint64_t, memo_entry> memo_;
+  // The memo: entries in creation order, found by edge key (never 0).
+  std::vector<memo_entry> memo_;
+  pair_index memo_index_;
 };
 
 /// The full channel: a loss process wrapped with the shared latency and

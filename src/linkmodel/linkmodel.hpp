@@ -25,6 +25,7 @@
 // that sent both chain states to one state, about
 // 1 / |p_good_bad - p_bad_good| draws (5 at the defaults), in any round
 // order.  Only a walk longer than 32 draws leaves a per-edge memo entry,
+// kept in a flat array found through a pair_index (core/pair_index.hpp),
 // which later queries of that edge stop at; that keeps equal flip
 // probabilities, whose draws never merge the states, at O(1) per query on
 // a persistent edge.  A fresh edge at equal probabilities still walks back

@@ -79,21 +79,19 @@ bitvec pack_block(const token_distribution& dist,
   return block;
 }
 
-std::vector<std::size_t> unpack_blocks(const coded_nodes& nodes, node_id u,
-                                       const payload_index& by_payload,
-                                       std::size_t d) {
-  NCDN_EXPECTS(nodes.node_complete(u));
-  const std::size_t per_item = nodes.item_bits() / d;
-  std::vector<std::size_t> tokens;
-  for (std::size_t i = 0; i < nodes.items(); ++i) {
-    const bitvec block = nodes.decode(u, i);
-    for (std::size_t j = 0; j < per_item; ++j) {
-      const bitvec payload = block.slice(j * d, d);
-      if (!payload.any()) continue;  // padding
-      tokens.push_back(by_payload.at(payload.hash()));
-    }
+block_layout token_blocks(const token_state& st, node_id u,
+                          std::size_t per_block, std::size_t max_tokens) {
+  NCDN_EXPECTS(per_block >= 1);
+  const std::vector<std::size_t> tokens = st.remaining_tokens(u);
+  const std::size_t count = std::min(tokens.size(), max_tokens);
+  const auto at = [&](std::size_t i) {
+    return tokens.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  block_layout blocks;
+  for (std::size_t off = 0; off < count; off += per_block) {
+    blocks.emplace_back(at(off), at(std::min(off + per_block, count)));
   }
-  return tokens;
+  return blocks;
 }
 
 void retirement_ledger::close_flood(token_state& st, bool fail_seen) {
@@ -107,17 +105,28 @@ void retirement_ledger::close_flood(token_state& st, bool fail_seen) {
 }
 
 void retirement_ledger::settle(token_state& st, const coded_nodes& session,
-                               const payload_index& by_payload) {
-  const std::size_t d = st.distribution().d_bits;
+                               const block_layout& blocks) {
+  const token_distribution& dist = st.distribution();
+  const std::size_t d = dist.d_bits;
+  NCDN_EXPECTS(blocks.size() == session.items());
+  for (const auto& block : blocks) {
+    NCDN_EXPECTS(block.size() <= session.item_bits() / d);
+  }
   for (node_id u = 0; u < last_.size(); ++u) {
     if (!session.node_complete(u)) {
       fail_[u] = true;
       continue;
     }
-    last_[u] = unpack_blocks(session, u, by_payload, d);
-    for (std::size_t t : last_[u]) {
-      st.learn(u, t);
-      st.retire(u, t);
+    last_[u].clear();
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const bitvec decoded = session.decode(u, i);
+      for (std::size_t j = 0; j < blocks[i].size(); ++j) {
+        const std::size_t t = blocks[i][j];
+        NCDN_ASSERT(decoded.slice(j * d, d) == dist.tokens[t].payload);
+        st.learn(u, t);
+        st.retire(u, t);
+        last_[u].push_back(t);
+      }
     }
   }
 }

@@ -117,12 +117,14 @@ class coded_nodes : public knowledge_view {
 bitvec pack_block(const token_distribution& dist,
                   std::span<const std::size_t> tokens, std::size_t bits);
 
-/// The tokens in node u's decoded blocks: every item cut into d-bit
-/// payloads, padding skipped, each mapped back through `by_payload`.
-/// Requires nodes.node_complete(u).
-std::vector<std::size_t> unpack_blocks(const coded_nodes& nodes, node_id u,
-                                       const payload_index& by_payload,
-                                       std::size_t d);
+/// A broadcast's block layout: item i carries the tokens blocks[i], packed
+/// by pack_block.
+using block_layout = std::vector<std::vector<std::size_t>>;
+
+/// Node u's in-consideration tokens, ascending, capped at `max_tokens` and
+/// cut into blocks of `per_block` (the last may be shorter).
+block_layout token_blocks(const token_state& st, node_id u,
+                          std::size_t per_block, std::size_t max_tokens);
 
 /// §7's Las-Vegas retirement rule for the flood-then-broadcast machines.
 /// A node that decodes a coded broadcast learns and retires its tokens; a
@@ -141,11 +143,12 @@ class retirement_ledger {
   /// broadcast is forgotten and the fail bits drop.
   void close_flood(token_state& st, bool fail_seen);
 
-  /// After a broadcast over `session`: each node that decoded it learns and
-  /// retires its tokens (unpack_blocks), each node that missed it raises
-  /// its fail bit.
+  /// After a broadcast over `session` laid out as `blocks`: each node that
+  /// decoded it learns and retires the layout's tokens, in layout order,
+  /// after checking every decoded slot against its token's payload; each
+  /// node that missed it raises its fail bit.
   void settle(token_state& st, const coded_nodes& session,
-              const payload_index& by_payload);
+              const block_layout& blocks);
 
  private:
   std::vector<bool> fail_;

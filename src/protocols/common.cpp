@@ -22,12 +22,4 @@ std::vector<std::size_t> payload_order(const token_distribution& dist) {
   return order;
 }
 
-payload_index::payload_index(const token_distribution& dist) {
-  map_.reserve(dist.k());
-  for (std::size_t t = 0; t < dist.k(); ++t) {
-    map_.emplace(dist.tokens[t].payload.hash(), t);
-  }
-  NCDN_ENSURES(map_.size() == dist.k());  // payloads are distinct
-}
-
 }  // namespace ncdn

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "coding/token.hpp"
-#include "core/det.hpp"
 #include "dynnet/network.hpp"
 
 namespace ncdn {
@@ -98,6 +97,17 @@ class token_state final : public knowledge_view {
   const bitvec& remaining_mask(node_id u) const {
     ensure_materialized();
     return remaining_[u];
+  }
+  /// u's in-consideration tokens, ascending.
+  std::vector<std::size_t> remaining_tokens(node_id u) const {
+    const bitvec& mask = remaining_mask(u);
+    std::vector<std::size_t> tokens;
+    tokens.reserve(remaining_count_[u]);
+    for (std::size_t t = mask.first_set(); t < mask.size();
+         t = mask.first_set_from(t + 1)) {
+      tokens.push_back(t);
+    }
+    return tokens;
   }
 
   /// Node u removes token t from its own consideration set (it may or may
@@ -191,28 +201,5 @@ inline void finish_result(protocol_result& res, const network& net,
 /// the flooding baselines).  The distribution is sorted by token_id, so we
 /// precompute the payload-lexicographic order once.
 std::vector<std::size_t> payload_order(const token_distribution& dist);
-
-/// Map from payload hash to token index, for recognizing decoded payloads
-/// (simulation-side shorthand: on the wire the payload *is* the token).
-/// Shared by every coded decode path (retirement_ledger::settle).
-/// Lookup-only by construction — no iteration is exposed, so the backing
-/// hash map cannot leak bucket order into protocol decisions (the
-/// det::hash_map seed perturbation test proves it).
-class payload_index {
- public:
-  explicit payload_index(const token_distribution& dist);
-
-  /// Index of the token whose payload hashes to `payload_hash`.  Decoded
-  /// payloads always come from the distribution, so an unknown hash is
-  /// corruption and trips the contract.
-  std::size_t at(std::uint64_t payload_hash) const {
-    const auto it = map_.find(payload_hash);
-    NCDN_ASSERT(it != map_.end());
-    return it->second;
-  }
-
- private:
-  det::hash_map<std::uint64_t, std::size_t> map_;
-};
 
 }  // namespace ncdn

@@ -1,7 +1,6 @@
 #include "protocols/greedy_forward.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "core/bits.hpp"
 #include "protocols/coded_nodes.hpp"
@@ -17,7 +16,6 @@ round_task<protocol_result> greedy_forward_machine(
   const std::size_t d = dist.d_bits;
   NCDN_EXPECTS(cfg.b_bits >= d);
   const coded_budget budget = block_budget(cfg.b_bits, d);
-  const payload_index by_payload(dist);
 
   const std::size_t max_epochs =
       cfg.max_epochs != 0 ? cfg.max_epochs : 16 + 8 * dist.k();
@@ -57,18 +55,10 @@ round_task<protocol_result> greedy_forward_machine(
     // --- leader groups its tokens into blocks (indexing is trivial: the
     //     leader owns every broadcast item, §7) ---
     const node_id leader = g.leader;
-    std::vector<std::size_t> chosen;  // token indices, deterministic order
-    {
-      const bitvec& mask = st.remaining_mask(leader);
-      for (std::size_t t = mask.first_set();
-           t < mask.size() && chosen.size() < budget.tokens_total;
-           t = mask.first_set_from(t + 1)) {
-        chosen.push_back(t);
-      }
-    }
-    NCDN_ASSERT(!chosen.empty());
-    const std::size_t k_items =
-        ceil_div(chosen.size(), budget.tokens_per_item);
+    const block_layout blocks = token_blocks(
+        st, leader, budget.tokens_per_item, budget.tokens_total);
+    NCDN_ASSERT(!blocks.empty());
+    const std::size_t k_items = blocks.size();
 
     // Globally computable broadcast length: every node knows leader_count
     // from the flood, hence the item count cap.
@@ -80,16 +70,13 @@ round_task<protocol_result> greedy_forward_machine(
 
     rlnc_session session(n, k_items, budget.item_bits);
     session.set_arena(net.arena());
-    const std::span<const std::size_t> tokens(chosen);
     for (std::size_t i = 0; i < k_items; ++i) {
-      session.seed(leader, i,
-                   pack_block(dist, tokens.subspan(i * budget.tokens_per_item),
-                              budget.item_bits));
+      session.seed(leader, i, pack_block(dist, blocks[i], budget.item_bits));
     }
     co_await session.run_stepped(net, bc_rounds, /*stop_early=*/false);
 
     // --- decode, learn, retire ---
-    ledger.settle(st, session, by_payload);
+    ledger.settle(st, session, blocks);
     note_completion(res, net, st, start);
     res.epochs = epoch + 1;
   }

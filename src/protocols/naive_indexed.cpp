@@ -19,7 +19,6 @@ round_task<protocol_result> naive_indexed_machine(
   const std::size_t id_bits = dist.id_bits();
   NCDN_EXPECTS(cfg.b_bits >= d);
   NCDN_EXPECTS(cfg.b_bits >= 2 * id_bits);
-  const payload_index by_payload(dist);
 
   // m IDs per iteration: half the message for coefficients in the coded
   // phase, and the flood carries m IDs per message.
@@ -40,11 +39,7 @@ round_task<protocol_result> naive_indexed_machine(
     // --- min-flood of the m smallest unretired IDs (n rounds) ---
     std::vector<std::set<std::uint64_t>> ids(n);
     for (node_id u = 0; u < n; ++u) {
-      const bitvec& mask = st.remaining_mask(u);
-      for (std::size_t t = mask.first_set(); t < mask.size();
-           t = mask.first_set_from(t + 1)) {
-        ids[u].insert(packed_of[t]);
-      }
+      for (std::size_t t : st.remaining_tokens(u)) ids[u].insert(packed_of[t]);
     }
     const min_flood_result<std::uint64_t> flood = co_await min_flood(
         net, st, std::move(ids), ledger.fail_bits(), 1, m, id_bits);
@@ -55,30 +50,29 @@ round_task<protocol_result> naive_indexed_machine(
       break;  // nothing unretired anywhere
     }
 
-    // --- indexed broadcast of the selected tokens (sorted-ID indexing) ---
-    std::vector<std::size_t> sel_tokens;
+    // --- indexed broadcast of the selected tokens (sorted-ID indexing),
+    //     one token per item ---
+    block_layout blocks;
     for (std::uint64_t id : flood.finalized) {
       const auto it =
           std::lower_bound(packed_of.begin(), packed_of.end(), id);
       NCDN_ASSERT(it != packed_of.end() && *it == id);
-      sel_tokens.push_back(
-          static_cast<std::size_t>(it - packed_of.begin()));
+      blocks.push_back({static_cast<std::size_t>(it - packed_of.begin())});
     }
-    rlnc_session session(n, sel_tokens.size(), d);
+    rlnc_session session(n, blocks.size(), d);
     session.set_arena(net.arena());
-    for (std::size_t i = 0; i < sel_tokens.size(); ++i) {
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const std::size_t t = blocks[i][0];
       for (node_id u = 0; u < n; ++u) {
-        if (st.knows(u, sel_tokens[i])) {
-          session.seed(u, i, dist.tokens[sel_tokens[i]].payload);
-        }
+        if (st.knows(u, t)) session.seed(u, i, dist.tokens[t].payload);
       }
     }
     const round_t bc_rounds = std::max<round_t>(
         1, round_cap(cfg.broadcast_factor *
-                     static_cast<double>(n + sel_tokens.size())));
+                     static_cast<double>(n + blocks.size())));
     co_await session.run_stepped(net, bc_rounds, /*stop_early=*/false);
 
-    ledger.settle(st, session, by_payload);
+    ledger.settle(st, session, blocks);
     note_completion(res, net, st, start);
     res.epochs = iter + 1;
   }

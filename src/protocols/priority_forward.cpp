@@ -28,7 +28,6 @@ round_task<priority_forward_result> priority_forward_machine(
   const std::size_t d = dist.d_bits;
   const std::size_t b = cfg.b_bits;
   NCDN_EXPECTS(b >= d);
-  const payload_index by_payload(dist);
 
   priority_forward_result res;
   const round_t start = net.rounds_elapsed();
@@ -71,24 +70,14 @@ round_task<priority_forward_result> priority_forward_machine(
 
     // 1. Each node groups its in-consideration tokens into blocks of g and
     //    draws a random priority per block.
-    std::vector<std::vector<std::vector<std::size_t>>> blocks(n);
+    std::vector<block_layout> blocks(n);
     std::vector<std::set<announcement>> anns(n);
     for (node_id u = 0; u < n; ++u) {
-      const bitvec& mask = st.remaining_mask(u);
-      std::vector<std::size_t> mine;
-      for (std::size_t t = mask.first_set(); t < mask.size();
-           t = mask.first_set_from(t + 1)) {
-        mine.push_back(t);
-      }
-      for (std::size_t off = 0; off < mine.size(); off += g) {
-        std::vector<std::size_t> blk(
-            mine.begin() + static_cast<std::ptrdiff_t>(off),
-            mine.begin() +
-                static_cast<std::ptrdiff_t>(std::min(off + g, mine.size())));
+      blocks[u] = token_blocks(st, u, g, dist.k());
+      for (std::size_t j = 0; j < blocks[u].size(); ++j) {
         const std::uint64_t prio =
             net.node_rng(u)() >> (64 - std::min<std::size_t>(63, prio_bits));
-        anns[u].emplace(prio, u, static_cast<std::uint32_t>(blocks[u].size()));
-        blocks[u].push_back(std::move(blk));
+        anns[u].emplace(prio, u, static_cast<std::uint32_t>(j));
       }
     }
 
@@ -126,20 +115,22 @@ round_task<priority_forward_result> priority_forward_machine(
 
     // 3. Network-coded indexed broadcast of the selected blocks.
     const std::size_t s = selected.size();
+    block_layout layout;
+    for (const announcement& a : selected) {
+      layout.push_back(blocks[std::get<1>(a)][std::get<2>(a)]);
+    }
     rlnc_session session(n, s, block_bits);
     session.set_arena(net.arena());
     for (std::size_t i = 0; i < s; ++i) {
-      const node_id origin = std::get<1>(selected[i]);
-      const std::uint32_t idx = std::get<2>(selected[i]);
-      session.seed(origin, i,
-                   pack_block(dist, blocks[origin][idx], block_bits));
+      session.seed(std::get<1>(selected[i]), i,
+                   pack_block(dist, layout[i], block_bits));
     }
     const round_t bc_rounds = std::max<round_t>(
         1, round_cap(cfg.broadcast_factor * static_cast<double>(n + s)));
     co_await session.run_stepped(net, bc_rounds, /*stop_early=*/false);
 
     // 4. Decode, learn, retire.
-    ledger.settle(st, session, by_payload);
+    ledger.settle(st, session, layout);
     note_completion(res, net, st, start);
   }
 

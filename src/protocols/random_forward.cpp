@@ -37,13 +37,7 @@ round_task<gather_result> random_forward_machine(
   // (Sampling *with* replacement within a message would waste slots; we
   // sample a random prefix via partial Fisher-Yates.)
   std::vector<std::vector<std::size_t>> pool(n);
-  for (node_id u = 0; u < n; ++u) {
-    const bitvec& mask = st.remaining_mask(u);
-    for (std::size_t t = mask.first_set(); t < mask.size();
-         t = mask.first_set_from(t + 1)) {
-      pool[u].push_back(t);
-    }
-  }
+  for (node_id u = 0; u < n; ++u) pool[u] = st.remaining_tokens(u);
 
   const round_t start = net.rounds_elapsed();
   const round_t gather_rounds = std::max<round_t>(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <span>
 
 #include "core/bits.hpp"
 #include "linalg/row_block.hpp"
@@ -83,7 +82,6 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
   const round_t t = cfg.t_stability;
   const patch_plan plan = plan_patch_broadcast(n, cfg.b_bits, t);
   NCDN_EXPECTS(plan.feasible && plan.item_bits >= d);
-  const payload_index by_payload(dist);
 
   const std::size_t cap_tokens = plan.item_bits / d;  // per leader block
   const std::size_t batch = std::max<std::size_t>(1, cfg.b_bits / d);
@@ -118,14 +116,10 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
     //     streams its in-consideration tokens up the tree; leaders gather
     //     up to one block ---
     std::vector<std::vector<std::size_t>> queue(n);
-    std::vector<bitvec> queued(n, bitvec(dist.k()));
+    std::vector<bitvec> queued;
     for (node_id u = 0; u < n; ++u) {
-      const bitvec& mask = st.remaining_mask(u);
-      for (std::size_t tk = mask.first_set(); tk < mask.size();
-           tk = mask.first_set_from(tk + 1)) {
-        queue[u].push_back(tk);
-        queued[u].set(tk);
-      }
+      queue[u] = st.remaining_tokens(u);
+      queued.push_back(st.remaining_mask(u));
     }
     std::vector<std::vector<std::size_t>> gathered(n);
     for (node_id u = 0; u < n; ++u) {
@@ -195,12 +189,14 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
     patch_plan bc_plan = plan;
     bc_plan.items = selected.size();
     tstable_patch_session session(bc_plan);
+    block_layout blocks;
     for (std::size_t i = 0; i < selected.size(); ++i) {
+      blocks.push_back(std::move(gathered[selected[i]]));
       session.seed(selected[i], i,
-                   pack_block(dist, gathered[selected[i]], plan.item_bits));
+                   pack_block(dist, blocks[i], plan.item_bits));
     }
     co_await session.run_stepped(net, bc_cap, /*stop_early=*/true);
-    ledger.settle(st, session, by_payload);
+    ledger.settle(st, session, blocks);
     note_completion(res, net, st, start);
   }
 
@@ -261,7 +257,6 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
     co_return out;
   }
 
-  const payload_index by_payload(dist);
   const std::size_t tokens_total = sizing.items * sizing.tokens_per_item;
   const std::size_t max_epochs =
       cfg.max_epochs != 0 ? cfg.max_epochs : 16 + 8 * dist.k();
@@ -290,26 +285,15 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
     }
 
     const node_id leader = g.leader;
-    std::vector<std::size_t> chosen;
-    {
-      const bitvec& mask = st.remaining_mask(leader);
-      for (std::size_t t = mask.first_set();
-           t < mask.size() && chosen.size() < tokens_total;
-           t = mask.first_set_from(t + 1)) {
-        chosen.push_back(t);
-      }
-    }
-    NCDN_ASSERT(!chosen.empty());
-    const std::size_t k_items = static_cast<std::size_t>(
-        ceil_div(chosen.size(), sizing.tokens_per_item));
+    const block_layout blocks =
+        token_blocks(st, leader, sizing.tokens_per_item, tokens_total);
+    NCDN_ASSERT(!blocks.empty());
+    const std::size_t k_items = blocks.size();
 
-    const std::span<const std::size_t> tokens(chosen);
     auto seed_items = [&](coded_nodes& session) {
       for (std::size_t i = 0; i < k_items; ++i) {
-        session.seed(
-            leader, i,
-            pack_block(dist, tokens.subspan(i * sizing.tokens_per_item),
-                       sizing.item_bits));
+        session.seed(leader, i,
+                     pack_block(dist, blocks[i], sizing.item_bits));
       }
     };
 
@@ -321,12 +305,12 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
       tstable_patch_session session(plan);
       seed_items(session);
       co_await session.run_stepped(net, bc_cap, /*stop_early=*/true);
-      ledger.settle(st, session, by_payload);
+      ledger.settle(st, session, blocks);
     } else {
       chunked_meta_session session(n, cfg.b_bits, cfg.t_stability, k_items);
       seed_items(session);
       co_await session.run_stepped(net, bc_cap, /*stop_early=*/true);
-      ledger.settle(st, session, by_payload);
+      ledger.settle(st, session, blocks);
     }
 
     note_completion(res, net, st, start);

@@ -110,6 +110,31 @@ TEST(edge_markov, respects_a_sparse_dynamic_base) {
   }
 }
 
+TEST(edge_markov, archive_holds_one_chain_per_pair_across_rebinds) {
+  // A permuted-path base offers a new path every round, so every round
+  // rebinds; a pair that returns must resume its chain, not start a new
+  // one.  The first binding's chains enter the pair index only at the
+  // second rebind, so this also pins that they are found there.
+  const std::size_t n = 6;
+  fake_view view(std::vector<std::size_t>(n, 0));
+  auto adv = make_edge_markov(make_permuted_path(n, 5), 0.3, 0.3, 9);
+  auto* markov = dynamic_cast<edge_markov_adversary*>(adv.get());
+  ASSERT_NE(markov, nullptr);
+  auto base = make_permuted_path(n, 5);
+  std::set<std::pair<node_id, node_id>> offered;
+  for (round_t r = 0; r < 60; ++r) {
+    const graph& b = base->topology(r, view);
+    for (node_id u = 0; u < n; ++u) {
+      for (node_id v : b.neighbors(u)) {
+        if (u < v) offered.emplace(u, v);
+      }
+    }
+    adv->topology(r, view);
+    ASSERT_EQ(markov->chains(), offered.size()) << "round " << r;
+  }
+  EXPECT_EQ(offered.size(), n * (n - 1) / 2);  // every pair came back
+}
+
 TEST(churn, live_set_connected_departed_isolated_downtime_bounded) {
   const std::size_t n = 16;
   const std::size_t min_live = 6;

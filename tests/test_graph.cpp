@@ -1,6 +1,8 @@
-// Graph library and topology generator tests (systems S3/S4).
+// Graph library and topology generator tests (systems S3/S4), and the
+// pair index that edge-markov and the Gilbert-Elliott memo key on edges.
 #include <gtest/gtest.h>
 
+#include "core/pair_index.hpp"
 #include "dynnet/delta.hpp"
 #include "dynnet/generators.hpp"
 #include "dynnet/graph.hpp"
@@ -244,6 +246,71 @@ TEST(graph_csr, scratch_bfs_matches_and_stops_growing) {
     g.bfs_distances(srcs, scratch);
   }
   EXPECT_EQ(scratch.grows, warmed);
+}
+
+std::uint64_t edge_key(node_id lo, node_id hi) {
+  return (static_cast<std::uint64_t>(lo) << 32) | hi;
+}
+
+TEST(pair_index, find_on_an_empty_index_is_npos) {
+  const pair_index index;
+  EXPECT_EQ(index.find(edge_key(0, 1)), pair_index::npos);
+  EXPECT_TRUE(index.empty());
+}
+
+TEST(pair_index, find_never_inserts) {
+  pair_index index;
+  EXPECT_EQ(index.find_or_insert(edge_key(0, 1), 7), 7u);
+  EXPECT_EQ(index.find(edge_key(2, 3)), pair_index::npos);
+  EXPECT_EQ(index.find(edge_key(2, 3)), pair_index::npos);
+  // Still unseen: the key is recorded at the fresh position offered now.
+  EXPECT_EQ(index.find_or_insert(edge_key(2, 3), 8), 8u);
+  EXPECT_EQ(index.find(edge_key(2, 3)), 8u);
+  EXPECT_EQ(index.find(edge_key(0, 1)), 7u);
+}
+
+TEST(pair_index, positions_survive_growth_from_64_to_2048_slots) {
+  // The table doubles whenever it passes half full: 64 slots until the
+  // 33rd key, 2048 from the 513th.  1,000 keys cross five growths.
+  pair_index index;
+  std::vector<std::uint64_t> keys;
+  for (node_id lo = 0; lo < 100; ++lo) {
+    for (node_id hi = lo + 1; hi <= lo + 10; ++hi) {
+      keys.push_back(edge_key(lo, hi));
+    }
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(index.find_or_insert(keys[i], static_cast<std::uint32_t>(i)),
+              i);
+    // Re-offering a recorded key returns its position, not the new one.
+    ASSERT_EQ(index.find_or_insert(keys[i / 2], 99999), i / 2);
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(index.find(keys[i]), i) << "key " << i;
+  }
+  EXPECT_EQ(index.find(edge_key(5000, 5001)), pair_index::npos);
+}
+
+TEST(pair_index, keys_sharing_a_home_slot_resolve_through_probing) {
+  // The index's home slot: Fibonacci hashing (the key times 2^64 / phi,
+  // from bit 32 up), masked to the first table's 64 slots.
+  const auto home = [](std::uint64_t key) {
+    return ((key * 0x9e3779b97f4a7c15ULL) >> 32) & 63;
+  };
+  std::vector<std::uint64_t> same;
+  for (std::uint64_t key = 1; same.size() < 4; ++key) {
+    if (home(key) == home(1)) same.push_back(key);
+  }
+  pair_index index;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(index.find_or_insert(same[i], i + 10), i + 10);
+  }
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(index.find(same[i]), i + 10);
+  }
+  // The fourth shares the home slot but was never recorded: the probe
+  // walks past the other three to an empty slot.
+  EXPECT_EQ(index.find(same[3]), pair_index::npos);
 }
 
 }  // namespace

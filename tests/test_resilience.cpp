@@ -75,13 +75,13 @@ TEST(resilience, retirement_ledger_reinstates_a_vetoed_broadcast) {
   rng r(71);
   const auto dist = make_distribution(2, 2, 8, placement::single_source, r);
   token_state st(dist);
-  const payload_index by_payload(dist);
+  const block_layout blocks = {{0}, {1}};
   rlnc_session session(2, 2, 8);
   for (std::size_t t = 0; t < 2; ++t) {
     session.seed(0, t, dist.tokens[t].payload);
   }
   retirement_ledger ledger(2);
-  ledger.settle(st, session, by_payload);
+  ledger.settle(st, session, blocks);
   EXPECT_EQ(st.remaining_count(0), 0u);
   EXPECT_EQ(ledger.fail_bits(), (std::vector<bool>{false, true}));
   ledger.close_flood(st, /*fail_seen=*/true);
@@ -89,10 +89,61 @@ TEST(resilience, retirement_ledger_reinstates_a_vetoed_broadcast) {
   EXPECT_EQ(ledger.fail_bits(), (std::vector<bool>{false, false}));
   // A clean flood forgets the broadcast, so a later veto has nothing of it
   // to put back.
-  ledger.settle(st, session, by_payload);
+  ledger.settle(st, session, blocks);
   ledger.close_flood(st, /*fail_seen=*/false);
   ledger.close_flood(st, /*fail_seen=*/true);
   EXPECT_EQ(st.remaining_count(0), 0u);
+}
+
+TEST(resilience, retirement_ledger_settles_exactly_the_block_layout) {
+  // Item 0 carries tokens 0 and 1; item 1 carries token 3 and a padded
+  // slot.  Token 2 is in no block.  Node 1 starts with nothing and decodes
+  // both items, so it learns and retires exactly the layout's tokens, as
+  // does node 0, which holds all four.
+  rng r(73);
+  const auto dist = make_distribution(2, 4, 8, placement::single_source, r);
+  token_state st(dist);
+  const block_layout blocks = {{0, 1}, {3}};
+  rlnc_session session(2, 2, 16);
+  for (node_id u = 0; u < 2; ++u) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      session.seed(u, i, pack_block(dist, blocks[i], 16));
+    }
+  }
+  retirement_ledger ledger(2);
+  ledger.settle(st, session, blocks);
+  const auto tokens_of = [&](node_id u, bool remaining) {
+    std::vector<std::size_t> out;
+    for (std::size_t t = 0; t < 4; ++t) {
+      if (remaining ? st.in_consideration(u, t) : st.knows(u, t)) {
+        out.push_back(t);
+      }
+    }
+    return out;
+  };
+  const std::vector<std::size_t> layout_tokens{0, 1, 3};
+  EXPECT_EQ(tokens_of(1, false), layout_tokens);
+  EXPECT_EQ(tokens_of(1, true), std::vector<std::size_t>{});
+  EXPECT_EQ(tokens_of(0, true), std::vector<std::size_t>{2});
+  EXPECT_EQ(ledger.fail_bits(), (std::vector<bool>{false, false}));
+  // A veto puts back exactly what each node retired.
+  ledger.close_flood(st, /*fail_seen=*/true);
+  EXPECT_EQ(tokens_of(1, true), layout_tokens);
+  EXPECT_EQ(tokens_of(0, true), (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+TEST(resilience, retirement_ledger_rejects_a_layout_naming_the_wrong_token) {
+  // Item 0 carries token 0's payload, but the layout claims token 1.
+  rng r(79);
+  const auto dist = make_distribution(2, 2, 8, placement::single_source, r);
+  token_state st(dist);
+  rlnc_session session(2, 2, 8);
+  for (std::size_t t = 0; t < 2; ++t) {
+    session.seed(0, t, dist.tokens[t].payload);
+  }
+  retirement_ledger ledger(2);
+  EXPECT_DEATH(ledger.settle(st, session, {{1}, {0}}),
+               "invariant violation.*payload");
 }
 
 TEST(resilience, greedy_forward_with_adaptive_adversary_and_tight_budget) {

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/det.hpp"
 #include "runner/json.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
@@ -267,42 +266,6 @@ TEST(sweep, output_is_byte_identical_across_runs_and_worker_counts) {
   opts.threads = 2;
   const json::value other = sweep_to_json(run_sweep(scens, opts));
   EXPECT_NE(roots[0].find("cells")->dump(), other.find("cells")->dump());
-}
-
-TEST(sweep, output_is_insensitive_to_hash_container_bucket_order) {
-  // det::set_hash_seed emulates switching standard libraries: every
-  // det::hash_map (the only unordered containers the linter allows in
-  // determinism-sensitive code) gets a different bucket layout per seed.
-  // A sweep covering every payload_index consumer — greedy-forward,
-  // priority-forward, t-stable, and the t-stable patching engine — must
-  // not move a byte, proving the allowlisted uses are lookup-only.
-  std::vector<scenario> scens;
-  for (const char* name :
-       {"greedy-forward/permuted-path/n16",
-        "priority-forward/flooding/permuted-path/n16",
-        "tstable/auto/permuted-path/n16", "tstable/patch/permuted-path/n32"}) {
-    const scenario* s = find_scenario(name);
-    ASSERT_NE(s, nullptr) << name;
-    scens.push_back(*s);
-  }
-
-  sweep_options opts;
-  opts.trials = 2;
-  opts.base_seed = 7;
-  opts.threads = 2;
-
-  std::vector<std::string> dumps;
-  for (std::uint64_t hash_seed :
-       {std::uint64_t{0}, std::uint64_t{0x9e3779b97f4a7c15ULL},
-        std::uint64_t{0xdeadbeefcafef00dULL}}) {
-    det::set_hash_seed(hash_seed);
-    dumps.push_back(sweep_to_json(run_sweep(scens, opts)).dump());
-  }
-  det::set_hash_seed(0);  // restore the default for later tests
-
-  for (std::size_t i = 1; i < dumps.size(); ++i) {
-    EXPECT_EQ(dumps[0], dumps[i]) << "hash seed " << i << " changed output";
-  }
 }
 
 }  // namespace

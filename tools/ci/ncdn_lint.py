@@ -13,8 +13,9 @@ bans the constructs that historically break that contract:
   unordered-container
                    std::unordered_{map,set,...} in src/ — iteration order
                    is a standard-library private detail.  Convert to an
-                   ordered container, or annotate a provably lookup-only
-                   use (see src/core/det.hpp).
+                   ordered container or to the fixed-hash lookup table
+                   src/core/pair_index.hpp, or annotate a provably
+                   lookup-only use.
   ptr-key-container
                    std::map/std::set keyed on a pointer — iteration order
                    follows the allocator, not the data.
@@ -100,8 +101,8 @@ RULES: tuple[Rule, ...] = (
             r"\bunordered_(?:flat_)?(?:map|set|multimap|multiset)\b"
         ),
         message="unordered-container iteration order is a standard-library "
-        "private detail; use an ordered container or annotate a "
-        "lookup-only use (src/core/det.hpp)",
+        "private detail; use an ordered container or a pair_index "
+        "(src/core/pair_index.hpp), or annotate a lookup-only use",
         only_under=("src/",),
     ),
     Rule(
