@@ -13,14 +13,30 @@
 // session wall time and XOR word-ops per second).  The wall time is the
 // elimination-and-combination speed axis: rounds and XOR counts are pure
 // functions of the seeds, secs and xors_per_sec are machine-dependent.
+//
+// A `kernels` section times the coding layer alone, one row per row width
+// (1, 2, 4, 7, 8 and 9 words; 9 runs the run-time-width kernels): a
+// full-span dense coder at d = 16 and k = 64 * words - 16, so rows are
+// exactly that many words.  insert_secs is the mean per insert over
+// 0 -> k ramps of random dense arrivals, combine_secs the mean per dense
+// make_combination at full rank (each the fastest of the trials), and
+// xors the exact elimination XOR word-ops per insert.
+#include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "bench_util.hpp"
+#include "coding/matrix.hpp"
 
 using namespace ncdn;
 using namespace ncdn::bench;
 
 namespace {
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 struct cell_out {
   double rounds = 0;
@@ -35,9 +51,7 @@ cell_out mean_cell(const problem& prob, const std::string& alg,
     const auto t0 = std::chrono::steady_clock::now();
     const run_report rep =
         run_cell(prob, alg, "permuted-path", 1 + t, params);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const double secs = seconds_since(t0);
     out.rounds += static_cast<double>(rep.metrics.observed_completion_round) /
                   static_cast<double>(trials);
     out.xors += static_cast<double>(rep.metrics.total_elimination_xors) /
@@ -45,6 +59,123 @@ cell_out mean_cell(const problem& prob, const std::string& alg,
     out.secs += secs / static_cast<double>(trials);
   }
   return out;
+}
+
+// One row width of the kernels section: a full-span dense coder
+// (coding/matrix.hpp's default cell, the one a dense session steps) at
+// d = 16 and k = 64 * words - 16, so rows are exactly `words` words.
+struct kernel_case {
+  std::size_t words = 0;
+  std::size_t k = 0;
+  std::vector<bitvec> arrivals;
+  double insert_secs = 0;   // mean per insert over the 0 -> k ramps
+  double combine_secs = 0;  // mean per dense make_combination, full rank
+  double xors = 0;          // elimination XOR word-ops per insert
+};
+
+constexpr std::size_t kernel_d = 16;
+
+kernel_case make_kernel_case(std::size_t words) {
+  kernel_case c;
+  c.words = words;
+  c.k = 64 * words - kernel_d;
+  // Arrivals are random combinations of the k rows [e_i | payload_i], so
+  // payloads stay linear in the coefficients, as insert requires; k + 64
+  // of them span all k tokens except with probability about 2^-64.
+  rng r(0xE16 + words);
+  std::vector<bitvec> tokens;
+  tokens.reserve(c.k);
+  for (std::size_t i = 0; i < c.k; ++i) {
+    bitvec t(c.k + kernel_d);
+    t.set(i);
+    for (std::size_t b = c.k; b < c.k + kernel_d; ++b) t.set(b, r.coin());
+    tokens.push_back(std::move(t));
+  }
+  c.arrivals.reserve(c.k + 64);
+  for (std::size_t a = 0; a < c.k + 64; ++a) {
+    bitvec row(c.k + kernel_d);
+    for (const bitvec& t : tokens) {
+      if (r.coin()) row.xor_with(t);
+    }
+    c.arrivals.push_back(std::move(row));
+  }
+  return c;
+}
+
+// One trial of one width: 0 -> k ramps of inserts into fresh coders, then
+// combinations from the last, full-rank one.  A ramp costs about
+// k^2 * words word-ops, so the counts below give tens of milliseconds per
+// trial at every width.  The case keeps its fastest trial.
+void time_kernels(kernel_case& c, const coding_backend& backend,
+                  std::size_t trial, word_arena& pool) {
+  const std::size_t k = c.k;
+  const std::size_t ramps =
+      std::max<std::size_t>(3, 40'000'000 / (k * k * c.words));
+  const std::size_t combos =
+      std::max<std::size_t>(2'000, 20'000'000 / (k * c.words));
+  double insert_secs = 0;
+  std::size_t inserts = 0;
+  std::uint64_t xors = 0;
+  std::unique_ptr<node_coder> coder;
+  for (std::size_t ramp = 0; ramp < ramps; ++ramp) {
+    coder = backend.make_node_coder(k, kernel_d);
+    std::size_t used = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    while (!coder->complete() && used < c.arrivals.size()) {
+      coder->insert(c.arrivals[used++]);
+    }
+    insert_secs += seconds_since(t0);
+    NCDN_ASSERT(coder->complete());
+    inserts += used;
+    xors += coder->xor_word_ops();
+  }
+  rng draws(7 + trial);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < combos; ++i) {
+    std::optional<bitvec> row = coder->make_combination(draws, &pool);
+    pool.recycle(std::move(*row));
+  }
+  const double combine_secs = seconds_since(t0) / static_cast<double>(combos);
+  const double per_insert = insert_secs / static_cast<double>(inserts);
+  if (trial == 0 || per_insert < c.insert_secs) c.insert_secs = per_insert;
+  if (trial == 0 || combine_secs < c.combine_secs) {
+    c.combine_secs = combine_secs;
+  }
+  c.xors = static_cast<double>(xors) / static_cast<double>(inserts);
+}
+
+void kernels_section(json_recorder& rec, std::size_t trials) {
+  const std::unique_ptr<coding_backend> backend =
+      make_matrix_backend(matrix_spec{});
+  const std::vector<std::size_t> widths = {1, 2, 4, 7, 8, 9};
+  std::vector<kernel_case> cases;
+  cases.reserve(widths.size());
+  for (const std::size_t words : widths) {
+    cases.push_back(make_kernel_case(words));
+  }
+  // Each trial visits every width, so a slow stretch of a shared host
+  // does not fall on all the trials of one width.
+  word_arena pool;
+  for (std::size_t t = 0; t < trials; ++t) {
+    for (kernel_case& c : cases) time_kernels(c, *backend, t, pool);
+  }
+  std::printf("\nkernels [d = 16, k = 64 * words - 16, best of %zu trials]\n",
+              trials);
+  text_table t({"row width", "k", "insert us", "combine us", "xors/insert"});
+  for (const kernel_case& c : cases) {
+    const std::string label =
+        std::to_string(c.words) + (c.words == 1 ? " word" : " words");
+    t.add_row({label, text_table::num(static_cast<double>(c.k)),
+               text_table::fixed(c.insert_secs * 1e6, 3),
+               text_table::fixed(c.combine_secs * 1e6, 3),
+               text_table::fixed(c.xors, 1)});
+    rec.row("kernels", {{"width", json::value{label}},
+                        {"k", json::value{c.k}},
+                        {"insert_secs", json::value{c.insert_secs}},
+                        {"combine_secs", json::value{c.combine_secs}},
+                        {"xors", json::value{c.xors}}});
+  }
+  t.print();
 }
 
 }  // namespace
@@ -126,5 +257,6 @@ int main() {
       "window of word-narrow rows — orders of magnitude fewer XOR word\n"
       "ops — at the price of extra rounds.  Sweeps expose the same\n"
       "frontier per cell via metrics.elimination_xors.\n");
+  kernels_section(rec, trials);
   return 0;
 }

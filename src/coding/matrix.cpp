@@ -196,6 +196,9 @@ class grouped_coder final : public matrix_coder {
       g.rows = row_block((narrow ? g.width : items) + item_bits, g.width);
       gens_.push_back(std::move(g));
     }
+    const std::size_t widest = std::min(gen_size_ + band_overlap, items);
+    mask_words_ = words_for_bits(narrow ? widest : items);
+    pivot_masks_.assign(gens_.size() * mask_words_, 0);
   }
 
   std::size_t rank() const override { return decoded_count_; }
@@ -276,14 +279,16 @@ class grouped_coder final : public matrix_coder {
           g.rows.reserve_all();
           g.pivots.reserve(g.width);
         }
-        if (narrow_) {
-          std::uint64_t* slim = g.rows.stage();
-          copy_bits(slim, 0, row.data(), words, g.start, g.width);
-          copy_bits(slim, g.width, row.data(), words, items, item_bits());
-        } else {
-          g.rows.stage(row.data());
-        }
-        eliminate_into(gi);
+        with_row_width(g.rows.row_words(), [&](auto width) {
+          if (narrow_) {
+            std::uint64_t* slim = g.rows.stage();
+            copy_bits(slim, 0, row.data(), words, g.start, g.width);
+            copy_bits(slim, g.width, row.data(), words, items, item_bits());
+          } else {
+            g.rows.stage(row.data(), width);
+          }
+          eliminate_into(width, gi);
+        });
       }
     }
   }
@@ -298,22 +303,28 @@ class grouped_coder final : public matrix_coder {
   // adding a row changes no other pivot bit): the step does exactly the
   // XORs of a batch elimination over (basis, arrival), and re-reducing the
   // resulting basis would cost none.  Both passes mark their rows 64 at a
-  // time and then XOR them, with no branch per row.
-  void eliminate_into(std::size_t gi) {
+  // time and then XOR them, with no branch per row.  The forward marks are
+  // read from the staged row while its sum builds in a W-word row_regs.
+  template <std::size_t W>
+  void eliminate_into(row_width<W> width, std::size_t gi) {
     generation& g = gens_[gi];
-    const std::size_t w = g.rows.row_words();
+    std::uint64_t* mask = pivot_masks_.data() + gi * mask_words_;
+    const std::size_t w = W != 0 ? W : g.rows.row_words();
     std::uint64_t* base = g.rows.data();
     std::uint64_t* s = base + g.rows.size() * w;
     const pivot_index* pivots = g.pivots.data();
+    row_regs<W> sum = make_row_regs<W>(w);
+    std::copy_n(s, w, sum.begin());
     std::uint64_t xors = 0;
     const auto meets = [&](std::size_t r) {
       return (s[pivots[r] >> 6] >> (pivots[r] & 63)) & 1;
     };
     const auto reduce = [&](std::size_t r) {
-      xor_row(s, base + r * w, w);
+      xor_row(sum.data(), base + r * w, w);
       ++xors;
     };
     for_each_marked(g.rows.size(), meets, reduce);
+    std::copy_n(sum.begin(), w, s);
     const std::size_t p = first_set_bit(s, g.rows.row_bits());
     if (p >= coeff_bits(g)) {
       NCDN_ASSERT(p == g.rows.row_bits());  // no pivot inside the payload
@@ -321,12 +332,13 @@ class grouped_coder final : public matrix_coder {
       return;
     }
     xors += back_substitute(
-        g.rows, s, p, pivots, coeff_bits(g),
+        width, g.rows, s, p, pivots, mask, coeff_bits(g),
         [&](std::size_t pivot) { note_decoded(g, pivot); });
     xor_words_ += xors * w;
     const auto at = std::lower_bound(g.pivots.begin(), g.pivots.end(), p);
     g.rows.commit(static_cast<std::size_t>(at - g.pivots.begin()));
     g.pivots.insert(at, static_cast<pivot_index>(p));
+    mask[p >> 6] |= 1ULL << (p & 63);
     NCDN_AUDIT(is_canonical_rref(g.rows, g.pivots));
     NCDN_AUDIT(audit_decoded());
   }
@@ -357,6 +369,9 @@ class grouped_coder final : public matrix_coder {
   bool narrow_;
   std::size_t gen_size_ = 0;  // clamped to the token count
   std::vector<generation> gens_;
+  // Generation gi's pivot mask at gi * mask_words_, one allocation per node.
+  std::size_t mask_words_ = 0;
+  std::vector<std::uint64_t> pivot_masks_;
   bitvec decoded_;  // tokens with a singleton row in some generation
   std::size_t decoded_count_ = 0;
   std::uint64_t xor_words_ = 0;
@@ -364,13 +379,32 @@ class grouped_coder final : public matrix_coder {
 
 // --- emission helpers -------------------------------------------------------
 
-bool include_row(rng& r, bool dense, double rho) {
-  return dense ? r.coin() : r.bernoulli(rho);
+// Stores in `out` the sum of the rows whose coin() comes up; returns how
+// many.  Every row's coin is drawn first, in row order (the rng stream of
+// a coin-then-XOR loop), 64 rows at a time; the picked rows are XORed
+// after, into row_regs.
+template <class Coin>
+std::uint64_t combine_rows(const row_block& rows, std::uint64_t* out,
+                           const Coin& coin) {
+  return with_row_width(rows.row_words(), [&](auto width) {
+    constexpr std::size_t W = decltype(width)::value;
+    const std::size_t w = W != 0 ? W : rows.row_words();
+    const std::uint64_t* base = rows.data();
+    row_regs<W> sum = make_row_regs<W>(w);
+    std::uint64_t picked = 0;
+    const auto draw = [&](std::size_t) { return coin(); };
+    const auto add = [&](std::size_t i) {
+      xor_row(sum.data(), base + i * w, w);
+      ++picked;
+    };
+    for_each_marked(rows.size(), draw, add);
+    std::copy_n(sum.begin(), w, out);
+    return picked;
+  });
 }
 
 // Coin/Bernoulli-combines one group's reduced rows into a full wire row.
-// Every row's coin is drawn first, in row order (the rng stream of a
-// coin-then-XOR loop), 64 rows at a time; the picked rows are XORed after.
+// The dense/sparse choice is made once, outside the per-row coin loop.
 // Narrow groups combine narrow then widen (every combination XOR is window
 // wide — the generation coder's draw and accounting, verbatim); full-width
 // groups XOR wire rows directly.
@@ -379,18 +413,12 @@ bitvec combine_group(const matrix_coder& coder,
                      word_arena* pool, std::uint64_t* xor_words, bool dense,
                      double rho) {
   const row_block& rows = *g.rows;
-  const std::size_t w = rows.row_words();
-  const std::uint64_t* base = rows.data();
   bitvec sum = make_row(pool, rows.row_bits());
-  std::uint64_t* acc = sum.data();
-  std::uint64_t picked = 0;
-  const auto coin = [&](std::size_t) { return include_row(r, dense, rho); };
-  const auto add = [&](std::size_t i) {
-    xor_row(acc, base + i * w, w);
-    ++picked;
-  };
-  for_each_marked(rows.size(), coin, add);
-  *xor_words += picked * w;
+  const auto coin = [&r] { return r.coin(); };
+  const auto biased = [&r, rho] { return r.bernoulli(rho); };
+  const std::uint64_t picked = dense ? combine_rows(rows, sum.data(), coin)
+                                     : combine_rows(rows, sum.data(), biased);
+  *xor_words += picked * rows.row_words();
   if (!g.narrow) return sum;
   bitvec out = make_row(pool, coder.items() + coder.item_bits());
   out.copy_bits_from(sum, 0, g.width, g.start);

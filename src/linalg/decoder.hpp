@@ -15,14 +15,15 @@
 //
 // bit_decoder keeps its basis in one row_block (linalg/row_block.hpp):
 // rows back to back in one buffer, each arrival copied into the staging
-// slot past the last row and eliminated there.  Elimination has no branch
-// per basis row.  The forward pass adds exactly the rows whose pivot
-// columns the arrival holds: the set bits of (arrival & pivot mask), each
-// mapped to its row through pivot_row_ (in RREF no row carries another
-// row's pivot, so that set is read once).  Back-substitution marks the
-// rows holding the new pivot 64 at a time into a word, then XORs them.  A
-// row is decodable when no coefficient bit follows its pivot, an OR over
-// words; the popcount it replaces is a libgcc call per word in a build
+// slot past the last row and eliminated there by the kernels of its row
+// width.  Elimination has no branch per basis row.  The forward pass adds
+// exactly the rows whose pivot columns the arrival holds: the set bits of
+// (arrival & pivot mask), each mapped to its row through pivot_row_ (in
+// RREF no row carries another row's pivot, so that set is read once).
+// Back-substitution marks the rows holding the new pivot 64 at a time into
+// a word, then XORs them.  A row is decodable when it has no bit in a free
+// coefficient column (no row's pivot), tested against one mask in the pass
+// that XORs it; a popcount would be a libgcc call per word in a build
 // without -mpopcnt.  The basis and its row list stop growing at coeff_dim
 // rows (the rank bound), and both index arrays hold 32-bit entries.
 //
@@ -70,35 +71,41 @@ class bit_decoder {
   /// violating rows indicate corrupted input and trip a contract.
   bool insert(const bitvec& row) {
     NCDN_EXPECTS(row.size() == row_bits());
-    const std::size_t w = rows_.row_words();
-    std::uint64_t* s = rows_.stage(row.data());
-    std::uint64_t xors = forward_reduce(s);
-    const std::size_t p = first_set_bit(s, row_bits());
-    if (p >= coeff_dim_) {
-      NCDN_ASSERT(p == row_bits());  // consistency: no pivot inside payload
+    // The arrival's width (the precondition makes it the basis's) picks the
+    // kernels, so where the compiler sees the row's size it keeps only the
+    // kernel of that width, and warns of no out-of-bounds copy in others.
+    return with_row_width(row.words().size(), [&](auto width) {
+      const std::size_t w = rows_.row_words();
+      std::uint64_t* s = rows_.stage(row.data(), width);
+      std::uint64_t xors = forward_reduce(width, s);
+      const std::size_t p = first_set_bit(s, row_bits());
+      if (p >= coeff_dim_) {
+        NCDN_ASSERT(p == row_bits());  // consistency: no pivot in payload
+        xor_words_ += xors * w;
+        return false;
+      }
+      // Clear column p from the rows holding it, counting the rows left
+      // with their pivot alone so decodable_count() stays exact.
+      std::size_t singletons = 0;
+      const auto count = [&](std::size_t) { ++singletons; };
+      xors += back_substitute(width, rows_, s, p, pivots_.data(),
+                              pivot_mask_.data(), coeff_dim_, count);
+      decodable_ += singletons;
       xor_words_ += xors * w;
-      return false;
-    }
-    // Clear column p from the rows holding it, counting the rows left with
-    // their pivot alone so decodable_count() stays exact.
-    std::size_t singletons = 0;
-    xors += back_substitute(rows_, s, p, pivots_.data(), coeff_dim_,
-                            [&](std::size_t) { ++singletons; });
-    decodable_ += singletons;
-    xor_words_ += xors * w;
-    NCDN_AUDIT(pivot_row_[p] == npos);  // pivot columns are claimed once
-    pivot_row_[p] = static_cast<pivot_index>(rows_.size());
-    pivot_mask_[p >> 6] |= 1ULL << (p & 63);
-    if (pivots_.size() == pivots_.capacity()) {
-      // Double, but never past the rank bound (push_back would).
-      pivots_.reserve(std::min(std::max<std::size_t>(2 * pivots_.size(), 1),
-                               coeff_dim_));
-    }
-    pivots_.push_back(static_cast<pivot_index>(p));
-    rows_.commit(rows_.size());
-    NCDN_AUDIT(audit_rref());
-    NCDN_AUDIT(audit_decodable());
-    return true;
+      NCDN_AUDIT(pivot_row_[p] == npos);  // pivot columns are claimed once
+      pivot_row_[p] = static_cast<pivot_index>(rows_.size());
+      pivot_mask_[p >> 6] |= 1ULL << (p & 63);
+      if (pivots_.size() == pivots_.capacity()) {
+        // Double, but never past the rank bound (push_back would).
+        pivots_.reserve(std::min(
+            std::max<std::size_t>(2 * pivots_.size(), 1), coeff_dim_));
+      }
+      pivots_.push_back(static_cast<pivot_index>(p));
+      rows_.commit(rows_.size());
+      NCDN_AUDIT(audit_rref());
+      NCDN_AUDIT(audit_decodable());
+      return true;
+    });
   }
 
   /// True iff some basis row's coefficient part is non-orthogonal to mu
@@ -138,7 +145,9 @@ class bit_decoder {
   /// True iff `row` is already in the received span (non-mutating).
   bool in_span(bitvec row) const {
     NCDN_EXPECTS(row.size() == row_bits());
-    forward_reduce(row.data());
+    with_row_width(row.words().size(), [&](auto width) {
+      return forward_reduce(width, row.data());
+    });
     return !row.any();
   }
 
@@ -178,22 +187,27 @@ class bit_decoder {
   /// pivot columns it holds and returns how many.  In RREF no row carries
   /// another row's pivot, so those rows are the set bits of (row & pivot
   /// mask), read a word at a time: adding a row clears its own pivot bit
-  /// and touches no other pivot column.
-  std::uint64_t forward_reduce(std::uint64_t* row) const {
-    const std::size_t w = rows_.row_words();
+  /// and touches no other pivot column.  So the hits are read from `row`
+  /// as it was, while its sum builds in a W-word row_regs.
+  template <std::size_t W>
+  std::uint64_t forward_reduce(row_width<W>, std::uint64_t* row) const {
+    const std::size_t w = W != 0 ? W : rows_.row_words();
     const std::uint64_t* base = rows_.data();
     const pivot_index* pivot_row = pivot_row_.data();
     const std::uint64_t* mask = pivot_mask_.data();
     const std::size_t mask_words = pivot_mask_.size();
+    row_regs<W> sum = make_row_regs<W>(w);
+    std::copy_n(row, w, sum.begin());
     std::uint64_t added = 0;
     for (std::size_t cw = 0; cw < mask_words; ++cw) {
       for (std::uint64_t hit = row[cw] & mask[cw]; hit != 0; hit &= hit - 1) {
         const std::size_t col =
             (cw << 6) + static_cast<std::size_t>(std::countr_zero(hit));
-        xor_row(row, base + pivot_row[col] * w, w);
+        xor_row(sum.data(), base + pivot_row[col] * w, w);
         ++added;
       }
     }
+    std::copy_n(sum.begin(), w, row);
     return added;
   }
 

@@ -14,17 +14,25 @@
 // exactly that bound plus the staging slot, not the next power of two.
 //
 // xor_row is the one XOR kernel of the packed GF(2) code (bitvec::xor_with
-// calls it too), and dot_words the one dot product (bitvec::dot and
+// calls it too; back_substitute fuses its XOR with the decodability
+// test), and dot_words the one dot product (bitvec::dot and
 // bit_decoder::senses call it).  The word count is an argument, not a
 // member read inside the loop: std::size_t is std::uint64_t here, so a
 // count loaded through `this` could alias the stores and would keep the
 // loop from vectorizing.  back_substitute is the one back-substitution
 // step, shared by bit_decoder and the grouped layout.
+//
+// The elimination and combination kernels are templates on the row width
+// W, picked once per insert or emit by with_row_width: rows of 1 to 8
+// words get an instantiation each, wider rows share W = 0 (width read at
+// run time).  Each builds its row in a row_regs<W>, kept in registers.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/bits.hpp"
@@ -119,17 +127,55 @@ inline std::size_t first_set_bit(const std::uint64_t* row,
 /// branch, and act then visits the set bits.  Elimination marks the rows
 /// holding a bit and then XORs them; emission draws every row's coin
 /// (the rng stream of a coin-then-XOR loop) and then XORs the picked rows.
+/// Marks enter at bit 63 and shift down (constant shifts only); a short
+/// last batch shifts down once more, so index i lands on bit i - lo.
+/// Each instantiation has one caller, whose row_regs stay in registers
+/// only when the loop is inlined into it.
 template <class Mark, class Act>
-void for_each_marked(std::size_t n, const Mark& mark, const Act& act) {
+[[gnu::always_inline]] inline void for_each_marked(
+    std::size_t n, const Mark& mark, const Act& act) {
   for (std::size_t lo = 0; lo < n; lo += 64) {
     const std::size_t hi = std::min(n, lo + 64);
     std::uint64_t marks = 0;
     for (std::size_t i = lo; i < hi; ++i) {
-      marks |= static_cast<std::uint64_t>(mark(i)) << (i - lo);
+      marks = marks >> 1 | static_cast<std::uint64_t>(mark(i)) << 63;
     }
+    if (hi - lo < 64) marks >>= 64 - (hi - lo);
     for (; marks != 0; marks &= marks - 1) {
       act(lo + static_cast<std::size_t>(std::countr_zero(marks)));
     }
+  }
+}
+
+template <std::size_t W>
+using row_width = std::integral_constant<std::size_t, W>;
+
+/// Calls f(row_width<W>{}) for a row of `words` words: W = words for 1 to
+/// 8 words, else W = 0 (the run-time width).
+template <std::size_t W = 1, class F>
+decltype(auto) with_row_width(std::size_t words, F&& f) {
+  if constexpr (W > 8) {
+    return f(row_width<0>{});
+  } else {
+    if (words == W) return f(row_width<W>{});
+    return with_row_width<W + 1>(words, f);
+  }
+}
+
+/// A row a kernel builds or reads apart from the block: W words in locals,
+/// which stay in registers once the loops unroll, or a heap buffer for the
+/// run-time width (W == 0).
+template <std::size_t W>
+using row_regs = std::conditional_t<W == 0, std::vector<std::uint64_t>,
+                                    std::array<std::uint64_t, W>>;
+
+/// A zeroed row_regs<W> of `words` words.
+template <std::size_t W>
+row_regs<W> make_row_regs(std::size_t words) {
+  if constexpr (W == 0) {
+    return row_regs<W>(words);
+  } else {
+    return row_regs<W>{};
   }
 }
 
@@ -180,10 +226,12 @@ class row_block {
     return slot;
   }
 
-  /// Opens the staging slot holding a copy of the row_words()-word `src`.
-  std::uint64_t* stage(const std::uint64_t* src) {
+  /// Opens the staging slot holding a copy of the row_words()-word `src`
+  /// (a W-word copy when the caller knows the width, W > 0).
+  template <std::size_t W = 0>
+  std::uint64_t* stage(const std::uint64_t* src, row_width<W> = {}) {
     std::uint64_t* slot = staging_slot();
-    std::copy(src, src + row_words_, slot);
+    std::copy_n(src, W != 0 ? W : row_words_, slot);
     return slot;
   }
 
@@ -227,34 +275,51 @@ class row_block {
   std::vector<std::uint64_t> words_;  // size_ rows, then the staging slot
 };
 
-/// Back-substitution of one online elimination step.  `staged` is an
-/// arrival already reduced against every row of `block`, leading with
-/// pivot column p < coeff_bits; it is added to each committed row holding
-/// p, so column p is left in the staged row alone.  The rows holding p are
-/// marked 64 at a time and then XORed (for_each_marked), with no branch
-/// per row.  pivots[i] is row i's pivot column.  Calls on_singleton(c) for
-/// the pivot column c of every row left with no coefficient bit after its
-/// pivot, the staged row (c = p) included; a singleton never loses that
-/// status, since no later row carries its pivot column, so set-once
+/// Back-substitution of one online elimination step, for rows of W words
+/// (W = 0: the block's run-time width).  `staged` is an arrival already
+/// reduced against every row of `block`, leading with pivot column
+/// p < coeff_bits; it is added to each committed row holding p, so column
+/// p is left in the staged row alone.  The rows holding p are marked 64 at
+/// a time and then XORed (for_each_marked), with no branch per row.
+/// pivots[i] is row i's pivot column; pivot_mask (coeff_bits bits) has bit
+/// c set iff c is a pivot before this step.  Calls on_singleton(c) for the
+/// pivot column c of every row left with no other coefficient bit, the
+/// staged row (c = p) last.  In RREF no row holds another row's pivot, so
+/// one mask tests every row XORed: it is a singleton iff it has no bit in a
+/// free column (below coeff_bits and no pivot; zero over the payload),
+/// ORed in the pass that XORs it, which clears p.  A singleton never loses
+/// that status, since no later row carries its pivot column, so set-once
 /// bookkeeping stays exact.  Returns the number of rows XORed.
-template <class OnSingleton>
-std::uint64_t back_substitute(row_block& block, const std::uint64_t* staged,
-                              std::size_t p, const pivot_index* pivots,
-                              std::size_t coeff_bits,
-                              const OnSingleton& on_singleton) {
-  const std::size_t w = block.row_words();
+template <std::size_t W, class OnSingleton>
+std::uint64_t back_substitute(
+    row_width<W>, row_block& block, const std::uint64_t* staged, std::size_t p,
+    const pivot_index* pivots, const std::uint64_t* pivot_mask,
+    std::size_t coeff_bits, const OnSingleton& on_singleton) {
+  const std::size_t w = W != 0 ? W : block.row_words();
   std::uint64_t* base = block.data();
   const std::size_t pw = p >> 6;
-  const std::size_t pb = p & 63;
+  const std::uint64_t pbit = std::uint64_t{1} << (p & 63);
+  const std::size_t mask_words = words_for_bits(coeff_bits);
+  row_regs<W> s = make_row_regs<W>(w);
+  row_regs<W> free_cols = make_row_regs<W>(w);
+  std::copy_n(staged, w, s.begin());
+  for (std::size_t j = 0; j < mask_words; ++j) free_cols[j] = ~pivot_mask[j];
+  // The last mask word keeps only its coefficient bits.
+  free_cols[mask_words - 1] &= ~0ULL >> (-coeff_bits & 63);
   std::uint64_t xors = 0;
   const auto holds_p = [&](std::size_t i) {
-    return (base[i * w + pw] >> pb) & 1;
+    return (base[i * w + pw] & pbit) != 0;
   };
   const auto clear_p = [&](std::size_t i) {
     std::uint64_t* dst = base + i * w;
-    xor_row(dst, staged, w);
+    std::uint64_t left = 0;
+    for (std::size_t j = 0; j < w; ++j) {
+      const std::uint64_t x = dst[j] ^ s[j];
+      dst[j] = x;
+      left |= x & free_cols[j];
+    }
     ++xors;
-    if (no_bits_after(dst, pivots[i], coeff_bits)) on_singleton(pivots[i]);
+    if (left == 0) on_singleton(pivots[i]);
   };
   for_each_marked(block.size(), holds_p, clear_p);
   if (no_bits_after(staged, p, coeff_bits)) on_singleton(p);

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coding/matrix.hpp"
@@ -696,6 +699,318 @@ TEST(decoder_cross_check, packed_and_generic_agree_on_payloads_and_sensing) {
       EXPECT_EQ(pp, payloads[i]);
       for (std::size_t bit = 0; bit < d; ++bit) {
         EXPECT_EQ(pp.get(bit), gp[bit] != 0) << "token " << i << " bit " << bit;
+      }
+    }
+  }
+}
+
+// --- fixed-width row kernels against a plain reference ---------------------
+
+// A plain online GF(2) elimination, the reference for the fixed-width
+// kernels: one basis of row_bits-bit rows with pivots below coeff_bits,
+// eliminated with xor_row and tested with no_bits_after, one row at a time.
+// Rows stay in insertion order (bit_decoder) or sorted by pivot (a
+// generation).
+struct plain_basis {
+  std::size_t coeff_bits = 0;
+  std::size_t row_bits = 0;
+  bool sorted = false;
+  std::vector<std::vector<std::uint64_t>> rows;
+  std::vector<std::size_t> pivots;
+  std::uint64_t xor_words = 0;
+
+  std::size_t words() const { return words_for_bits(row_bits); }
+  static bool bit(const std::vector<std::uint64_t>& row, std::size_t c) {
+    return ((row[c >> 6] >> (c & 63)) & 1) != 0;
+  }
+
+  // One online step; calls on_singleton(c) for every row that became
+  // decodable, c its pivot.
+  template <class F>
+  void insert(std::vector<std::uint64_t> row, const F& on_singleton) {
+    std::uint64_t xors = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (bit(row, pivots[i])) {
+        xor_row(row.data(), rows[i].data(), words());
+        ++xors;
+      }
+    }
+    const std::size_t p = first_set_bit(row.data(), row_bits);
+    if (p < coeff_bits) {
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (!bit(rows[i], p)) continue;
+        xor_row(rows[i].data(), row.data(), words());
+        ++xors;
+        if (no_bits_after(rows[i].data(), pivots[i], coeff_bits)) {
+          on_singleton(pivots[i]);
+        }
+      }
+      if (no_bits_after(row.data(), p, coeff_bits)) on_singleton(p);
+      const auto at = sorted ? std::lower_bound(pivots.begin(), pivots.end(), p)
+                             : pivots.end();
+      rows.insert(rows.begin() + (at - pivots.begin()), std::move(row));
+      pivots.insert(at, p);
+    }
+    xor_words += xors * words();
+  }
+
+  std::size_t singletons() const {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (no_bits_after(rows[i].data(), pivots[i], coeff_bits)) ++n;
+    }
+    return n;
+  }
+
+  // Coin-then-XOR over the rows in order; the sum and its XOR word-ops.
+  template <class Coin>
+  std::vector<std::uint64_t> combine(const Coin& coin,
+                                     std::uint64_t* xors) const {
+    std::vector<std::uint64_t> sum(words(), 0);
+    for (const std::vector<std::uint64_t>& row : rows) {
+      if (coin()) {
+        xor_row(sum.data(), row.data(), words());
+        *xors += words();
+      }
+    }
+    return sum;
+  }
+};
+
+// The reference for one layout of the coding matrix: the full span (one
+// basis over every token, in insertion order) or generation windows of
+// gen_size tokens plus band_overlap, at full wire width (dec=rref) or
+// narrowed to [window | payload] (dec=banded).
+struct plain_coder {
+  struct generation {
+    std::size_t start = 0;
+    std::size_t width = 0;
+    plain_basis basis;
+  };
+  std::size_t k = 0;
+  std::size_t d = 0;
+  bool grouped = false;
+  bool narrow = false;
+  std::vector<generation> gens;
+  std::vector<bool> decoded;
+  std::size_t decoded_count = 0;
+  std::uint64_t emit_xors = 0;
+
+  plain_coder(std::size_t k_, std::size_t d_, std::size_t gen_size,
+              std::size_t overlap, bool narrow_)
+      : k(k_), d(d_), grouped(gen_size != 0), narrow(narrow_), decoded(k_) {
+    const std::size_t g = grouped ? gen_size : k;
+    for (std::size_t start = 0; start < k; start += g) {
+      generation gen;
+      gen.start = start;
+      gen.width = grouped ? std::min(g + overlap, k - start) : k;
+      gen.basis.coeff_bits = narrow ? gen.width : k;
+      gen.basis.row_bits = gen.basis.coeff_bits + d;
+      gen.basis.sorted = grouped;
+      gens.push_back(gen);
+    }
+  }
+
+  void insert(const bitvec& row) {
+    const std::size_t lo = row.first_set();
+    if (lo >= k) return;
+    std::size_t hi = lo;
+    for (std::size_t c = lo; c < k; ++c) {
+      if (row.get(c)) hi = c;
+    }
+    for (generation& g : gens) {
+      if (g.start > lo || hi >= g.start + g.width) continue;
+      std::vector<std::uint64_t> staged = row.words();
+      if (narrow) {
+        staged.assign(words_for_bits(g.width + d), 0);
+        copy_bits(staged.data(), 0, row.data(), row.words().size(), g.start,
+                  g.width);
+        copy_bits(staged.data(), g.width, row.data(), row.words().size(), k, d);
+      }
+      g.basis.insert(std::move(staged), [&](std::size_t c) {
+        const std::size_t token = narrow ? g.start + c : c;
+        if (!decoded[token]) {
+          decoded[token] = true;
+          ++decoded_count;
+        }
+      });
+    }
+  }
+
+  std::size_t rank() const {
+    return grouped ? decoded_count : gens[0].basis.rows.size();
+  }
+  std::uint64_t xor_words() const {
+    std::uint64_t total = emit_xors;
+    for (const generation& g : gens) total += g.basis.xor_words;
+    return total;
+  }
+
+  // The matrix's dense (coin) or sparse (Bernoulli rho) emission: a
+  // uniform pick among the live generations first when grouped.
+  std::optional<bitvec> emit(rng& r, bool dense, double rho) {
+    const auto coin = [&] { return dense ? r.coin() : r.bernoulli(rho); };
+    std::size_t live = 0;
+    for (const generation& g : gens) live += g.basis.rows.empty() ? 0 : 1;
+    if (live == 0) return std::nullopt;
+    std::size_t pick = grouped ? static_cast<std::size_t>(r.below(live)) : 0;
+    for (const generation& g : gens) {
+      if (g.basis.rows.empty() || pick-- != 0) continue;
+      const std::vector<std::uint64_t> sum = g.basis.combine(coin, &emit_xors);
+      bitvec out(k + d);
+      if (narrow) {
+        copy_bits(out.data(), g.start, sum.data(), sum.size(), 0, g.width);
+        copy_bits(out.data(), k, sum.data(), sum.size(), g.width, d);
+      } else {
+        std::copy(sum.begin(), sum.end(), out.data());
+      }
+      return out;
+    }
+    return std::nullopt;
+  }
+};
+
+// Row widths of 1 to 9 words: every fixed-width instantiation and the
+// run-time width.  Each total width runs twice, with a 32-token
+// coefficient part and a long payload, and with 8-bit payloads behind a
+// coefficient part that fills the row.
+std::vector<std::pair<std::size_t, std::size_t>> width_shapes() {
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;  // (k, d)
+  for (const std::size_t bits :
+       {40u, 72u, 132u, 232u, 282u, 332u, 432u, 512u, 552u}) {
+    shapes.emplace_back(32, bits - 32);
+    shapes.emplace_back(bits - 8, 8);
+  }
+  return shapes;
+}
+
+// Random arrivals over k tokens [e_i | payload_i]: three in four combine
+// the tokens of one generation window (gen_size 8, overlap 4), the rest
+// the whole span, so every layout keeps some and drops some.
+std::vector<bitvec> width_arrivals(std::size_t k, std::size_t d, rng& r,
+                                   std::vector<bitvec>* payloads) {
+  std::vector<bitvec> tokens;
+  for (std::size_t i = 0; i < k; ++i) {
+    bitvec p(d);
+    p.randomize(r);
+    payloads->push_back(p);
+    bitvec t(k + d);
+    t.set(i);
+    t.copy_bits_from(p, 0, d, k);
+    tokens.push_back(std::move(t));
+  }
+  std::vector<bitvec> arrivals;
+  for (std::size_t a = 0; a < 3 * k / 2 + 16; ++a) {
+    std::size_t lo = 0, hi = k;
+    if (r.below(4) != 0) {
+      lo = 8 * static_cast<std::size_t>(r.below((k + 7) / 8));
+      hi = std::min(lo + 12, k);
+    }
+    bitvec row(k + d);
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (r.coin()) row.xor_with(tokens[i]);
+    }
+    arrivals.push_back(std::move(row));
+  }
+  return arrivals;
+}
+
+TEST(row_kernels, bit_decoder_matches_a_plain_elimination_at_every_width) {
+  rng r(2024);
+  for (const auto& [k, d] : width_shapes()) {
+    SCOPED_TRACE("k " + std::to_string(k) + " d " + std::to_string(d));
+    std::vector<bitvec> payloads;
+    const std::vector<bitvec> arrivals = width_arrivals(k, d, r, &payloads);
+    bit_decoder dec(k, d);
+    plain_basis ref;
+    ref.coeff_bits = k;
+    ref.row_bits = k + d;
+    const std::size_t words = ref.words();
+    for (std::size_t a = 0; a < arrivals.size(); ++a) {
+      const bool innovative = dec.insert(arrivals[a]);
+      const std::size_t before = ref.rows.size();
+      ref.insert(arrivals[a].words(), [](std::size_t) {});
+      ASSERT_EQ(innovative, ref.rows.size() > before) << "arrival " << a;
+      ASSERT_EQ(dec.rank(), ref.rows.size()) << "arrival " << a;
+      ASSERT_EQ(dec.decodable_count(), ref.singletons()) << "arrival " << a;
+      ASSERT_EQ(dec.xor_word_ops(), ref.xor_words) << "arrival " << a;
+      for (std::size_t i = 0; i < ref.rows.size(); ++i) {
+        ASSERT_TRUE(std::equal(ref.rows[i].begin(), ref.rows[i].end(),
+                               dec.basis().row(i)))
+            << "arrival " << a << " row " << i;
+      }
+      ASSERT_TRUE(dec.in_span(arrivals[a])) << "arrival " << a;
+    }
+    ASSERT_EQ(dec.basis().row_words(), words);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (dec.can_decode(i)) {
+        EXPECT_EQ(dec.decode(i), payloads[i]);
+      }
+    }
+  }
+}
+
+TEST(row_kernels, matrix_layouts_match_a_plain_elimination_at_every_width) {
+  struct layout {
+    const char* name;
+    matrix_spec spec;
+  };
+  const auto spec = [](const char* sched, const char* dec,
+                       std::size_t gen_size) {
+    matrix_spec s;
+    s.sched = sched;
+    s.dec = dec;
+    s.rho = 0.3;
+    s.gen_size = gen_size;
+    s.band_overlap = gen_size == 0 ? 0 : 4;
+    return s;
+  };
+  const std::vector<layout> layouts = {
+      {"span dense", spec("dense", "rref", 0)},
+      {"span sparse", spec("sparse", "rref", 0)},
+      {"grouped rref", spec("dense", "rref", 8)},
+      {"grouped banded", spec("dense", "banded", 8)},
+      {"grouped banded sparse", spec("sparse", "banded", 8)},
+  };
+  rng r(2025);
+  for (const auto& [k, d] : width_shapes()) {
+    std::vector<bitvec> payloads;
+    const std::vector<bitvec> arrivals = width_arrivals(k, d, r, &payloads);
+    for (const layout& l : layouts) {
+      SCOPED_TRACE(std::string(l.name) + " k " + std::to_string(k) + " d " +
+                   std::to_string(d));
+      const std::unique_ptr<node_coder> coder =
+          make_matrix_backend(l.spec)->make_node_coder(k, d);
+      plain_coder ref(k, d, l.spec.gen_size, l.spec.band_overlap,
+                      l.spec.dec == "banded");
+      const bool dense = l.spec.sched == "dense";
+      for (std::size_t a = 0; a < arrivals.size(); ++a) {
+        coder->insert(arrivals[a]);
+        ref.insert(arrivals[a]);
+        ASSERT_EQ(coder->rank(), ref.rank()) << "arrival " << a;
+        ASSERT_EQ(coder->decode_progress(), ref.decoded_count)
+            << "arrival " << a;
+        ASSERT_EQ(coder->xor_word_ops(), ref.xor_words()) << "arrival " << a;
+        for (std::size_t i = 0; i < k; ++i) {
+          ASSERT_EQ(coder->can_decode(i), ref.decoded[i])
+              << "arrival " << a << " token " << i;
+        }
+        if (a % 8 != 7 && a + 1 != arrivals.size()) continue;
+        // The emission at a fixed seed: the same draws, the same row.
+        rng draw(a), ref_draw(a);
+        const std::optional<bitvec> got = coder->make_combination(draw);
+        const std::optional<bitvec> want = ref.emit(ref_draw, dense, 0.3);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "arrival " << a;
+        if (got) {
+          ASSERT_EQ(*got, *want) << "arrival " << a;
+        }
+        ASSERT_EQ(draw(), ref_draw()) << "arrival " << a;
+        ASSERT_EQ(coder->xor_word_ops(), ref.xor_words()) << "arrival " << a;
+      }
+      for (std::size_t i = 0; i < k; ++i) {
+        if (coder->can_decode(i)) {
+          EXPECT_EQ(coder->decode(i), payloads[i]);
+        }
       }
     }
   }
