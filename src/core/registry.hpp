@@ -16,7 +16,16 @@
 //       ncdn::session_env& env, my_config cfg) {
 //     ncdn::protocol_result res;
 //     while (!env.state.all_complete()) {
-//       env.net.step<my_msg>(env.state, make_msg, deliver);
+//       env.net.step<my_msg>(
+//           env.state,
+//           // Fill node u's reused slot, overwriting every field it sends;
+//           // false keeps u silent this round.
+//           [&](ncdn::node_id u, ncdn::rng& r, my_msg& slot) {
+//             return fill_my_msg(u, r, slot);
+//           },
+//           [&](ncdn::node_id u, const std::vector<const my_msg*>& inbox) {
+//             for (const my_msg* m : inbox) absorb(u, *m);
+//           });
 //       co_await ncdn::next_round;  // park; session::step() resumes here
 //     }
 //     co_return res;

@@ -15,7 +15,8 @@ network::network(std::size_t n, std::size_t b_bits, adversary& adv,
                  std::uint64_t seed, double slack)
     : n_(n),
       bit_limit_(message_bit_limit(n, b_bits, slack)),
-      adv_(adv) {
+      adv_(adv),
+      speaks_(n, 0) {
   NCDN_EXPECTS(n >= 1);
   // The model requires b >= log n (§4.1).
   NCDN_EXPECTS(b_bits >= bits_for(n));

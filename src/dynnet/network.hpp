@@ -15,6 +15,17 @@
 // step() once per round — multi-phase algorithms (gather, flood,
 // broadcast, ...) read naturally as sequential code.
 //
+// Message slots: the engine keeps one slot per node for each message type
+// (found by `typeid`, kept for the network's lifetime), and the make
+// callback `bool make(node_id u, rng& r, Msg& slot)` fills u's slot in
+// place, returning false for a silent node.  A slot holds whatever u's last
+// make left in it, so a make that speaks overwrites every field it sends;
+// a silent node's slot reaches no inbox.  The slots, the inbox, the
+// speaker and transmitter masks and the channel's per-sender copy table
+// persist across rounds, so a steady-state reliable-path round allocates
+// nothing in the engine.  A delayed channel copy is a heap copy taken when
+// it was sent, so rewriting the slot later never changes a copy in flight.
+//
 // Each round, stepped or silent, the engine fills one `round_traffic`
 // record (core/metrics.hpp): messages and bits on the air, |E(t)| and the
 // channel's copy accounting.  The round hook receives it with the view
@@ -24,7 +35,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <typeinfo>
 #include <vector>
 
@@ -90,6 +100,7 @@ class network {
     NCDN_EXPECTS(round_ == 0);
     link_ = std::move(link);
     flight_.resize(n_);
+    transmit_.assign(n_, 0);
   }
   bool link_active() const noexcept { return link_ != nullptr; }
 
@@ -104,7 +115,8 @@ class network {
 
   /// Runs one synchronized round.
   ///
-  /// MakeMsg: node_id, rng& -> std::optional<Msg>  (nullopt = silent node)
+  /// MakeMsg: node_id, rng&, Msg& slot -> bool  (fills the slot; false =
+  ///          silent node; see "Message slots" above)
   /// Deliver: node_id, const std::vector<const Msg*>& -> void
   template <class Msg, class MakeMsg, class Deliver>
     requires sized_message<Msg>
@@ -118,12 +130,13 @@ class network {
 
     round_traffic traffic;
     traffic.topology_edges = g.edge_count();
-    messages_of_round<Msg> msgs;
-    msgs.reserve(n_);
+    message_slots<Msg>& slots = slots_of<Msg>();
+    std::vector<Msg>& msgs = slots.msgs;
     for (node_id u = 0; u < n_; ++u) {
-      msgs.push_back(make(u, node_rngs_[u]));
-      if (msgs.back().has_value()) {
-        const std::size_t bits = msgs.back()->bit_size();
+      const bool spoke = make(u, node_rngs_[u], msgs[u]);
+      speaks_[u] = static_cast<char>(spoke);
+      if (spoke) {
+        const std::size_t bits = msgs[u].bit_size();
         NCDN_ASSERT(static_cast<double>(bits) <= bit_limit_);
         max_message_bits_ = std::max(max_message_bits_, bits);
       }
@@ -133,30 +146,30 @@ class network {
       // The historical reliable path, untouched: every made message is
       // broadcast and every neighbour copy is delivered within the round.
       for (node_id u = 0; u < n_; ++u) {
-        if (!msgs[u].has_value()) continue;
-        const std::size_t bits = msgs[u]->bit_size();
+        if (speaks_[u] == 0) continue;
+        const std::size_t bits = msgs[u].bit_size();
         ++traffic.messages;
         traffic.message_bits += bits;
         traffic.max_message_bits = std::max(traffic.max_message_bits, bits);
       }
-      std::vector<const Msg*> inbox;
+      std::vector<const Msg*>& inbox = slots.inbox;
       for (node_id u = 0; u < n_; ++u) {
         inbox.clear();
         for (node_id v : g.neighbors(u)) {
-          if (msgs[v].has_value()) inbox.push_back(&*msgs[v]);
+          if (speaks_[v] != 0) inbox.push_back(&msgs[v]);
         }
         deliver(u, static_cast<const std::vector<const Msg*>&>(inbox));
       }
     } else {
-      step_channel<Msg>(g, view.view_id(), traffic, msgs, deliver);
+      step_channel<Msg>(g, view.view_id(), traffic, slots, deliver);
     }
     // All receivers are served; recycle the round's message buffers into
     // the session arena (delayed channel copies hold their own shared
     // heap copy, so this never touches an in-flight payload).
     if constexpr (requires(Msg& m, word_arena& a) { m.recycle(a); }) {
       if (arena_ != nullptr) {
-        for (auto& m : msgs) {
-          if (m.has_value()) m->recycle(*arena_);
+        for (node_id u = 0; u < n_; ++u) {
+          if (speaks_[u] != 0) msgs[u].recycle(*arena_);
         }
       }
     }
@@ -190,8 +203,35 @@ class network {
   }
 
  private:
+  /// One message type's per-node slots, its inbox and its per-sender
+  /// table of delayed-copy heap copies (channel path; reset every round).
   template <class Msg>
-  using messages_of_round = std::vector<std::optional<Msg>>;
+  struct message_slots {
+    std::vector<Msg> msgs;
+    std::vector<const Msg*> inbox;
+    std::vector<std::shared_ptr<const Msg>> copies;
+  };
+  /// A message_slots<T> tagged with typeid(T), the way flight_entry tags
+  /// its payloads.
+  struct slot_entry {
+    const std::type_info* type = nullptr;
+    std::shared_ptr<void> slots;
+  };
+
+  /// The slots of message type Msg, made on its first step.
+  template <class Msg>
+  message_slots<Msg>& slots_of() {
+    for (const slot_entry& e : slot_types_) {
+      if (*e.type == typeid(Msg)) {
+        return *static_cast<message_slots<Msg>*>(e.slots.get());
+      }
+    }
+    auto fresh = std::make_shared<message_slots<Msg>>();
+    fresh->msgs.resize(n_);
+    if (link_ != nullptr) fresh->copies.resize(n_);
+    slot_types_.push_back({&typeid(Msg), fresh});
+    return *fresh;
+  }
 
   /// One delayed directed copy, queued at its receiver.  The payload is
   /// type-erased so the queue survives protocol phases that switch message
@@ -212,15 +252,17 @@ class network {
   /// dropped + in flight) is audited after every round.
   template <class Msg, class Deliver>
   void step_channel(const graph& g, std::uint64_t view_id,
-                    round_traffic& traffic, messages_of_round<Msg>& msgs,
+                    round_traffic& traffic, message_slots<Msg>& slots,
                     Deliver&& deliver) {
     traffic.link_active = true;
     const round_t send_round = round_;
-    std::vector<char> transmit(n_, 0);
+    const std::vector<Msg>& msgs = slots.msgs;
+    std::vector<char>& transmit = transmit_;
     for (node_id u = 0; u < n_; ++u) {
-      if (!msgs[u].has_value() || !link_->transmits(send_round, u)) continue;
-      transmit[u] = 1;
-      const std::size_t bits = msgs[u]->bit_size();
+      transmit[u] = static_cast<char>(speaks_[u] != 0 &&
+                                      link_->transmits(send_round, u));
+      if (transmit[u] == 0) continue;
+      const std::size_t bits = msgs[u].bit_size();
       ++traffic.messages;
       traffic.message_bits += bits;
       traffic.max_message_bits = std::max(traffic.max_message_bits, bits);
@@ -238,8 +280,8 @@ class network {
     };
 
     // Delayed copies of one sender share a single heap copy of its message.
-    std::vector<std::shared_ptr<const Msg>> shared(n_);
-    std::vector<const Msg*> inbox;
+    std::vector<std::shared_ptr<const Msg>>& shared = slots.copies;
+    std::vector<const Msg*>& inbox = slots.inbox;
     for (node_id u = 0; u < n_; ++u) {
       inbox.clear();
       // In-flight copies that came due, in enqueue order (FIFO per
@@ -279,12 +321,12 @@ class network {
         }
         const round_t d = link_->delay(send_round, v, u);
         if (d == 0) {
-          inbox.push_back(&*msgs[v]);
+          inbox.push_back(&msgs[v]);
           ++traffic.messages_delivered;
           record_latency(0);
         } else {
           if (shared[v] == nullptr) {
-            shared[v] = std::make_shared<const Msg>(*msgs[v]);
+            shared[v] = std::make_shared<const Msg>(msgs[v]);
           }
           // Drawn delays are >= 1, so this copy is not due this round.
           queue.push_back(
@@ -301,6 +343,9 @@ class network {
         in_flight_ -= came_due;
       }
     }
+    // The queues hold their own references; next round's senders get
+    // fresh copies.
+    for (auto& copy : shared) copy.reset();
     traffic.messages_in_flight = in_flight_;
     link_sent_total_ += traffic.messages_sent;
     link_delivered_total_ += traffic.messages_delivered;
@@ -317,6 +362,9 @@ class network {
   round_t round_ = 0;
   std::size_t max_message_bits_ = 0;
   std::vector<rng> node_rngs_;
+  std::vector<slot_entry> slot_types_;  // one per message type stepped
+  std::vector<char> speaks_;    // this round: u's make returned true
+  std::vector<char> transmit_;  // channel path: u spoke and transmits
   round_hook round_hook_;
   word_arena* arena_ = nullptr;            // session pool; null = no pooling
   std::unique_ptr<link_model> link_;       // null = reliable default

@@ -50,15 +50,15 @@ round_task<protocol_result> centralized_rlnc_machine(
   while (!nodes.all_complete() && net.rounds_elapsed() - start < cap) {
     net.step<genie_msg>(
         nodes,
-        [&](node_id u, rng& r) -> std::optional<genie_msg> {
-          genie_msg m;
+        [&](node_id u, rng& r, genie_msg& m) {
           m.payload_bits = d;
+          m.rows.clear();
           for (std::size_t c = 0; c < combos_per_msg; ++c) {
             auto combo = nodes.coder(u).make_combination(r);
-            if (!combo) return std::nullopt;  // nothing received yet
+            if (!combo) return false;  // nothing received yet
             m.rows.push_back(std::move(*combo));
           }
-          return m;
+          return true;
         },
         [&](node_id u, const std::vector<const genie_msg*>& inbox) {
           if (inbox.empty()) return;

@@ -83,15 +83,14 @@ round_task<counting_result> counting_machine(network& net,
         for (round_t r = 0; r < phase_len; ++r) {
           net.step<uid_batch_msg>(
               view,
-              [&](node_id u, rng&) -> std::optional<uid_batch_msg> {
-                uid_batch_msg m;
+              [&](node_id u, rng&, uid_batch_msg& m) {
                 m.uid_bits = ub;
+                m.uids.clear();
                 for (uid_t id : active[u]) {
                   if (m.uids.size() >= batch) break;
                   m.uids.push_back(id);
                 }
-                if (m.uids.empty()) return std::nullopt;
-                return m;
+                return !m.uids.empty();
               },
               [&](node_id u, const std::vector<const uid_batch_msg*>& inbox) {
                 for (const uid_batch_msg* m : inbox) {
@@ -121,10 +120,10 @@ round_task<counting_result> counting_machine(network& net,
         for (round_t r = 0; r < phase_len; ++r) {
           net.step<uid_batch_msg>(
               view,
-              [&](node_id u, rng& prng) -> std::optional<uid_batch_msg> {
-                if (unretired[u].empty()) return std::nullopt;
-                uid_batch_msg m;
+              [&](node_id u, rng& prng, uid_batch_msg& m) {
+                if (unretired[u].empty()) return false;
                 m.uid_bits = ub;
+                m.uids.clear();
                 std::vector<uid_t> pool(unretired[u].begin(),
                                         unretired[u].end());
                 const std::size_t take = std::min(batch, pool.size());
@@ -133,7 +132,7 @@ round_task<counting_result> counting_machine(network& net,
                   std::swap(pool[i], pool[j]);
                   m.uids.push_back(pool[i]);
                 }
-                return m;
+                return true;
               },
               [&](node_id u, const std::vector<const uid_batch_msg*>& inbox) {
                 for (const uid_batch_msg* m : inbox) {
@@ -152,8 +151,9 @@ round_task<counting_result> counting_machine(network& net,
         for (round_t r = 0; r < phase_len; ++r) {
           net.step<max_msg>(
               view,
-              [&](node_id u, rng&) -> std::optional<max_msg> {
-                return best[u];
+              [&](node_id u, rng&, max_msg& m) {
+                m = best[u];
+                return true;
               },
               [&](node_id u, const std::vector<const max_msg*>& inbox) {
                 for (const max_msg* m : inbox) {
@@ -230,8 +230,9 @@ round_task<counting_result> counting_machine(network& net,
     for (round_t r = 0; r < phase_len; ++r) {
       net.step<verify_msg>(
           view,
-          [&](node_id u, rng&) -> std::optional<verify_msg> {
-            return mine[u];
+          [&](node_id u, rng&, verify_msg& m) {
+            m = mine[u];
+            return true;
           },
           [&](node_id u, const std::vector<const verify_msg*>& inbox) {
             for (const verify_msg* m : inbox) {

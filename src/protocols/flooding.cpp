@@ -1,6 +1,7 @@
 #include "protocols/flooding.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "linalg/bitvec.hpp"
 
@@ -8,23 +9,49 @@ namespace ncdn {
 
 namespace {
 
-/// A token-forwarding message: up to B tokens, each d bits on the wire.
+/// A token-forwarding message: at most B tokens, each d bits on the wire,
+/// carried as a k-bit rank mask (bit r = the r-th smallest token) plus
+/// their count.
 struct forward_msg {
-  std::vector<std::size_t> tokens;  // global token indices (wire: payloads)
+  bitvec ranks;
+  std::size_t count = 0;
   std::size_t d_bits = 0;
-  std::size_t bit_size() const noexcept { return tokens.size() * d_bits; }
+  std::size_t bit_size() const noexcept { return count * d_bits; }
 };
 
-/// The `batch` lowest set ranks of `mask`, ascending: what a node sends or
-/// finalizes.
-std::vector<std::size_t> lowest_ranks(const bitvec& mask, std::size_t batch) {
-  std::vector<std::size_t> out;
-  out.reserve(std::min(batch, mask.popcount()));
-  for (std::size_t r = mask.first_set(); r < mask.size() && out.size() < batch;
-       r = mask.first_set_from(r + 1)) {
-    out.push_back(r);
+/// Sets `to` (resized to mask's length on first use) to the `batch` lowest
+/// set ranks of `mask`, a word at a time, overwriting every word, and
+/// returns how many it took; with `consume` it also clears them from
+/// `mask`.  What a node sends or finalizes.
+std::size_t take_lowest(bitvec& mask, std::size_t batch, bool consume,
+                        bitvec& to) {
+  if (to.size() != mask.size()) to = bitvec(mask.size());
+  std::uint64_t* from = mask.data();
+  std::uint64_t* out = to.data();
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < mask.words().size(); ++w) {
+    std::uint64_t left = from[w];
+    std::uint64_t take = 0;
+    for (; left != 0 && count < batch; ++count) {
+      const std::uint64_t low = left & (0 - left);
+      take |= low;
+      left ^= low;
+    }
+    out[w] = take;
+    if (consume) from[w] ^= take;
   }
-  return out;
+  return count;
+}
+
+/// Calls f(r) for every set rank r of `mask`, ascending.
+template <class F>
+void for_each_rank(const bitvec& mask, F&& f) {
+  const std::uint64_t* words = mask.data();
+  for (std::size_t w = 0; w < mask.words().size(); ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      f(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  }
 }
 
 }  // namespace
@@ -59,12 +86,28 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
   protocol_result res;
   const round_t start_round = net.rounds_elapsed();
 
-  auto learn = [&](node_id u, std::size_t t) {
-    if (!st.knows(u, t)) {
-      st.learn(u, t);
-      active[u].set(rank_of[t]);
-      if (cfg.pipelined) unsent[u].set(rank_of[t]);
+  // A reception: the ranks u does not hold yet, word by word, learned in
+  // ascending order.  `active[u]` is u's known ranks minus the finalized
+  // ones, and every node finalizes the same ranks at once, so no message
+  // carries a finalized rank and a fresh rank is an unknown token.
+  auto receive = [&](node_id u, const forward_msg& m) {
+    std::uint64_t* held = active[u].data();
+    const std::uint64_t* got = m.ranks.data();
+    for (std::size_t w = 0; w < active[u].words().size(); ++w) {
+      const std::uint64_t fresh = got[w] & ~held[w];
+      if (fresh == 0) continue;
+      held[w] |= fresh;
+      if (cfg.pipelined) unsent[u].data()[w] |= fresh;
+      for (std::uint64_t bits = fresh; bits != 0; bits &= bits - 1) {
+        const std::size_t t =
+            order[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+        NCDN_AUDIT(!st.knows(u, t));
+        st.learn(u, t);
+      }
     }
+  };
+  auto deliver = [&](node_id u, const std::vector<const forward_msg*>& inbox) {
+    for (const forward_msg* m : inbox) receive(u, *m);
   };
 
   if (cfg.pipelined) {
@@ -77,23 +120,13 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
     for (round_t r = 0; r < cap && !st.all_complete(); ++r) {
       net.step<forward_msg>(
           st,
-          [&](node_id u, rng&) -> std::optional<forward_msg> {
+          [&](node_id u, rng&, forward_msg& m) {
             if (!unsent[u].any()) unsent[u] = active[u];  // restart stream
-            forward_msg m;
             m.d_bits = d;
-            m.tokens = lowest_ranks(unsent[u], batch);
-            for (std::size_t& t : m.tokens) {
-              unsent[u].set(t, false);
-              t = order[t];
-            }
-            if (m.tokens.empty()) return std::nullopt;
-            return m;
+            m.count = take_lowest(unsent[u], batch, /*consume=*/true, m.ranks);
+            return m.count != 0;
           },
-          [&](node_id u, const std::vector<const forward_msg*>& inbox) {
-            for (const forward_msg* m : inbox) {
-              for (std::size_t t : m->tokens) learn(u, t);
-            }
-          });
+          deliver);
       co_await next_round;
     }
     finish_result(res, net, st, start_round);
@@ -101,41 +134,29 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
     co_return res;
   }
 
+  bitvec first_choice;  // node 0's finalized ranks of this phase
+  bitvec done;          // another node's
   for (std::size_t phase = 0; phase < phases; ++phase) {
     for (round_t r = 0; r < phase_len; ++r) {
       net.step<forward_msg>(
           st,
-          [&](node_id u, rng&) -> std::optional<forward_msg> {
-            forward_msg m;
+          [&](node_id u, rng&, forward_msg& m) {
             m.d_bits = d;
-            m.tokens = lowest_ranks(active[u], batch);
-            for (std::size_t& t : m.tokens) t = order[t];
-            if (m.tokens.empty()) return std::nullopt;
-            return m;
+            m.count = take_lowest(active[u], batch, /*consume=*/false, m.ranks);
+            return m.count != 0;
           },
-          [&](node_id u, const std::vector<const forward_msg*>& inbox) {
-            for (const forward_msg* m : inbox) {
-              for (std::size_t t : m->tokens) learn(u, t);
-            }
-          });
+          deliver);
       co_await next_round;
       note_completion(res, net, st, start_round);
     }
     // Phase boundary: every node finalizes its `batch` smallest known
     // non-finalized tokens.  The min-flood argument (header comment)
     // guarantees all nodes pick the same set; asserted here.
-    std::vector<std::size_t> first_choice;
     for (node_id u = 0; u < n; ++u) {
-      const std::vector<std::size_t> done = lowest_ranks(active[u], batch);
-      if (u == 0) {
-        first_choice = done;
-      } else {
-        NCDN_ASSERT(done == first_choice);  // min-flood agreement
-      }
-      for (std::size_t rk : done) {
-        active[u].set(rk, false);
-        st.retire(u, order[rk]);
-      }
+      bitvec& pick = u == 0 ? first_choice : done;
+      take_lowest(active[u], batch, /*consume=*/true, pick);
+      NCDN_ASSERT(u == 0 || done == first_choice);  // min-flood agreement
+      for_each_rank(pick, [&](std::size_t rk) { st.retire(u, order[rk]); });
     }
   }
 

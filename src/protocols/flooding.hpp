@@ -25,7 +25,8 @@
 // token) — `active` (known, not yet finalized) and, pipelined only,
 // `unsent` (not yet streamed this pass, refilled from `active` when it
 // empties).  The lowest B set bits are the tokens a node sends or
-// finalizes.
+// finalizes.  A message carries them as a rank mask too (wire: B tokens
+// of d bits), so a reception learns `msg & ~active` a word at a time.
 #pragma once
 
 #include "core/machine.hpp"

@@ -12,7 +12,6 @@
 // (retirement_ledger, protocols/coded_nodes.hpp).
 #pragma once
 
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -59,13 +58,11 @@ round_task<min_flood_result<Key>> min_flood(
     for (std::size_t r = 0; r < n; ++r) {
       net.step<flood_msg>(
           view,
-          [&](node_id u, rng&) -> std::optional<flood_msg> {
-            flood_msg m;
+          [&](node_id u, rng&, flood_msg& m) {
             m.key_bits = key_bits;
             m.fail = fail[u];
             m.keys = smallest(u);
-            if (m.keys.empty() && !m.fail) return std::nullopt;
-            return m;
+            return !m.keys.empty() || m.fail;
           },
           [&](node_id u, const std::vector<const flood_msg*>& inbox) {
             for (const flood_msg* m : inbox) {

@@ -46,18 +46,18 @@ round_task<gather_result> random_forward_machine(
   for (round_t r = 0; r < gather_rounds; ++r) {
     net.step<random_forward_msg>(
         st,
-        [&](node_id u, rng& prng) -> std::optional<random_forward_msg> {
+        [&](node_id u, rng& prng, random_forward_msg& m) {
           auto& mine = pool[u];
-          if (mine.empty()) return std::nullopt;
-          random_forward_msg m;
+          if (mine.empty()) return false;
           m.d_bits = d;
+          m.tokens.clear();
           const std::size_t take = std::min(batch, mine.size());
           for (std::size_t i = 0; i < take; ++i) {
             const std::size_t j = i + prng.below(mine.size() - i);
             std::swap(mine[i], mine[j]);
             m.tokens.push_back(mine[i]);
           }
-          return m;
+          return true;
         },
         [&](node_id u, const std::vector<const random_forward_msg*>& inbox) {
           for (const random_forward_msg* m : inbox) {
@@ -93,8 +93,9 @@ round_task<gather_result> random_forward_machine(
   for (round_t r = 0; r < flood_rounds; ++r) {
     net.step<max_flood_msg>(
         st,
-        [&](node_id u, rng&) -> std::optional<max_flood_msg> {
-          return best[u];
+        [&](node_id u, rng&, max_flood_msg& m) {
+          m = best[u];
+          return true;
         },
         [&](node_id u, const std::vector<const max_flood_msg*>& inbox) {
           for (const max_flood_msg* m : inbox) {

@@ -22,12 +22,13 @@ round_task<round_t> rlnc_session::run_stepped(network& net,
     if (stop_early && all_complete()) break;
     net.step<coded_msg>(
         *this,
-        [&](node_id u, rng& r) -> std::optional<coded_msg> {
+        [&](node_id u, rng& r, coded_msg& m) {
           auto combo = coder(u).make_combination(r, arena_);
-          if (!combo) return std::nullopt;
-          coded_msg m{std::move(*combo), {}};
+          if (!combo) return false;
+          m.row = std::move(*combo);
+          m.feedback.clear();
           if (const auto* fb = coder(u).deficit_report()) m.feedback = *fb;
-          return m;
+          return true;
         },
         [&](node_id u, const std::vector<const coded_msg*>& inbox) {
           if (inbox.empty()) return;

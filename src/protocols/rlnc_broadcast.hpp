@@ -177,11 +177,12 @@ class field_rlnc_session final : public knowledge_view {
       const round_t r = net.rounds_elapsed();
       net.step<message>(
           *this,
-          [&](node_id u, rng& g) -> std::optional<message> {
+          [&](node_id u, rng& g, message& m) {
             auto row = advice_seed_ ? prospective_row(u, r)
                                     : decoders_[u].random_combination(g);
-            if (!row) return std::nullopt;
-            return message{std::move(*row), wire_bits()};
+            if (!row) return false;
+            m = message{std::move(*row), wire_bits()};
+            return true;
           },
           [&](node_id u, const std::vector<const message*>& inbox) {
             for (const message* m : inbox) decoders_[u].insert(m->row);

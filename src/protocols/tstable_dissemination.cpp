@@ -135,16 +135,15 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
     while (net.rounds_elapsed() < window_end) {
       net.step<gather_up_msg>(
           st,
-          [&](node_id u, rng&) -> std::optional<gather_up_msg> {
-            if (bp.is_leader[u] || queue[u].empty()) return std::nullopt;
-            gather_up_msg m;
+          [&](node_id u, rng&, gather_up_msg& m) {
+            if (bp.is_leader[u] || queue[u].empty()) return false;
             m.uid = u;
             m.d_bits = d;
             const std::size_t take = std::min(batch, queue[u].size());
             m.tokens.assign(queue[u].end() - static_cast<std::ptrdiff_t>(take),
                             queue[u].end());
             queue[u].resize(queue[u].size() - take);
-            return m;
+            return true;
           },
           [&](node_id u, const std::vector<const gather_up_msg*>& inbox) {
             for (const gather_up_msg* m : inbox) {

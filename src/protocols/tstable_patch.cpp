@@ -160,10 +160,11 @@ round_task<void> exchange_vectors(network& net, coded_nodes& nodes,
   for (round_t c = 0; c < t_vec; ++c) {
     net.step<chunk_msg>(
         nodes,
-        [&](node_id u, rng&) -> std::optional<chunk_msg> {
-          if (outgoing[u].empty()) return std::nullopt;
-          return chunk_msg{chunk_of(outgoing[u], c, b_bits),
-                           static_cast<std::uint32_t>(c), u, tag_bits};
+        [&](node_id u, rng&, chunk_msg& m) {
+          if (outgoing[u].empty()) return false;
+          m = chunk_msg{chunk_of(outgoing[u], c, b_bits),
+                        static_cast<std::uint32_t>(c), u, tag_bits};
+          return true;
         },
         [&](node_id u, const std::vector<const chunk_msg*>& inbox) {
           for (const chunk_msg* m : inbox) {
@@ -261,10 +262,10 @@ round_task<bool> build_patches_machine(network& net, const patch_plan& plan,
     for (std::uint32_t r = 0; r < d; ++r) {
       net.step<prio_msg>(
           patch_view,
-          [&](node_id u, rng&) -> std::optional<prio_msg> {
-            if (!best_valid[u]) return std::nullopt;
-            return prio_msg{best_prio[u], best_uid[u],
-                            prio_bits + uid_bits};
+          [&](node_id u, rng&, prio_msg& m) {
+            if (!best_valid[u]) return false;
+            m = prio_msg{best_prio[u], best_uid[u], prio_bits + uid_bits};
+            return true;
           },
           [&](node_id u, const std::vector<const prio_msg*>& inbox) {
             for (const prio_msg* m : inbox) {
@@ -292,9 +293,10 @@ round_task<bool> build_patches_machine(network& net, const patch_plan& plan,
     for (std::uint32_t r = 0; r < d; ++r) {
       net.step<ttl_msg>(
           patch_view,
-          [&](node_id u, rng&) -> std::optional<ttl_msg> {
-            if (ttl[u] == 0) return std::nullopt;
-            return ttl_msg{ttl[u], depth_bits};
+          [&](node_id u, rng&, ttl_msg& m) {
+            if (ttl[u] == 0) return false;
+            m = ttl_msg{ttl[u], depth_bits};
+            return true;
           },
           [&](node_id u, const std::vector<const ttl_msg*>& inbox) {
             for (const ttl_msg* m : inbox) {
@@ -333,10 +335,10 @@ round_task<bool> build_patches_machine(network& net, const patch_plan& plan,
   for (std::uint32_t r = 0; r < d; ++r) {
     net.step<wave_msg>(
         patch_view,
-        [&](node_id u, rng&) -> std::optional<wave_msg> {
-          if (!wp.assigned[u]) return std::nullopt;
-          return wave_msg{wp.leader_of[u], wp.depth[u],
-                          uid_bits + depth_bits};
+        [&](node_id u, rng&, wave_msg& m) {
+          if (!wp.assigned[u]) return false;
+          m = wave_msg{wp.leader_of[u], wp.depth[u], uid_bits + depth_bits};
+          return true;
         },
         [&](node_id u, const std::vector<const wave_msg*>& inbox) {
           for (const wave_msg* m : inbox) {
@@ -360,9 +362,10 @@ round_task<bool> build_patches_machine(network& net, const patch_plan& plan,
   wp.parent.assign(n, no_node);
   net.step<assign_msg>(
       patch_view,
-      [&](node_id u, rng&) -> std::optional<assign_msg> {
-        return assign_msg{u, wp.leader_of[u], wp.depth[u],
-                          2 * uid_bits + depth_bits};
+      [&](node_id u, rng&, assign_msg& m) {
+        m = assign_msg{u, wp.leader_of[u], wp.depth[u],
+                       2 * uid_bits + depth_bits};
+        return true;
       },
       [&](node_id u, const std::vector<const assign_msg*>& inbox) {
         if (wp.depth[u] == 0) {
@@ -386,8 +389,9 @@ round_task<bool> build_patches_machine(network& net, const patch_plan& plan,
   wp.children.assign(n, {});
   net.step<child_msg>(
       patch_view,
-      [&](node_id u, rng&) -> std::optional<child_msg> {
-        return child_msg{u, wp.parent[u], 2 * uid_bits};
+      [&](node_id u, rng&, child_msg& m) {
+        m = child_msg{u, wp.parent[u], 2 * uid_bits};
+        return true;
       },
       [&](node_id u, const std::vector<const child_msg*>& inbox) {
         for (const child_msg* m : inbox) {
@@ -425,16 +429,15 @@ round_task<void> tstable_patch_session::share_stepped(network& net,
   for (round_t r = 0; r < static_cast<round_t>(d) + t_vec; ++r) {
     net.step<chunk_msg>(
         *this,
-        [&](node_id u, rng&) -> std::optional<chunk_msg> {
-          if (wp.depth[u] == 0) return std::nullopt;  // leader only receives
+        [&](node_id u, rng&, chunk_msg& m) {
+          if (wp.depth[u] == 0) return false;  // leader only receives
           const std::int64_t c = static_cast<std::int64_t>(r) -
                                  (static_cast<std::int64_t>(d) - wp.depth[u]);
-          if (c < 0 || c >= static_cast<std::int64_t>(t_vec)) {
-            return std::nullopt;
-          }
-          return chunk_msg{
+          if (c < 0 || c >= static_cast<std::int64_t>(t_vec)) return false;
+          m = chunk_msg{
               chunk_of(wp.acc[u], static_cast<std::size_t>(c), plan_.b_bits),
               static_cast<std::uint32_t>(c), u, tag_bits};
+          return true;
         },
         [&](node_id u, const std::vector<const chunk_msg*>& inbox) {
           for (const chunk_msg* m : inbox) {
@@ -468,20 +471,19 @@ round_task<void> tstable_patch_session::share_stepped(network& net,
   for (round_t r = 0; r < down_rounds; ++r) {
     net.step<chunk_msg>(
         *this,
-        [&](node_id u, rng&) -> std::optional<chunk_msg> {
+        [&](node_id u, rng&, chunk_msg& m) {
           const std::int64_t c =
               static_cast<std::int64_t>(r) - wp.depth[u];
-          if (c < 0 || c >= static_cast<std::int64_t>(t_vec)) {
-            return std::nullopt;
-          }
+          if (c < 0 || c >= static_cast<std::int64_t>(t_vec)) return false;
           if (static_cast<std::uint32_t>(c) >= wp.got_chunks[u]) {
-            return std::nullopt;  // chunk not yet received (cannot happen
-                                  // on schedule, but stay safe)
+            return false;  // chunk not yet received (cannot happen on
+                           // schedule, but stay safe)
           }
-          return chunk_msg{
+          m = chunk_msg{
               chunk_of(wp.patch_sum[u], static_cast<std::size_t>(c),
                        plan_.b_bits),
               static_cast<std::uint32_t>(c), u, tag_bits};
+          return true;
         },
         [&](node_id u, const std::vector<const chunk_msg*>& inbox) {
           for (const chunk_msg* m : inbox) {

@@ -164,5 +164,32 @@ TEST(flooding, two_word_masks_pin_rounds_and_wire_bits) {
   }
 }
 
+TEST(flooding, three_word_masks_pin_rounds_and_wire_bits) {
+  // k = 130: a message's rank mask spans three words, the last holding two
+  // ranks, so a send that stops at the wrong bit of a word, or a reception
+  // that skips the tail word, moves these.
+  struct pinned {
+    const char* alg;
+    const char* adv;
+    round_t rounds;
+    std::size_t bits;
+  };
+  problem prob;
+  prob.n = 144;
+  prob.k = 130;
+  prob.d = 8;
+  prob.b = 32;
+  prob.place = placement::random_spread;
+  for (const pinned& p :
+       {pinned{"token-forwarding", "random-connected", 4752, 21556048},
+        pinned{"token-forwarding-pipelined", "permuted-path", 133, 586112}}) {
+    session s(prob, protocol_spec{p.alg, {}}, adversary_spec{p.adv, {}}, 5);
+    const run_report& rep = s.run_to_completion();
+    EXPECT_TRUE(rep.complete) << p.alg;
+    EXPECT_EQ(rep.rounds, p.rounds) << p.alg;
+    EXPECT_EQ(rep.metrics.total_message_bits, p.bits) << p.alg;
+  }
+}
+
 }  // namespace
 }  // namespace ncdn

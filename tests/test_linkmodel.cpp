@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -304,8 +303,8 @@ TEST(linkmodel, in_flight_copies_expire_when_the_view_changes) {
     delivered += traffic.messages_delivered;
     dropped += traffic.messages_dropped;
   });
-  const auto speak = [](node_id, rng&) { return std::optional(probe_msg{}); };
-  const auto hush = [](node_id, rng&) { return std::optional<probe_msg>(); };
+  const auto speak = [](node_id, rng&, probe_msg&) { return true; };
+  const auto hush = [](node_id, rng&, probe_msg&) { return false; };
   std::size_t received = 0;
   const auto count = [&](node_id, const std::vector<const probe_msg*>& in) {
     received += in.size();

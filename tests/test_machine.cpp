@@ -476,9 +476,7 @@ round_task<protocol_result> scripted_views_machine(session_env& env) {
   scripted_view a(n);
   scripted_view b(n);
   opaque_view quiet(n);
-  const auto speak = [](node_id, rng&) {
-    return std::optional(scripted_msg{});
-  };
+  const auto speak = [](node_id, rng&, scripted_msg&) { return true; };
   const auto ignore = [](node_id, const std::vector<const scripted_msg*>&) {};
   for (const char which : view_script) {
     if (which == 's') {

@@ -1,11 +1,13 @@
 // Round-engine and adversary semantics (systems S3/S5): delivery matches
-// the committed topology, message budgets are enforced, T-stability caches
-// windows, adaptive adversaries see pre-round state, and runs are
-// deterministic given a seed.
+// the committed topology, message slots carry only what their round made,
+// message budgets are enforced, T-stability caches windows, adaptive
+// adversaries see pre-round state, and runs are deterministic given a
+// seed.
 #include <gtest/gtest.h>
 
 #include "dynnet/adversary.hpp"
 #include "dynnet/network.hpp"
+#include "linkmodel/linkmodel.hpp"
 
 namespace ncdn {
 namespace {
@@ -22,8 +24,9 @@ TEST(network, delivers_along_topology) {
   std::vector<std::vector<node_id>> heard(4);
   net.step<ping_msg>(
       view,
-      [](node_id u, rng&) -> std::optional<ping_msg> {
-        return ping_msg{u};
+      [](node_id u, rng&, ping_msg& m) {
+        m.from = u;
+        return true;
       },
       [&](node_id u, const std::vector<const ping_msg*>& inbox) {
         for (auto* m : inbox) heard[u].push_back(m->from);
@@ -42,14 +45,81 @@ TEST(network, silent_nodes_send_nothing) {
   std::size_t center_inbox = 0;
   net.step<ping_msg>(
       view,
-      [](node_id u, rng&) -> std::optional<ping_msg> {
-        if (u % 2 == 0) return std::nullopt;  // nodes 0,2,4 silent
-        return ping_msg{u};
+      [](node_id u, rng&, ping_msg& m) {
+        if (u % 2 == 0) return false;  // nodes 0,2,4 silent
+        m.from = u;
+        return true;
       },
       [&](node_id u, const std::vector<const ping_msg*>& inbox) {
         if (u == 0) center_inbox = inbox.size();
       });
   EXPECT_EQ(center_inbox, 2u);  // only 1 and 3 spoke
+}
+
+// Slots outlive their round (network.hpp, "Message slots"): node 1 fills
+// its slot in round 0 and is silent in round 1, so what the slot still
+// holds must reach no inbox in round 1 — on the reliable path and through
+// a link model.
+TEST(network, a_silent_node_reaches_no_inbox_with_its_old_slot) {
+  for (const bool linked : {false, true}) {
+    auto adv = make_static_path(3);  // 0-1-2
+    network net(3, 64, *adv, 12);
+    if (linked) {
+      net.set_link_model(build_link_model(link_spec{"perfect", {}}, 1));
+    }
+    opaque_view view(3);
+    for (round_t r = 0; r < 2; ++r) {
+      std::vector<std::vector<node_id>> heard(3);
+      net.step<ping_msg>(
+          view,
+          [r](node_id u, rng&, ping_msg& m) {
+            if (r == 1 && u == 1) return false;
+            m.from = u;
+            return true;
+          },
+          [&](node_id u, const std::vector<const ping_msg*>& inbox) {
+            for (auto* m : inbox) heard[u].push_back(m->from);
+          });
+      const std::vector<node_id> from_1 =
+          r == 0 ? std::vector<node_id>{1} : std::vector<node_id>{};
+      EXPECT_EQ(heard[0], from_1) << "round " << r << " linked " << linked;
+      EXPECT_EQ(heard[1], (std::vector<node_id>{0, 2})) << "round " << r;
+      EXPECT_EQ(heard[2], from_1) << "round " << r << " linked " << linked;
+    }
+  }
+}
+
+struct words_msg {
+  std::vector<std::uint64_t> words;
+  std::size_t bit_size() const noexcept { return 64 * words.size(); }
+};
+
+// A delayed copy is taken when it is sent: node 0 rewrites its slot in
+// place every round, and the copy sent in round r still reads r when it
+// arrives in round r + 2.
+TEST(network, a_delayed_copy_keeps_the_content_it_was_sent_with) {
+  auto adv = make_static_path(2);
+  network net(2, 256, *adv, 13);
+  net.set_link_model(
+      build_link_model(link_spec{"perfect", {{"delay", "2"}}}, 1));
+  opaque_view view(2);
+  std::vector<std::vector<std::uint64_t>> arrived;
+  for (std::uint64_t r = 0; r < 5; ++r) {
+    net.step<words_msg>(
+        view,
+        [r](node_id u, rng&, words_msg& m) {
+          if (u != 0) return false;
+          m.words.assign(3, r);
+          return true;
+        },
+        [&](node_id u, const std::vector<const words_msg*>& inbox) {
+          if (u != 1) return;
+          for (auto* m : inbox) arrived.push_back(m->words);
+        });
+  }
+  const std::vector<std::vector<std::uint64_t>> sent_in_rounds_0_to_2 = {
+      {0, 0, 0}, {1, 1, 1}, {2, 2, 2}};
+  EXPECT_EQ(arrived, sent_in_rounds_0_to_2);
 }
 
 TEST(network, records_max_message_bits) {
@@ -62,8 +132,9 @@ TEST(network, records_max_message_bits) {
   };
   net.step<sized_msg>(
       view,
-      [](node_id u, rng&) -> std::optional<sized_msg> {
-        return sized_msg{static_cast<std::size_t>(10 + 20 * u)};
+      [](node_id u, rng&, sized_msg& m) {
+        m.bits = 10 + 20 * static_cast<std::size_t>(u);
+        return true;
       },
       [](node_id, const std::vector<const sized_msg*>&) {});
   EXPECT_EQ(net.max_observed_message_bits(), 50u);
@@ -84,8 +155,9 @@ static void hash_step(network& net, const knowledge_view& view,
                       std::uint64_t& hash) {
   net.step<rand_msg>(
       view,
-      [](node_id, rng& prng) -> std::optional<rand_msg> {
-        return rand_msg{prng()};
+      [](node_id, rng& prng, rand_msg& m) {
+        m.v = prng();
+        return true;
       },
       [&](node_id u, const std::vector<const rand_msg*>& inbox) {
         for (auto* m : inbox) {

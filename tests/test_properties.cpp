@@ -222,7 +222,7 @@ TEST(model_ordering, adversary_sees_state_before_messages) {
   for (int r = 0; r < 5; ++r) {
     net.step<unit_msg>(
         view,
-        [](node_id, rng&) -> std::optional<unit_msg> { return unit_msg{}; },
+        [](node_id, rng&, unit_msg&) { return true; },
         [&](node_id u, const std::vector<const unit_msg*>& inbox) {
           counters[u] += inbox.size();
         });
@@ -241,7 +241,7 @@ TEST(model_ordering, oversized_message_trips_the_budget) {
   EXPECT_DEATH(
       net.step<huge_msg>(
           view,
-          [](node_id, rng&) -> std::optional<huge_msg> { return huge_msg{}; },
+          [](node_id, rng&, huge_msg&) { return true; },
           [](node_id, const std::vector<const huge_msg*>&) {}),
       "invariant");
 }
